@@ -5,7 +5,9 @@ Per image the procedure is:
 1. Keep the prefix of score-sorted detections whose scores strictly exceed
    the dataset's average detection confidence (the HCDRs).
 2. Compute the IoU matrix of HCDR boxes against the ORIGINAL annotation
-   boxes and take each detection's max/argmax over annotations.
+   boxes and take each detection's max/argmax over annotations.  This is
+   the only IoU pass: each HCDR's max over all annotations is kept as
+   `CalibrationResult.hcdr_ious`, which the report's histogram bins.
 3. Scan detections in descending-score order.  A detection claims its argmax
    annotation when the max IoU lies inside the closed calibration interval
    [t_m, t_c] and that annotation is still unclaimed; otherwise the
@@ -25,9 +27,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
+import numpy as np
+
 from .adc import AdcResult, compute_adc, select_hcdrs
-from .formats import (AnnotationSet, Detection, DetectionSet, ImageAnnotations, align)
-from .geometry import BBox, iou_matrix, row_max_argmax
+from .formats import (AnnotationSet, Detection, DetectionSet, ImageAnnotations,
+                      ImageDetections, align)
+from .geometry import BBox, IoUMatrix, iou_matrix, row_max_argmax
 
 log = logging.getLogger(__name__)
 
@@ -80,26 +85,60 @@ class CalibrationResult:
     counters: CalibrationCounters
     wall_time: float
     effective_adc: float
+    # each HCDR's max IoU over ALL its image's annotations (invalid ones
+    # included), in image order, then score order; images without
+    # annotations contribute nothing
+    hcdr_ious: np.ndarray
     adc: AdcResult | None = None  # None when the threshold was overridden
     config: CalibrationConfig = field(default_factory=CalibrationConfig)
 
 
-def _calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
-                     cfg: CalibrationConfig) -> tuple[ImageAnnotations, list[MbpRecord], int, int, int]:
-    """Single-image scan; returns (annotations, records, considered, skipped counts)."""
+def _iou_against_all(hcdrs: list[Detection], anns: ImageAnnotations) -> IoUMatrix | None:
+    """HCDRs (rows, score order) against every annotation (columns, file
+    order); None when either side is empty."""
+    if not hcdrs or not anns.faces:
+        return None
+    return iou_matrix([d.box for d in hcdrs], [f.box for f in anns.faces])
+
+
+def hcdr_iou_matrix(anns: ImageAnnotations, dets: ImageDetections,
+                    adc: float) -> tuple[list[Detection], IoUMatrix | None]:
+    """An image's HCDRs and their IoU matrix against all its annotations.
+
+    This is the one IoU computation behind calibration, the report's
+    histogram and `boxcal stats`.  The matrix is None when the image has no
+    annotations or no detection scores above adc.
+    """
+    hcdrs = select_hcdrs(dets, adc) if anns.faces else []
+    return hcdrs, _iou_against_all(hcdrs, anns)
+
+
+_NO_IOUS = np.zeros(0, dtype=np.float64)
+
+
+def _calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection], m: IoUMatrix | None,
+                     cfg: CalibrationConfig
+                     ) -> tuple[ImageAnnotations, list[MbpRecord], np.ndarray, int, int, int]:
+    """Single-image scan over m, the HCDR x all-annotations matrix.
+
+    Returns (annotations, records, each HCDR's max IoU over all annotations,
+    considered, skipped counts).
+    """
+    if m is None:
+        return anns, [], _NO_IOUS, 0, 0, 0
     faces = anns.faces
     if cfg.include_invalid:
         col_map = None
-        boxes = [f.box for f in faces]
+        max_o, arg_o = row_max_argmax(m)
+        max_all = max_o
     else:
+        max_all = m.values.max(axis=1)
         col_map = [k for k, f in enumerate(faces) if not f.invalid]
-        boxes = [faces[k].box for k in col_map]
-    if not hcdrs or not boxes:
-        return anns, [], 0, 0, 0
+        if not col_map:
+            return anns, [], max_all, 0, 0, 0
+        max_o, arg_o = row_max_argmax(IoUMatrix(m.values[:, col_map]))
 
-    m = iou_matrix([d.box for d in hcdrs], boxes)
-    max_o, arg_o = row_max_argmax(m)
-    claimed = bytearray(len(boxes))  # 0 = still calibratable
+    claimed = bytearray(len(faces))  # 0 = still calibratable
     records: list[MbpRecord] = []
     out_of_interval = 0
     already_claimed = 0
@@ -108,9 +147,9 @@ def _calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
         mo = max_o[j]
         if t_m <= mo <= t_c:
             col = int(arg_o[j])
-            if not claimed[col]:
-                claimed[col] = 1
-                k = col if col_map is None else col_map[col]
+            k = col if col_map is None else col_map[col]
+            if not claimed[k]:
+                claimed[k] = 1
                 records.append(MbpRecord(
                     path=anns.path, det_index=j, ann_index=k, iou=float(mo),
                     score=det.score, old_box=faces[k].box, new_box=det.box))
@@ -124,7 +163,7 @@ def _calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
         for r in records:
             new_faces[r.ann_index] = replace(faces[r.ann_index], box=r.new_box)
         anns = ImageAnnotations(path=anns.path, faces=new_faces)
-    return anns, records, len(hcdrs), out_of_interval, already_claimed
+    return anns, records, max_all, len(hcdrs), out_of_interval, already_claimed
 
 
 def calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
@@ -135,7 +174,7 @@ def calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
     original annotation geometry; box replacements are applied only after the
     scan.  Annotation count, order, and attribute flags are preserved.
     """
-    out, records, _, _, _ = _calibrate_image(anns, hcdrs, cfg)
+    out, records, *_ = _calibrate_image(anns, hcdrs, _iou_against_all(hcdrs, anns), cfg)
     return out, records
 
 
@@ -166,10 +205,8 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
 
     def work(pair):
         img, det_img = pair
-        if not img.faces:
-            return img, [], 0, 0, 0
-        hcdrs = select_hcdrs(det_img, effective_adc)
-        return _calibrate_image(img, hcdrs, cfg)
+        hcdrs, m = hcdr_iou_matrix(img, det_img, effective_adc)
+        return _calibrate_image(img, hcdrs, m, cfg)
 
     if threads <= 1:
         per_image = [work(p) for p in pairs]
@@ -180,9 +217,11 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
     counters = CalibrationCounters(images_processed=len(pairs))
     images: list[ImageAnnotations] = []
     mbps: list[MbpRecord] = []
-    for img, records, considered, out_of_interval, claimed in per_image:
+    ious: list[np.ndarray] = [_NO_IOUS]  # so that an empty dataset concatenates
+    for img, records, max_all, considered, out_of_interval, claimed in per_image:
         images.append(img)
         mbps.extend(records)
+        ious.append(max_all)
         counters.hcdrs_considered += considered
         counters.skipped_out_of_interval += out_of_interval
         counters.skipped_already_claimed += claimed
@@ -193,6 +232,7 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
         counters=counters,
         wall_time=perf_counter() - t0,
         effective_adc=effective_adc,
+        hcdr_ious=np.concatenate(ious),
         adc=adc_result,
         config=cfg,
     )

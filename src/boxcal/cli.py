@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .adc import compute_adc
-from .calibrate import CalibrationConfig, calibrate_dataset
+from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_iou_matrix
 from .formats import align, load_detections, load_wider_gt, save_wider_gt, write_detections_file, write_detections_dir
 from .report import (DEFAULT_EDGES, build_report, format_histogram_table,
                      localization_histogram, mbp_export, run_summary, write_report)
@@ -158,15 +158,14 @@ def run_calibrate(args) -> int:
     result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
     save_wider_gt(result.calibrated, args.out, policy=cfg.rounding)
     if args.report:
-        bundle = build_report(result, predictor=args.predictor, pairs=align(anns, dets))
+        bundle = build_report(result, predictor=args.predictor)
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             write_report(bundle, fh)
     if args.mbp_export:
         fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
         with open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
             mbp_export(result.mbps, fh, fmt=fmt)
-    summary = run_summary(result, result.adc, cfg, predictor=args.predictor)
-    print(summary.one_line())
+    print(run_summary(result, predictor=args.predictor).one_line())
     return 0
 
 
@@ -175,7 +174,13 @@ def run_stats(args) -> int:
     dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
     pairs = align(anns, dets)
     threshold = args.adc if args.adc is not None else compute_adc(pairs).value
-    hist = localization_histogram(pairs, threshold, edges=args.edges)
+    # the calibration's IoU pass without its claim scan: one max per HCDR
+    ious: list[float] = []
+    for img, det_img in pairs:
+        _, m = hcdr_iou_matrix(img, det_img, threshold)
+        if m is not None:
+            ious.extend(m.values.max(axis=1).tolist())
+    hist = localization_histogram(ious, edges=args.edges)
     table = format_histogram_table(hist)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")

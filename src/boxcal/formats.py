@@ -121,8 +121,8 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
 
     Raises ParseError (with line number) on a non-numeric or negative face
     count, a truncated record, a malformed attribute line, a duplicate image
-    path, or non-finite / negative-size box values.  Out-of-range attribute
-    flags only produce a warning.
+    path, non-finite / negative-size box values, or a non-finite attribute
+    flag.  Out-of-range attribute flags only produce a warning.
     """
     lines = _read_text(source).splitlines()
     images: list[ImageAnnotations] = []
@@ -175,6 +175,8 @@ def _parse_face_line(line: str, source: str, lineno: int) -> FaceAnnotation:
         raise ParseError(source, lineno, str(exc)) from None
     flags = []
     for (flag_name, lo, hi), v in zip(_FLAG_RANGES, vals[4:]):
+        if not math.isfinite(v):
+            raise ParseError(source, lineno, f"non-finite {flag_name} flag {v!r}")
         f = int(v)
         if f != v or not lo <= f <= hi:
             log.warning("%s:%d: %s flag %r outside documented range [%d, %d]",
@@ -390,8 +392,18 @@ def align(anns: AnnotationSet, dets: DetectionSet) -> list[tuple[ImageAnnotation
     detection images absent from the annotations are dropped.  Both cases are
     only warned about, so partial prediction runs stay usable.  Output order
     follows the annotation set.
+
+    Raises ValueError, naming the image path, when two detection images share
+    a path or an image's detections are not sorted by descending score:
+    threshold selection relies on both.
     """
-    by_path = {d.path: d for d in dets.images}
+    by_path: dict[str, ImageDetections] = {}
+    for d in dets.images:
+        if d.path in by_path:
+            raise ValueError(f"duplicate detection image path {d.path!r}")
+        if any(a.score < b.score for a, b in zip(d.dets, d.dets[1:])):
+            raise ValueError(f"detections for {d.path!r} are not sorted by descending score")
+        by_path[d.path] = d
     pairs: list[tuple[ImageAnnotations, ImageDetections]] = []
     missing = 0
     for img in anns.images:

@@ -1,10 +1,11 @@
 """Quantitative run artifacts: histograms, run summaries, replacement exports.
 
 The localization-accuracy histogram bins each high-confidence detection by
-its max IoU against its image's annotations.  Displayed tables of touching
-closed intervals double-count boundary values, so the bins here are
-half-open [lo, hi) with a closed final bin; that makes the partition exact
-and lets the aggregate rows be plain sums.
+its max IoU against its image's annotations, a vector the calibration scan
+already computed (`CalibrationResult.hcdr_ious`).  Displayed tables of
+touching closed intervals double-count boundary values, so the bins here
+are half-open [lo, hi) with a closed final bin; that makes the partition
+exact and lets the aggregate rows be plain sums.
 
 The regression-loss delta report is a post-hoc diagnostic.  A training-time
 regression loss depends on the detector being trained; this report instead
@@ -16,14 +17,15 @@ old box.  The report header carries this note.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import TextIO
 
-from .adc import AdcResult, select_hcdrs
-from .calibrate import CalibrationConfig, CalibrationCounters, CalibrationResult, MbpRecord
-from .formats import ImageAnnotations, ImageDetections
-from .geometry import BBox, iou, iou_matrix, row_max_argmax
+import numpy as np
+from numpy.typing import ArrayLike
+
+from .adc import AdcResult
+from .calibrate import CalibrationCounters, CalibrationResult, MbpRecord
+from .geometry import BBox, iou
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -56,18 +58,15 @@ class LocalizationHistogram:
     total: int                      # equals the sum of the partition bin counts
 
 
-def localization_histogram(pairs: list[tuple[ImageAnnotations, ImageDetections]],
-                           adc: float,
+def localization_histogram(ious: ArrayLike,
                            edges: tuple[float, ...] = DEFAULT_EDGES,
                            aggregate_upper: float | None = 0.8) -> LocalizationHistogram:
     """Histogram of max-IoU localization accuracy for high-confidence detections.
 
-    A detection is counted when its score strictly exceeds adc and its max
-    IoU against the image's annotations falls within [edges[0], edges[-1]].
-    Images without annotations contribute nothing (their detections have no
-    localization accuracy).  An aggregate row [edges[0], aggregate_upper] is
-    added when aggregate_upper is one of the edges; the full-range row
-    [edges[0], edges[-1]] is always added.
+    ious holds one max IoU per high-confidence detection; values outside
+    [edges[0], edges[-1]] are not counted.  An aggregate row
+    [edges[0], aggregate_upper] is added when aggregate_upper is one of the
+    edges; the full-range row [edges[0], edges[-1]] is always added.
     """
     edge_list = list(edges)
     if len(edge_list) < 2 or any(b <= a for a, b in zip(edge_list, edge_list[1:])):
@@ -76,23 +75,8 @@ def localization_histogram(pairs: list[tuple[ImageAnnotations, ImageDetections]]
         raise ValueError(f"bin edges must lie within [0, 1], got {edges}")
 
     nbins = len(edge_list) - 1
-    counts = [0] * nbins
-    for img, det_img in pairs:
-        if not img.faces:
-            continue
-        hcdrs = select_hcdrs(det_img, adc)
-        if not hcdrs:
-            continue
-        m = iou_matrix([d.box for d in hcdrs], [f.box for f in img.faces])
-        max_o, _ = row_max_argmax(m)
-        for v in max_o:
-            if v < edge_list[0] or v > edge_list[-1]:
-                continue
-            idx = bisect_right(edge_list, v) - 1
-            if idx == nbins:  # v == edges[-1]: the final bin is closed
-                idx = nbins - 1
-            counts[idx] += 1
-
+    # explicit edges: bins are [lo, hi) except the last, which is closed
+    counts = np.histogram(ious, bins=edge_list)[0].tolist()
     total = sum(counts)
     bins = [HistogramBin(edge_list[i], edge_list[i + 1], counts[i], percentage(counts[i], total))
             for i in range(nbins)]
@@ -130,13 +114,11 @@ class RunSummary:
                 f"calibrated={self.calibrated} time={self.wall_time:.2f}s")
 
 
-def run_summary(result: CalibrationResult, adc: AdcResult | None,
-                cfg: CalibrationConfig, predictor: str = "external") -> RunSummary:
-    value = adc.value if adc is not None and result.adc is adc else result.effective_adc
+def run_summary(result: CalibrationResult, predictor: str = "external") -> RunSummary:
     return RunSummary(
         predictor=predictor,
-        adc=value,
-        interval=(cfg.t_m, cfg.t_c),
+        adc=result.effective_adc,
+        interval=(result.config.t_m, result.config.t_c),
         calibrated=len(result.mbps),
         wall_time=result.wall_time,
         counters=result.counters,
@@ -204,23 +186,14 @@ class ReportBundle:
 
 
 def build_report(result: CalibrationResult, predictor: str = "external",
-                 edges: tuple[float, ...] = DEFAULT_EDGES,
-                 pairs: list[tuple[ImageAnnotations, ImageDetections]] | None = None) -> ReportBundle:
-    """Assemble the full bundle for a finished run.
-
-    pairs (original annotations joined with detections) are needed for the
-    histogram; without them an all-zero histogram is recorded.
-    """
-    summary = run_summary(result, result.adc, result.config, predictor=predictor)
+                 edges: tuple[float, ...] = DEFAULT_EDGES) -> ReportBundle:
+    """Assemble the full bundle for a finished run; the histogram bins the
+    run's own HCDR max IoUs."""
     upper = result.config.t_c if result.config.t_c in edges else None
-    if pairs is None:
-        histogram = localization_histogram([], result.effective_adc, edges, upper)
-    else:
-        histogram = localization_histogram(pairs, result.effective_adc, edges, upper)
     return ReportBundle(
-        summary=summary,
+        summary=run_summary(result, predictor=predictor),
         adc=result.adc,
-        histogram=histogram,
+        histogram=localization_histogram(result.hcdr_ious, edges, upper),
         loss_records=loss_delta_report(result.mbps),
     )
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TextIO
 
+import numpy as np
+
 from .adc import AdcResult
 from .calibrate import CalibrationConfig, CalibrationCounters, CalibrationResult, MbpRecord
 from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
@@ -252,7 +254,9 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
     average with its own accumulator, filters high-confidence detections by
     plain comparison instead of a prefix scan, and finds each detection's
     best annotation with a quadratic loop over all pairs.  Claims resolve in
-    descending-score order against an explicit taken-set.  Intended for
+    descending-score order against an explicit taken-set.  Each strong
+    detection's max IoU over all annotations (hcdr_ious) comes from a
+    separate loop that ignores the candidate set.  Intended for
     equivalence testing against calibrate_dataset, not for large datasets.
     """
     if cfg is None:
@@ -293,11 +297,14 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
     counters = CalibrationCounters(images_processed=len(joined))
     out_images: list[ImageAnnotations] = []
     mbps: list[MbpRecord] = []
+    hcdr_ious: list[float] = []
     for img, dlist in joined:
         if not img.faces:
             out_images.append(img)
             continue
         strong = [d for d in dlist if d.score > threshold]
+        for det in strong:
+            hcdr_ious.append(max(_plain_iou(det.box, f.box) for f in img.faces))
         if cfg.include_invalid:
             candidates = list(range(len(img.faces)))
         else:
@@ -344,6 +351,7 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
         counters=counters,
         wall_time=perf_counter() - t0,
         effective_adc=threshold,
+        hcdr_ious=np.array(hcdr_ious, dtype=np.float64),
         adc=adc_result,
         config=cfg,
     )

@@ -90,6 +90,27 @@ def test_adc_gate_is_strict():
     assert len(res.mbps) == 1
 
 
+def test_hcdr_ious_respect_the_confidence_gate():
+    ann = _ann_img([BBox(0, 0, 10, 10), BBox(100, 0, 10, 10)])
+    dets = [_det(BBox(0, 0, 10, 5.5), 0.9), _det(BBox(100, 0, 10, 6.5), 0.4)]
+    assert _run_one(ann, dets).hcdr_ious.tolist() == [0.55]
+    assert _run_one(ann, [d for d in dets if d.score < 0.5]).hcdr_ious.size == 0
+
+
+def test_hcdr_ious_follow_image_then_score_order():
+    anns = AnnotationSet(images=[_ann_img([BBox(0, 0, 10, 10)], path="a.jpg"),
+                                 _ann_img([BBox(0, 0, 10, 10)], path="b.jpg")])
+    dets = DetectionSet(images=[
+        ImageDetections(path="b.jpg", dets=[_det(BBox(0, 0, 10, 9), 0.9)]),
+        ImageDetections(path="a.jpg", dets=[_det(BBox(0, 0, 10, 6), 0.95),
+                                            _det(BBox(0, 0, 10, 7), 0.6)]),
+    ])
+    res = calibrate_dataset(anns, dets, CFG)
+    assert res.hcdr_ious.tolist() == [0.6, 0.7, 0.9]
+    # out-of-interval and already-claimed detections are recorded too
+    assert res.counters.hcdrs_considered == 3 == res.hcdr_ious.size
+
+
 def test_argmax_tie_goes_to_lowest_index():
     b = BBox(0, 0, 10, 10)
     ann = _ann_img([b, b])
@@ -139,8 +160,11 @@ def test_exclude_invalid_annotations():
     assert res.mbps[0].ann_index == 1
     assert res.mbps[0].iou == 0.75
     assert res.calibrated.images[0].faces[0].box == BBox(0, 0, 10, 10)
+    # the recorded max IoU still spans every annotation, invalid ones included
+    assert res.hcdr_ious.tolist() == [0.8]
     default = _run_one(ann, [det])
     assert default.mbps[0].ann_index == 0
+    assert default.hcdr_ious.tolist() == [0.8]
 
 
 def test_all_invalid_faces_is_a_noop():
@@ -149,6 +173,7 @@ def test_all_invalid_faces_is_a_noop():
     res = _run_one(ann, [_det(BBox(0, 0, 10, 7), 0.9)], cfg)
     assert res.mbps == []
     assert res.counters.hcdrs_considered == 0
+    assert res.hcdr_ious.tolist() == [0.7]
 
 
 def test_zero_face_images_are_skipped():
@@ -158,6 +183,15 @@ def test_zero_face_images_are_skipped():
     res = calibrate_dataset(anns, dets, CFG)
     assert res.counters.hcdrs_considered == 0
     assert res.calibrated == anns
+    assert res.hcdr_ious.size == 0  # no annotations, so no localization accuracy
+
+
+def test_unsorted_detections_are_rejected():
+    # A prefix scan over [0.3, 0.9] would stop at once and miss the 0.9 detection.
+    ann = _ann_img([BBox(0, 0, 10, 10)])
+    dets = [_det(BBox(0, 0, 10, 10), 0.3), _det(BBox(0, 0, 10, 7), 0.9)]
+    with pytest.raises(ValueError, match="'x.jpg' are not sorted"):
+        _run_one(ann, dets)
 
 
 def test_missing_detections_is_a_noop():
@@ -246,6 +280,7 @@ def test_threads_do_not_change_the_result():
         assert alt.mbps == base.mbps
         assert alt.counters == base.counters
         assert alt.effective_adc == base.effective_adc
+        assert alt.hcdr_ious.tolist() == base.hcdr_ious.tolist()
 
 
 # Random scenario generator for the claim-discipline properties: boxes on a

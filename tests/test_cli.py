@@ -7,12 +7,14 @@ stdout/stderr split are asserted directly; one subprocess test covers the
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import boxcal
 from boxcal.cli import main
 from boxcal.formats import load_wider_gt
 
@@ -174,6 +176,18 @@ def test_malformed_gt_exits_1_with_location(tmp_path, capsys):
     assert "bad.txt:2:" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_flag_exits_1_without_traceback(tmp_path, capsys, value):
+    gt = _write(tmp_path, "bad.txt", f"x.jpg\n1\n0 0 8 8 {value} 0 0 0 0 0\n")
+    dets = _write(tmp_path, "dets.txt", DETS_TWO)
+    rc = main(["calibrate", "--gt", gt, "--dets", dets,
+               "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "bad.txt:3:" in err
+    assert "Traceback" not in err
+
+
 # --- adc / stats -----------------------------------------------------------
 
 def test_adc_prints_value_and_components(tmp_path, capsys):
@@ -220,6 +234,27 @@ def test_stats_out_file_and_custom_edges(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     text = dst.read_text(encoding="utf-8")
     assert "2\t[0.5, 1]\t2\t100.000" in text
+
+
+def test_report_histogram_equals_stats_without_invalid_faces(tmp_path, capsys):
+    # Only valid faces can be claimed, but both histograms bin each detection's
+    # max IoU over ALL faces: 0.8 against x's invalid face, 0.7 against y's.
+    gt = _write(tmp_path, "gt.txt",
+                "x.jpg\n2\n0 0 10 10 0 0 0 1 0 0\n0 0 10 6 0 0 0 0 0 0\n"
+                "y.jpg\n1\n50 50 10 10 0 0 0 1 0 0\n")
+    dets = _write(tmp_path, "dets.txt", "x.jpg\n1\n0 0 10 8 0.9\ny.jpg\n1\n50 50 10 7 0.9\n")
+    report = tmp_path / "report.json"
+    rc = main(["calibrate", "--gt", gt, "--dets", dets, "--adc", "0.5",
+               "--include-invalid", "false", "--out", str(tmp_path / "out.txt"),
+               "--report", str(report)])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["stats", "--gt", gt, "--dets", dets, "--adc", "0.5"]) == 0
+    table = capsys.readouterr().out.splitlines()[1:]
+    hist = json.loads(report.read_text(encoding="utf-8"))["histogram"]
+    assert hist["total"] == 2
+    assert [[row.split("\t")[2], row.split("\t")[3]] for row in table] == [
+        [str(b["count"]), f"{b['percentage']:.3f}"] for b in hist["bins"] + hist["aggregates"]]
 
 
 def test_stats_bad_edges_exit_1(tmp_path, capsys):
@@ -323,12 +358,16 @@ def test_module_entry_point(tmp_path):
     gt.write_text(GT_TWO, encoding="utf-8")
     dets = tmp_path / "dets.txt"
     dets.write_text(DETS_TWO, encoding="utf-8")
+    # the child imports the same boxcal as this process, installed or not
+    src = str(Path(boxcal.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "boxcal.cli", "adc", "--gt", str(gt), "--dets", str(dets)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "0.850000"
     bare = subprocess.run([sys.executable, "-m", "boxcal.cli"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert bare.returncode == 1

@@ -91,6 +91,15 @@ def test_error_duplicate_path():
         parse_wider_gt("a.jpg\n0\na.jpg\n0\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_error_non_finite_flag(value):
+    with pytest.raises(ParseError) as exc:
+        parse_wider_gt(f"a.jpg\n1\n1 2 3 4 0 0 {value} 0 0 0\n", name="gt.txt")
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("gt.txt:3: ")
+    assert "illumination" in str(exc.value)
+
+
 def test_out_of_range_flag_warns_but_parses(caplog):
     with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
         s = parse_wider_gt("a.jpg\n1\n1 2 3 4 9 0 0 0 0 0\n")
@@ -232,6 +241,25 @@ def test_align_pairs_in_annotation_order(caplog):
     assert len(pairs[1][1].dets) == 1
     messages = " ".join(rec.message for rec in caplog.records)
     assert "no detections" in messages and "ignored" in messages
+
+
+def test_align_rejects_duplicate_detection_paths():
+    anns = AnnotationSet(images=[ImageAnnotations(path="a.jpg", faces=[])])
+    det = Detection(box=BBox(0, 0, 1, 1), score=0.5)
+    dets = DetectionSet(images=[ImageDetections(path="a.jpg", dets=[det]),
+                                ImageDetections(path="a.jpg", dets=[])])
+    with pytest.raises(ValueError, match="duplicate detection image path 'a.jpg'"):
+        align(anns, dets)
+
+
+def test_align_rejects_unsorted_detections():
+    anns = AnnotationSet(images=[ImageAnnotations(path="a.jpg", faces=[])])
+    low, high = (Detection(box=BBox(0, 0, 1, 1), score=s) for s in (0.3, 0.9))
+    dets = DetectionSet(images=[ImageDetections(path="b.jpg", dets=[low, high])])
+    with pytest.raises(ValueError, match="'b.jpg' are not sorted by descending score"):
+        align(anns, dets)
+    # equal scores are sorted
+    align(anns, DetectionSet(images=[ImageDetections(path="b.jpg", dets=[low, low])]))
 
 
 # Canonical coordinate values: integers or exact 2-decimal fractions, the two

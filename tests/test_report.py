@@ -1,13 +1,15 @@
+import bisect
 import io
 import json
 
+import numpy as np
 import pytest
 
 from boxcal.calibrate import CalibrationConfig, MbpRecord, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox
-from boxcal.report import (LOSS_NOTE, build_report, diou_loss, format_histogram_table,
+from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, build_report, diou_loss, format_histogram_table,
                            localization_histogram, loss_delta_report, mbp_export,
                            percentage, run_summary, write_report)
 
@@ -28,34 +30,39 @@ def test_percentage_zero_total():
     assert percentage(0, 0) == 0.0
 
 
-def _pairs_with_ious(ious, score=0.9):
-    """One image; the k-th detection has exactly the requested max IoU
-    against the k-th annotation (faces are 100 px apart, so cross terms
-    are all zero)."""
-    faces = []
-    dets = []
-    for k, v in enumerate(ious):
-        faces.append(FaceAnnotation(box=BBox(100.0 * k, 0, 10, 10)))
-        dets.append(Detection(box=BBox(100.0 * k, 0, 10, 10 * v), score=score))
-    img = ImageAnnotations(path="x.jpg", faces=faces)
-    det_img = ImageDetections(path="x.jpg", dets=dets)
-    return [(img, det_img)]
-
-
 def test_histogram_bin_placement():
-    pairs = _pairs_with_ious([0.55, 0.5, 0.6, 0.65, 0.8, 1.0, 0.95, 0.49])
-    hist = localization_histogram(pairs, adc=0.5)
+    hist = localization_histogram([0.55, 0.5, 0.6, 0.65, 0.8, 1.0, 0.95, 0.49])
     assert [b.count for b in hist.bins] == [2, 2, 0, 1, 2]
-    assert hist.total == 7  # the 0.49 detection is below the first edge
+    assert hist.total == 7  # 0.49 is below the first edge
     assert hist.bins[0].lower == 0.5 and hist.bins[-1].upper == 1.0
     # half-open bins: 0.6 lands in [0.6, 0.7); closed final bin: 1.0 counted
     assert hist.bins[1].count == 2
     assert hist.bins[4].count == 2
 
 
+def _bisect_counts(values, edges):
+    """Reference binning: half-open [lo, hi) bins, the last one closed."""
+    nbins = len(edges) - 1
+    counts = [0] * nbins
+    for v in values:
+        if v < edges[0] or v > edges[-1]:
+            continue
+        counts[min(bisect.bisect_right(edges, v) - 1, nbins - 1)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("edges", [DEFAULT_EDGES, (0.0, 0.25, 0.5, 0.75, 1.0),
+                                   (0.3, 0.45, 0.7)])
+def test_histogram_matches_half_open_reference(edges):
+    rng = np.random.default_rng(7)
+    at_edges = [v for e in edges for v in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))]
+    values = np.concatenate([rng.random(100_000), at_edges])
+    hist = localization_histogram(values, edges, aggregate_upper=None)
+    assert [b.count for b in hist.bins] == _bisect_counts(values.tolist(), list(edges))
+
+
 def test_histogram_aggregates_are_partition_sums():
-    pairs = _pairs_with_ious([0.55, 0.5, 0.6, 0.65, 0.8, 1.0, 0.95])
-    hist = localization_histogram(pairs, adc=0.5)
+    hist = localization_histogram([0.55, 0.5, 0.6, 0.65, 0.8, 1.0, 0.95])
     agg = {(b.lower, b.upper): b for b in hist.aggregates}
     assert agg[(0.5, 0.8)].count == sum(b.count for b in hist.bins[:3]) == 4
     assert agg[(0.5, 1.0)].count == hist.total == 7
@@ -64,43 +71,42 @@ def test_histogram_aggregates_are_partition_sums():
 
 
 def test_histogram_percentages_three_decimals():
-    pairs = _pairs_with_ious([0.55, 0.65, 0.75])
-    hist = localization_histogram(pairs, adc=0.5)
+    hist = localization_histogram([0.55, 0.65, 0.75])
     assert hist.bins[0].percentage == pytest.approx(33.333, abs=1e-9)
     table = format_histogram_table(hist)
     assert "33.333" in table
     assert table.endswith("\n")
 
 
-def test_histogram_respects_the_confidence_gate():
-    pairs = _pairs_with_ious([0.55, 0.65], score=0.4)
-    hist = localization_histogram(pairs, adc=0.5)
+def test_histogram_of_nothing_is_all_zero():
+    hist = localization_histogram(np.zeros(0))
     assert hist.total == 0
-    assert all(b.count == 0 for b in hist.bins)
-    assert all(b.percentage == 0.0 for b in hist.bins)
+    assert all(b.count == 0 and b.percentage == 0.0 for b in hist.bins + hist.aggregates)
 
 
 def test_histogram_skips_images_without_annotations():
     det_img = ImageDetections(path="x.jpg", dets=[Detection(box=BBox(0, 0, 4, 4), score=0.9)])
     img = ImageAnnotations(path="x.jpg", faces=[])
-    hist = localization_histogram([(img, det_img)], adc=0.5)
+    result = calibrate_dataset(AnnotationSet(images=[img]), DetectionSet(images=[det_img]),
+                               CalibrationConfig(adc_override=0.5))
+    hist = build_report(result).histogram
     assert hist.total == 0
+    assert all(b.count == 0 for b in hist.bins)
 
 
 def test_histogram_edge_validation():
     with pytest.raises(ValueError):
-        localization_histogram([], 0.5, edges=(0.5, 0.5, 0.6))
+        localization_histogram([], edges=(0.5, 0.5, 0.6))
     with pytest.raises(ValueError):
-        localization_histogram([], 0.5, edges=(0.6, 0.5))
+        localization_histogram([], edges=(0.6, 0.5))
     with pytest.raises(ValueError):
-        localization_histogram([], 0.5, edges=(0.9,))
+        localization_histogram([], edges=(0.9,))
     with pytest.raises(ValueError):
-        localization_histogram([], 0.5, edges=(0.5, 1.5))
+        localization_histogram([], edges=(0.5, 1.5))
 
 
 def test_histogram_custom_edges_skip_missing_aggregate():
-    hist = localization_histogram(_pairs_with_ious([0.3, 0.6]), adc=0.5,
-                                  edges=(0.25, 0.5, 0.75, 1.0))
+    hist = localization_histogram([0.3, 0.6], edges=(0.25, 0.5, 0.75, 1.0))
     assert [b.count for b in hist.bins] == [1, 1, 0]
     # 0.8 is not an edge here, so only the full-range aggregate appears
     assert len(hist.aggregates) == 1
@@ -167,13 +173,12 @@ def _small_result():
         path="x.jpg", faces=[FaceAnnotation(box=BBox(0, 0, 10, 10))])])
     dets = DetectionSet(images=[ImageDetections(
         path="x.jpg", dets=[Detection(box=BBox(0, 0, 10, 7), score=0.9)])])
-    cfg = CalibrationConfig(adc_override=0.5)
-    return calibrate_dataset(anns, dets, cfg), anns, dets, cfg
+    return calibrate_dataset(anns, dets, CalibrationConfig(adc_override=0.5))
 
 
 def test_run_summary_and_one_line():
-    result, _, _, cfg = _small_result()
-    summary = run_summary(result, result.adc, cfg, predictor="toy")
+    result = _small_result()
+    summary = run_summary(result, predictor="toy")
     assert summary.calibrated == 1
     assert summary.interval == (0.5, 0.8)
     assert summary.adc == 0.5
@@ -184,9 +189,8 @@ def test_run_summary_and_one_line():
 
 
 def test_write_report_schema():
-    from boxcal.formats import align
-    result, anns, dets, _ = _small_result()
-    bundle = build_report(result, predictor="toy", pairs=align(anns, dets))
+    result = _small_result()
+    bundle = build_report(result, predictor="toy")
     buf = io.StringIO()
     write_report(bundle, buf)
     doc = json.loads(buf.getvalue())

@@ -228,6 +228,8 @@ def _assert_equivalent(anns, dets, cfg=None):
     assert fast.counters == slow.counters
     assert fast.effective_adc == slow.effective_adc
     assert fast.adc == slow.adc
+    assert fast.hcdr_ious.dtype == slow.hcdr_ious.dtype
+    assert fast.hcdr_ious.tolist() == slow.hcdr_ious.tolist()
 
 
 def test_oracle_equivalence_randomized_mixed():
