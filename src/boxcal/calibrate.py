@@ -4,16 +4,26 @@ Per image the procedure is:
 
 1. Keep the prefix of score-sorted detections whose scores strictly exceed
    the dataset's average detection confidence (the HCDRs).
-2. Compute the IoU matrix of HCDR boxes against the ORIGINAL annotation
-   boxes and take each detection's max/argmax over annotations.  This is
-   the only IoU pass: each HCDR's max over all annotations is kept as
-   `CalibrationResult.hcdr_ious`, which the report's histogram bins.
-3. Scan detections in descending-score order.  A detection claims its argmax
-   annotation when the max IoU lies inside the closed calibration interval
-   [t_m, t_c] and that annotation is still unclaimed; otherwise the
-   detection is dropped (no fallback to its second-best annotation).
-4. After the scan, each claimed annotation's box is replaced by its
-   detection's box.  Attribute flags are untouched.
+2. Take each HCDR's max IoU against the ORIGINAL annotation boxes and the
+   lowest-indexed annotation reaching it.  Only candidate pairs are
+   computed: with the annotations sorted by left edge, an HCDR's candidates
+   form one contiguous run, and every pair outside it has no horizontal
+   overlap, so its IoU is exactly 0.  This is the only IoU pass: each
+   HCDR's max over all annotations is kept as `CalibrationResult.hcdr_ious`,
+   which the report's histogram and `boxcal stats` bin.
+3. A detection claims its argmax annotation when the max IoU lies inside
+   the closed calibration interval [t_m, t_c] and no stronger detection
+   claimed it already; otherwise the detection is dropped (no fallback to
+   its second-best annotation).  Without fallback, an annotation's claimer
+   is simply the first in-interval detection, in descending-score order,
+   whose argmax it is.
+4. Each claimed annotation's box is replaced by its detection's box.
+   Attribute flags are untouched.
+
+One vectorised kernel runs these steps for all images at once: HCDRs and
+annotations are laid out flat, image after image; candidate pairs are
+scored in runs of HCDRs under a fixed pair budget; and step 3 is a single
+`np.unique` over (image, annotation) keys.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -23,16 +33,16 @@ to its own output is a different (and not generally idempotent) operation.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
 
 from .adc import AdcResult, compute_adc, select_hcdrs
-from .formats import (AnnotationSet, Detection, DetectionSet, ImageAnnotations,
-                      ImageDetections, align)
-from .geometry import BBox, IoUMatrix, iou_matrix, row_max_argmax
+from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
+                      ImageAnnotations, ImageDetections, align)
+from .geometry import BBox, iou_cells
 
 log = logging.getLogger(__name__)
 
@@ -93,77 +103,164 @@ class CalibrationResult:
     config: CalibrationConfig = field(default_factory=CalibrationConfig)
 
 
-def _iou_against_all(hcdrs: list[Detection], anns: ImageAnnotations) -> IoUMatrix | None:
-    """HCDRs (rows, score order) against every annotation (columns, file
-    order); None when either side is empty."""
-    if not hcdrs or not anns.faces:
-        return None
-    return iou_matrix([d.box for d in hcdrs], [f.box for f in anns.faces])
+# Candidate pairs are scored in runs of consecutive HCDRs holding at most
+# this many pairs, which bounds the kernel's temporaries (about 150 bytes a
+# pair) however crowded a single image is.
+_PAIR_BUDGET = 1 << 14
 
 
-def hcdr_iou_matrix(anns: ImageAnnotations, dets: ImageDetections,
-                    adc: float) -> tuple[list[Detection], IoUMatrix | None]:
-    """An image's HCDRs and their IoU matrix against all its annotations.
+def _coords(boxes: list[BBox], name: str) -> np.ndarray:
+    """One coordinate of every box as a float64 array."""
+    return np.fromiter(map(attrgetter(name), boxes), np.float64, count=len(boxes))
 
-    This is the one IoU computation behind calibration, the report's
-    histogram and `boxcal stats`.  The matrix is None when the image has no
-    annotations or no detection scores above adc.
+
+def _candidate_runs(n_faces: np.ndarray, ax: np.ndarray, aw: np.ndarray,
+                    n_rows: np.ndarray, px: np.ndarray, pw: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the annotations by (image, left edge) and give each HCDR the run
+    [lo, hi) of that order outside of which no annotation can overlap it.
+    n_faces and n_rows count each image's annotations and HCDRs.
+
+    The run ends at the image's first annotation with ax >= px+pw and starts
+    at the first position where the image's running max of ax+aw exceeds
+    px.  These are the sums `iou_cells` forms, so every pair left out has
+    intersection width <= 0 and IoU exactly 0.  The searches run on integer
+    keys, image index times a stride plus the count of distinct annotation
+    values below a coordinate, so each stays inside its own image at any
+    magnitude.
     """
-    hcdrs = select_hcdrs(dets, adc) if anns.faces else []
-    return hcdrs, _iou_against_all(hcdrs, anns)
+    ann_img = np.repeat(np.arange(len(n_faces)), n_faces)
+    row_img = np.repeat(np.arange(len(n_rows)), n_rows)
+    stride = len(ax) + 1                          # every count lies below it
+    left_vals, left_rank = np.unique(ax, return_inverse=True)
+    left_key = ann_img * stride + left_rank
+    order = np.argsort(left_key, kind="stable")   # ann_img is nondecreasing: it stays put
+    # ax < px+pw exactly when fewer distinct values lie below ax than below px+pw
+    end = row_img * stride + np.searchsorted(left_vals, px + pw, side="left")
+    hi = np.searchsorted(left_key[order], end, side="left")
+    right = (ax + aw)[order]
+    right_vals, right_rank = np.unique(right, return_inverse=True)
+    right_max = np.maximum.accumulate(ann_img * stride + right_rank)
+    # ax+aw <= px exactly when fewer distinct values lie below ax+aw than at or below px
+    start = row_img * stride + np.searchsorted(right_vals, px, side="right")
+    lo = np.searchsorted(right_max, start, side="left")
+    return order, lo, np.maximum(lo, hi)
 
 
-_NO_IOUS = np.zeros(0, dtype=np.float64)
+def _match(images: list[ImageAnnotations], rows: list[list[Detection]],
+           include_invalid: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each HCDR's IoU maxima against its image's annotations.
 
-
-def _calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection], m: IoUMatrix | None,
-                     cfg: CalibrationConfig
-                     ) -> tuple[ImageAnnotations, list[MbpRecord], np.ndarray, int, int, int]:
-    """Single-image scan over m, the HCDR x all-annotations matrix.
-
-    Returns (annotations, records, each HCDR's max IoU over all annotations,
-    considered, skipped counts).
+    rows[i] is image i's HCDRs, empty when the image has no annotations.
+    Rows and annotation columns are laid out flat, image after image, and
+    IoU is computed only on each row's candidate run; every other cell is
+    exactly 0.  Returns, per row in (image, score) order: the max over all
+    columns; the max over eligible columns (valid ones only unless
+    include_invalid) and the global annotation index of its lowest column,
+    or of the image's first eligible column when that max is 0; and whether
+    the image has an eligible column at all.
     """
-    if m is None:
-        return anns, [], _NO_IOUS, 0, 0, 0
-    faces = anns.faces
-    if cfg.include_invalid:
-        col_map = None
-        max_o, arg_o = row_max_argmax(m)
-        max_all = max_o
+    n_img = len(images)
+    n_faces = np.fromiter(map(len, (img.faces for img in images)), np.int64, count=n_img)
+    n_rows = np.fromiter(map(len, rows), np.int64, count=n_img)
+    ann_off = np.zeros(n_img + 1, dtype=np.int64)
+    np.cumsum(n_faces, out=ann_off[1:])
+    n_ann = int(ann_off[-1])
+    ann_boxes = [f.box for img in images for f in img.faces]
+    det_boxes = [d.box for h in rows for d in h]
+    ax, aw = _coords(ann_boxes, "x"), _coords(ann_boxes, "w")
+    px, pw = _coords(det_boxes, "x"), _coords(det_boxes, "w")
+    order, lo, hi = _candidate_runs(n_faces, ax, aw, n_rows, px, pw)
+    # y is read after the search, so its arrays never meet the search's temporaries
+    ay, ah = _coords(ann_boxes, "y"), _coords(ann_boxes, "h")
+    py, ph = _coords(det_boxes, "y"), _coords(det_boxes, "h")
+
+    if include_invalid:
+        eligible = None
+        first_col = ann_off[:-1]
     else:
-        max_all = m.values.max(axis=1)
-        col_map = [k for k, f in enumerate(faces) if not f.invalid]
-        if not col_map:
-            return anns, [], max_all, 0, 0, 0
-        max_o, arg_o = row_max_argmax(IoUMatrix(m.values[:, col_map]))
+        eligible = np.fromiter((not f.invalid for img in images for f in img.faces),
+                               bool, count=n_ann)
+        valid_at = np.append(np.flatnonzero(eligible), n_ann)
+        first_col = valid_at[np.searchsorted(valid_at, ann_off[:-1])]
+    has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
 
-    claimed = bytearray(len(faces))  # 0 = still calibratable
-    records: list[MbpRecord] = []
-    out_of_interval = 0
-    already_claimed = 0
-    t_m, t_c = cfg.t_m, cfg.t_c
-    for j, det in enumerate(hcdrs):
-        mo = max_o[j]
-        if t_m <= mo <= t_c:
-            col = int(arg_o[j])
-            k = col if col_map is None else col_map[col]
-            if not claimed[k]:
-                claimed[k] = 1
-                records.append(MbpRecord(
-                    path=anns.path, det_index=j, ann_index=k, iou=float(mo),
-                    score=det.score, old_box=faces[k].box, new_box=det.box))
+    counts = hi - lo
+    pair_off = np.zeros(len(px) + 1, dtype=np.int64)
+    np.cumsum(counts, out=pair_off[1:])
+    max_all = np.zeros(len(px))
+    best = np.zeros(len(px))
+    arg = np.repeat(first_col, n_rows)
+    r0 = 0
+    while r0 < len(px):
+        r1 = int(np.searchsorted(pair_off, pair_off[r0] + _PAIR_BUDGET, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        hit = np.flatnonzero(counts[r0:r1]) + r0     # rows with candidates
+        if hit.size:
+            c = counts[hit]
+            seg = pair_off[hit] - pair_off[r0]
+            row = np.repeat(hit, c)
+            col = order[np.arange(pair_off[r0], pair_off[r1]) - np.repeat(pair_off[hit] - lo[hit], c)]
+            ious = iou_cells(px[row], py[row], pw[row], ph[row],
+                             ax[col], ay[col], aw[col], ah[col])
+            max_all[hit] = np.maximum.reduceat(ious, seg)
+            if eligible is None:
+                best[hit] = max_all[hit]
             else:
-                already_claimed += 1
-        else:
-            out_of_interval += 1
+                ious[~eligible[col]] = -1.0
+                best[hit] = np.maximum(np.maximum.reduceat(ious, seg), 0.0)
+            # ties go to the lowest column among the cells equal to a positive max
+            top = (ious == np.repeat(best[hit], c)) & (ious > 0)
+            low = np.minimum.reduceat(np.where(top, col, n_ann), seg)
+            found = low < n_ann
+            arg[hit[found]] = low[found]
+        r0 = r1
+    return max_all, best, arg, has_eligible
 
-    if records:
-        new_faces = list(faces)
-        for r in records:
-            new_faces[r.ann_index] = replace(faces[r.ann_index], box=r.new_box)
-        anns = ImageAnnotations(path=anns.path, faces=new_faces)
-    return anns, records, max_all, len(hcdrs), out_of_interval, already_claimed
+
+def _calibrate(images: list[ImageAnnotations], rows: list[list[Detection]],
+               cfg: CalibrationConfig
+               ) -> tuple[list[ImageAnnotations], list[MbpRecord], CalibrationCounters, np.ndarray]:
+    """The calibration kernel: one vectorised pass over the whole dataset.
+
+    rows[i] is image i's high-confidence detections in descending score
+    order, empty when the image has no annotations.  Returns the calibrated
+    images, the replacement records, the counters and each HCDR's max IoU
+    over all its image's annotations.
+    """
+    max_all, best, arg, considered = _match(images, rows, cfg.include_invalid)
+
+    # claims never fall back, so the claimer of a column is the first
+    # in-interval row in (image, score) order that points at it
+    inside = np.flatnonzero(considered & (cfg.t_m <= best) & (best <= cfg.t_c))
+    claimed = np.sort(inside[np.unique(arg[inside], return_index=True)[1]])
+    n_considered = int(considered.sum())
+    counters = CalibrationCounters(
+        images_processed=len(images),
+        hcdrs_considered=n_considered,
+        skipped_out_of_interval=n_considered - len(inside),
+        skipped_already_claimed=len(inside) - len(claimed),
+    )
+
+    # map claimed rows and columns back to (image, detection, annotation)
+    n_rows = [len(h) for h in rows]
+    row_img = np.repeat(np.arange(len(images)), n_rows)[claimed]
+    row_off = np.cumsum([0] + n_rows)[row_img]
+    ann_off = np.cumsum([0] + [len(img.faces) for img in images])[row_img]
+    mbps: list[MbpRecord] = []
+    new_faces: dict[int, list[FaceAnnotation]] = {}
+    for i, j, k, iou in zip(row_img.tolist(), (claimed - row_off).tolist(),
+                            (arg[claimed] - ann_off).tolist(), best[claimed].tolist()):
+        img, det = images[i], rows[i][j]
+        face = img.faces[k]
+        mbps.append(MbpRecord(path=img.path, det_index=j, ann_index=k, iou=iou,
+                              score=det.score, old_box=face.box, new_box=det.box))
+        if i not in new_faces:
+            new_faces[i] = list(img.faces)
+        new_faces[i][k] = replace(face, box=det.box)
+    out = [ImageAnnotations(path=img.path, faces=new_faces[i]) if i in new_faces else img
+           for i, img in enumerate(images)]
+    return out, mbps, counters, max_all
 
 
 def calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
@@ -174,20 +271,36 @@ def calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
     original annotation geometry; box replacements are applied only after the
     scan.  Annotation count, order, and attribute flags are preserved.
     """
-    out, records, *_ = _calibrate_image(anns, hcdrs, _iou_against_all(hcdrs, anns), cfg)
-    return out, records
+    out, records, _, _ = _calibrate([anns], [hcdrs if anns.faces else []], cfg)
+    return out[0], records
+
+
+def _hcdr_rows(pairs: list[tuple[ImageAnnotations, ImageDetections]],
+               adc: float) -> list[list[Detection]]:
+    """Each image's HCDRs; none for an image without annotations, which has
+    no IoU to take."""
+    return [select_hcdrs(det_img, adc) if img.faces else [] for img, det_img in pairs]
+
+
+def hcdr_ious(pairs: list[tuple[ImageAnnotations, ImageDetections]], adc: float) -> np.ndarray:
+    """Each HCDR's max IoU over all its image's annotations, in image order,
+    then score order: the `CalibrationResult.hcdr_ious` of a calibration at
+    this threshold, without its claim scan."""
+    return _match([img for img, _ in pairs], _hcdr_rows(pairs, adc), include_invalid=True)[0]
 
 
 def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
                       cfg: CalibrationConfig | None = None, *,
                       threads: int = 1) -> CalibrationResult:
-    """Calibrate a whole dataset: align, threshold, scan each image.
+    """Calibrate a whole dataset: align, threshold, then one kernel pass.
 
     The confidence threshold is the computed dataset average unless
-    cfg.adc_override pins it.  Per-image work may run on a thread pool;
-    results are reassembled in the original image order, so the output is
-    identical for any thread count.
+    cfg.adc_override pins it.  threads must be >= 1 and is kept for
+    compatibility only: the kernel is a single vectorised pass, so the
+    value changes neither speed nor output.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if cfg is None:
         cfg = CalibrationConfig()
     t0 = perf_counter()
@@ -203,36 +316,15 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
         adc_result = compute_adc(pairs)
         effective_adc = adc_result.value
 
-    def work(pair):
-        img, det_img = pair
-        hcdrs, m = hcdr_iou_matrix(img, det_img, effective_adc)
-        return _calibrate_image(img, hcdrs, m, cfg)
-
-    if threads <= 1:
-        per_image = [work(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_image = list(pool.map(work, pairs))
-
-    counters = CalibrationCounters(images_processed=len(pairs))
-    images: list[ImageAnnotations] = []
-    mbps: list[MbpRecord] = []
-    ious: list[np.ndarray] = [_NO_IOUS]  # so that an empty dataset concatenates
-    for img, records, max_all, considered, out_of_interval, claimed in per_image:
-        images.append(img)
-        mbps.extend(records)
-        ious.append(max_all)
-        counters.hcdrs_considered += considered
-        counters.skipped_out_of_interval += out_of_interval
-        counters.skipped_already_claimed += claimed
-
+    images, mbps, counters, ious = _calibrate(
+        [img for img, _ in pairs], _hcdr_rows(pairs, effective_adc), cfg)
     return CalibrationResult(
         calibrated=AnnotationSet(images=images),
         mbps=mbps,
         counters=counters,
         wall_time=perf_counter() - t0,
         effective_adc=effective_adc,
-        hcdr_ious=np.concatenate(ious),
+        hcdr_ious=ious,
         adc=adc_result,
         config=cfg,
     )

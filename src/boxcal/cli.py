@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .adc import compute_adc
-from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_iou_matrix
+from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_ious
 from .formats import align, load_detections, load_wider_gt, save_wider_gt, write_detections_file, write_detections_dir
-from .report import (DEFAULT_EDGES, build_report, format_histogram_table,
+from .report import (DEFAULT_EDGES, build_report, check_edges, format_histogram_table,
                      localization_histogram, mbp_export, run_summary, write_report)
 from .synth import SynthSpec, emit_detections, generate_dataset, perturb, write_perturb_ledger
 
@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--report", default=None, help="write a JSON run report here")
     cal.add_argument("--mbp-export", default=None,
                      help="write the replacement ledger here (.json for JSON, else TSV)")
-    cal.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    cal.add_argument("--threads", type=int, default=1,
+                     help="kept for compatibility; must be >= 1 and changes neither "
+                          "speed nor output (default 1)")
     cal.add_argument("--predictor", default="external", help="label for the report")
     _add_dets_layout_flags(cal)
 
@@ -170,17 +172,14 @@ def run_calibrate(args) -> int:
 
 
 def run_stats(args) -> int:
+    check_edges(args.edges)
+    CalibrationConfig(adc_override=args.adc)  # rejects a bad --adc before any input is read
     anns = load_wider_gt(args.gt)
     dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
     pairs = align(anns, dets)
     threshold = args.adc if args.adc is not None else compute_adc(pairs).value
     # the calibration's IoU pass without its claim scan: one max per HCDR
-    ious: list[float] = []
-    for img, det_img in pairs:
-        _, m = hcdr_iou_matrix(img, det_img, threshold)
-        if m is not None:
-            ious.extend(m.values.max(axis=1).tolist())
-    hist = localization_histogram(ious, edges=args.edges)
+    hist = localization_histogram(hcdr_ious(pairs, threshold), edges=args.edges)
     table = format_histogram_table(hist)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")

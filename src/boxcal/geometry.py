@@ -81,32 +81,45 @@ def iou_matrix(preds: list[BBox], anns: list[BBox]) -> IoUMatrix:
     """Pairwise IoU of every predicted box against every annotated box.
 
     values[j][k] == iou(preds[j], anns[k]).  Empty inputs produce a matrix
-    with the corresponding dimension equal to 0.
-
-    The arithmetic mirrors the scalar `iou` operation term for term
-    (same operations, same order, IEEE double throughout), so each cell is
-    bit-identical to the scalar result.
+    with the corresponding dimension equal to 0.  Cells come from
+    `iou_cells`, so each is bit-identical to the scalar result.
     """
     if not preds or not anns:
         return IoUMatrix(np.zeros((len(preds), len(anns)), dtype=np.float64))
 
     p = np.array([(b.x, b.y, b.w, b.h) for b in preds], dtype=np.float64)
     a = np.array([(b.x, b.y, b.w, b.h) for b in anns], dtype=np.float64)
+    # column vectors against row vectors broadcast to the full matrix
+    return IoUMatrix(iou_cells(p[:, 0:1], p[:, 1:2], p[:, 2:3], p[:, 3:4],
+                               a[:, 0], a[:, 1], a[:, 2], a[:, 3]))
 
-    px, py, pw, ph = p[:, 0:1], p[:, 1:2], p[:, 2:3], p[:, 3:4]  # column vectors
-    ax, ay, aw, ah = a[:, 0], a[:, 1], a[:, 2], a[:, 3]          # row vectors
 
-    iw = np.minimum(px + pw, ax + aw) - np.maximum(px, ax)
-    ih = np.minimum(py + ph, ay + ah) - np.maximum(py, ay)
+def iou_cells(px: np.ndarray, py: np.ndarray, pw: np.ndarray, ph: np.ndarray,
+              ax: np.ndarray, ay: np.ndarray, aw: np.ndarray, ah: np.ndarray) -> np.ndarray:
+    """IoU of predicted boxes (px, py, pw, ph) against annotated boxes
+    (ax, ay, aw, ah), cell by cell under numpy broadcasting.
+
+    Equal-length vectors give one IoU per (prediction, annotation) pair;
+    column vectors against row vectors give the full matrix.  The
+    arithmetic mirrors the scalar `iou` operation term for term (same
+    operations, same order, IEEE double throughout), so each cell is
+    bit-identical to the scalar result.
+    """
+    iw = np.minimum(px + pw, ax + aw)
+    iw -= np.maximum(px, ax)
+    ih = np.minimum(py + ph, ay + ah)
+    ih -= np.maximum(py, ay)
     np.clip(iw, 0.0, None, out=iw)
     np.clip(ih, 0.0, None, out=ih)
-    inter = iw * ih
-    union = pw * ph + aw * ah - inter
+    inter = iw
+    inter *= ih
+    union = pw * ph + aw * ah
+    union -= inter
 
     values = np.zeros_like(inter)
     np.divide(inter, union, out=values, where=union > 0)
     np.minimum(values, 1.0, out=values)  # same cap as the scalar path
-    return IoUMatrix(values)
+    return values
 
 
 def row_max_argmax(m: IoUMatrix) -> tuple[np.ndarray, np.ndarray]:

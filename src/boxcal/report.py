@@ -58,6 +58,17 @@ class LocalizationHistogram:
     total: int                      # equals the sum of the partition bin counts
 
 
+def check_edges(edges: tuple[float, ...]) -> list[float]:
+    """The bin edges as a list; ValueError unless there are at least two,
+    strictly increasing, within [0, 1] (which rules out nan)."""
+    edge_list = list(edges)
+    if len(edge_list) < 2 or not all(a < b for a, b in zip(edge_list, edge_list[1:])):
+        raise ValueError(f"bin edges must be strictly increasing, got {edges}")
+    if not 0 <= edge_list[0] <= edge_list[-1] <= 1:
+        raise ValueError(f"bin edges must lie within [0, 1], got {edges}")
+    return edge_list
+
+
 def localization_histogram(ious: ArrayLike,
                            edges: tuple[float, ...] = DEFAULT_EDGES,
                            aggregate_upper: float | None = 0.8) -> LocalizationHistogram:
@@ -68,12 +79,7 @@ def localization_histogram(ious: ArrayLike,
     [edges[0], aggregate_upper] is added when aggregate_upper is one of the
     edges; the full-range row [edges[0], edges[-1]] is always added.
     """
-    edge_list = list(edges)
-    if len(edge_list) < 2 or any(b <= a for a, b in zip(edge_list, edge_list[1:])):
-        raise ValueError(f"bin edges must be strictly increasing, got {edges}")
-    if edge_list[0] < 0 or edge_list[-1] > 1:
-        raise ValueError(f"bin edges must lie within [0, 1], got {edges}")
-
+    edge_list = check_edges(edges)
     nbins = len(edge_list) - 1
     # explicit edges: bins are [lo, hi) except the last, which is closed
     counts = np.histogram(ious, bins=edge_list)[0].tolist()

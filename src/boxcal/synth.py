@@ -250,7 +250,9 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
                      cfg: CalibrationConfig | None = None) -> CalibrationResult:
     """Reference calibration by exhaustive enumeration.
 
-    Joins annotations to detections itself, recomputes the confidence
+    Joins annotations to detections itself, raising ValueError for the
+    inputs calibrate_dataset rejects (a duplicate detection image path,
+    detections not sorted by descending score), recomputes the confidence
     average with its own accumulator, filters high-confidence detections by
     plain comparison instead of a prefix scan, and finds each detection's
     best annotation with a quadratic loop over all pairs.  Claims resolve in
@@ -265,6 +267,11 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
 
     by_path: dict[str, list[Detection]] = {}
     for det_img in dets.images:
+        if det_img.path in by_path:
+            raise ValueError(f"duplicate detection image path {det_img.path!r}")
+        scores = [d.score for d in det_img.dets]
+        if any(later > earlier for earlier, later in zip(scores, scores[1:])):
+            raise ValueError(f"detections for {det_img.path!r} are not sorted by descending score")
         by_path[det_img.path] = det_img.dets
     joined = [(img, by_path.get(img.path, [])) for img in anns.images]
 

@@ -283,6 +283,11 @@ def test_threads_do_not_change_the_result():
         assert alt.hcdr_ious.tolist() == base.hcdr_ious.tolist()
 
 
+def test_threads_below_one_are_rejected():
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        calibrate_dataset(AnnotationSet(images=[]), DetectionSet(images=[]), threads=0)
+
+
 # Random scenario generator for the claim-discipline properties: boxes on a
 # coarse grid so IoUs hit the interval edges often.
 grid = st.integers(min_value=0, max_value=6)

@@ -265,6 +265,27 @@ def test_stats_bad_edges_exit_1(tmp_path, capsys):
     assert "boxcal: error:" in capsys.readouterr().err
 
 
+BAD_STATS_ARGS = {
+    "--edges=0.9,0.1": "bin edges must be strictly increasing",
+    "--edges=0.5": "bin edges must be strictly increasing",
+    "--edges=0.5,nan,1.0": "bin edges must be strictly increasing",
+    "--edges=0.5,1.5": "bin edges must lie within [0, 1]",
+    "--edges=-0.5,0.5": "bin edges must lie within [0, 1]",
+    "--adc=5": "adc override must lie in [0, 1]",
+    "--adc=-0.1": "adc override must lie in [0, 1]",
+    "--adc=nan": "adc override must lie in [0, 1]",
+}
+
+
+@pytest.mark.parametrize("arg", BAD_STATS_ARGS)
+def test_stats_rejects_bad_arguments_before_reading_input(tmp_path, capsys, arg):
+    # the inputs do not exist: reading them first would exit 2 instead
+    missing = str(tmp_path / "missing.txt")
+    rc = main(["stats", "--gt", missing, "--dets", missing, arg])
+    assert rc == 1
+    assert BAD_STATS_ARGS[arg] in capsys.readouterr().err
+
+
 # --- synth / diff ----------------------------------------------------------
 
 def test_synth_is_deterministic_across_runs(tmp_path, capsys):

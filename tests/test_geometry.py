@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcal.geometry import BBox, area, iou, iou_matrix, row_max_argmax
+from boxcal.geometry import BBox, area, iou, iou_cells, iou_matrix, row_max_argmax
 
 # Coordinate bounds keep float cancellation far below the 1e-9 tolerances:
 # at |x| <= 8192 one ulp is ~1.8e-12.
@@ -97,6 +97,11 @@ def test_matrix_mirrors_scalar_bitwise(preds, anns):
             # Exact equality on purpose: the matrix must be a bit-for-bit
             # vectorization of the scalar path.
             assert float(m.values[j, k]) == iou(p, a)
+    # the same cells elementwise, one (prediction, annotation) pair each
+    pairs = [(p, a) for p in preds for a in anns]
+    cols = [np.array([getattr(b, f) for b in side], dtype=np.float64)
+            for side in ([p for p, _ in pairs], [a for _, a in pairs]) for f in "xywh"]
+    assert iou_cells(*cols).tolist() == [iou(p, a) for p, a in pairs]
 
 
 def test_matrix_empty_inputs():

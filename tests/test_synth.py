@@ -1,8 +1,12 @@
 import dataclasses
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import boxcal.calibrate
 from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, write_wider_gt)
@@ -269,3 +273,116 @@ def test_oracle_equivalence_with_structural_mismatches():
                         dets=[Detection(box=BBox(0, 0, 4, 4), score=0.9)])])
     pert, _ = perturb(truth, 88, 0.5, (0.4, 0.9), image_size=spec.image_size)
     _assert_equivalent(pert, trimmed)
+
+
+def test_fast_path_and_oracle_reject_the_same_inputs():
+    anns = AnnotationSet(images=[ImageAnnotations(
+        path="x.jpg", faces=[FaceAnnotation(box=BBox(0, 0, 10, 10))])])
+    # a prefix scan over [0.3, 0.9] would stop at once and miss the 0.9 detection
+    unsorted = DetectionSet(images=[ImageDetections(path="x.jpg", dets=[
+        Detection(box=BBox(0, 0, 10, 10), score=0.3),
+        Detection(box=BBox(0, 0, 10, 7), score=0.9)])])
+    twice = DetectionSet(images=[ImageDetections(
+        path="x.jpg", dets=[Detection(box=BBox(0, 0, 10, 7), score=0.9)])] * 2)
+    cfg = CalibrationConfig(adc_override=0.5)
+    for impl in (calibrate_dataset, oracle_calibrate):
+        with pytest.raises(ValueError, match="'x.jpg' are not sorted"):
+            impl(anns, unsorted, cfg)
+        with pytest.raises(ValueError, match="duplicate detection image path 'x.jpg'"):
+            impl(anns, twice, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100])
+def test_pair_budget_does_not_change_the_result(monkeypatch, budget):
+    # small budgets split rows across many runs, and a single row's
+    # candidates can exceed the budget on their own
+    monkeypatch.setattr(boxcal.calibrate, "_PAIR_BUDGET", budget)
+    spec = dataclasses.replace(MIXED, seed=99, faces_per_image=(0, 12), box_size=(16, 200))
+    truth = generate_dataset(spec)
+    pert, _ = perturb(truth, 99, 0.5, (0.1, 0.9), image_size=spec.image_size)
+    dets = emit_detections(truth, spec)
+    for include in (True, False):
+        _assert_equivalent(pert, dets, CalibrationConfig(include_invalid=include))
+
+
+# Random datasets for the differential test.  Boxes sit on a coarse grid of
+# a drawn step around a drawn origin up to +-1e9, so edges touch and abut
+# (intersection width exactly 0), sizes reach 0, annotations repeat (argmax
+# ties), detections repeat annotation boxes, and large origins round the
+# coordinates.
+_GRID = st.integers(min_value=0, max_value=8)
+_SIZE = st.integers(min_value=0, max_value=4)
+_SCORES = st.sampled_from([0.0, 0.2, 0.5, 0.7, 0.9, 1.0])
+
+
+@st.composite
+def _image(draw, path, invalid=None, min_faces=0, scores=_SCORES):
+    origin = draw(st.sampled_from([0.0, 1e9, -1e9])
+                  | st.floats(min_value=-1e9, max_value=1e9, allow_nan=False))
+    step = draw(st.sampled_from([1.0, 0.25, 2.5, 1e-7]))
+
+    def box():
+        return BBox(origin + draw(_GRID) * step, origin + draw(_GRID) * step,
+                    draw(_SIZE) * step, draw(_SIZE) * step)
+
+    def new_or_repeated(seen):
+        return draw(st.sampled_from(seen)) if seen and draw(st.booleans()) else box()
+
+    boxes = []
+    for _ in range(draw(st.integers(min_value=min_faces, max_value=6))):
+        boxes.append(new_or_repeated(boxes))
+    faces = [FaceAnnotation(box=b, invalid=draw(st.integers(0, 1)) if invalid is None else invalid)
+             for b in boxes]
+    boxes = [new_or_repeated([f.box for f in faces])
+             for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+    ranked = sorted((draw(scores) for _ in boxes), reverse=True)
+    return (ImageAnnotations(path=path, faces=faces),
+            ImageDetections(path=path, dets=[Detection(box=b, score=s)
+                                             for b, s in zip(boxes, ranked)]))
+
+
+def _crowded_image(seed):
+    """300 detections over 40 annotations, 20 boxes twice each, packed into a
+    100-pixel square."""
+    rng = random.Random(seed)
+
+    def box():
+        return BBox(rng.randint(0, 160) * 0.5, rng.randint(0, 160) * 0.5,
+                    rng.randint(0, 40) * 0.5, rng.randint(0, 40) * 0.5)
+
+    boxes = [box() for _ in range(20)] * 2
+    rng.shuffle(boxes)
+    faces = [FaceAnnotation(box=b, invalid=rng.randint(0, 1)) for b in boxes]
+    dets = [Detection(box=box() if rng.random() < 0.8 else rng.choice(faces).box,
+                      score=rng.choice([0.2, 0.5, 0.7, 0.9, 1.0])) for _ in range(300)]
+    dets.sort(key=lambda d: d.score, reverse=True)
+    return (ImageAnnotations(path="crowd.jpg", faces=faces),
+            ImageDetections(path="crowd.jpg", dets=dets))
+
+
+@st.composite
+def _datasets(draw):
+    pairs = [draw(_image(f"r{i}.jpg")) for i in range(draw(st.integers(0, 5)))]
+    pairs += [
+        draw(_image("invalid.jpg", invalid=1, min_faces=1)),   # all-invalid
+        draw(_image("weak.jpg", scores=st.just(0.0))),           # no HCDRs
+        (ImageAnnotations(path="empty.jpg", faces=[]),           # no faces
+         ImageDetections(path="empty.jpg", dets=[Detection(box=BBox(0, 0, 4, 4), score=0.9)])),
+        _crowded_image(draw(st.integers(min_value=0, max_value=2**32 - 1))),
+    ]
+    pairs = draw(st.permutations(pairs))
+    return (AnnotationSet(images=[a for a, _ in pairs]),
+            DetectionSet(images=[d for _, d in pairs]))
+
+
+_CONFIGS = st.builds(CalibrationConfig,
+                     t_m=st.sampled_from([0.0, 0.3, 0.5]),
+                     t_c=st.sampled_from([0.6, 0.8, 1.0]),
+                     adc_override=st.sampled_from([None, 0.0, 0.5]),
+                     include_invalid=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_datasets(), _CONFIGS)
+def test_fast_path_equals_oracle_on_random_datasets(dataset, cfg):
+    _assert_equivalent(*dataset, cfg)
