@@ -17,7 +17,7 @@ from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                       parse_detections_dir, parse_detections_file, parse_wider_gt,
                       save_wider_gt, write_detections_dir, write_detections_file,
                       write_wider_gt)
-from .geometry import BBox, IoUMatrix, area, iou, iou_matrix, row_max_argmax
+from .geometry import BBox, area, iou
 from .report import (HistogramBin, LocalizationHistogram, LossDeltaRecord,
                      ReportBundle, RunSummary, build_report, diou_loss,
                      format_histogram_table, localization_histogram,
@@ -37,7 +37,7 @@ __all__ = [
     "parse_detections_dir", "parse_detections_file", "parse_wider_gt",
     "save_wider_gt", "write_detections_dir", "write_detections_file",
     "write_wider_gt",
-    "BBox", "IoUMatrix", "area", "iou", "iou_matrix", "row_max_argmax",
+    "BBox", "area", "iou",
     "HistogramBin", "LocalizationHistogram", "LossDeltaRecord",
     "ReportBundle", "RunSummary", "build_report", "diou_loss",
     "format_histogram_table", "localization_histogram", "loss_delta_report",

@@ -21,9 +21,10 @@ The image key of a per-image file is its path relative to the root with the
 variant concatenates the same records; there the name line is the image key
 verbatim.
 
-Input accepts LF and CRLF; output is always LF.  Parsers keep face order
-exactly as found in the file, so the in-memory index k of a face is
-meaningful.
+Input is UTF-8 with lines ended by LF, CRLF or CR; output is always LF.
+Malformed input raises ParseError naming the file and line.  Parsers keep
+face order exactly as found in the file, so the in-memory index k of a face
+is meaningful.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterator, TextIO
 
 from .geometry import BBox
 
@@ -105,15 +106,81 @@ class DetectionSet:
         return sum(len(img.dets) for img in self.images)
 
 
-def _read_text(source: str | TextIO) -> str:
-    return source if isinstance(source, str) else source.read()
-
-
-def _parse_floats(tokens: list[str], source: str, lineno: int) -> list[float]:
+def _read_file(path: Path) -> str:
+    """The file's text; a byte that is not UTF-8 raises ParseError on its line."""
+    data = path.read_bytes()
     try:
-        return [float(t) for t in tokens]
-    except ValueError:
-        raise ParseError(source, lineno, f"non-numeric field in {tokens!r}") from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(str(path), line,
+                         f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
+
+
+def _lines(source: str | TextIO) -> list[str]:
+    """The text's lines, ended by LF, CRLF or CR: the newlines text-mode
+    reading knows.  str.splitlines would also break at form feeds, vertical
+    tabs, U+2028 and other separators, which may stand inside an image path
+    or trail a row."""
+    text = source if isinstance(source, str) else source.read()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final newline ends the last line; it starts no new one
+    return lines
+
+
+def _records(lines: list[str], source: str, noun: str, fields: int,
+             zero_dummy: bool = False) -> Iterator[tuple[str, int, Iterator[tuple[float, ...]]]]:
+    """Walk the records of an annotation or detection file: the one copy of
+    their grammar.
+
+    Yields (name, lineno, rows) per record: rows iterates over the record's
+    rows as tuples of `fields` floats, and row k sits on 1-based line
+    lineno + k.  Blank lines between records are skipped.  With zero_dummy,
+    an all-zero row after a zero-count record is consumed and dropped.
+    Raises ParseError on a name without a count line, a non-numeric or
+    negative count, a record cut short by the end of the file, a row with
+    the wrong number of fields or a non-numeric one, and a repeated name.
+    """
+    seen: set[str] = set()
+    n = len(lines)
+    i = 0
+    while i < n:
+        name = lines[i].strip()
+        i += 1
+        if not name:
+            continue
+        if i == n:
+            raise ParseError(source, i, f"record {name!r} has no {noun} count line")
+        count_tok = lines[i].strip()
+        i += 1
+        try:
+            count = int(count_tok)
+        except ValueError:
+            raise ParseError(source, i, f"invalid {noun} count {count_tok!r}") from None
+        if count < 0:
+            raise ParseError(source, i, f"negative {noun} count {count}")
+        if name in seen:
+            raise ParseError(source, i - 1, f"duplicate image path {name!r}")
+        seen.add(name)
+        if i + count > n:
+            raise ParseError(source, n + 1, f"record {name!r} ends before its {count} {noun}s")
+        vals: list[float] = []  # flat: a list per row costs the GC more on large records
+        for lineno, line in enumerate(lines[i:i + count], i + 1):
+            tokens = line.split()
+            if len(tokens) != fields:
+                raise ParseError(source, lineno,
+                                 f"expected {fields} fields on {noun} line, got {len(tokens)}")
+            try:
+                vals.extend(map(float, tokens))
+            except ValueError:
+                raise ParseError(source, lineno, f"non-numeric field in {tokens!r}") from None
+        start = i + 1
+        i += count
+        if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(lines[i]):
+            i += 1  # the WIDER zero-face placeholder row
+        yield name, start, zip(*[iter(vals)] * fields)
 
 
 def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
@@ -124,51 +191,13 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     path, non-finite / negative-size box values, or a non-finite attribute
     flag.  Out-of-range attribute flags only produce a warning.
     """
-    lines = _read_text(source).splitlines()
-    images: list[ImageAnnotations] = []
-    seen: set[str] = set()
-    i = 0
-    n = len(lines)
-    while i < n:
-        path = lines[i].strip()
-        if not path:
-            # blank lines are tolerated only between records / at EOF
-            i += 1
-            continue
-        path_line = i + 1
-        i += 1
-        if i >= n:
-            raise ParseError(name, path_line, f"record {path!r} has no face count line")
-        count_tok = lines[i].strip()
-        try:
-            count = int(count_tok)
-        except ValueError:
-            raise ParseError(name, i + 1, f"invalid face count {count_tok!r}") from None
-        if count < 0:
-            raise ParseError(name, i + 1, f"negative face count {count}")
-        i += 1
-        if path in seen:
-            raise ParseError(name, path_line, f"duplicate image path {path!r}")
-        seen.add(path)
-
-        faces: list[FaceAnnotation] = []
-        for _ in range(count):
-            if i >= n:
-                raise ParseError(name, n + 1, f"record {path!r} ends before its {count} faces")
-            faces.append(_parse_face_line(lines[i], name, i + 1))
-            i += 1
-        if count == 0 and i < n and _is_zero_dummy_line(lines[i]):
-            i += 1  # the WIDER zero-face placeholder row
-        images.append(ImageAnnotations(path=path, faces=faces))
-    return AnnotationSet(images=images)
+    records = _records(_lines(source), name, "face", 10, zero_dummy=True)
+    return AnnotationSet(images=[
+        ImageAnnotations(path=path, faces=[_face(vals, name, k) for k, vals in enumerate(rows, lineno)])
+        for path, lineno, rows in records])
 
 
-def _parse_face_line(line: str, source: str, lineno: int) -> FaceAnnotation:
-    tokens = line.split()
-    if len(tokens) != 10:
-        raise ParseError(source, lineno,
-                         f"expected 10 fields on attribute line, got {len(tokens)}")
-    vals = _parse_floats(tokens, source, lineno)
+def _face(vals: tuple[float, ...], source: str, lineno: int) -> FaceAnnotation:
     try:
         box = BBox(vals[0], vals[1], vals[2], vals[3])
     except ValueError as exc:
@@ -238,8 +267,7 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
 
 def load_wider_gt(path: str | Path) -> AnnotationSet:
     p = Path(path)
-    with open(p, encoding="utf-8") as fh:
-        return parse_wider_gt(fh, name=str(p))
+    return parse_wider_gt(_read_file(p), name=str(p))
 
 
 def save_wider_gt(annset: AnnotationSet, path: str | Path, policy: str = "decimal") -> None:
@@ -247,55 +275,18 @@ def save_wider_gt(annset: AnnotationSet, path: str | Path, policy: str = "decima
         write_wider_gt(annset, fh, policy)
 
 
-def _parse_detection_records(lines: list[str], source: str,
-                             key_from_name: bool) -> Iterable[tuple[str, int, list[Detection]]]:
-    """Yield (name, name_lineno, detections) records; shared by both layouts."""
-    i = 0
-    n = len(lines)
-    while i < n:
-        name = lines[i].strip()
-        if not name:
-            i += 1
-            continue
-        name_line = i + 1
-        i += 1
-        if i >= n:
-            raise ParseError(source, name_line, f"record {name!r} has no count line")
-        count_tok = lines[i].strip()
+def _detections(rows: Iterator[tuple[float, ...]], source: str, lineno: int) -> list[Detection]:
+    """One record's rows as detections, sorted descending by score."""
+    dets = []
+    for k, (x, y, w, h, score) in enumerate(rows, lineno):
+        if not math.isfinite(score):
+            raise ParseError(source, k, f"non-finite score {score!r}")
+        if not 0.0 <= score <= 1.0:
+            log.warning("%s:%d: score %r outside [0, 1]", source, k, score)
         try:
-            count = int(count_tok)
-        except ValueError:
-            raise ParseError(source, i + 1, f"invalid detection count {count_tok!r}") from None
-        if count < 0:
-            raise ParseError(source, i + 1, f"negative detection count {count}")
-        i += 1
-        dets: list[Detection] = []
-        for _ in range(count):
-            if i >= n:
-                raise ParseError(source, n,
-                                 f"record {name!r} declares {count} detections but the file ends early")
-            tokens = lines[i].split()
-            if len(tokens) != 5:
-                raise ParseError(source, i + 1,
-                                 f"expected 5 fields on detection line, got {len(tokens)}")
-            x, y, w, h, score = _parse_floats(tokens, source, i + 1)
-            if not math.isfinite(score):
-                raise ParseError(source, i + 1, f"non-finite score {score!r}")
-            if not 0.0 <= score <= 1.0:
-                log.warning("%s:%d: score %r outside [0, 1]", source, i + 1, score)
-            try:
-                dets.append(Detection(BBox(x, y, w, h), score))
-            except ValueError as exc:
-                raise ParseError(source, i + 1, str(exc)) from None
-            i += 1
-        if not key_from_name and i < n and lines[i].strip():
-            # per-image file: anything after the declared detections is a count mismatch
-            raise ParseError(source, i + 1,
-                             f"file lists more than the declared {count} detections")
-        yield name, name_line, dets
-
-
-def _sorted_by_score(dets: list[Detection]) -> list[Detection]:
+            dets.append(Detection(BBox(x, y, w, h), score))
+        except ValueError as exc:
+            raise ParseError(source, k, str(exc)) from None
     # stable, so equal scores keep file order
     return sorted(dets, key=lambda d: d.score, reverse=True)
 
@@ -311,15 +302,19 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
         raise NotADirectoryError(f"detection root {rootp} is not a directory")
     images: list[ImageDetections] = []
     for file in sorted(rootp.rglob("*.txt")):
+        source = str(file)
+        lines = _lines(_read_file(file))
+        record = next(_records(lines, source, "detection", 5), None)
+        if record is None:
+            raise ParseError(source, 1, "per-image detection file holds no record")
+        _, lineno, rows = record
+        dets = _detections(rows, source, lineno)
+        extra = next((k for k in range(lineno - 1 + len(dets), len(lines)) if lines[k].strip()), None)
+        if extra is not None:
+            raise ParseError(source, extra + 1,
+                             f"file lists more than the declared {len(dets)} detections")
         rel = file.relative_to(rootp).as_posix()
-        key = rel[:-4] + image_ext
-        lines = file.read_text(encoding="utf-8").splitlines()
-        records = list(_parse_detection_records(lines, str(file), key_from_name=False))
-        if len(records) != 1:
-            raise ParseError(str(file), 1,
-                             f"per-image detection file holds {len(records)} records, expected 1")
-        _, _, dets = records[0]
-        images.append(ImageDetections(path=key, dets=_sorted_by_score(dets)))
+        images.append(ImageDetections(path=rel[:-4] + image_ext, dets=dets))
     return DetectionSet(images=images)
 
 
@@ -329,15 +324,9 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
     Records use the same layout as per-image files concatenated; the name
     line is the image key verbatim (e.g. "0--Parade/x.jpg").
     """
-    lines = _read_text(source).splitlines()
-    images: list[ImageDetections] = []
-    seen: set[str] = set()
-    for key, name_line, dets in _parse_detection_records(lines, name, key_from_name=True):
-        if key in seen:
-            raise ParseError(name, name_line, f"duplicate image key {key!r}")
-        seen.add(key)
-        images.append(ImageDetections(path=key, dets=_sorted_by_score(dets)))
-    return DetectionSet(images=images)
+    records = _records(_lines(source), name, "detection", 5)
+    return DetectionSet(images=[ImageDetections(path=key, dets=_detections(rows, name, lineno))
+                                for key, lineno, rows in records])
 
 
 def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".jpg") -> DetectionSet:
@@ -348,8 +337,7 @@ def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".j
     if layout == "dir":
         return parse_detections_dir(p, image_ext=image_ext)
     if layout == "file":
-        with open(p, encoding="utf-8") as fh:
-            return parse_detections_file(fh, name=str(p))
+        return parse_detections_file(_read_file(p), name=str(p))
     raise ValueError(f"unknown detection layout {layout!r}")
 
 

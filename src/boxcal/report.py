@@ -134,6 +134,8 @@ def run_summary(result: CalibrationResult, predictor: str = "external") -> RunSu
 def diou_loss(pred: BBox, target: BBox) -> float:
     """Distance-IoU loss: 1 - IoU plus squared center distance over squared
     enclosing-box diagonal.  Zero for identical boxes."""
+    if pred == target:
+        return 0.0  # iou() is 0 for a zero-area box, even against itself
     pcx, pcy = pred.x + pred.w / 2.0, pred.y + pred.h / 2.0
     tcx, tcy = target.x + target.w / 2.0, target.y + target.h / 2.0
     rho2 = (pcx - tcx) ** 2 + (pcy - tcy) ** 2

@@ -188,6 +188,21 @@ def test_non_finite_flag_exits_1_without_traceback(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["gt", "dets"])
+def test_undecodable_input_exits_1_with_location(tmp_path, capsys, bad):
+    gt = tmp_path / "gt.txt"
+    gt.write_bytes(b"a/x.jpg\n1\n0 0 8 8 0 0 0 0 0 0\n" + (b"b\xff.jpg\n0\n" if bad == "gt" else b""))
+    root = tmp_path / "dets" / "a"
+    root.mkdir(parents=True)
+    det = root / "x.txt"
+    det.write_bytes(b"x\n1\n0 0 8 8 0.9" + (b" \xff" if bad == "dets" else b"") + b"\n")
+    rc = main(["stats", "--gt", str(gt), "--dets", str(tmp_path / "dets")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    where = f"{gt}:4:" if bad == "gt" else f"{det}:3:"
+    assert err.startswith(f"boxcal: error: {where}"), err
+
+
 # --- adc / stats -----------------------------------------------------------
 
 def test_adc_prints_value_and_components(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import io
 import logging
+from contextlib import suppress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, ParseError, align,
-                            format_coord, load_detections, parse_detections_dir,
+                            format_coord, load_detections, load_wider_gt, parse_detections_dir,
                             parse_detections_file, parse_wider_gt,
                             write_detections_dir, write_detections_file,
                             write_wider_gt)
@@ -296,3 +297,89 @@ def test_round_trip_value_and_byte_identity(annset):
     parsed = parse_wider_gt(text)
     assert parsed == annset
     assert _write(parsed) == text
+
+
+def test_detection_truncation_reports_the_line_after_the_last():
+    # as for annotations: the missing row would have been line n + 1
+    with pytest.raises(ParseError) as exc:
+        parse_detections_file("a.jpg\n3\n0 0 4 4 0.7\n", name="d.txt")
+    assert exc.value.line == 4
+    assert str(exc.value).startswith("d.txt:4: ")
+
+
+# Characters str.splitlines breaks at although they are no newline.
+NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_NEWLINES)
+def test_only_lf_crlf_and_cr_break_lines(sep):
+    face = "1 2 3 4 0 0 0 0 0 0"
+    s = parse_wider_gt(f"a{sep}b.jpg\n1\n{face}\rc.jpg\r\n0\n")
+    assert [img.path for img in s.images] == [f"a{sep}b.jpg", "c.jpg"]
+    d = parse_detections_file(f"a{sep}b.jpg\n1\n0 0 4 4 0.7{sep}\n")
+    assert d.images[0].path == f"a{sep}b.jpg"
+    # a separator trailing a row is whitespace: later line numbers stay put
+    with pytest.raises(ParseError) as exc:
+        parse_wider_gt(f"a.jpg\n1\n{face}{sep}\nb.jpg\n1\n1 2 3 4 0 0 0 0 0\n", name="gt.txt")
+    assert exc.value.line == 6
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_undecodable_byte_raises_parse_error_on_its_line(tmp_path, newline):
+    # each input holds one 0xff byte, on line 4
+    gt = tmp_path / "gt.txt"
+    gt.write_bytes(newline.join([b"a.jpg", b"0", b"0 0 0 0 0 0 0 0 0 0", b"b\xff.jpg", b"0", b""]))
+    dets = tmp_path / "dets.txt"
+    dets.write_bytes(newline.join([b"a.jpg", b"1", b"0 0 4 4 0.7", b"b\xff.jpg", b"0", b""]))
+    root = tmp_path / "dets"
+    root.mkdir()
+    per_image = root / "x.txt"
+    per_image.write_bytes(newline.join([b"x", b"2", b"0 0 4 4 0.7", b"1 1 4 4 0.5 \xff", b""]))
+    for load, path, shown in ((load_wider_gt, gt, gt),
+                              (lambda p: load_detections(p, layout="file"), dets, dets),
+                              (parse_detections_dir, root, per_image)):
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{shown}:4: "), str(exc.value)
+
+
+# Fuzzing: text shaped like records, with the grammar's edge cases among the
+# tokens, plus arbitrary text and bytes.  Anything but a result or a
+# ParseError fails the test.
+_tokens = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "0.5", "1e400", "nan", "-inf", "1_0",
+                     "x.jpg", "0x1", "\u2028", "\x0c", "\xa0"]),
+    st.text(max_size=3))
+_record_text = st.tuples(
+    st.lists(st.lists(_tokens, max_size=11).map(" ".join), max_size=14),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+).map(lambda t: t[1].join(t[0]))
+_any_text = st.one_of(_record_text, st.text())
+
+
+@settings(max_examples=300)
+@given(_any_text)
+def test_fuzz_text_parses_or_raises_parse_error(text):
+    with suppress(ParseError):
+        parse_wider_gt(text)
+    with suppress(ParseError):
+        parse_detections_file(text)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # files rewritten per example
+@given(data=st.one_of(st.binary(), _any_text.map(str.encode),
+                      st.tuples(_record_text, st.binary(min_size=1, max_size=2)).map(
+                          lambda t: t[0].encode() + t[1] + t[0].encode())))
+def test_fuzz_bytes_parse_or_raise_parse_error(tmp_path, data):
+    gt = tmp_path / "gt.txt"
+    gt.write_bytes(data)
+    root = tmp_path / "dets"
+    root.mkdir(exist_ok=True)
+    (root / "x.txt").write_bytes(data)
+    with suppress(ParseError):
+        load_wider_gt(gt)
+    with suppress(ParseError):
+        load_detections(gt, layout="file")
+    with suppress(ParseError):
+        parse_detections_dir(root)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcal.geometry import BBox, area, iou, iou_cells, iou_matrix, row_max_argmax
+from boxcal.geometry import BBox, area, iou, iou_cells
 
 # Coordinate bounds keep float cancellation far below the 1e-9 tolerances:
 # at |x| <= 8192 one ulp is ~1.8e-12.
@@ -87,41 +87,25 @@ def test_scale_covariance(a, b, s):
     assert abs(iou(a2, b2) - iou(a, b)) <= 1e-9
 
 
+def _columns(bxs: list[BBox]) -> list[np.ndarray]:
+    return [np.array([getattr(b, f) for b in bxs], dtype=np.float64) for f in "xywh"]
+
+
 @settings(max_examples=200)
 @given(st.lists(boxes(), max_size=6), st.lists(boxes(), max_size=6))
 def test_matrix_mirrors_scalar_bitwise(preds, anns):
-    m = iou_matrix(preds, anns)
-    assert m.values.shape == (len(preds), len(anns))
+    # column vectors against row vectors broadcast to the full matrix
+    m = iou_cells(*[c[:, None] for c in _columns(preds)], *_columns(anns))
+    assert m.shape == (len(preds), len(anns))
     for j, p in enumerate(preds):
         for k, a in enumerate(anns):
             # Exact equality on purpose: the matrix must be a bit-for-bit
             # vectorization of the scalar path.
-            assert float(m.values[j, k]) == iou(p, a)
+            assert float(m[j, k]) == iou(p, a)
     # the same cells elementwise, one (prediction, annotation) pair each
     pairs = [(p, a) for p in preds for a in anns]
-    cols = [np.array([getattr(b, f) for b in side], dtype=np.float64)
-            for side in ([p for p, _ in pairs], [a for _, a in pairs]) for f in "xywh"]
+    cols = _columns([p for p, _ in pairs]) + _columns([a for _, a in pairs])
     assert iou_cells(*cols).tolist() == [iou(p, a) for p, a in pairs]
-
-
-def test_matrix_empty_inputs():
-    assert iou_matrix([], [BBox(0, 0, 1, 1)]).values.shape == (0, 1)
-    assert iou_matrix([BBox(0, 0, 1, 1)], []).values.shape == (1, 0)
-    assert iou_matrix([], []).values.shape == (0, 0)
-
-
-def test_row_max_argmax_tie_breaks_low():
-    m = iou_matrix([BBox(0, 0, 10, 10)], [BBox(0, 0, 10, 5), BBox(0, 5, 10, 5)])
-    max_o, arg_o = row_max_argmax(m)
-    assert max_o[0] == 0.5  # both columns give 50/100
-    assert arg_o[0] == 0
-
-
-def test_row_max_argmax_edge_shapes():
-    with pytest.raises(ValueError):
-        row_max_argmax(iou_matrix([BBox(0, 0, 1, 1)], []))
-    max_o, arg_o = row_max_argmax(iou_matrix([], [BBox(0, 0, 1, 1)]))
-    assert max_o.shape == (0,) and arg_o.shape == (0,)
 
 
 def _raster_iou(a: BBox, b: BBox) -> float:

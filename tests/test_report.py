@@ -122,9 +122,31 @@ def test_diou_worked_example():
 def test_diou_identity_and_degenerate():
     b = BBox(5, 7, 10, 12)
     assert diou_loss(b, b) == 0.0
-    # two coincident degenerate points: IoU 0, no center or diagonal terms
+    # two coincident degenerate points are identical boxes too
     p = BBox(3, 3, 0, 0)
-    assert diou_loss(p, p) == 1.0
+    assert diou_loss(p, p) == 0.0
+
+
+@pytest.mark.parametrize("box", [BBox(100, 100, 0, 5), BBox(4, 9, 7, 0), BBox(-2, 0, 0, 0)])
+def test_diou_zero_area_box_against_itself_is_zero(box):
+    assert diou_loss(box, box) == 0.0
+    # against any other box it is still a full loss: IoU 0 plus the center term
+    assert diou_loss(box, BBox(0, 0, 20, 20)) > 1.0
+
+
+def test_report_loss_of_a_zero_area_replacement():
+    # t_m = 0 lets a non-overlapping zero-width detection claim the face
+    old, new = BBox(0, 0, 20, 20), BBox(100, 100, 0, 5)
+    anns = AnnotationSet(images=[ImageAnnotations(path="z.jpg", faces=[FaceAnnotation(box=old)])])
+    dets = DetectionSet(images=[ImageDetections(path="z.jpg", dets=[Detection(box=new, score=0.9)])])
+    result = calibrate_dataset(anns, dets, CalibrationConfig(t_m=0.0, adc_override=0.5))
+    assert [r.new_box for r in result.mbps] == [new]
+    bundle = build_report(result)
+    assert bundle.loss_records[0].l_calib == 0.0
+    buf = io.StringIO()
+    write_report(bundle, buf)
+    doc = json.loads(buf.getvalue())
+    assert doc["loss"]["mean_delta"] == doc["loss"]["max_delta"] == diou_loss(new, old)
 
 
 def _mbps():
