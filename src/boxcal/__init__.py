@@ -18,10 +18,9 @@ from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                       save_wider_gt, write_detections_dir, write_detections_file,
                       write_wider_gt)
 from .geometry import BBox, area, iou
-from .report import (HistogramBin, LocalizationHistogram, LossDeltaRecord,
-                     ReportBundle, RunSummary, build_report, diou_loss,
+from .report import (HistogramBin, LocalizationHistogram, LossDeltaRecord, diou_loss,
                      format_histogram_table, localization_histogram,
-                     loss_delta_report, mbp_export, run_summary, write_report)
+                     loss_delta_report, mbp_export, summary_line, write_report)
 from .synth import (PerturbEntry, PerturbLedger, SynthSpec, emit_detections,
                     generate_dataset, oracle_calibrate, perturb)
 
@@ -38,10 +37,9 @@ __all__ = [
     "save_wider_gt", "write_detections_dir", "write_detections_file",
     "write_wider_gt",
     "BBox", "area", "iou",
-    "HistogramBin", "LocalizationHistogram", "LossDeltaRecord",
-    "ReportBundle", "RunSummary", "build_report", "diou_loss",
+    "HistogramBin", "LocalizationHistogram", "LossDeltaRecord", "diou_loss",
     "format_histogram_table", "localization_histogram", "loss_delta_report",
-    "mbp_export", "run_summary", "write_report",
+    "mbp_export", "summary_line", "write_report",
     "PerturbEntry", "PerturbLedger", "SynthSpec", "emit_detections",
     "generate_dataset", "oracle_calibrate", "perturb",
     "__version__",

@@ -55,7 +55,6 @@ class CalibrationConfig:
     t_m: float = DEFAULT_T_M            # matching threshold (interval lower edge)
     t_c: float = DEFAULT_T_C            # calibration threshold (interval upper edge)
     adc_override: float | None = None   # fixed confidence threshold, skips the average
-    rounding: str = "decimal"           # output box number policy, see formats.format_coord
     include_invalid: bool = True        # let invalid-flagged annotations be matched/replaced
 
     def __post_init__(self) -> None:
@@ -114,6 +113,15 @@ def _coords(boxes: list[BBox], name: str) -> np.ndarray:
     return np.fromiter(map(attrgetter(name), boxes), np.float64, count=len(boxes))
 
 
+def _keys(img: np.ndarray, coord: np.ndarray) -> np.ndarray:
+    """(image, coordinate) pairs as complex numbers, which numpy sorts,
+    searches and takes maxima of lexicographically: image first."""
+    keys = np.empty(len(coord), np.complex128)
+    keys.real = img
+    keys.imag = coord  # not img + 1j * coord, whose real part is nan where coord is inf
+    return keys
+
+
 def _candidate_runs(n_faces: np.ndarray, ax: np.ndarray, aw: np.ndarray,
                     n_rows: np.ndarray, px: np.ndarray, pw: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,26 +132,16 @@ def _candidate_runs(n_faces: np.ndarray, ax: np.ndarray, aw: np.ndarray,
     The run ends at the image's first annotation with ax >= px+pw and starts
     at the first position where the image's running max of ax+aw exceeds
     px.  These are the sums `iou_cells` forms, so every pair left out has
-    intersection width <= 0 and IoU exactly 0.  The searches run on integer
-    keys, image index times a stride plus the count of distinct annotation
-    values below a coordinate, so each stays inside its own image at any
-    magnitude.
+    intersection width <= 0 and IoU exactly 0.  The searches run on
+    (image, coordinate) keys, so each stays inside its own image.
     """
     ann_img = np.repeat(np.arange(len(n_faces)), n_faces)
     row_img = np.repeat(np.arange(len(n_rows)), n_rows)
-    stride = len(ax) + 1                          # every count lies below it
-    left_vals, left_rank = np.unique(ax, return_inverse=True)
-    left_key = ann_img * stride + left_rank
-    order = np.argsort(left_key, kind="stable")   # ann_img is nondecreasing: it stays put
-    # ax < px+pw exactly when fewer distinct values lie below ax than below px+pw
-    end = row_img * stride + np.searchsorted(left_vals, px + pw, side="left")
-    hi = np.searchsorted(left_key[order], end, side="left")
-    right = (ax + aw)[order]
-    right_vals, right_rank = np.unique(right, return_inverse=True)
-    right_max = np.maximum.accumulate(ann_img * stride + right_rank)
-    # ax+aw <= px exactly when fewer distinct values lie below ax+aw than at or below px
-    start = row_img * stride + np.searchsorted(right_vals, px, side="right")
-    lo = np.searchsorted(right_max, start, side="left")
+    left = _keys(ann_img, ax)
+    order = np.argsort(left, kind="stable")   # ann_img is nondecreasing: it stays put
+    hi = np.searchsorted(left[order], _keys(row_img, px + pw), side="left")
+    right_max = np.maximum.accumulate(_keys(ann_img, (ax + aw)[order]))
+    lo = np.searchsorted(right_max, _keys(row_img, px), side="right")
     return order, lo, np.maximum(lo, hi)
 
 

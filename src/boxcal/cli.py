@@ -16,8 +16,8 @@ from pathlib import Path
 from .adc import compute_adc
 from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_ious
 from .formats import align, load_detections, load_wider_gt, save_wider_gt, write_detections_file, write_detections_dir
-from .report import (DEFAULT_EDGES, build_report, check_edges, format_histogram_table,
-                     localization_histogram, mbp_export, run_summary, write_report)
+from .report import (DEFAULT_EDGES, check_edges, format_histogram_table, localization_histogram,
+                     mbp_export, summary_line, write_report)
 from .synth import SynthSpec, emit_detections, generate_dataset, perturb, write_perturb_ledger
 
 log = logging.getLogger(__name__)
@@ -149,25 +149,22 @@ def _add_dets_layout_flags(p: argparse.ArgumentParser) -> None:
 
 def run_calibrate(args) -> int:
     cfg = CalibrationConfig(
-        t_m=args.tm, t_c=args.tc, adc_override=args.adc,
-        rounding="integer" if args.round_int else "decimal",
-        include_invalid=args.include_invalid,
+        t_m=args.tm, t_c=args.tc, adc_override=args.adc, include_invalid=args.include_invalid,
     )
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     anns = load_wider_gt(args.gt)
     dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
     result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
-    save_wider_gt(result.calibrated, args.out, policy=cfg.rounding)
+    save_wider_gt(result.calibrated, args.out, policy="integer" if args.round_int else "decimal")
     if args.report:
-        bundle = build_report(result, predictor=args.predictor)
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            write_report(bundle, fh)
+            write_report(result, fh, predictor=args.predictor)
     if args.mbp_export:
         fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
         with open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
             mbp_export(result.mbps, fh, fmt=fmt)
-    print(run_summary(result, predictor=args.predictor).one_line())
+    print(summary_line(result, predictor=args.predictor))
     return 0
 
 

@@ -106,24 +106,33 @@ class DetectionSet:
         return sum(len(img.dets) for img in self.images)
 
 
+def _decode_error(source: str, exc: UnicodeDecodeError) -> ParseError:
+    """ParseError on the line of the byte that failed to decode; exc.object
+    holds the bytes from where decoding started."""
+    head = exc.object[:exc.start]
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return ParseError(source, line,
+                      f"not {exc.encoding.upper()}: {exc.reason} 0x{exc.object[exc.start]:02x}")
+
+
 def _read_file(path: Path) -> str:
     """The file's text; a byte that is not UTF-8 raises ParseError on its line."""
-    data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(str(path), line,
-                         f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
+        raise _decode_error(str(path), exc) from None
 
 
-def _lines(source: str | TextIO) -> list[str]:
+def _lines(source: str | TextIO, name: str) -> list[str]:
     """The text's lines, ended by LF, CRLF or CR: the newlines text-mode
     reading knows.  str.splitlines would also break at form feeds, vertical
     tabs, U+2028 and other separators, which may stand inside an image path
-    or trail a row."""
-    text = source if isinstance(source, str) else source.read()
+    or trail a row.  A stream that fails to decode raises ParseError on the
+    line of the bad byte, counted from where reading started."""
+    try:
+        text = source if isinstance(source, str) else source.read()
+    except UnicodeDecodeError as exc:
+        raise _decode_error(name, exc) from None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not lines[-1]:
         lines.pop()  # a final newline ends the last line; it starts no new one
@@ -186,12 +195,13 @@ def _records(lines: list[str], source: str, noun: str, fields: int,
 def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     """Parse a WIDER ground-truth annotation file.
 
-    Raises ParseError (with line number) on a non-numeric or negative face
-    count, a truncated record, a malformed attribute line, a duplicate image
-    path, non-finite / negative-size box values, or a non-finite attribute
-    flag.  Out-of-range attribute flags only produce a warning.
+    Raises ParseError (with line number) on bytes the stream cannot decode,
+    a non-numeric or negative face count, a truncated record, a malformed
+    attribute line, a duplicate image path, box values that are non-finite,
+    negative-size or whose far edge or area overflows, or a non-finite
+    attribute flag.  Out-of-range attribute flags only produce a warning.
     """
-    records = _records(_lines(source), name, "face", 10, zero_dummy=True)
+    records = _records(_lines(source, name), name, "face", 10, zero_dummy=True)
     return AnnotationSet(images=[
         ImageAnnotations(path=path, faces=[_face(vals, name, k) for k, vals in enumerate(rows, lineno)])
         for path, lineno, rows in records])
@@ -303,7 +313,7 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
     images: list[ImageDetections] = []
     for file in sorted(rootp.rglob("*.txt")):
         source = str(file)
-        lines = _lines(_read_file(file))
+        lines = _lines(_read_file(file), source)
         record = next(_records(lines, source, "detection", 5), None)
         if record is None:
             raise ParseError(source, 1, "per-image detection file holds no record")
@@ -324,7 +334,7 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
     Records use the same layout as per-image files concatenated; the name
     line is the image key verbatim (e.g. "0--Parade/x.jpg").
     """
-    records = _records(_lines(source), name, "detection", 5)
+    records = _records(_lines(source, name), name, "detection", 5)
     return DetectionSet(images=[ImageDetections(path=key, dets=_detections(rows, name, lineno))
                                 for key, lineno, rows in records])
 

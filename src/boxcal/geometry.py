@@ -27,9 +27,10 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and math.isfinite(self.w) and math.isfinite(self.h)):
-            raise ValueError(f"box fields must be finite, got {self}")
+        # the far edges and the area are IoU's terms; finite ones imply finite fields
+        if not (math.isfinite(self.x + self.w) and math.isfinite(self.y + self.h)
+                and math.isfinite(self.w * self.h)):
+            raise ValueError(f"box fields, right/bottom edges and area must be finite, got {self}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box width/height must be >= 0, got {self}")
 
@@ -81,7 +82,8 @@ def iou_cells(px: np.ndarray, py: np.ndarray, pw: np.ndarray, ph: np.ndarray,
     np.clip(ih, 0.0, None, out=ih)
     inter = iw
     inter *= ih
-    union = pw * ph + aw * ah
+    with np.errstate(over="ignore"):  # as in the scalar path, a huge union is inf
+        union = pw * ph + aw * ah
     union -= inter
 
     values = np.zeros_like(inter)

@@ -1,4 +1,5 @@
-"""Quantitative run artifacts: histograms, run summaries, replacement exports.
+"""Views of a calibration result: histograms, the run report and summary
+line, replacement exports.
 
 The localization-accuracy histogram bins each high-confidence detection by
 its max IoU against its image's annotations, a vector the calibration scan
@@ -17,14 +18,13 @@ old box.  The report header carries this note.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .adc import AdcResult
-from .calibrate import CalibrationCounters, CalibrationResult, MbpRecord
+from .calibrate import CalibrationResult, MbpRecord
 from .geometry import BBox, iou
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -95,42 +95,6 @@ def localization_histogram(ious: ArrayLike,
     return LocalizationHistogram(bins=bins, aggregates=aggregates, total=total)
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    predictor: str
-    adc: float
-    interval: tuple[float, float]
-    calibrated: int
-    wall_time: float
-    counters: CalibrationCounters
-
-    def to_dict(self) -> dict:
-        return {
-            "predictor": self.predictor,
-            "adc": self.adc,
-            "interval": list(self.interval),
-            "calibrated": self.calibrated,
-            "wall_time_s": self.wall_time,
-            "counters": asdict(self.counters),
-        }
-
-    def one_line(self) -> str:
-        return (f"predictor={self.predictor} adc={self.adc:.6f} "
-                f"interval=[{self.interval[0]:g}, {self.interval[1]:g}] "
-                f"calibrated={self.calibrated} time={self.wall_time:.2f}s")
-
-
-def run_summary(result: CalibrationResult, predictor: str = "external") -> RunSummary:
-    return RunSummary(
-        predictor=predictor,
-        adc=result.effective_adc,
-        interval=(result.config.t_m, result.config.t_c),
-        calibrated=len(result.mbps),
-        wall_time=result.wall_time,
-        counters=result.counters,
-    )
-
-
 def diou_loss(pred: BBox, target: BBox) -> float:
     """Distance-IoU loss: 1 - IoU plus squared center distance over squared
     enclosing-box diagonal.  Zero for identical boxes."""
@@ -185,42 +149,25 @@ def mbp_export(mbps: list[MbpRecord], stream: TextIO, fmt: str = "tsv") -> None:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    summary: RunSummary
-    adc: AdcResult | None
-    histogram: LocalizationHistogram
-    loss_records: list[LossDeltaRecord] = field(default_factory=list)
-
-
-def build_report(result: CalibrationResult, predictor: str = "external",
-                 edges: tuple[float, ...] = DEFAULT_EDGES) -> ReportBundle:
-    """Assemble the full bundle for a finished run; the histogram bins the
-    run's own HCDR max IoUs."""
-    upper = result.config.t_c if result.config.t_c in edges else None
-    return ReportBundle(
-        summary=run_summary(result, predictor=predictor),
-        adc=result.adc,
-        histogram=localization_histogram(result.hcdr_ious, edges, upper),
-        loss_records=loss_delta_report(result.mbps),
-    )
-
-
-def write_report(bundle: ReportBundle, stream: TextIO) -> None:
-    """Serialize the bundle as a key-value tree (JSON)."""
-    deltas = [r.delta for r in bundle.loss_records]
+def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "external") -> None:
+    """Serialize a finished run as a key-value tree (JSON); the histogram
+    bins the run's own HCDR max IoUs."""
+    t_c = result.config.t_c
+    hist = localization_histogram(result.hcdr_ious, DEFAULT_EDGES,
+                                  t_c if t_c in DEFAULT_EDGES else None)
+    deltas = [r.delta for r in loss_delta_report(result.mbps)]
     doc = {
-        "predictor": bundle.summary.predictor,
-        "adc": asdict(bundle.adc) if bundle.adc is not None else {"value": bundle.summary.adc,
-                                                                  "overridden": True},
-        "interval": list(bundle.summary.interval),
-        "calibrated": bundle.summary.calibrated,
-        "counters": asdict(bundle.summary.counters),
-        "wall_time_s": bundle.summary.wall_time,
+        "predictor": predictor,
+        "adc": (asdict(result.adc) if result.adc is not None
+                else {"value": result.effective_adc, "overridden": True}),
+        "interval": [result.config.t_m, t_c],
+        "calibrated": len(result.mbps),
+        "counters": asdict(result.counters),
+        "wall_time_s": result.wall_time,
         "histogram": {
-            "bins": [asdict(b) for b in bundle.histogram.bins],
-            "aggregates": [asdict(b) for b in bundle.histogram.aggregates],
-            "total": bundle.histogram.total,
+            "bins": [asdict(b) for b in hist.bins],
+            "aggregates": [asdict(b) for b in hist.aggregates],
+            "total": hist.total,
         },
         "loss": {
             "name": "diou",
@@ -232,6 +179,13 @@ def write_report(bundle: ReportBundle, stream: TextIO) -> None:
     }
     json.dump(doc, stream, indent=2)
     stream.write("\n")
+
+
+def summary_line(result: CalibrationResult, predictor: str = "external") -> str:
+    """The one-line run summary `boxcal calibrate` prints."""
+    return (f"predictor={predictor} adc={result.effective_adc:.6f} "
+            f"interval=[{result.config.t_m:g}, {result.config.t_c:g}] "
+            f"calibrated={len(result.mbps)} time={result.wall_time:.2f}s")
 
 
 def format_histogram_table(hist: LocalizationHistogram) -> str:

@@ -82,6 +82,16 @@ def test_error_negative_size():
         parse_wider_gt("a.jpg\n1\n1 2 -3 4 0 0 0 0 0 0\n")
 
 
+@pytest.mark.parametrize("row", ["1e308 0 1e308 10", "0 0 1e200 1e200"])
+def test_error_overflowing_edge_or_area(row):
+    with pytest.raises(ParseError) as exc:
+        parse_wider_gt(f"a.jpg\n0\nb.jpg\n1\n{row} 0 0 0 0 0 0\n", name="gt.txt")
+    assert str(exc.value).startswith("gt.txt:5: ")
+    with pytest.raises(ParseError) as exc:
+        parse_detections_file(f"a.jpg\n2\n0 0 4 4 0.9\n{row} 0.5\n", name="d.txt")
+    assert str(exc.value).startswith("d.txt:4: ")
+
+
 def test_error_negative_count():
     with pytest.raises(ParseError):
         parse_wider_gt("a.jpg\n-1\n")
@@ -335,9 +345,18 @@ def test_undecodable_byte_raises_parse_error_on_its_line(tmp_path, newline):
     root.mkdir()
     per_image = root / "x.txt"
     per_image.write_bytes(newline.join([b"x", b"2", b"0 0 4 4 0.7", b"1 1 4 4 0.5 \xff", b""]))
+
+    def streamed(parse):
+        def load(path):
+            with open(path, encoding="utf-8") as fh:
+                return parse(fh, name=str(path))
+        return load
+
     for load, path, shown in ((load_wider_gt, gt, gt),
                               (lambda p: load_detections(p, layout="file"), dets, dets),
-                              (parse_detections_dir, root, per_image)):
+                              (parse_detections_dir, root, per_image),
+                              (streamed(parse_wider_gt), gt, gt),
+                              (streamed(parse_detections_file), dets, dets)):
         with pytest.raises(ParseError) as exc:
             load(path)
         assert str(exc.value).startswith(f"{shown}:4: "), str(exc.value)

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxcal.calibrate import CalibrationConfig, calibrate_dataset
+from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
+                            ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox, area, iou, iou_cells
+from boxcal.synth import oracle_calibrate
 
 # Coordinate bounds keep float cancellation far below the 1e-9 tolerances:
 # at |x| <= 8192 one ulp is ~1.8e-12.
@@ -60,6 +64,30 @@ def test_bbox_rejects_bad_fields():
         BBox(math.nan, 0, 1, 1)
     with pytest.raises(ValueError):
         BBox(0, math.inf, 1, 1)
+    # finite fields whose right or bottom edge or area overflows
+    for fields in [(1e308, 0, 1e308, 10), (0, 1.5e308, 1, 0.5e308), (0, 0, 1e200, 1e200),
+                   (0, 0, 1e308, 2)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            BBox(*fields)
+
+
+def test_iou_paths_agree_on_boxes_near_the_float_limit():
+    pairs = [(BBox(1e308, 0, 7e307, 1), BBox(1e308, 0, 7e307, 0.7)),      # IoU 0.7
+             (BBox(-1.7e308, 0, 1.7e308, 0.5), BBox(-1.7e308, 0, 1.7e308, 0.25)),
+             (BBox(0, 0, 1e308, 1.5), BBox(0, 0, 1e308, 1.5)),          # union overflows
+             (BBox(1.7e308, 0, 1e291, 1), BBox(1.7e308, 0, 1e291, 1))]  # x + w == x
+    for ann, det in pairs:
+        scalar = iou(det, ann)
+        cells = iou_cells(*_columns([det]), *_columns([ann]))
+        anns = AnnotationSet(images=[ImageAnnotations(path="a.jpg", faces=[FaceAnnotation(box=ann)])])
+        dets = DetectionSet(images=[ImageDetections(path="a.jpg", dets=[Detection(box=det, score=1.0)])])
+        cfg = CalibrationConfig(t_m=0.0, t_c=1.0, adc_override=0.5)
+        fast, slow = calibrate_dataset(anns, dets, cfg), oracle_calibrate(anns, dets, cfg)
+        assert 0.0 <= scalar <= 1.0
+        assert cells.tolist() == fast.hcdr_ious.tolist() == slow.hcdr_ious.tolist() == [scalar]
+        assert fast.calibrated == slow.calibrated and fast.mbps == slow.mbps
+    # the last two only agree: an inf union or a zero-width box gives 0
+    assert [iou(*p) for p in pairs[:2]] == pytest.approx([0.7, 0.5])
 
 
 @given(boxes(), boxes())

@@ -1,6 +1,8 @@
 import bisect
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from boxcal.calibrate import CalibrationConfig, MbpRecord, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox
-from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, build_report, diou_loss, format_histogram_table,
+from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, diou_loss, format_histogram_table,
                            localization_histogram, loss_delta_report, mbp_export,
-                           percentage, run_summary, write_report)
+                           percentage, summary_line, write_report)
 
 
 def test_percentage_reproduces_reference_table():
@@ -89,7 +91,7 @@ def test_histogram_skips_images_without_annotations():
     img = ImageAnnotations(path="x.jpg", faces=[])
     result = calibrate_dataset(AnnotationSet(images=[img]), DetectionSet(images=[det_img]),
                                CalibrationConfig(adc_override=0.5))
-    hist = build_report(result).histogram
+    hist = localization_histogram(result.hcdr_ious)
     assert hist.total == 0
     assert all(b.count == 0 for b in hist.bins)
 
@@ -141,10 +143,9 @@ def test_report_loss_of_a_zero_area_replacement():
     dets = DetectionSet(images=[ImageDetections(path="z.jpg", dets=[Detection(box=new, score=0.9)])])
     result = calibrate_dataset(anns, dets, CalibrationConfig(t_m=0.0, adc_override=0.5))
     assert [r.new_box for r in result.mbps] == [new]
-    bundle = build_report(result)
-    assert bundle.loss_records[0].l_calib == 0.0
+    assert loss_delta_report(result.mbps)[0].l_calib == 0.0
     buf = io.StringIO()
-    write_report(bundle, buf)
+    write_report(result, buf)
     doc = json.loads(buf.getvalue())
     assert doc["loss"]["mean_delta"] == doc["loss"]["max_delta"] == diou_loss(new, old)
 
@@ -198,23 +199,21 @@ def _small_result():
     return calibrate_dataset(anns, dets, CalibrationConfig(adc_override=0.5))
 
 
-def test_run_summary_and_one_line():
+def test_summary_line():
     result = _small_result()
-    summary = run_summary(result, predictor="toy")
-    assert summary.calibrated == 1
-    assert summary.interval == (0.5, 0.8)
-    assert summary.adc == 0.5
-    line = summary.one_line()
+    line = summary_line(result, predictor="toy")
     assert "calibrated=1" in line and "predictor=toy" in line
-    doc = summary.to_dict()
-    assert doc["counters"]["hcdrs_considered"] == 1
+    assert "interval=[0.5, 0.8]" in line
+    assert "adc=0.500000" in line
+    buf = io.StringIO()
+    write_report(result, buf)
+    assert json.loads(buf.getvalue())["counters"]["hcdrs_considered"] == 1
 
 
 def test_write_report_schema():
     result = _small_result()
-    bundle = build_report(result, predictor="toy")
     buf = io.StringIO()
-    write_report(bundle, buf)
+    write_report(result, buf, predictor="toy")
     doc = json.loads(buf.getvalue())
     assert doc["predictor"] == "toy"
     assert doc["adc"] == {"value": 0.5, "overridden": True}
@@ -236,9 +235,31 @@ def test_write_report_with_computed_adc():
     dets = DetectionSet(images=[ImageDetections(
         path="x.jpg", dets=[Detection(box=BBox(0, 0, 10, 7), score=0.9)])])
     result = calibrate_dataset(anns, dets)
-    bundle = build_report(result)
     buf = io.StringIO()
-    write_report(bundle, buf)
+    write_report(result, buf)
     doc = json.loads(buf.getvalue())
     assert doc["adc"]["value"] == 0.9
     assert doc["adc"]["denominator"] == 1
+
+
+def test_report_and_summary_line_bytes_are_pinned():
+    # one claim (IoU 0.7) and one out-of-interval HCDR (IoU 1.0) in a.jpg;
+    # b.jpg's weak detection only lowers the computed threshold to 2/3
+    anns = AnnotationSet(images=[
+        ImageAnnotations(path="a.jpg", faces=[FaceAnnotation(box=BBox(0, 0, 10, 10)),
+                                              FaceAnnotation(box=BBox(100, 100, 10, 10))]),
+        ImageAnnotations(path="b.jpg", faces=[FaceAnnotation(box=BBox(0, 0, 4, 4))])])
+    dets = DetectionSet(images=[
+        ImageDetections(path="a.jpg", dets=[Detection(box=BBox(0, 0, 10, 7), score=0.9),
+                                            Detection(box=BBox(100, 100, 10, 10), score=0.8)]),
+        ImageDetections(path="b.jpg", dets=[Detection(box=BBox(0, 0, 4, 4), score=0.3)])])
+    result = calibrate_dataset(anns, dets)
+    buf = io.StringIO()
+    write_report(result, buf, predictor="toy")
+    text, n = re.subn(r'  "wall_time_s": [^\n]*\n', "", buf.getvalue())
+    assert n == 1
+    expected = (Path(__file__).parent / "data" / "report_one_claim.json").read_bytes()
+    assert text.encode("utf-8") == expected
+    line, n = re.subn(r" time=\S*$", "", summary_line(result, predictor="toy"))
+    assert n == 1
+    assert line == "predictor=toy adc=0.666667 interval=[0.5, 0.8] calibrated=1"

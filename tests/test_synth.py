@@ -306,24 +306,31 @@ def test_pair_budget_does_not_change_the_result(monkeypatch, budget):
 
 
 # Random datasets for the differential test.  Boxes sit on a coarse grid of
-# a drawn step around a drawn origin up to +-1e9, so edges touch and abut
+# a drawn step around a drawn origin, per axis, so edges touch and abut
 # (intersection width exactly 0), sizes reach 0, annotations repeat (argmax
 # ties), detections repeat annotation boxes, and large origins round the
-# coordinates.
+# coordinates.  Origins reach +-1e9, or +-1e307 on at most one axis, where
+# steps of 1e300 and more keep the far edges and the area finite.
 _GRID = st.integers(min_value=0, max_value=8)
 _SIZE = st.integers(min_value=0, max_value=4)
 _SCORES = st.sampled_from([0.0, 0.2, 0.5, 0.7, 0.9, 1.0])
+_AXES = {
+    False: (st.sampled_from([0.0, 1e9, -1e9]) | st.floats(min_value=-1e9, max_value=1e9),
+            st.sampled_from([1.0, 0.25, 2.5, 1e-7])),
+    True: (st.sampled_from([1e307, -1e307]) | st.floats(min_value=-1e307, max_value=1e307),
+           st.sampled_from([1e306, 1e300])),
+}
 
 
 @st.composite
 def _image(draw, path, invalid=None, min_faces=0, scores=_SCORES):
-    origin = draw(st.sampled_from([0.0, 1e9, -1e9])
-                  | st.floats(min_value=-1e9, max_value=1e9, allow_nan=False))
-    step = draw(st.sampled_from([1.0, 0.25, 2.5, 1e-7]))
+    huge = draw(st.sampled_from([None, "x", "y"]))
+    (x0, dx), (y0, dy) = ((draw(origins), draw(steps))
+                          for origins, steps in (_AXES[huge == "x"], _AXES[huge == "y"]))
 
     def box():
-        return BBox(origin + draw(_GRID) * step, origin + draw(_GRID) * step,
-                    draw(_SIZE) * step, draw(_SIZE) * step)
+        return BBox(x0 + draw(_GRID) * dx, y0 + draw(_GRID) * dy,
+                    draw(_SIZE) * dx, draw(_SIZE) * dy)
 
     def new_or_repeated(seen):
         return draw(st.sampled_from(seen)) if seen and draw(st.booleans()) else box()
