@@ -10,14 +10,14 @@ reference implementation round out the toolkit.
 
 from .adc import AdcResult, compute_adc, select_hcdrs
 from .calibrate import (CalibrationConfig, CalibrationCounters, CalibrationResult,
-                        MbpRecord, calibrate_dataset, calibrate_image)
+                        MbpRecord, calibrate_dataset)
 from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                       ImageAnnotations, ImageDetections, ParseError, align,
                       format_coord, load_detections, load_wider_gt,
                       parse_detections_dir, parse_detections_file, parse_wider_gt,
                       save_wider_gt, write_detections_dir, write_detections_file,
                       write_wider_gt)
-from .geometry import BBox, area, iou
+from .geometry import BBox, iou
 from .report import (HistogramBin, LocalizationHistogram, LossDeltaRecord, diou_loss,
                      format_histogram_table, localization_histogram,
                      loss_delta_report, mbp_export, summary_line, write_report)
@@ -29,14 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdcResult", "compute_adc", "select_hcdrs",
     "CalibrationConfig", "CalibrationCounters", "CalibrationResult",
-    "MbpRecord", "calibrate_dataset", "calibrate_image",
+    "MbpRecord", "calibrate_dataset",
     "AnnotationSet", "Detection", "DetectionSet", "FaceAnnotation",
     "ImageAnnotations", "ImageDetections", "ParseError", "align",
     "format_coord", "load_detections", "load_wider_gt",
     "parse_detections_dir", "parse_detections_file", "parse_wider_gt",
     "save_wider_gt", "write_detections_dir", "write_detections_file",
     "write_wider_gt",
-    "BBox", "area", "iou",
+    "BBox", "iou",
     "HistogramBin", "LocalizationHistogram", "LossDeltaRecord", "diou_loss",
     "format_histogram_table", "localization_histogram", "loss_delta_report",
     "mbp_export", "summary_line", "write_report",

@@ -7,9 +7,9 @@ fewer detections than annotations, and padding with zeros would drag the
 average down by an arbitrary amount, so only real scores are averaged and
 the shortfall is reported.
 
-Summation runs in input order with a plain accumulator, so the reported
-numerator is bit-for-bit reproducible regardless of how callers parallelise
-the surrounding pipeline.
+The scores are summed one after another in dataset order (a cumulative
+sum, never numpy's pairwise `sum`), so the reported numerator is bit-for-bit
+the one a plain loop gives.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .formats import Detection, ImageAnnotations, ImageDetections
+import numpy as np
+
+from .formats import AnnotationSet, Detection, DetectionSet, ImageDetections, check_aligned
 
 log = logging.getLogger(__name__)
 
@@ -31,33 +33,31 @@ class AdcResult:
     shortfall_images: int   # images with fewer detections than annotations
 
 
-def compute_adc(pairs: list[tuple[ImageAnnotations, ImageDetections]]) -> AdcResult:
+def compute_adc(anns: AnnotationSet, dets: DetectionSet) -> AdcResult:
     """Average the top min(K_a, K_p) detection scores over the whole dataset.
 
-    Detections must already be sorted descending by score (the loaders
-    guarantee this).  A dataset with no usable score yields value 0.0 and a
-    warning, since every detection would then count as high-confidence.
+    dets must be aligned to anns, as `align(anns, dets)` returns them, so
+    that image i of both is the same image with its detections sorted
+    descending by score.  A dataset with no usable score yields value 0.0
+    and a warning, since every detection would then count as
+    high-confidence.
     """
-    numerator = 0.0
-    denominator = 0
-    images_used = 0
-    shortfall = 0
-    for img, det_img in pairs:
-        k_a = len(img.faces)
-        k_p = len(det_img.dets)
-        if k_p < k_a:
-            shortfall += 1
-        used = min(k_a, k_p)
-        if used == 0:
-            continue
-        for det in det_img.dets[:used]:
-            numerator += det.score
-        denominator += used
-        images_used += 1
+    check_aligned(anns, dets)
+    k_a = np.diff(anns.offsets)
+    k_p = np.diff(dets.offsets)
+    shortfall = int(np.count_nonzero(k_p < k_a))
+    used = np.minimum(k_a, k_p)
+    denominator = int(used.sum())
     if denominator == 0:
         log.warning("no detection scores usable for the confidence average; value defaults to 0")
         return AdcResult(0.0, 0.0, 0, 0, shortfall)
-    return AdcResult(numerator / denominator, numerator, denominator, images_used, shortfall)
+    used_off = np.cumsum(used) - used
+    rows = np.repeat(dets.offsets[:-1] - used_off, used) + np.arange(denominator)
+    # cumsum adds in order, like a loop from 0.0; adding 0.0 gives such a
+    # loop's 0.0 where every score used is -0.0
+    numerator = float(np.cumsum(dets.scores[rows])[-1]) + 0.0
+    return AdcResult(numerator / denominator, numerator, denominator,
+                     int(np.count_nonzero(used)), shortfall)
 
 
 def select_hcdrs(dets: ImageDetections, adc: float) -> list[Detection]:

@@ -20,10 +20,13 @@ Per image the procedure is:
 4. Each claimed annotation's box is replaced by its detection's box.
    Attribute flags are untouched.
 
-One vectorised kernel runs these steps for all images at once: HCDRs and
-annotations are laid out flat, image after image; candidate pairs are
-scored in runs of HCDRs under a fixed pair budget; and step 3 is a single
-`np.unique` over (image, annotation) keys.
+One vectorised kernel runs these steps for all images at once, on the
+columnar tables the parsers build: `align` reindexes the detection table to
+the annotation images, step 1 is a per-image count of scores above the
+threshold, candidate pairs are scored in runs of HCDRs under a fixed pair
+budget, step 3 is a single `np.unique` over annotation rows, and step 4 is
+one indexed assignment into a copy of the box column.  Only the claims
+become objects, one `MbpRecord` each.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -33,15 +36,13 @@ to its own output is a different (and not generally idempotent) operation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .adc import AdcResult, compute_adc, select_hcdrs
-from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
-                      ImageAnnotations, ImageDetections, align)
+from .adc import AdcResult, compute_adc
+from .formats import AnnotationSet, DetectionSet, align, check_aligned
 from .geometry import BBox, iou_cells
 
 log = logging.getLogger(__name__)
@@ -108,11 +109,6 @@ class CalibrationResult:
 _PAIR_BUDGET = 1 << 14
 
 
-def _coords(boxes: list[BBox], name: str) -> np.ndarray:
-    """One coordinate of every box as a float64 array."""
-    return np.fromiter(map(attrgetter(name), boxes), np.float64, count=len(boxes))
-
-
 def _keys(img: np.ndarray, coord: np.ndarray) -> np.ndarray:
     """(image, coordinate) pairs as complex numbers, which numpy sorts,
     searches and takes maxima of lexicographically: image first."""
@@ -145,40 +141,43 @@ def _candidate_runs(n_faces: np.ndarray, ax: np.ndarray, aw: np.ndarray,
     return order, lo, np.maximum(lo, hi)
 
 
-def _match(images: list[ImageAnnotations], rows: list[list[Detection]],
-           include_invalid: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hcdr_counts(anns: AnnotationSet, dets: DetectionSet, adc: float) -> np.ndarray:
+    """Each image's HCDR count: its detections scoring strictly above adc,
+    a prefix of its score-sorted run; none for an image without
+    annotations, which has no IoU to take."""
+    above = np.zeros(len(dets.scores) + 1, np.int64)
+    np.cumsum(dets.scores > adc, out=above[1:])
+    counts = above[dets.offsets[1:]] - above[dets.offsets[:-1]]
+    return np.where(anns.offsets[1:] > anns.offsets[:-1], counts, 0)
+
+
+def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_invalid: bool
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each HCDR's IoU maxima against its image's annotations.
 
-    rows[i] is image i's HCDRs, empty when the image has no annotations.
-    Rows and annotation columns are laid out flat, image after image, and
-    IoU is computed only on each row's candidate run; every other cell is
-    exactly 0.  Returns, per row in (image, score) order: the max over all
-    columns; the max over eligible columns (valid ones only unless
-    include_invalid) and the global annotation index of its lowest column,
-    or of the image's first eligible column when that max is 0; and whether
-    the image has an eligible column at all.
+    dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
+    its detections.  IoU is computed only on each HCDR's candidate run;
+    every other cell is exactly 0.  Returns, per HCDR in (image, score)
+    order: the max over all annotations; the max over eligible ones (valid
+    ones only unless include_invalid) and the table row of its lowest
+    annotation, or of the image's first eligible one when that max is 0;
+    whether the image has an eligible annotation at all; and the HCDR's
+    row in the detection table.
     """
-    n_img = len(images)
-    n_faces = np.fromiter(map(len, (img.faces for img in images)), np.int64, count=n_img)
-    n_rows = np.fromiter(map(len, rows), np.int64, count=n_img)
-    ann_off = np.zeros(n_img + 1, dtype=np.int64)
-    np.cumsum(n_faces, out=ann_off[1:])
+    ann_off = anns.offsets
     n_ann = int(ann_off[-1])
-    ann_boxes = [f.box for img in images for f in img.faces]
-    det_boxes = [d.box for h in rows for d in h]
-    ax, aw = _coords(ann_boxes, "x"), _coords(ann_boxes, "w")
-    px, pw = _coords(det_boxes, "x"), _coords(det_boxes, "w")
-    order, lo, hi = _candidate_runs(n_faces, ax, aw, n_rows, px, pw)
-    # y is read after the search, so its arrays never meet the search's temporaries
-    ay, ah = _coords(ann_boxes, "y"), _coords(ann_boxes, "h")
-    py, ph = _coords(det_boxes, "y"), _coords(det_boxes, "h")
+    row_off = np.zeros(len(n_rows) + 1, np.int64)
+    np.cumsum(n_rows, out=row_off[1:])
+    hcdr = np.repeat(dets.offsets[:-1] - row_off[:-1], n_rows) + np.arange(row_off[-1])
+    ax, ay, aw, ah = anns.boxes.T
+    px, py, pw, ph = dets.boxes[hcdr].T
+    order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, n_rows, px, pw)
 
     if include_invalid:
         eligible = None
         first_col = ann_off[:-1]
     else:
-        eligible = np.fromiter((not f.invalid for img in images for f in img.faces),
-                               bool, count=n_ann)
+        eligible = anns.flags[:, 3] == 0
         valid_at = np.append(np.flatnonzero(eligible), n_ann)
         first_col = valid_at[np.searchsorted(valid_at, ann_off[:-1])]
     has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
@@ -213,78 +212,55 @@ def _match(images: list[ImageAnnotations], rows: list[list[Detection]],
             found = low < n_ann
             arg[hit[found]] = low[found]
         r0 = r1
-    return max_all, best, arg, has_eligible
+    return max_all, best, arg, has_eligible, hcdr
 
 
-def _calibrate(images: list[ImageAnnotations], rows: list[list[Detection]],
+def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
                cfg: CalibrationConfig
-               ) -> tuple[list[ImageAnnotations], list[MbpRecord], CalibrationCounters, np.ndarray]:
+               ) -> tuple[AnnotationSet, list[MbpRecord], CalibrationCounters, np.ndarray]:
     """The calibration kernel: one vectorised pass over the whole dataset.
 
-    rows[i] is image i's high-confidence detections in descending score
-    order, empty when the image has no annotations.  Returns the calibrated
-    images, the replacement records, the counters and each HCDR's max IoU
-    over all its image's annotations.
+    dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
+    its detections.  Returns the calibrated annotations, the replacement
+    records, the counters and each HCDR's max IoU over all its image's
+    annotations.
     """
-    max_all, best, arg, considered = _match(images, rows, cfg.include_invalid)
+    max_all, best, arg, considered, hcdr = _match(anns, dets, n_rows, cfg.include_invalid)
 
-    # claims never fall back, so the claimer of a column is the first
+    # claims never fall back, so the claimer of an annotation is the first
     # in-interval row in (image, score) order that points at it
     inside = np.flatnonzero(considered & (cfg.t_m <= best) & (best <= cfg.t_c))
     claimed = np.sort(inside[np.unique(arg[inside], return_index=True)[1]])
     n_considered = int(considered.sum())
     counters = CalibrationCounters(
-        images_processed=len(images),
+        images_processed=len(n_rows),
         hcdrs_considered=n_considered,
         skipped_out_of_interval=n_considered - len(inside),
         skipped_already_claimed=len(inside) - len(claimed),
     )
 
-    # map claimed rows and columns back to (image, detection, annotation)
-    n_rows = [len(h) for h in rows]
-    row_img = np.repeat(np.arange(len(images)), n_rows)[claimed]
-    row_off = np.cumsum([0] + n_rows)[row_img]
-    ann_off = np.cumsum([0] + [len(img.faces) for img in images])[row_img]
-    mbps: list[MbpRecord] = []
-    new_faces: dict[int, list[FaceAnnotation]] = {}
-    for i, j, k, iou in zip(row_img.tolist(), (claimed - row_off).tolist(),
-                            (arg[claimed] - ann_off).tolist(), best[claimed].tolist()):
-        img, det = images[i], rows[i][j]
-        face = img.faces[k]
-        mbps.append(MbpRecord(path=img.path, det_index=j, ann_index=k, iou=iou,
-                              score=det.score, old_box=face.box, new_box=det.box))
-        if i not in new_faces:
-            new_faces[i] = list(img.faces)
-        new_faces[i][k] = replace(face, box=det.box)
-    out = [ImageAnnotations(path=img.path, faces=new_faces[i]) if i in new_faces else img
-           for i, img in enumerate(images)]
-    return out, mbps, counters, max_all
+    img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
+    first_row = np.cumsum(n_rows) - n_rows
+    ann, det = arg[claimed], hcdr[claimed]
+    boxes = anns.boxes.copy()
+    boxes[ann] = dets.boxes[det]
+    paths = anns.paths
+    mbps = [MbpRecord(paths[i], j, k, v, s, BBox(*old), BBox(*new))
+            for i, j, k, v, s, old, new in zip(
+                img.tolist(), (claimed - first_row[img]).tolist(),
+                (ann - anns.offsets[img]).tolist(), best[claimed].tolist(),
+                dets.scores[det].tolist(), anns.boxes[ann].tolist(), dets.boxes[det].tolist())]
+    calibrated = AnnotationSet(paths=paths, offsets=anns.offsets, boxes=boxes, flags=anns.flags)
+    return calibrated, mbps, counters, max_all
 
 
-def calibrate_image(anns: ImageAnnotations, hcdrs: list[Detection],
-                    cfg: CalibrationConfig) -> tuple[ImageAnnotations, list[MbpRecord]]:
-    """Calibrate one image against its high-confidence detection prefix.
-
-    hcdrs must be sorted descending by score.  Matching runs entirely on the
-    original annotation geometry; box replacements are applied only after the
-    scan.  Annotation count, order, and attribute flags are preserved.
-    """
-    out, records, _, _ = _calibrate([anns], [hcdrs if anns.faces else []], cfg)
-    return out[0], records
-
-
-def _hcdr_rows(pairs: list[tuple[ImageAnnotations, ImageDetections]],
-               adc: float) -> list[list[Detection]]:
-    """Each image's HCDRs; none for an image without annotations, which has
-    no IoU to take."""
-    return [select_hcdrs(det_img, adc) if img.faces else [] for img, det_img in pairs]
-
-
-def hcdr_ious(pairs: list[tuple[ImageAnnotations, ImageDetections]], adc: float) -> np.ndarray:
+def hcdr_ious(anns: AnnotationSet, dets: DetectionSet, adc: float) -> np.ndarray:
     """Each HCDR's max IoU over all its image's annotations, in image order,
     then score order: the `CalibrationResult.hcdr_ious` of a calibration at
-    this threshold, without its claim scan."""
-    return _match([img for img, _ in pairs], _hcdr_rows(pairs, adc), include_invalid=True)[0]
+    this threshold, without its claim scan.  dets must be aligned to anns,
+    as `align(anns, dets)` returns them."""
+    check_aligned(anns, dets)
+    return _match(anns, dets, _hcdr_counts(anns, dets, adc), include_invalid=True)[0]
 
 
 def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
@@ -302,22 +278,22 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
     if cfg is None:
         cfg = CalibrationConfig()
     t0 = perf_counter()
-    if not anns.images:
+    if not anns.paths:
         log.warning("empty annotation set; nothing to calibrate")
-    pairs = align(anns, dets)
+    aligned = align(anns, dets)
 
     adc_result: AdcResult | None
     if cfg.adc_override is not None:
         adc_result = None
         effective_adc = cfg.adc_override
     else:
-        adc_result = compute_adc(pairs)
+        adc_result = compute_adc(anns, aligned)
         effective_adc = adc_result.value
 
-    images, mbps, counters, ious = _calibrate(
-        [img for img, _ in pairs], _hcdr_rows(pairs, effective_adc), cfg)
+    calibrated, mbps, counters, ious = _calibrate(
+        anns, aligned, _hcdr_counts(anns, aligned, effective_adc), cfg)
     return CalibrationResult(
-        calibrated=AnnotationSet(images=images),
+        calibrated=calibrated,
         mbps=mbps,
         counters=counters,
         wall_time=perf_counter() - t0,

@@ -173,10 +173,10 @@ def run_stats(args) -> int:
     CalibrationConfig(adc_override=args.adc)  # rejects a bad --adc before any input is read
     anns = load_wider_gt(args.gt)
     dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
-    pairs = align(anns, dets)
-    threshold = args.adc if args.adc is not None else compute_adc(pairs).value
+    dets = align(anns, dets)
+    threshold = args.adc if args.adc is not None else compute_adc(anns, dets).value
     # the calibration's IoU pass without its claim scan: one max per HCDR
-    hist = localization_histogram(hcdr_ious(pairs, threshold), edges=args.edges)
+    hist = localization_histogram(hcdr_ious(anns, dets, threshold), edges=args.edges)
     table = format_histogram_table(hist)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -188,7 +188,7 @@ def run_stats(args) -> int:
 def run_adc(args) -> int:
     anns = load_wider_gt(args.gt)
     dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
-    res = compute_adc(align(anns, dets))
+    res = compute_adc(anns, align(anns, dets))
     print(f"{res.value:.6f}")
     print(f"numerator={res.numerator!r} denominator={res.denominator} "
           f"images_used={res.images_used} shortfall_images={res.shortfall_images}")

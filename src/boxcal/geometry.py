@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box arithmetic: areas and IoU, scalar and vectorised.
+"""Axis-aligned bounding-box arithmetic: IoU, scalar and vectorised.
 
 Boxes are stored as (x, y, w, h) in pixel coordinates and treated as the
 continuous rectangle [x, x+w) x [y, y+h).  Boxes with w == 0 or h == 0 are
@@ -35,20 +35,17 @@ class BBox:
             raise ValueError(f"box width/height must be >= 0, got {self}")
 
 
-def area(b: BBox) -> float:
-    """Box area in pixels^2; 0 for degenerate boxes."""
-    return b.w * b.h
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
     Intersection uses half-open edge semantics:
     width = max(0, min(a.x+a.w, b.x+b.w) - max(a.x, b.x)), same for height.
     Returns 0.0 whenever the union has zero area, which covers every case
-    with a degenerate operand.  The ratio is capped at 1.0: for
-    near-identical boxes rounding can push it a few ulps past the true
-    value, and the contract is a value in [0, 1].
+    with a degenerate operand.  Where the two areas sum past the float
+    range, the ratio is taken with every term halved, which is exact for
+    normal floats and leaves every other result as it was.  The ratio is
+    capped at 1.0: for near-identical boxes rounding can push it a few ulps
+    past the true value, and the contract is a value in [0, 1].
     """
     iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
     if iw <= 0:
@@ -58,6 +55,8 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.w * a.h + b.w * b.h - inter
+    if union == math.inf:
+        inter, union = inter / 2, a.w * a.h / 2 + b.w * b.h / 2 - inter / 2
     if union <= 0:
         return 0.0
     return min(inter / union, 1.0)
@@ -82,9 +81,14 @@ def iou_cells(px: np.ndarray, py: np.ndarray, pw: np.ndarray, ph: np.ndarray,
     np.clip(ih, 0.0, None, out=ih)
     inter = iw
     inter *= ih
-    with np.errstate(over="ignore"):  # as in the scalar path, a huge union is inf
+    with np.errstate(over="ignore"):  # an overflowing union is redone below
         union = pw * ph + aw * ah
     union -= inter
+    over = np.isinf(union)
+    if over.any():  # as in the scalar path: every term halved
+        half = pw * ph / 2 + aw * ah / 2 - inter / 2
+        np.copyto(union, half, where=over)
+        np.copyto(inter, inter / 2, where=over)
 
     values = np.zeros_like(inter)
     np.divide(inter, union, out=values, where=union > 0)

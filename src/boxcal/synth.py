@@ -240,6 +240,9 @@ def _plain_iou(a: BBox, b: BBox) -> float:
         return 0.0
     overlap = ix * iy
     combined = a.w * a.h + b.w * b.h - overlap
+    if math.isinf(combined):
+        # the areas' sum overflowed: the same ratio from halves, each exact
+        overlap, combined = overlap / 2, a.w * a.h / 2 + b.w * b.h / 2 - overlap / 2
     if combined <= 0:
         return 0.0
     ratio = overlap / combined
@@ -251,11 +254,11 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
     """Reference calibration by exhaustive enumeration.
 
     Joins annotations to detections itself, raising ValueError for the
-    inputs calibrate_dataset rejects (a duplicate detection image path,
-    detections not sorted by descending score), recomputes the confidence
-    average with its own accumulator, filters high-confidence detections by
-    plain comparison instead of a prefix scan, and finds each detection's
-    best annotation with a quadratic loop over all pairs.  Claims resolve in
+    inputs calibrate_dataset rejects (a duplicate detection or annotation
+    image path, detections not sorted by descending score), recomputes the
+    confidence average with its own accumulator, filters high-confidence
+    detections by plain comparison instead of a prefix scan, and finds each
+    detection's best annotation with a quadratic loop over all pairs.  Claims resolve in
     descending-score order against an explicit taken-set.  Each strong
     detection's max IoU over all annotations (hcdr_ious) comes from a
     separate loop that ignores the candidate set.  Intended for
@@ -273,6 +276,11 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
         if any(later > earlier for earlier, later in zip(scores, scores[1:])):
             raise ValueError(f"detections for {det_img.path!r} are not sorted by descending score")
         by_path[det_img.path] = det_img.dets
+    ann_paths: set[str] = set()
+    for img in anns.images:
+        if img.path in ann_paths:
+            raise ValueError(f"duplicate annotation image path {img.path!r}")
+        ann_paths.add(img.path)
     joined = [(img, by_path.get(img.path, [])) for img in anns.images]
 
     adc_result: AdcResult | None

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxcal.adc import compute_adc, select_hcdrs
-from boxcal.formats import Detection, ImageAnnotations, ImageDetections
+from boxcal.adc import compute_adc as _compute_adc
+from boxcal.adc import select_hcdrs
+from boxcal.formats import AnnotationSet, Detection, DetectionSet, ImageAnnotations, ImageDetections
 from boxcal.geometry import BBox
 
 BOX = BBox(0, 0, 4, 4)
@@ -20,6 +21,12 @@ def _img(n_faces):
 
 def _dets(scores, path="x.jpg"):
     return ImageDetections(path=path, dets=[Detection(box=BOX, score=s) for s in scores])
+
+
+def compute_adc(pairs):
+    """compute_adc over (annotations, detections) pairs of one image each."""
+    return _compute_adc(AnnotationSet(images=[img for img, _ in pairs]),
+                        DetectionSet(images=[d for _, d in pairs]))
 
 
 def test_single_image_fixture():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcal.calibrate import (CalibrationConfig, calibrate_dataset, calibrate_image)
+from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox, iou
@@ -224,15 +224,6 @@ def test_config_validation():
         CalibrationConfig(adc_override=1.5)
     with pytest.raises(ValueError):
         CalibrationConfig(adc_override=-0.1)
-
-
-def test_calibrate_image_matches_dataset_path():
-    ann = _ann_img([BBox(0, 0, 10, 10)])
-    hcdrs = [_det(BBox(2, 0, 10, 10), 0.9)]
-    out, records = calibrate_image(ann, hcdrs, CFG)
-    res = _run_one(ann, hcdrs)
-    assert out == res.calibrated.images[0]
-    assert records == res.mbps
 
 
 def test_second_pass_is_not_idempotent_by_construction():

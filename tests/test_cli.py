@@ -6,15 +6,22 @@ stdout/stderr split are asserted directly; one subprocess test covers the
 """
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxcal
+import boxcal.formats
 from boxcal.cli import main
 from boxcal.formats import load_wider_gt
 
@@ -407,3 +414,104 @@ def test_module_entry_point(tmp_path):
     bare = subprocess.run([sys.executable, "-m", "boxcal.cli"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert bare.returncode == 1
+
+
+# --- pinned outputs, the columnar path, fuzzing ------------------------------
+
+NONCANONICAL = Path(__file__).parent / "data" / "noncanonical"
+
+
+@pytest.mark.parametrize("tag,extra", [("default", []),
+                                       ("fixed", ["--adc", "0.5", "--include-invalid", "false"])])
+def test_noncanonical_inputs_give_pinned_bytes(tmp_path, capsys, tag, extra):
+    # CRLF input with 1.0, 1.005, -0, 1e2, fractional, negative and
+    # out-of-range flags, a flag of 1e300, zero-face records with and without
+    # the dummy row, an out-of-range score and an image only in the
+    # detections; the expected files were written by the release before the
+    # columnar tables
+    report = tmp_path / "report.json"
+    rc = main(["calibrate", "--gt", str(NONCANONICAL / "gt.txt"),
+               "--dets", str(NONCANONICAL / "dets.txt"), "--out", str(tmp_path / "out.txt"),
+               "--report", str(report), "--mbp-export", str(tmp_path / "mbp.tsv"), *extra])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == (NONCANONICAL / "stderr.txt").read_text(encoding="utf-8").format(
+        dir=NONCANONICAL)
+    assert (tmp_path / "out.txt").read_bytes() == (NONCANONICAL / f"{tag}.out.txt").read_bytes()
+    assert (tmp_path / "mbp.tsv").read_bytes() == (NONCANONICAL / f"{tag}.mbp.tsv").read_bytes()
+    text, n = re.subn(r'  "wall_time_s": [^\n]*\n', "", report.read_text(encoding="utf-8"))
+    assert n == 1
+    assert text.encode("utf-8") == (NONCANONICAL / f"{tag}.report.json").read_bytes()
+
+
+def test_calibrate_and_stats_never_build_the_row_view(tmp_path, monkeypatch, capsys):
+    _synth(tmp_path, "--images", "30", "--faces", "0,4", "--distractors", "0,2")
+    _synth(tmp_path / "single", "--images", "30", "--faces", "0,4", "--single-file")
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} row view built")
+
+    monkeypatch.setattr(boxcal.formats.AnnotationSet, "_row_view", refuse)
+    monkeypatch.setattr(boxcal.formats.DetectionSet, "_row_view", refuse)
+    for gt, dets in ((tmp_path / "gt.txt", tmp_path / "detections"),
+                     (tmp_path / "single" / "gt.txt", tmp_path / "single" / "detections.txt")):
+        assert main(["calibrate", "--gt", str(gt), "--dets", str(dets),
+                     "--out", str(tmp_path / "out.txt"), "--report", str(tmp_path / "r.json"),
+                     "--mbp-export", str(tmp_path / "m.tsv")]) == 0
+        assert main(["calibrate", "--gt", str(gt), "--dets", str(dets), "--round-int",
+                     "--include-invalid", "false", "--out", str(tmp_path / "out.txt")]) == 0
+        assert main(["stats", "--gt", str(gt), "--dets", str(dets)]) == 0
+        assert main(["adc", "--gt", str(gt), "--dets", str(dets)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_VALID_TEXT = st.sampled_from([GT_TWO, DETS_TWO, GT_TWO + "b/y.jpg\n0\n",
+                               DETS_TWO.replace("\n", "\r\n")])
+_FUZZ_TEXT = st.one_of(
+    _VALID_TEXT, _VALID_TEXT,
+    st.text(max_size=40),
+    st.lists(st.sampled_from(["a/x.jpg", "b.jpg", "1", "2", "0", "-1", "x",
+                              "0 0 8 8 0 0 0 0 0 0", "20 20 8 8 0 0 0 0 0 0",
+                              "1 1 8 8 0.9", "20 20 8 8 0.7", "0 0 8 8 3 0 0 1 0 0",
+                              "0 0 8 8 nan", "1e400 0 1 1 0.5", ""]),
+             max_size=12).map("\n".join))
+_NUMBERS = st.sampled_from(["0", "0.5", "0.8", "1", "2", "-1", "nan", "1e400", "x"])
+_FILES = st.sampled_from(["GT", "DETS", "DETDIR", "OUT", "MISSING", "TMP", "OUT.json"])
+_FUZZ_OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["--tm", "--tc", "--adc", "--threads"]), _NUMBERS),
+    st.tuples(st.sampled_from(["--gt", "--dets", "--out", "--report", "--mbp-export"]), _FILES),
+    st.tuples(st.sampled_from(["--include-invalid"]), st.sampled_from(["true", "no", "maybe"])),
+    st.tuples(st.sampled_from(["--dets-format"]), st.sampled_from(["auto", "dir", "file", "x"])),
+    st.tuples(st.sampled_from(["--image-ext"]), st.sampled_from([".jpg", ".png", ""])),
+    st.tuples(st.sampled_from(["--edges"]), st.sampled_from(["0.5,0.9", "0.9,0.5", "0,1", "x"])),
+    st.tuples(st.sampled_from(["--round-int", "--predictor=p", "--help", "--bogus", "x"])),
+    st.tuples(_FILES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["calibrate", "stats", "adc", "diff", "nope"]),
+       options=st.lists(_FUZZ_OPTIONS, max_size=3), verbose=st.booleans(),
+       required=st.sampled_from([True, True, True, False]), gt_text=_FUZZ_TEXT,
+       dets_text=_FUZZ_TEXT)
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(command, options, verbose, required,
+                                                   gt_text, dets_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "gt.txt").write_text(gt_text, encoding="utf-8")
+        (root / "dets.txt").write_text(dets_text, encoding="utf-8")
+        (root / "detdir" / "a").mkdir(parents=True)
+        (root / "detdir" / "a" / "x.txt").write_text(dets_text, encoding="utf-8")
+        names = {"GT": root / "gt.txt", "DETS": root / "dets.txt", "DETDIR": root / "detdir",
+                 "OUT": root / "out.txt", "MISSING": root / "missing.txt", "TMP": root,
+                 "OUT.json": root / "out.json"}
+        if required:  # the arguments the command needs, first
+            options = {"calibrate": [("--gt", "GT", "--dets", "DETS", "--out", "OUT")],
+                       "stats": [("--gt", "GT", "--dets", "DETDIR")],
+                       "adc": [("--gt", "GT", "--dets", "DETS")],
+                       "diff": [("GT", "GT")]}.get(command, []) + options
+        argv = ["-v"] * verbose + [command] + [str(names.get(w, w)) for o in options for w in o]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

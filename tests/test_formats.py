@@ -246,10 +246,10 @@ def test_align_pairs_in_annotation_order(caplog):
         ImageDetections(path="b.jpg", dets=[Detection(box=BBox(0, 0, 1, 1), score=0.5)]),
     ])
     with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
-        pairs = align(anns, dets)
-    assert [img.path for img, _ in pairs] == ["a.jpg", "b.jpg"]
-    assert pairs[0][1].dets == []            # a.jpg had no detections
-    assert len(pairs[1][1].dets) == 1
+        aligned = align(anns, dets)
+    assert aligned.paths == ["a.jpg", "b.jpg"]
+    assert aligned.images[0].dets == []      # a.jpg had no detections
+    assert len(aligned.images[1].dets) == 1
     messages = " ".join(rec.message for rec in caplog.records)
     assert "no detections" in messages and "ignored" in messages
 
@@ -402,3 +402,175 @@ def test_fuzz_bytes_parse_or_raise_parse_error(tmp_path, data):
         load_detections(gt, layout="file")
     with suppress(ParseError):
         parse_detections_dir(root)
+
+
+# --- the columnar tables -------------------------------------------------------
+
+def test_tables_and_row_views():
+    parsed = parse_wider_gt(GT_SAMPLE)
+    assert parsed.paths == ["a/img1.jpg", "b/img2.jpg"]
+    assert parsed.offsets.tolist() == [0, 2, 3]
+    assert parsed.boxes.tolist() == [[10, 20, 30, 40], [5, 5, 12, 18], [0, 0, 10.5, 10]]
+    assert parsed.flags.tolist()[1] == [2, 1, 0, 1, 2, 1]
+    assert parsed.images is parsed.images                # the row view is built once
+    faces = [FaceAnnotation(box=BBox(10, 20, 30, 40)),
+             FaceAnnotation(box=BBox(5, 5, 12, 18), blur=2, expression=1, invalid=1,
+                            occlusion=2, pose=1)]
+    images = [ImageAnnotations("a/img1.jpg", faces),
+              ImageAnnotations("b/img2.jpg", [FaceAnnotation(box=BBox(0, 0, 10.5, 10))])]
+    built = AnnotationSet(images=images)
+    assert built.images == images and built.images[0] is images[0]  # objects are kept
+    assert built == parsed and parsed.images == images                # == compares tables
+    moved = AnnotationSet(paths=parsed.paths, offsets=parsed.offsets,
+                          boxes=parsed.boxes + 1, flags=parsed.flags)
+    assert moved != parsed
+    with pytest.raises(ValueError):
+        parsed.boxes[0, 0] = 1.0                                       # tables are read-only
+    with pytest.raises(ValueError, match="offsets"):
+        AnnotationSet(paths=["a.jpg"], offsets=[0, 2, 3], boxes=parsed.boxes, flags=parsed.flags)
+    dets = parse_detections_file("b.jpg\n2\n1 1 2 2 0.25\n3 3 2 2 0.75\na.jpg\n0\n")
+    assert dets.paths == ["b.jpg", "a.jpg"] and dets.offsets.tolist() == [0, 2, 2]
+    assert dets.scores.tolist() == [0.75, 0.25] and dets.boxes[0].tolist() == [3, 3, 2, 2]
+
+
+def test_align_reindexes_the_detection_table():
+    anns = parse_wider_gt("a.jpg\n0\nb.jpg\n1\n0 0 4 4 0 0 0 0 0 0\nc.jpg\n0\n")
+    dets = parse_detections_file("c.jpg\n1\n5 5 1 1 0.5\nghost.jpg\n1\n0 0 1 1 0.9\n"
+                                 "b.jpg\n2\n1 1 1 1 0.25\n2 2 1 1 0.75\n")
+    aligned = align(anns, dets)
+    assert aligned.paths == anns.paths
+    assert aligned.offsets.tolist() == [0, 0, 2, 3]               # a.jpg gets an empty run
+    assert aligned.scores.tolist() == [0.75, 0.25, 0.5]
+    assert aligned.boxes.tolist() == [[2, 2, 1, 1], [1, 1, 1, 1], [5, 5, 1, 1]]
+
+
+def test_align_rejects_duplicate_annotation_paths():
+    anns = AnnotationSet(images=[ImageAnnotations(path="a.jpg"), ImageAnnotations(path="b.jpg"),
+                                 ImageAnnotations(path="a.jpg")])
+    with pytest.raises(ValueError, match="duplicate annotation image path 'a.jpg'"):
+        align(anns, DetectionSet(images=[]))
+
+
+def test_flag_beyond_int64_round_trips(caplog):
+    text = "a.jpg\n1\n0 0 1 1 1e300 0 0 0 -2.5 0\n"
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        s = parse_wider_gt(text, name="gt.txt")
+    assert [r.getMessage() for r in caplog.records] == [
+        "gt.txt:3: blur flag 1e+300 outside documented range [0, 2]",
+        "gt.txt:3: occlusion flag -2.5 outside documented range [0, 2]"]
+    assert s.images[0].faces[0].blur == int(1e300)
+    assert _write(s) == f"a.jpg\n1\n0 0 1 1 {int(1e300)} 0 0 0 -2 0\n"
+
+
+def test_detection_dir_walk_orders_by_path_parts(tmp_path):
+    # Path order compares part by part: a/x.txt before a-b/x.txt, although
+    # the string "a-b/x.txt" sorts before "a/x.txt"
+    for rel in ["a-b/x.txt", "a/x.txt", "a/b/y.txt", "a/c.txt", "ab.txt", "a0/z.txt",
+                "a/skip.TXT", "a/notes.md"]:
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("n\n1\n0 0 1 1 0.5\n", encoding="utf-8")
+    (tmp_path / "b").symlink_to(tmp_path / "a", target_is_directory=True)  # not followed
+    paths = parse_detections_dir(tmp_path).paths
+    assert paths == ["a/b/y.jpg", "a/c.jpg", "a/x.jpg", "a-b/x.jpg", "a0/z.jpg", "ab.jpg"]
+    assert paths == [p.relative_to(tmp_path).as_posix()[:-4] + ".jpg"
+                     for p in sorted(tmp_path.rglob("*.txt"))]
+
+
+def test_detection_dir_reports_the_first_fault_in_file_order(tmp_path, caplog):
+    # a.txt's bad row comes before b.txt's bad count and c.txt's bad byte
+    (tmp_path / "a.txt").write_text("a\n2\n0 0 1 1 1.5\n0 0 1 1 x\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("b\nmany\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_bytes(b"c\xff\n0\n")
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        with pytest.raises(ParseError) as exc:
+            parse_detections_dir(tmp_path)
+    a = tmp_path / "a.txt"
+    assert str(exc.value) == f"{a}:4: non-numeric field in ['0', '0', '1', '1', 'x']"
+    assert [r.getMessage() for r in caplog.records] == [f"{a}:3: score 1.5 outside [0, 1]"]
+
+
+# Differential: the bulk parse against the row walker.  Files shaped like
+# records, mostly valid, with the tokens whose float conversion is unusual
+# (underscores, non-ASCII digits, overflow), out-of-range flags and scores,
+# broken counts and field counts, repeated names, zero-face dummies, blank
+# lines and all three line ends.  The row walker is forced by making the
+# bulk conversion report a failure.
+_CLEAN_TOKENS = st.one_of(
+    st.integers(min_value=0, max_value=30).map(str),
+    st.sampled_from(["-0", "-1", "0.5", "1.005", "1e2", "12.25", "1_0", "١٢", "1e300"]))
+_BAD_TOKENS = st.sampled_from(["1e308", "1e400", "-1e400", "nan", "-inf", "0x1", "x"])
+
+
+@st.composite
+def _record_files(draw, fields):
+    """(line ending, records): records are lists of lines, one record each."""
+    records = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        rows = []
+        for n in draw(st.lists(st.sampled_from([fields] * 12 + [fields - 1, fields + 1]),
+                               max_size=3)):
+            tokens = draw(st.lists(_CLEAN_TOKENS, min_size=n, max_size=n))
+            if tokens and draw(st.integers(0, 5)) == 0:  # one bad token in a row
+                tokens[draw(st.integers(0, n - 1))] = draw(_BAD_TOKENS)
+            rows.append(" ".join(tokens))
+        name = "r0.jpg" if i and draw(st.integers(0, 9)) == 0 else f"r{i}.jpg"
+        count = draw(st.sampled_from([str(len(rows))] * 12 + [str(len(rows) + 1), "x", "-1"]))
+        lines = [name, count] + rows
+        if fields == 10 and not rows and draw(st.booleans()):
+            lines.append("0 0 0 0 0 0 0 0 0 0")
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        records.append(lines)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])), records
+
+
+def _parse_outcome(parse, arg, caplog, walk_only):
+    """(table columns or None, ParseError text or None, warnings, whether
+    the row walker ran)."""
+    import boxcal.formats as formats
+    walked = []
+    real_walk = formats._walk
+
+    def walk(*args):
+        walked.append(True)
+        return real_walk(*args)
+
+    caplog.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_walk", walk)
+        if walk_only:
+            mp.setattr(formats, "_bulk", lambda records, fields: None)
+        try:
+            table = parse(arg)
+            cols = (table.paths, table.offsets.tobytes(),
+                    *(getattr(table, name).tobytes() for name, _ in table._COLUMNS))
+            error = None
+        except ParseError as exc:
+            cols, error = None, str(exc)
+    return cols, error, [(r.levelname, r.getMessage()) for r in caplog.records], bool(walked)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(gt=_record_files(10), dets=_record_files(5))
+def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, gt, dets):
+    def text(case):
+        newline, records = case
+        return newline.join(line for lines in records for line in lines) + newline
+
+    root = tmp_path / "dets"
+    root.mkdir(exist_ok=True)
+    for old in root.iterdir():
+        old.unlink()
+    for i, lines in enumerate(dets[1]):
+        (root / f"{i:02d}.txt").write_text(dets[0].join(lines) + dets[0], encoding="utf-8",
+                                           newline="")
+    cases = [(lambda t: parse_wider_gt(t, name="gt.txt"), text(gt)),
+             (lambda t: parse_detections_file(t, name="d.txt"), text(dets)),
+             (parse_detections_dir, root)]
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        for parse, arg in cases:
+            bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
+            walker = _parse_outcome(parse, arg, caplog, walk_only=True)
+            assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
+            assert bulk[3] == (walker[1] is not None)  # the bulk path rejects what the walker does

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
-from boxcal.geometry import BBox, area, iou, iou_cells
+from boxcal.geometry import BBox, iou, iou_cells
 from boxcal.synth import oracle_calibrate
 
 # Coordinate bounds keep float cancellation far below the 1e-9 tolerances:
@@ -52,7 +52,6 @@ def test_degenerate_boxes():
     assert iou(a, BBox(5, 5, 0, 4)) == 0.0   # zero width, inside a
     assert iou(a, BBox(5, 5, 4, 0)) == 0.0   # zero height
     assert iou(BBox(0, 0, 0, 0), BBox(0, 0, 0, 0)) == 0.0  # union is empty
-    assert area(BBox(1, 1, 0, 5)) == 0.0
 
 
 def test_bbox_rejects_bad_fields():
@@ -74,8 +73,12 @@ def test_bbox_rejects_bad_fields():
 def test_iou_paths_agree_on_boxes_near_the_float_limit():
     pairs = [(BBox(1e308, 0, 7e307, 1), BBox(1e308, 0, 7e307, 0.7)),      # IoU 0.7
              (BBox(-1.7e308, 0, 1.7e308, 0.5), BBox(-1.7e308, 0, 1.7e308, 0.25)),
-             (BBox(0, 0, 1e308, 1.5), BBox(0, 0, 1e308, 1.5)),          # union overflows
-             (BBox(1.7e308, 0, 1e291, 1), BBox(1.7e308, 0, 1e291, 1))]  # x + w == x
+             (BBox(1.7e308, 0, 1e291, 1), BBox(1.7e308, 0, 1e291, 1)),  # x + w == x
+             # the two areas sum past the float range: the union is redone in halves
+             (BBox(0, 0, 1e308, 1.5), BBox(0, 0, 1e308, 1.5)),
+             (BBox(0, 0, 1e308, 1.5), BBox(0, 0, 1e308, 1.2)),
+             (BBox(0, 0, 1e308, 1.5), BBox(5e307, 0, 1e308, 1.5)),
+             (BBox(0, 0, 1e308, 1.5), BBox(0, 0.5, 1e308, 1.5))]
     for ann, det in pairs:
         scalar = iou(det, ann)
         cells = iou_cells(*_columns([det]), *_columns([ann]))
@@ -86,8 +89,14 @@ def test_iou_paths_agree_on_boxes_near_the_float_limit():
         assert 0.0 <= scalar <= 1.0
         assert cells.tolist() == fast.hcdr_ious.tolist() == slow.hcdr_ious.tolist() == [scalar]
         assert fast.calibrated == slow.calibrated and fast.mbps == slow.mbps
-    # the last two only agree: an inf union or a zero-width box gives 0
+    # a zero-width intersection gives 0; the overflowing unions give the true ratios
     assert [iou(*p) for p in pairs[:2]] == pytest.approx([0.7, 0.5])
+    assert iou(*pairs[2]) == 0.0
+    assert iou(*pairs[3]) == 1.0
+    assert [iou(*p) for p in pairs[4:]] == pytest.approx([0.8, 1 / 3, 0.5], abs=1e-15)
+    # cells that do not overflow are bit-identical to the unhalved arithmetic
+    a, b = BBox(0, 0, 10, 10), BBox(5, 0, 10, 10)
+    assert iou(a, b) == 50.0 / (100.0 + 100.0 - 50.0)
 
 
 @given(boxes(), boxes())

@@ -284,12 +284,16 @@ def test_fast_path_and_oracle_reject_the_same_inputs():
         Detection(box=BBox(0, 0, 10, 7), score=0.9)])])
     twice = DetectionSet(images=[ImageDetections(
         path="x.jpg", dets=[Detection(box=BBox(0, 0, 10, 7), score=0.9)])] * 2)
+    # a second x.jpg among the annotations: one claim or two
+    anns_twice = AnnotationSet(images=anns.images * 2)
     cfg = CalibrationConfig(adc_override=0.5)
     for impl in (calibrate_dataset, oracle_calibrate):
         with pytest.raises(ValueError, match="'x.jpg' are not sorted"):
             impl(anns, unsorted, cfg)
         with pytest.raises(ValueError, match="duplicate detection image path 'x.jpg'"):
             impl(anns, twice, cfg)
+        with pytest.raises(ValueError, match="duplicate annotation image path 'x.jpg'"):
+            impl(anns_twice, DetectionSet(images=twice.images[:1]), cfg)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 100])
