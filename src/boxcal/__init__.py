@@ -8,9 +8,9 @@ its detection's box.  Reporting, a synthetic-data harness, and a brute-force
 reference implementation round out the toolkit.
 """
 
-from .adc import AdcResult, compute_adc, select_hcdrs
+from .adc import AdcResult, compute_adc
 from .calibrate import (CalibrationConfig, CalibrationCounters, CalibrationResult,
-                        MbpRecord, calibrate_dataset)
+                        ClaimTable, MbpRecord, calibrate_dataset)
 from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                       ImageAnnotations, ImageDetections, ParseError, align,
                       format_coord, load_detections, load_wider_gt,
@@ -18,7 +18,7 @@ from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                       save_wider_gt, write_detections_dir, write_detections_file,
                       write_wider_gt)
 from .geometry import BBox, iou
-from .report import (HistogramBin, LocalizationHistogram, LossDeltaRecord, diou_loss,
+from .report import (HistogramBin, LocalizationHistogram, LossDeltas, diou_loss,
                      format_histogram_table, localization_histogram,
                      loss_delta_report, mbp_export, summary_line, write_report)
 from .synth import (PerturbEntry, PerturbLedger, SynthSpec, emit_detections,
@@ -27,9 +27,9 @@ from .synth import (PerturbEntry, PerturbLedger, SynthSpec, emit_detections,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdcResult", "compute_adc", "select_hcdrs",
+    "AdcResult", "compute_adc",
     "CalibrationConfig", "CalibrationCounters", "CalibrationResult",
-    "MbpRecord", "calibrate_dataset",
+    "ClaimTable", "MbpRecord", "calibrate_dataset",
     "AnnotationSet", "Detection", "DetectionSet", "FaceAnnotation",
     "ImageAnnotations", "ImageDetections", "ParseError", "align",
     "format_coord", "load_detections", "load_wider_gt",
@@ -37,7 +37,7 @@ __all__ = [
     "save_wider_gt", "write_detections_dir", "write_detections_file",
     "write_wider_gt",
     "BBox", "iou",
-    "HistogramBin", "LocalizationHistogram", "LossDeltaRecord", "diou_loss",
+    "HistogramBin", "LocalizationHistogram", "LossDeltas", "diou_loss",
     "format_histogram_table", "localization_histogram", "loss_delta_report",
     "mbp_export", "summary_line", "write_report",
     "PerturbEntry", "PerturbLedger", "SynthSpec", "emit_detections",

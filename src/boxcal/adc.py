@@ -1,4 +1,4 @@
-"""Dataset-level average detection confidence and per-image high-confidence prefixes.
+"""Dataset-level average detection confidence.
 
 The average is the global ratio of summed scores to the number of scores
 used, where each image contributes its top min(K_a, K_p) detection scores
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import AnnotationSet, Detection, DetectionSet, ImageDetections, check_aligned
+from .formats import AnnotationSet, DetectionSet, check_aligned
 
 log = logging.getLogger(__name__)
 
@@ -58,18 +58,3 @@ def compute_adc(anns: AnnotationSet, dets: DetectionSet) -> AdcResult:
     numerator = float(np.cumsum(dets.scores[rows])[-1]) + 0.0
     return AdcResult(numerator / denominator, numerator, denominator,
                      int(np.count_nonzero(used)), shortfall)
-
-
-def select_hcdrs(dets: ImageDetections, adc: float) -> list[Detection]:
-    """Longest prefix of the score-sorted detections with every score > adc.
-
-    Scanning stops at the first score <= adc, mirroring the calibration
-    procedure's early exit; with a descending list that is exactly the set
-    of strictly-greater scores.
-    """
-    out: list[Detection] = []
-    for det in dets.dets:
-        if det.score <= adc:
-            break
-        out.append(det)
-    return out

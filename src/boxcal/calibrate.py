@@ -25,8 +25,9 @@ columnar tables the parsers build: `align` reindexes the detection table to
 the annotation images, step 1 is a per-image count of scores above the
 threshold, candidate pairs are scored in runs of HCDRs under a fixed pair
 budget, step 3 is a single `np.unique` over annotation rows, and step 4 is
-one indexed assignment into a copy of the box column.  Only the claims
-become objects, one `MbpRecord` each.
+one indexed assignment into a copy of the box column.  The claims come out
+as columns too, a `ClaimTable`; their `MbpRecord` objects are a row view,
+built only when something reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -37,13 +38,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
+from typing import Iterable
 
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import AnnotationSet, DetectionSet, align, check_aligned
-from .geometry import BBox, iou_cells
+from .formats import AnnotationSet, DetectionSet, _frozen, align, check_aligned
+from .geometry import BBox, check_boxes, iou_cells
 
 log = logging.getLogger(__name__)
 
@@ -80,6 +83,82 @@ class MbpRecord:
     new_box: BBox
 
 
+def _column(k: int, doc: str) -> property:
+    return property(lambda self: self._columns()[k], doc=doc)
+
+
+class ClaimTable:
+    """The replaced annotations, one row per claim, in image order, then
+    score order.
+
+    Built either from the columns or from records (`ClaimTable(records)`,
+    as `oracle_calibrate` makes them); each form is derived from the other
+    at most once, on first use, and a table built from records keeps them
+    as its `records`.  The columns are read-only.
+    """
+
+    __slots__ = ("_records", "_cols")
+    _COLUMNS = (("image", np.int64, ()), ("det_index", np.int64, ()),
+                ("ann_index", np.int64, ()), ("iou", np.float64, ()), ("score", np.float64, ()),
+                ("old_boxes", np.float64, (4,)), ("new_boxes", np.float64, (4,)))
+
+    def __init__(self, records: Iterable[MbpRecord] | None = None, *,
+                 paths: list[str] | None = None, **columns) -> None:
+        if paths is None:
+            if columns:
+                raise TypeError("claim columns need paths")
+            self._records = [] if records is None else list(records)
+            self._cols = None
+            return
+        if records is not None:
+            raise TypeError("pass records or the claim columns, not both")
+        if set(columns) != {name for name, _, _ in self._COLUMNS}:
+            raise TypeError(f"claim columns are paths and "
+                            f"{', '.join(name for name, _, _ in self._COLUMNS)}")
+        n = len(columns["image"])
+        self._records = None
+        self._cols = (paths, *(_frozen(columns[name], dtype, (n, *shape))
+                               for name, dtype, shape in self._COLUMNS))
+
+    paths = _column(0, "the image paths that `image` indexes")
+    image = _column(1, "int64 (n,): each claim's image, a position in `paths`")
+    det_index = _column(2, "int64 (n,): the claiming detection's position in its "
+                           "image's score-sorted detections")
+    ann_index = _column(3, "int64 (n,): the claimed annotation's position in its image")
+    iou = _column(4, "float64 (n,): the detection's max IoU against the original annotations")
+    score = _column(5, "float64 (n,): the detection's score")
+    old_boxes = _column(6, "float64 (n, 4): the annotation box replaced, x y w h")
+    new_boxes = _column(7, "float64 (n, 4): the detection box put in its place")
+
+    def __len__(self) -> int:
+        return len(self._records) if self._cols is None else len(self._cols[1])
+
+    @property
+    def records(self) -> list[MbpRecord]:
+        """The row view: one MbpRecord per claim."""
+        if self._records is None:
+            paths, image, det, ann, ious, scores, old, new = self._cols
+            self._records = [MbpRecord(paths[i], j, k, v, s, BBox(*o), BBox(*b))
+                             for i, j, k, v, s, o, b in zip(
+                                 image.tolist(), det.tolist(), ann.tolist(), ious.tolist(),
+                                 scores.tolist(), old.tolist(), new.tolist())]
+        return self._records
+
+    def _columns(self) -> tuple:
+        if self._cols is None:
+            recs = self._records
+            paths = list(dict.fromkeys(r.path for r in recs))
+            where = {p: i for i, p in enumerate(paths)}
+            xywh = attrgetter("x", "y", "w", "h")
+            self._cols = ClaimTable(
+                paths=paths, image=[where[r.path] for r in recs],
+                det_index=[r.det_index for r in recs], ann_index=[r.ann_index for r in recs],
+                iou=[r.iou for r in recs], score=[r.score for r in recs],
+                old_boxes=[xywh(r.old_box) for r in recs],
+                new_boxes=[xywh(r.new_box) for r in recs])._cols
+        return self._cols
+
+
 @dataclass(slots=True)
 class CalibrationCounters:
     images_processed: int = 0
@@ -91,7 +170,7 @@ class CalibrationCounters:
 @dataclass(frozen=True)
 class CalibrationResult:
     calibrated: AnnotationSet
-    mbps: list[MbpRecord]
+    claims: ClaimTable
     counters: CalibrationCounters
     wall_time: float
     effective_adc: float
@@ -101,6 +180,11 @@ class CalibrationResult:
     hcdr_ious: np.ndarray
     adc: AdcResult | None = None  # None when the threshold was overridden
     config: CalibrationConfig = field(default_factory=CalibrationConfig)
+
+    @property
+    def mbps(self) -> list[MbpRecord]:
+        """The claims' row view, one MbpRecord per claim."""
+        return self.claims.records
 
 
 # Candidate pairs are scored in runs of consecutive HCDRs holding at most
@@ -217,13 +301,14 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
 
 def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
                cfg: CalibrationConfig
-               ) -> tuple[AnnotationSet, list[MbpRecord], CalibrationCounters, np.ndarray]:
+               ) -> tuple[AnnotationSet, ClaimTable, CalibrationCounters, np.ndarray]:
     """The calibration kernel: one vectorised pass over the whole dataset.
 
     dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
-    its detections.  Returns the calibrated annotations, the replacement
-    records, the counters and each HCDR's max IoU over all its image's
-    annotations.
+    its detections.  Returns the calibrated annotations, the claims, the
+    counters and each HCDR's max IoU over all its image's annotations.
+    Raises BBox's ValueError when a claim's old or new box is not a valid
+    BBox, which only a table built by hand can hold.
     """
     max_all, best, arg, considered, hcdr = _match(anns, dets, n_rows, cfg.include_invalid)
 
@@ -242,16 +327,16 @@ def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
     img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
     first_row = np.cumsum(n_rows) - n_rows
     ann, det = arg[claimed], hcdr[claimed]
+    old_boxes, new_boxes = anns.boxes[ann], dets.boxes[det]
+    check_boxes(np.hstack((old_boxes, new_boxes)).reshape(-1, 4))  # old, then new, per claim
     boxes = anns.boxes.copy()
-    boxes[ann] = dets.boxes[det]
-    paths = anns.paths
-    mbps = [MbpRecord(paths[i], j, k, v, s, BBox(*old), BBox(*new))
-            for i, j, k, v, s, old, new in zip(
-                img.tolist(), (claimed - first_row[img]).tolist(),
-                (ann - anns.offsets[img]).tolist(), best[claimed].tolist(),
-                dets.scores[det].tolist(), anns.boxes[ann].tolist(), dets.boxes[det].tolist())]
-    calibrated = AnnotationSet(paths=paths, offsets=anns.offsets, boxes=boxes, flags=anns.flags)
-    return calibrated, mbps, counters, max_all
+    boxes[ann] = new_boxes
+    claims = ClaimTable(paths=anns.paths, image=img, det_index=claimed - first_row[img],
+                        ann_index=ann - anns.offsets[img], iou=best[claimed],
+                        score=dets.scores[det], old_boxes=old_boxes, new_boxes=new_boxes)
+    calibrated = AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=boxes,
+                               flags=anns.flags)
+    return calibrated, claims, counters, max_all
 
 
 def hcdr_ious(anns: AnnotationSet, dets: DetectionSet, adc: float) -> np.ndarray:
@@ -290,11 +375,11 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
         adc_result = compute_adc(anns, aligned)
         effective_adc = adc_result.value
 
-    calibrated, mbps, counters, ious = _calibrate(
+    calibrated, claims, counters, ious = _calibrate(
         anns, aligned, _hcdr_counts(anns, aligned, effective_adc), cfg)
     return CalibrationResult(
         calibrated=calibrated,
-        mbps=mbps,
+        claims=claims,
         counters=counters,
         wall_time=perf_counter() - t0,
         effective_adc=effective_adc,

@@ -163,7 +163,7 @@ def run_calibrate(args) -> int:
     if args.mbp_export:
         fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
         with open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
-            mbp_export(result.mbps, fh, fmt=fmt)
+            mbp_export(result.claims, fh, fmt=fmt)
     print(summary_line(result, predictor=args.predictor))
     return 0
 

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, valid_boxes
 
 log = logging.getLogger(__name__)
 
@@ -392,11 +392,7 @@ def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
                 map(float, chain.from_iterable(split)), np.float64, count=len(split) * fields)
         except ValueError:
             return None
-    x, y, w, h = values[:, :4].T
-    with np.errstate(over="ignore", invalid="ignore"):
-        # BBox's conditions: finite far edges and area, non-negative size
-        ok = (np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h)
-              & (w >= 0) & (h >= 0)).all() and np.isfinite(values[:, 4:]).all()
+    ok = valid_boxes(values[:, :4]).all() and np.isfinite(values[:, 4:]).all()
     return values if ok else None
 
 
@@ -512,14 +508,26 @@ def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
                          boxes=values[:, :4].copy(), flags=np.trunc(values[:, 4:]))
 
 
+def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
+    """The first image with a row scoring higher than the row before it,
+    or None when every image's rows are in descending score order."""
+    rising = scores[1:] > scores[:-1]
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < len(scores))] - 1] = False  # pairs across images
+    first = np.flatnonzero(rising)[:1]
+    return int(np.searchsorted(offsets, first[0], side="right")) - 1 if first.size else None
+
+
 def _detections(records: list[_Record], values: np.ndarray) -> DetectionSet:
     """The detection table, each image's rows sorted by descending score;
-    the sort is stable, so equal scores keep file order."""
-    counts = [n for *_, n in records]
-    image = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((-values[:, 4], image))
-    return DetectionSet(paths=[name for _, _, name, _, _ in records], offsets=_offsets(counts),
-                        boxes=values[order, :4], scores=values[order, 4])
+    the sort is stable, so equal scores keep file order.  Files already in
+    that order, as boxcal writes them, are not sorted again."""
+    offsets = _offsets([n for *_, n in records])
+    if _first_unsorted(offsets, values[:, 4]) is not None:
+        image = np.repeat(np.arange(len(records)), np.diff(offsets))
+        values = values[np.lexsort((-values[:, 4], image))]
+    return DetectionSet(paths=[name for _, _, name, _, _ in records], offsets=offsets,
+                        boxes=values[:, :4], scores=values[:, 4])
 
 
 def _file_records(lines: list[str], source: str, noun: str,
@@ -749,13 +757,7 @@ def align(anns: AnnotationSet, dets: DetectionSet) -> DetectionSet:
     """
     paths, offsets, scores = dets.paths, dets.offsets, dets.scores
     dup = _first_duplicate(paths)
-    # pairs of neighbouring rows in one image whose later score is higher
-    rising = scores[1:] > scores[:-1]
-    starts = offsets[1:-1]
-    rising[starts[(starts > 0) & (starts < len(scores))] - 1] = False
-    first_rise = np.flatnonzero(rising)[:1]
-    unsorted = (int(np.searchsorted(offsets, first_rise[0], side="right")) - 1
-                if first_rise.size else None)
+    unsorted = _first_unsorted(offsets, scores)
     if dup is not None and (unsorted is None or dup <= unsorted):
         raise ValueError(f"duplicate detection image path {paths[dup]!r}")
     if unsorted is not None:

@@ -35,6 +35,23 @@ class BBox:
             raise ValueError(f"box width/height must be >= 0, got {self}")
 
 
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """BBox's conditions on each x y w h row of boxes (N, 4): finite far
+    edges and area, non-negative width and height."""
+    x, y, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h)
+                & (w >= 0) & (h >= 0))
+
+
+def check_boxes(boxes: np.ndarray) -> None:
+    """Raise BBox's ValueError for the first row of boxes (N, 4) that is
+    not a valid BBox."""
+    bad = np.flatnonzero(~valid_boxes(boxes))
+    if bad.size:
+        BBox(*boxes[bad[0]].tolist())
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
@@ -73,10 +90,11 @@ def iou_cells(px: np.ndarray, py: np.ndarray, pw: np.ndarray, ph: np.ndarray,
     operations, same order, IEEE double throughout), so each cell is
     bit-identical to the scalar result.
     """
-    iw = np.minimum(px + pw, ax + aw)
-    iw -= np.maximum(px, ax)
-    ih = np.minimum(py + ph, ay + ah)
-    ih -= np.maximum(py, ay)
+    with np.errstate(over="ignore"):  # boxes far apart: -inf, clipped to 0 below
+        iw = np.minimum(px + pw, ax + aw)
+        iw -= np.maximum(px, ax)
+        ih = np.minimum(py + ph, ay + ah)
+        ih -= np.maximum(py, ay)
     np.clip(iw, 0.0, None, out=iw)
     np.clip(ih, 0.0, None, out=ih)
     inter = iw

@@ -18,14 +18,15 @@ old box.  The report header carries this note.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .calibrate import CalibrationResult, MbpRecord
-from .geometry import BBox, iou
+from .calibrate import CalibrationResult, ClaimTable
+from .geometry import BBox, iou, iou_cells
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -95,58 +96,101 @@ def localization_histogram(ious: ArrayLike,
     return LocalizationHistogram(bins=bins, aggregates=aggregates, total=total)
 
 
+# Where a square overflows, DIoU's terms are taken again with every length
+# scaled by this power of two.  A length (at most a far edge minus a near
+# edge) is below 2**1025, so scaled it is below 2**511 and a sum of two
+# squares stays below 2**1023; scaling is exact down to the subnormals.
+_DIOU_SCALE = math.ldexp(1.0, -514)
+
+
+def _diou_terms(px, py, pw, ph, tx, ty, tw, th, hi=max, lo=min):
+    """DIoU's squared centre distance and squared enclosing-box diagonal,
+    for floats (hi, lo = max, min) or arrays (np.maximum, np.minimum)."""
+    dx = (px + pw / 2.0) - (tx + tw / 2.0)
+    dy = (py + ph / 2.0) - (ty + th / 2.0)
+    ex = hi(px + pw, tx + tw) - lo(px, tx)
+    ey = hi(py + ph, ty + th) - lo(py, ty)
+    return dx * dx + dy * dy, ex * ex + ey * ey
+
+
 def diou_loss(pred: BBox, target: BBox) -> float:
     """Distance-IoU loss: 1 - IoU plus squared center distance over squared
-    enclosing-box diagonal.  Zero for identical boxes."""
+    enclosing-box diagonal.  Zero for identical boxes.  Where a square
+    overflows, the ratio is taken with every length scaled by a power of
+    two, so the loss stays finite; nothing is scaled anywhere else."""
     if pred == target:
         return 0.0  # iou() is 0 for a zero-area box, even against itself
-    pcx, pcy = pred.x + pred.w / 2.0, pred.y + pred.h / 2.0
-    tcx, tcy = target.x + target.w / 2.0, target.y + target.h / 2.0
-    rho2 = (pcx - tcx) ** 2 + (pcy - tcy) ** 2
-    ex = max(pred.x + pred.w, target.x + target.w) - min(pred.x, target.x)
-    ey = max(pred.y + pred.h, target.y + target.h) - min(pred.y, target.y)
-    c2 = ex * ex + ey * ey
+    lengths = (pred.x, pred.y, pred.w, pred.h, target.x, target.y, target.w, target.h)
+    rho2, c2 = _diou_terms(*lengths)
+    if not (math.isfinite(rho2) and math.isfinite(c2)):
+        rho2, c2 = _diou_terms(*(v * _DIOU_SCALE for v in lengths))
     center_term = rho2 / c2 if c2 > 0 else 0.0
     return 1.0 - iou(pred, target) + center_term
 
 
-@dataclass(frozen=True, slots=True)
-class LossDeltaRecord:
-    path: str
-    ann_index: int
-    l_orig: float   # loss of the detection box against the original annotation box
-    l_calib: float  # loss against the calibrated box; 0 for every replacement
-    delta: float    # l_orig - l_calib, >= 0
+def diou_cells(px: np.ndarray, py: np.ndarray, pw: np.ndarray, ph: np.ndarray,
+               tx: np.ndarray, ty: np.ndarray, tw: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """DIoU loss of predicted boxes (px, py, pw, ph) against target boxes
+    (tx, ty, tw, th), given as equal-length vectors, one loss per pair.
+
+    The arithmetic mirrors the scalar `diou_loss` term for term (same
+    operations, same order, IEEE double throughout, `iou_cells` for the
+    IoU), so each cell is bit-identical to the scalar result.
+    """
+    lengths = (px, py, pw, ph, tx, ty, tw, th)
+    with np.errstate(over="ignore"):  # an overflowing square is redone below
+        rho2, c2 = _diou_terms(*lengths, hi=np.maximum, lo=np.minimum)
+    over = ~(np.isfinite(rho2) & np.isfinite(c2))
+    if over.any():  # as in the scalar path: every length scaled
+        rho2[over], c2[over] = _diou_terms(*(v[over] * _DIOU_SCALE for v in lengths),
+                                           hi=np.maximum, lo=np.minimum)
+    center_term = np.zeros_like(rho2)
+    np.divide(rho2, c2, out=center_term, where=c2 > 0)
+    loss = 1.0 - iou_cells(*lengths) + center_term
+    loss[(px == tx) & (py == ty) & (pw == tw) & (ph == th)] = 0.0
+    return loss
 
 
-def loss_delta_report(mbps: list[MbpRecord]) -> list[LossDeltaRecord]:
-    records = []
-    for r in mbps:
-        l_orig = diou_loss(r.new_box, r.old_box)
-        l_calib = diou_loss(r.new_box, r.new_box)
-        records.append(LossDeltaRecord(r.path, r.ann_index, l_orig, l_calib, l_orig - l_calib))
-    return records
+@dataclass(frozen=True)
+class LossDeltas:
+    """Per claim, in claim order: the DIoU loss of the replacing detection
+    box against the original annotation box (l_orig) and against the
+    calibrated box (l_calib, 0 for every replacement), and their difference
+    (delta = l_orig - l_calib, >= 0)."""
+
+    l_orig: np.ndarray
+    l_calib: np.ndarray
+    delta: np.ndarray
 
 
-def _mbp_row(r: MbpRecord) -> tuple:
-    o, n = r.old_box, r.new_box
-    return (r.path, r.ann_index, o.x, o.y, o.w, o.h, n.x, n.y, n.w, n.h, r.iou, r.score)
+def loss_delta_report(claims: ClaimTable) -> LossDeltas:
+    new, old = claims.new_boxes.T, claims.old_boxes.T
+    l_orig = diou_cells(*new, *old)
+    l_calib = diou_cells(*new, *new)
+    return LossDeltas(l_orig, l_calib, l_orig - l_calib)
 
 
-def mbp_export(mbps: list[MbpRecord], stream: TextIO, fmt: str = "tsv") -> None:
-    """Write the replacement ledger, worst misalignments (lowest IoU) first."""
-    ordered = sorted(mbps, key=lambda r: r.iou)
+# path, ann_index, the old and new boxes, iou, score; floats as repr writes them
+_MBP_TSV_ROW = "%s\t%d" + "\t%r" * 10 + "\n"
+
+
+def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
+    """Write the replacement ledger, worst misalignments (lowest IoU) first;
+    claims with equal IoUs keep their order."""
+    if fmt not in ("tsv", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
+    order = np.argsort(claims.iou, kind="stable")
+    paths = claims.paths
+    rows = zip([paths[i] for i in claims.image[order].tolist()],
+               claims.ann_index[order].tolist(),
+               *claims.old_boxes[order].T.tolist(), *claims.new_boxes[order].T.tolist(),
+               claims.iou[order].tolist(), claims.score[order].tolist())
     if fmt == "tsv":
         stream.write("\t".join(MBP_EXPORT_HEADER) + "\n")
-        for r in ordered:
-            stream.write("\t".join(repr(v) if isinstance(v, float) else str(v)
-                                   for v in _mbp_row(r)) + "\n")
-    elif fmt == "json":
-        rows = [dict(zip(MBP_EXPORT_HEADER, _mbp_row(r))) for r in ordered]
-        json.dump(rows, stream, indent=2)
-        stream.write("\n")
+        stream.write("".join(_MBP_TSV_ROW % row for row in rows))
     else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        json.dump([dict(zip(MBP_EXPORT_HEADER, row)) for row in rows], stream, indent=2)
+        stream.write("\n")
 
 
 def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "external") -> None:
@@ -155,13 +199,14 @@ def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "ex
     t_c = result.config.t_c
     hist = localization_histogram(result.hcdr_ious, DEFAULT_EDGES,
                                   t_c if t_c in DEFAULT_EDGES else None)
-    deltas = [r.delta for r in loss_delta_report(result.mbps)]
+    deltas = loss_delta_report(result.claims).delta
+    n = len(deltas)
     doc = {
         "predictor": predictor,
         "adc": (asdict(result.adc) if result.adc is not None
                 else {"value": result.effective_adc, "overridden": True}),
         "interval": [result.config.t_m, t_c],
-        "calibrated": len(result.mbps),
+        "calibrated": len(result.claims),
         "counters": asdict(result.counters),
         "wall_time_s": result.wall_time,
         "histogram": {
@@ -172,9 +217,10 @@ def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "ex
         "loss": {
             "name": "diou",
             "note": LOSS_NOTE,
-            "count": len(deltas),
-            "mean_delta": sum(deltas) / len(deltas) if deltas else 0.0,
-            "max_delta": max(deltas) if deltas else 0.0,
+            "count": n,
+            # summed in claim order, as a loop would, never pairwise
+            "mean_delta": float(np.cumsum(deltas)[-1]) / n if n else 0.0,
+            "max_delta": float(deltas.max()) if n else 0.0,
         },
     }
     json.dump(doc, stream, indent=2)
@@ -185,7 +231,7 @@ def summary_line(result: CalibrationResult, predictor: str = "external") -> str:
     """The one-line run summary `boxcal calibrate` prints."""
     return (f"predictor={predictor} adc={result.effective_adc:.6f} "
             f"interval=[{result.config.t_m:g}, {result.config.t_c:g}] "
-            f"calibrated={len(result.mbps)} time={result.wall_time:.2f}s")
+            f"calibrated={len(result.claims)} time={result.wall_time:.2f}s")
 
 
 def format_histogram_table(hist: LocalizationHistogram) -> str:

@@ -28,7 +28,8 @@ from typing import TextIO
 import numpy as np
 
 from .adc import AdcResult
-from .calibrate import CalibrationConfig, CalibrationCounters, CalibrationResult, MbpRecord
+from .calibrate import (CalibrationConfig, CalibrationCounters, CalibrationResult, ClaimTable,
+                        MbpRecord)
 from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                       ImageAnnotations, ImageDetections)
 from .geometry import BBox, iou
@@ -362,7 +363,7 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
 
     return CalibrationResult(
         calibrated=AnnotationSet(images=out_images),
-        mbps=mbps,
+        claims=ClaimTable(mbps),
         counters=counters,
         wall_time=perf_counter() - t0,
         effective_adc=threshold,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxcal.adc import compute_adc as _compute_adc
-from boxcal.adc import select_hcdrs
+from boxcal.calibrate import _hcdr_counts
 from boxcal.formats import AnnotationSet, Detection, DetectionSet, ImageAnnotations, ImageDetections
 from boxcal.geometry import BBox
 
@@ -68,16 +68,27 @@ def test_images_used_counts_contributors():
     assert res.shortfall_images == 1  # the image with 2 annotations, 0 detections
 
 
-def test_select_hcdrs_strictly_greater():
-    dets = _dets([0.9, 0.6, 0.5])
-    assert len(select_hcdrs(dets, 0.6)) == 1
-    assert len(select_hcdrs(dets, 0.59)) == 2
-    assert len(select_hcdrs(dets, 0.95)) == 0
-    assert len(select_hcdrs(dets, 0.0)) == 3
+def hcdr_counts(score_lists, adc, n_faces=1):
+    """calibrate._hcdr_counts at adc over images with n_faces annotations
+    each and these (descending) detection scores."""
+    paths = [f"{i}.jpg" for i in range(len(score_lists))]
+    anns = AnnotationSet(images=[ImageAnnotations(path=p, faces=_img(n_faces).faces)
+                                 for p in paths])
+    dets = DetectionSet(images=[_dets(scores, p) for p, scores in zip(paths, score_lists)])
+    return _hcdr_counts(anns, dets, adc).tolist()
 
 
-def test_select_hcdrs_empty():
-    assert select_hcdrs(_dets([]), 0.5) == []
+def test_hcdr_counts_strictly_greater():
+    scores = [[0.9, 0.6, 0.5]]
+    assert hcdr_counts(scores, 0.6) == [1]
+    assert hcdr_counts(scores, 0.59) == [2]
+    assert hcdr_counts(scores, 0.95) == [0]
+    assert hcdr_counts(scores, 0.0) == [3]
+
+
+def test_hcdr_counts_empty():
+    assert hcdr_counts([[]], 0.5) == [0]
+    assert hcdr_counts([[0.9]], 0.5, n_faces=0) == [0]  # no annotation, no IoU to take
 
 
 scores_lists = st.lists(st.floats(min_value=0, max_value=1, width=64), max_size=8)
@@ -107,8 +118,9 @@ def test_compute_adc_matches_independent_sum(cases):
         assert res.value == 0.0
 
 
-@given(scores_lists, st.floats(min_value=0, max_value=1, width=64))
-def test_select_hcdrs_equals_filter_on_sorted(scores, threshold):
-    dets = _dets(sorted(scores, reverse=True))
-    prefix = select_hcdrs(dets, threshold)
-    assert prefix == [d for d in dets.dets if d.score > threshold]
+@given(st.lists(scores_lists, max_size=4), st.floats(min_value=0, max_value=1, width=64))
+def test_hcdr_prefix_equals_filter_on_sorted(score_lists, threshold):
+    ordered = [sorted(scores, reverse=True) for scores in score_lists]
+    counts = hcdr_counts(ordered, threshold)
+    assert [scores[:n] for scores, n in zip(ordered, counts)] == \
+        [[s for s in scores if s > threshold] for scores in ordered]

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcal.calibrate import CalibrationConfig, calibrate_dataset
+from boxcal.calibrate import CalibrationConfig, ClaimTable, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox, iou
@@ -316,3 +318,55 @@ def test_claim_discipline_properties(case):
     for k, face in enumerate(res.calibrated.images[0].faces):
         if k not in touched:
             assert face == ann_img.faces[k]
+
+
+def test_claim_table_columns_and_row_view():
+    anns = AnnotationSet(images=[_ann_img([BBox(0, 0, 10, 10)], path="a.jpg"),
+                                 _ann_img([], path="b.jpg"),
+                                 _ann_img([BBox(0, 0, 10, 10), BBox(50, 50, 10, 10)],
+                                          path="c.jpg")])
+    dets = DetectionSet(images=[
+        ImageDetections(path="a.jpg", dets=[_det(BBox(2, 0, 10, 10), 0.9)]),
+        ImageDetections(path="c.jpg", dets=[_det(BBox(0, 0, 10, 10), 0.95),
+                                            _det(BBox(52, 50, 10, 10), 0.8)])])
+    res = calibrate_dataset(anns, dets, CFG)
+    claims = res.claims
+    assert len(claims) == 2 and claims.paths is anns.paths
+    assert claims.image.tolist() == [0, 2]
+    assert claims.det_index.tolist() == [0, 1]     # c.jpg's first detection is out of interval
+    assert claims.ann_index.tolist() == [0, 1]
+    assert claims.iou.tolist() == [2 / 3, 2 / 3] and claims.score.tolist() == [0.9, 0.8]
+    assert claims.old_boxes.tolist() == [[0, 0, 10, 10], [50, 50, 10, 10]]
+    assert claims.new_boxes.tolist() == [[2, 0, 10, 10], [52, 50, 10, 10]]
+    assert claims.image.dtype == np.int64 and claims.new_boxes.dtype == np.float64
+    assert not claims.iou.flags.writeable
+    # the row view is built once, on first use
+    records = res.mbps
+    assert records is claims.records is res.mbps
+    assert [(r.path, r.det_index, r.ann_index, r.new_box) for r in records] == [
+        ("a.jpg", 0, 0, BBox(2, 0, 10, 10)), ("c.jpg", 1, 1, BBox(52, 50, 10, 10))]
+    # a table built from records keeps them and derives the same columns
+    rebuilt = ClaimTable(records)
+    assert len(rebuilt) == 2 and rebuilt.records == records
+    assert rebuilt.paths == ["a.jpg", "c.jpg"] and rebuilt.image.tolist() == [0, 1]
+    for name in ("det_index", "ann_index", "iou", "score", "old_boxes", "new_boxes"):
+        got, want = getattr(rebuilt, name), getattr(claims, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(ClaimTable()) == 0 and ClaimTable().new_boxes.shape == (0, 4)
+    with pytest.raises(TypeError):
+        ClaimTable(records, paths=["a.jpg"])
+
+
+@pytest.mark.parametrize("side", ["old", "new"])
+def test_claimed_box_that_is_not_a_bbox_is_rejected(side):
+    # tables built from columns skip BBox's checks; t_m = 0 lets the
+    # negative-width box take part in a claim at IoU 0
+    bad, good = [0.0, 0.0, -5.0, 10.0], [0.0, 0.0, 10.0, 10.0]
+    anns = AnnotationSet(paths=["a.jpg"], offsets=[0, 1], boxes=[bad if side == "old" else good],
+                         flags=[[0] * 6])
+    dets = DetectionSet(paths=["a.jpg"], offsets=[0, 1], boxes=[bad if side == "new" else good],
+                        scores=[0.9])
+    with pytest.raises(ValueError) as want:
+        BBox(*bad)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        calibrate_dataset(anns, dets, CalibrationConfig(t_m=0.0, adc_override=0.5))

@@ -17,10 +17,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxcal
+import boxcal.calibrate
 import boxcal.formats
 from boxcal.cli import main
 from boxcal.formats import load_wider_gt
@@ -453,11 +454,17 @@ def test_calibrate_and_stats_never_build_the_row_view(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(boxcal.formats.AnnotationSet, "_row_view", refuse)
     monkeypatch.setattr(boxcal.formats.DetectionSet, "_row_view", refuse)
+    monkeypatch.setattr(boxcal.calibrate.ClaimTable, "records", property(refuse))
     for gt, dets in ((tmp_path / "gt.txt", tmp_path / "detections"),
                      (tmp_path / "single" / "gt.txt", tmp_path / "single" / "detections.txt")):
-        assert main(["calibrate", "--gt", str(gt), "--dets", str(dets),
-                     "--out", str(tmp_path / "out.txt"), "--report", str(tmp_path / "r.json"),
-                     "--mbp-export", str(tmp_path / "m.tsv")]) == 0
+        for ledger in (tmp_path / "m.tsv", tmp_path / "m.json"):
+            assert main(["calibrate", "--gt", str(gt), "--dets", str(dets),
+                         "--out", str(tmp_path / "out.txt"), "--report", str(tmp_path / "r.json"),
+                         "--mbp-export", str(ledger)]) == 0
+            text = ledger.read_text(encoding="utf-8")
+            rows = json.loads(text) if ledger.suffix == ".json" else text.splitlines()[1:]
+            report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+            assert len(rows) == report["calibrated"] > 0
         assert main(["calibrate", "--gt", str(gt), "--dets", str(dets), "--round-int",
                      "--include-invalid", "false", "--out", str(tmp_path / "out.txt")]) == 0
         assert main(["stats", "--gt", str(gt), "--dets", str(dets)]) == 0
@@ -465,15 +472,38 @@ def test_calibrate_and_stats_never_build_the_row_view(tmp_path, monkeypatch, cap
     assert "Traceback" not in capsys.readouterr().err
 
 
+# one claim whose centre distance (2e159) squares past the float range; the
+# second row of each keeps the computed threshold below the claiming score
+GT_HUGE = "a/x.jpg\n2\n0 0 1e160 1e-160 0 0 0 0 0 0\n0 0 8 8 0 0 0 0 0 0\n"
+DETS_HUGE = "a/x.jpg\n2\n2e159 0 1e160 1e-160 0.9\n0 0 8 8 0.8\n"
+
+
+def test_overflowing_diou_loss_exits_0_with_a_finite_report(tmp_path, capsys):
+    gt, dets, report = tmp_path / "gt.txt", tmp_path / "dets.txt", tmp_path / "r.json"
+    gt.write_text("a.jpg\n1\n0 0 1e160 1e-160 0 0 0 0 0 0\n", encoding="utf-8")
+    dets.write_text("a.jpg\n2\n2e159 0 1e160 1e-160 0.9\n0 0 1 1 0.1\n", encoding="utf-8")
+    rc = main(["calibrate", "--gt", str(gt), "--dets", str(dets), "--out", str(tmp_path / "o.txt"),
+               "--report", str(report), "--adc", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "Traceback" not in captured.err
+    doc = json.loads(report.read_text(encoding="utf-8"), parse_constant=lambda c: pytest.fail(c))
+    assert doc["calibrated"] == 1
+    assert doc["loss"]["mean_delta"] == pytest.approx(1 / 3 + 1 / 36, rel=1e-12)
+
+
 _VALID_TEXT = st.sampled_from([GT_TWO, DETS_TWO, GT_TWO + "b/y.jpg\n0\n",
                                DETS_TWO.replace("\n", "\r\n")])
+# an annotation file and a detection file that go together
+_VALID_PAIR = st.sampled_from([(GT_TWO, DETS_TWO), (GT_HUGE, DETS_HUGE)])
 _FUZZ_TEXT = st.one_of(
     _VALID_TEXT, _VALID_TEXT,
     st.text(max_size=40),
     st.lists(st.sampled_from(["a/x.jpg", "b.jpg", "1", "2", "0", "-1", "x",
                               "0 0 8 8 0 0 0 0 0 0", "20 20 8 8 0 0 0 0 0 0",
                               "1 1 8 8 0.9", "20 20 8 8 0.7", "0 0 8 8 3 0 0 1 0 0",
-                              "0 0 8 8 nan", "1e400 0 1 1 0.5", ""]),
+                              "0 0 8 8 nan", "1e400 0 1 1 0.5", "0 0 1e160 1e-160 0 0 0 0 0 0",
+                              "2e159 0 1e160 1e-160 0.9", "-1e308 0 1e308 1e308 0.9", ""]),
              max_size=12).map("\n".join))
 _NUMBERS = st.sampled_from(["0", "0.5", "0.8", "1", "2", "-1", "nan", "1e400", "x"])
 _FILES = st.sampled_from(["GT", "DETS", "DETDIR", "OUT", "MISSING", "TMP", "OUT.json"])
@@ -491,10 +521,12 @@ _FUZZ_OPTIONS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["calibrate", "stats", "adc", "diff", "nope"]),
        options=st.lists(_FUZZ_OPTIONS, max_size=3), verbose=st.booleans(),
-       required=st.sampled_from([True, True, True, False]), gt_text=_FUZZ_TEXT,
-       dets_text=_FUZZ_TEXT)
-def test_cli_fuzz_exits_0_1_or_2_without_traceback(command, options, verbose, required,
-                                                   gt_text, dets_text):
+       required=st.sampled_from([True, True, True, False]),
+       texts=st.one_of(st.tuples(_FUZZ_TEXT, _FUZZ_TEXT), _VALID_PAIR))
+@example(command="calibrate", options=[], verbose=False, required=True,
+         texts=(GT_HUGE, DETS_HUGE))
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(command, options, verbose, required, texts):
+    gt_text, dets_text = texts
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "gt.txt").write_text(gt_text, encoding="utf-8")
@@ -503,9 +535,10 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(command, options, verbose, re
         (root / "detdir" / "a" / "x.txt").write_text(dets_text, encoding="utf-8")
         names = {"GT": root / "gt.txt", "DETS": root / "dets.txt", "DETDIR": root / "detdir",
                  "OUT": root / "out.txt", "MISSING": root / "missing.txt", "TMP": root,
-                 "OUT.json": root / "out.json"}
+                 "OUT.json": root / "out.json", "REPORT": root / "report.json"}
         if required:  # the arguments the command needs, first
-            options = {"calibrate": [("--gt", "GT", "--dets", "DETS", "--out", "OUT")],
+            options = {"calibrate": [("--gt", "GT", "--dets", "DETS", "--out", "OUT",
+                                      "--report", "REPORT")],
                        "stats": [("--gt", "GT", "--dets", "DETDIR")],
                        "adc": [("--gt", "GT", "--dets", "DETS")],
                        "diff": [("GT", "GT")]}.get(command, []) + options

@@ -1,7 +1,9 @@
 import io
 import logging
+import math
 from contextlib import suppress
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,33 @@ def test_detections_sorted_descending_stable():
     assert [d.score for d in dets] == [0.9, 0.5, 0.5]
     # stable: the two 0.5 detections keep their file order
     assert dets[1].box.x == 1 and dets[2].box.x == 3
+
+
+def test_unsorted_detections_sort_stably_and_sorted_ones_are_not_sorted_again(
+        tmp_path, monkeypatch):
+    # a.jpg rises twice, b.jpg once; equal scores keep file order, and the
+    # last pair of a.jpg against b.jpg's first row is not a rise
+    records = {"a": "a.jpg\n4\n0 0 1 1 0.5\n1 0 1 1 0.9\n2 0 1 1 0.5\n3 0 1 1 0.9\n",
+               "b": "b.jpg\n2\n4 0 1 1 0.2\n5 0 1 1 0.3\n"}
+    unsorted = records["a"] + records["b"]
+    want = {"a.jpg": [(1.0, 0.9), (3.0, 0.9), (0.0, 0.5), (2.0, 0.5)],
+            "b.jpg": [(5.0, 0.3), (4.0, 0.2)]}
+    (tmp_path / "d").mkdir()
+    for name, text in records.items():
+        (tmp_path / "d" / f"{name}.txt").write_text(text, encoding="utf-8")
+    for parsed in (parse_detections_file(unsorted), parse_detections_dir(tmp_path / "d")):
+        assert {img.path: [(d.box.x, d.score) for d in img.dets] for img in parsed.images} == want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted detections were sorted again")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    # descending within each image; -0 before 0 is not a rise and stays put
+    ordered = ("a.jpg\n3\n0 0 1 1 0.9\n1 0 1 1 -0\n2 0 1 1 0\n"
+               "b.jpg\n2\n3 0 1 1 0.95\n4 0 1 1 0.95\n")
+    dets = parse_detections_file(ordered)
+    assert dets.boxes[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert [math.copysign(1.0, s) for s in dets.scores.tolist()] == [1.0, -1.0, 1.0, 1.0, 1.0]
 
 
 def test_load_detections_auto_layout(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,7 @@ def test_iou_paths_agree_on_boxes_near_the_float_limit():
     pairs = [(BBox(1e308, 0, 7e307, 1), BBox(1e308, 0, 7e307, 0.7)),      # IoU 0.7
              (BBox(-1.7e308, 0, 1.7e308, 0.5), BBox(-1.7e308, 0, 1.7e308, 0.25)),
              (BBox(1.7e308, 0, 1e291, 1), BBox(1.7e308, 0, 1e291, 1)),  # x + w == x
+             (BBox(0, -1e308, 10, 10), BBox(0, 1e308, 10, 10)),  # y gap overflows to -inf
              # the two areas sum past the float range: the union is redone in halves
              (BBox(0, 0, 1e308, 1.5), BBox(0, 0, 1e308, 1.5)),
              (BBox(0, 0, 1e308, 1.5), BBox(0, 0, 1e308, 1.2)),
@@ -81,7 +83,9 @@ def test_iou_paths_agree_on_boxes_near_the_float_limit():
              (BBox(0, 0, 1e308, 1.5), BBox(0, 0.5, 1e308, 1.5))]
     for ann, det in pairs:
         scalar = iou(det, ann)
-        cells = iou_cells(*_columns([det]), *_columns([ann]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy overflow warning
+            cells = iou_cells(*_columns([det]), *_columns([ann]))
         anns = AnnotationSet(images=[ImageAnnotations(path="a.jpg", faces=[FaceAnnotation(box=ann)])])
         dets = DetectionSet(images=[ImageDetections(path="a.jpg", dets=[Detection(box=det, score=1.0)])])
         cfg = CalibrationConfig(t_m=0.0, t_c=1.0, adc_override=0.5)
@@ -91,9 +95,9 @@ def test_iou_paths_agree_on_boxes_near_the_float_limit():
         assert fast.calibrated == slow.calibrated and fast.mbps == slow.mbps
     # a zero-width intersection gives 0; the overflowing unions give the true ratios
     assert [iou(*p) for p in pairs[:2]] == pytest.approx([0.7, 0.5])
-    assert iou(*pairs[2]) == 0.0
-    assert iou(*pairs[3]) == 1.0
-    assert [iou(*p) for p in pairs[4:]] == pytest.approx([0.8, 1 / 3, 0.5], abs=1e-15)
+    assert iou(*pairs[2]) == iou(*pairs[3]) == 0.0
+    assert iou(*pairs[4]) == 1.0
+    assert [iou(*p) for p in pairs[5:]] == pytest.approx([0.8, 1 / 3, 0.5], abs=1e-15)
     # cells that do not overflow are bit-identical to the unhalved arithmetic
     a, b = BBox(0, 0, 10, 10), BBox(5, 0, 10, 10)
     assert iou(a, b) == 50.0 / (100.0 + 100.0 - 50.0)

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import io
 import json
 import re
@@ -6,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boxcal.calibrate import CalibrationConfig, MbpRecord, calibrate_dataset
+from boxcal.calibrate import CalibrationConfig, ClaimTable, MbpRecord, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox
-from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, diou_loss, format_histogram_table,
+from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, diou_cells, diou_loss, format_histogram_table,
                            localization_histogram, loss_delta_report, mbp_export,
                            percentage, summary_line, write_report)
 
@@ -136,6 +139,59 @@ def test_diou_zero_area_box_against_itself_is_zero(box):
     assert diou_loss(box, BBox(0, 0, 20, 20)) > 1.0
 
 
+# the two boxes of the overflow case: a centre distance of 2e159, whose
+# square passes the float range
+BIG_OLD, BIG_NEW = BBox(0, 0, 1e160, 1e-160), BBox(2e159, 0, 1e160, 1e-160)
+
+
+def test_diou_stays_finite_where_squares_overflow():
+    # IoU 2/3, centre distance 2e159, enclosing diagonal about 1.2e160
+    assert diou_loss(BIG_NEW, BIG_OLD) == pytest.approx(1 / 3 + 1 / 36, rel=1e-12)
+    far = diou_loss(BBox(-1.7e308, -1.7e308, 0, 0), BBox(1.7e308, 1.7e308, 0, 0))
+    assert far == pytest.approx(2.0, rel=1e-12)  # IoU 0, centres at the diagonal's ends
+
+
+_LENGTHS = st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e-160, 2e159, 1e160, 1e300, 1.7e308])
+_COORD = st.one_of(_LENGTHS, _LENGTHS.map(lambda v: -v), st.floats(-1e4, 1e4),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_SIZE = st.one_of(_LENGTHS, st.floats(0, 1e4), st.floats(0, allow_infinity=False))
+
+
+def _bbox_or_none(values):
+    try:
+        return BBox(*values)
+    except ValueError:
+        return None
+
+
+_BOX = st.tuples(_COORD, _COORD, _SIZE, _SIZE).map(_bbox_or_none).filter(bool)
+
+
+@st.composite
+def _box_pairs(draw):
+    pred = draw(_BOX)
+    target = draw(st.one_of(
+        _BOX,
+        st.just(pred),                                          # identical
+        st.just(BBox(*(-v if v == 0 else v for v in dataclasses.astuple(pred)))),  # signed zeros
+        st.tuples(_COORD, _COORD).map(lambda d: _bbox_or_none(
+            (pred.x + d[0], pred.y + d[1], pred.w, pred.h))).filter(bool)))
+    return pred, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_box_pairs(), min_size=1, max_size=12))
+@example([(BIG_NEW, BIG_OLD), (BBox(3, 3, 0, 0), BBox(3, 3, 0, 0)),
+          (BBox(-0.0, 0, 0, 5), BBox(0.0, 0, 0, 5)), (BBox(1, 1, 0, 5), BBox(0, 0, 10, 10))])
+def test_diou_cells_equal_the_scalar_loss_bitwise(pairs):
+    scalar = np.array([diou_loss(p, t) for p, t in pairs])
+    columns = np.array([dataclasses.astuple(p) + dataclasses.astuple(t) for p, t in pairs],
+                       float).T
+    cells = diou_cells(*columns)
+    assert np.isfinite(cells).all()
+    assert cells.view(np.int64).tolist() == scalar.view(np.int64).tolist()
+
+
 def test_report_loss_of_a_zero_area_replacement():
     # t_m = 0 lets a non-overlapping zero-width detection claim the face
     old, new = BBox(0, 0, 20, 20), BBox(100, 100, 0, 5)
@@ -143,7 +199,7 @@ def test_report_loss_of_a_zero_area_replacement():
     dets = DetectionSet(images=[ImageDetections(path="z.jpg", dets=[Detection(box=new, score=0.9)])])
     result = calibrate_dataset(anns, dets, CalibrationConfig(t_m=0.0, adc_override=0.5))
     assert [r.new_box for r in result.mbps] == [new]
-    assert loss_delta_report(result.mbps)[0].l_calib == 0.0
+    assert loss_delta_report(result.claims).l_calib.tolist() == [0.0]
     buf = io.StringIO()
     write_report(result, buf)
     doc = json.loads(buf.getvalue())
@@ -159,19 +215,23 @@ def _mbps():
     ]
 
 
+def _claims():
+    return ClaimTable(_mbps())
+
+
 def test_loss_delta_report():
-    records = loss_delta_report(_mbps())
-    assert len(records) == 2
-    for r in records:
-        assert r.l_calib == 0.0
-        assert r.l_orig > 0
-        assert r.delta == r.l_orig
-    assert records[0].path == "b.jpg" and records[0].ann_index == 1
+    losses = loss_delta_report(_claims())
+    assert len(losses.delta) == 2
+    assert losses.l_calib.tolist() == [0.0, 0.0]
+    assert all(losses.l_orig > 0)
+    assert losses.delta.tolist() == losses.l_orig.tolist()
+    # claim order: b.jpg's replacement first
+    assert losses.l_orig.tolist() == [diou_loss(r.new_box, r.old_box) for r in _mbps()]
 
 
 def test_mbp_export_tsv_sorted_by_iou():
     buf = io.StringIO()
-    mbp_export(_mbps(), buf)
+    mbp_export(_claims(), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0].split("\t") == ["path", "ann_index", "old_x", "old_y", "old_w",
                                     "old_h", "new_x", "new_y", "new_w", "new_h",
@@ -184,11 +244,11 @@ def test_mbp_export_tsv_sorted_by_iou():
 
 def test_mbp_export_json():
     buf = io.StringIO()
-    mbp_export(_mbps(), buf, fmt="json")
+    mbp_export(_claims(), buf, fmt="json")
     rows = json.loads(buf.getvalue())
     assert [r["iou"] for r in rows] == [0.5, 0.75]
     with pytest.raises(ValueError):
-        mbp_export(_mbps(), io.StringIO(), fmt="xml")
+        mbp_export(_claims(), io.StringIO(), fmt="xml")
 
 
 def _small_result():
