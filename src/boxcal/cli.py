@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
+from typing import Iterator
 
 from .adc import compute_adc
 from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_ious
@@ -147,22 +150,35 @@ def _add_dets_layout_flags(p: argparse.ArgumentParser) -> None:
                    help="image extension for per-image detection files (default .jpg)")
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Log the perf_counter span of the block at INFO, which -v shows."""
+    t0 = perf_counter()
+    yield
+    log.info("stage %s: %.3f s", name, perf_counter() - t0)
+
+
 def run_calibrate(args) -> int:
     cfg = CalibrationConfig(
         t_m=args.tm, t_c=args.tc, adc_override=args.adc, include_invalid=args.include_invalid,
     )
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    anns = load_wider_gt(args.gt)
-    dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
-    result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
-    save_wider_gt(result.calibrated, args.out, policy="integer" if args.round_int else "decimal")
+    with _stage("parse GT"):
+        anns = load_wider_gt(args.gt)
+    with _stage("parse detections"):
+        dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
+    with _stage("calibrate"):
+        result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
+    with _stage("write GT"):
+        save_wider_gt(result.calibrated, args.out,
+                      policy="integer" if args.round_int else "decimal")
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        with _stage("report"), open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             write_report(result, fh, predictor=args.predictor)
     if args.mbp_export:
         fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
-        with open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
+        with _stage("ledger"), open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
             mbp_export(result.claims, fh, fmt=fmt)
     print(summary_line(result, predictor=args.predictor))
     return 0
@@ -171,17 +187,21 @@ def run_calibrate(args) -> int:
 def run_stats(args) -> int:
     check_edges(args.edges)
     CalibrationConfig(adc_override=args.adc)  # rejects a bad --adc before any input is read
-    anns = load_wider_gt(args.gt)
-    dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
-    dets = align(anns, dets)
-    threshold = args.adc if args.adc is not None else compute_adc(anns, dets).value
-    # the calibration's IoU pass without its claim scan: one max per HCDR
-    hist = localization_histogram(hcdr_ious(anns, dets, threshold), edges=args.edges)
-    table = format_histogram_table(hist)
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
-    else:
-        sys.stdout.write(table)
+    with _stage("parse GT"):
+        anns = load_wider_gt(args.gt)
+    with _stage("parse detections"):
+        dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
+    with _stage("align + IoU"):
+        dets = align(anns, dets)
+        threshold = args.adc if args.adc is not None else compute_adc(anns, dets).value
+        # the calibration's IoU pass without its claim scan: one max per HCDR
+        ious = hcdr_ious(anns, dets, threshold)
+    with _stage("table"):
+        table = format_histogram_table(localization_histogram(ious, edges=args.edges))
+        if args.out:
+            Path(args.out).write_text(table, encoding="utf-8")
+        else:
+            sys.stdout.write(table)
     return 0
 
 

@@ -29,14 +29,17 @@ is meaningful.
 
 Parsed data lands in two tables, AnnotationSet and DetectionSet: image
 paths, per-image row offsets and one array per column.  `_records` is the
-one walk of the record grammar.  The parsers gather its row spans, convert
-every row in chunks with Python's `float` and check the results with array
-operations.  If any check fails, the row walker (`_walk`) parses the same
-lines again row by row: it raises the first fault in file order, with the
-same message and line as it always has, and is the reference the bulk path
-is tested against.  The per-face objects (`ImageAnnotations`,
-`FaceAnnotation`, `ImageDetections`, `Detection`) are a row view of a
-table, built on first use of `.images`.
+one walk of the record grammar.  The parsers gather its row spans and
+convert them in two tiers: one call of numpy's C text reader
+(`np.loadtxt`, correctly rounded like `float`) over all rows and, only
+where that reader refuses a row, Python's `float` over every row in
+chunks, so the tokens only `float` reads (`1_0`, `١٢`) still parse.  The
+results are checked with array operations.  If any check fails, the row
+walker (`_walk`) parses the same lines again row by row: it raises the
+first fault in file order, with the same message and line as it always
+has, and is the reference the bulk path is tested against.  The per-face
+objects (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`,
+`Detection`) are a row view of a table, built on first use of `.images`.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -69,8 +73,9 @@ _FLAG_RANGES = (
 _FLAG_LO = np.array([lo for _, lo, _ in _FLAG_RANGES], np.float64)
 _FLAG_HI = np.array([hi for _, _, hi in _FLAG_RANGES], np.float64)
 
-# Rows are converted this many at a time, which bounds the token lists held
-# at once (about 60 bytes a token) however large the file is.
+# Rows reach Python's `float` (the fallback tier, for rows numpy's C reader
+# refuses) this many at a time, which bounds the token lists held at once
+# (about 60 bytes a token) however large the file is.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -376,11 +381,26 @@ def _is_zero_dummy_line(line: str) -> bool:
 _Record = tuple[str, list[str], str, int, int]
 
 
-def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
-    """Every record's rows as one (N, fields) float64 array, or None when a
-    row has the wrong number of fields, a field is not a number, a box is
-    not a valid BBox, or a value after the box is not finite."""
-    rows = list(chain.from_iterable(lines[i - 1:i - 1 + n] for _, lines, _, i, n in records))
+def _c_floats(rows: list[str], fields: int) -> np.ndarray | None:
+    """The rows as an (N, fields) float64 array read by numpy's C text
+    reader, or None where it refuses a token, finds a row of another width
+    or skips a blank row."""
+    if not rows:
+        return np.empty((0, fields))  # loadtxt would warn that it read no data
+    try:
+        with warnings.catch_warnings():
+            # every row blank: the shape check below rejects the result
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), fields) else None
+
+
+def _py_floats(rows: list[str], fields: int) -> np.ndarray | None:
+    """The rows as an (N, fields) float64 array converted with Python's
+    `float`, or None when a row has another number of fields or a field is
+    not a number."""
     values = np.empty((len(rows), fields))
     flat = values.reshape(-1)
     for r0 in range(0, len(rows), _CHUNK_ROWS):
@@ -392,6 +412,23 @@ def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
                 map(float, chain.from_iterable(split)), np.float64, count=len(split) * fields)
         except ValueError:
             return None
+    return values
+
+
+def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
+    """Every record's rows as one (N, fields) float64 array, or None when a
+    row has the wrong number of fields, a field is not a number, a box is
+    not a valid BBox, or a value after the box is not finite.
+
+    numpy's C reader converts the rows; where it refuses any, Python's
+    `float` converts them all, so tokens only `float` reads (`1_0`, `١٢`)
+    still parse.  Where both read a token, both give the same double."""
+    rows = list(chain.from_iterable(lines[i - 1:i - 1 + n] for _, lines, _, i, n in records))
+    values = _c_floats(rows, fields)
+    if values is None:
+        values = _py_floats(rows, fields)
+    if values is None:
+        return None
     ok = valid_boxes(values[:, :4]).all() and np.isfinite(values[:, 4:]).all()
     return values if ok else None
 

@@ -172,25 +172,41 @@ def loss_delta_report(claims: ClaimTable) -> LossDeltas:
 
 # path, ann_index, the old and new boxes, iou, score; floats as repr writes them
 _MBP_TSV_ROW = "%s\t%d" + "\t%r" * 10 + "\n"
+# one element of json.dump(rows, indent=2), every field through %s: the str of
+# an int or a finite float is its repr, which is what json writes; the path
+# and non-finite floats come already encoded
+_MBP_JSON_ROW = ("  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in MBP_EXPORT_HEADER)
+                 + "\n  }")
+
+
+def _json_floats(column: np.ndarray) -> list:
+    """A float column as json writes it: floats where finite, json's
+    spelling (NaN, Infinity, -Infinity) for the rest."""
+    out = column.tolist()
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        out[i] = json.dumps(out[i])
+    return out
 
 
 def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
     """Write the replacement ledger, worst misalignments (lowest IoU) first;
-    claims with equal IoUs keep their order."""
+    claims with equal IoUs keep their order.  The JSON form is the bytes
+    json.dump(rows, indent=2) writes, one object per claim, and a newline."""
     if fmt not in ("tsv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
     order = np.argsort(claims.iou, kind="stable")
-    paths = claims.paths
-    rows = zip([paths[i] for i in claims.image[order].tolist()],
-               claims.ann_index[order].tolist(),
-               *claims.old_boxes[order].T.tolist(), *claims.new_boxes[order].T.tolist(),
-               claims.iou[order].tolist(), claims.score[order].tolist())
+    paths = [claims.paths[i] for i in claims.image[order].tolist()]
+    ann_index = claims.ann_index[order].tolist()
+    floats = [*claims.old_boxes[order].T, *claims.new_boxes[order].T,
+              claims.iou[order], claims.score[order]]
     if fmt == "tsv":
         stream.write("\t".join(MBP_EXPORT_HEADER) + "\n")
-        stream.write("".join(_MBP_TSV_ROW % row for row in rows))
+        stream.write("".join(_MBP_TSV_ROW % row for row in zip(
+            paths, ann_index, *(c.tolist() for c in floats))))
     else:
-        json.dump([dict(zip(MBP_EXPORT_HEADER, row)) for row in rows], stream, indent=2)
-        stream.write("\n")
+        rows = [_MBP_JSON_ROW % row for row in zip(
+            map(json.dumps, paths), ann_index, *map(_json_floats, floats))]
+        stream.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 
 def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "external") -> None:

@@ -397,6 +397,24 @@ def test_calibrate_output_parses_back(tmp_path):
     assert reread.total_faces() == 10
 
 
+@pytest.mark.parametrize("argv,stages", [
+    (["calibrate", "--out", "{tmp}/out.txt", "--report", "{tmp}/r.json",
+      "--mbp-export", "{tmp}/m.json"],
+     ["parse GT", "parse detections", "calibrate", "write GT", "report", "ledger"]),
+    (["calibrate", "--out", "{tmp}/out.txt"],
+     ["parse GT", "parse detections", "calibrate", "write GT"]),
+    (["stats"], ["parse GT", "parse detections", "align + IoU", "table"])])
+def test_verbose_logs_each_stage_once_and_quiet_runs_do_not(tmp_path, capsys, argv, stages):
+    argv = [*(a.format(tmp=tmp_path) for a in argv), "--adc", "0.5",
+            "--gt", _write(tmp_path, "gt.txt", GT_TWO), "--dets", _write(tmp_path, "d.txt", DETS_TWO)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["-v", *argv]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    logged = [re.fullmatch(r"INFO boxcal\.cli: stage (.+): \d+\.\d{3} s", line) for line in lines]
+    assert [m and m[1] for m in logged] == stages
+
+
 def test_module_entry_point(tmp_path):
     gt = tmp_path / "gt.txt"
     gt.write_text(GT_TWO, encoding="utf-8")

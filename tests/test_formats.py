@@ -520,14 +520,20 @@ def test_detection_dir_reports_the_first_fault_in_file_order(tmp_path, caplog):
 
 # Differential: the bulk parse against the row walker.  Files shaped like
 # records, mostly valid, with the tokens whose float conversion is unusual
-# (underscores, non-ASCII digits, overflow), out-of-range flags and scores,
-# broken counts and field counts, repeated names, zero-face dummies, blank
-# lines and all three line ends.  The row walker is forced by making the
-# bulk conversion report a failure.
+# (underscores, non-ASCII digits, overflow, underflow, signs, bare points),
+# tokens numpy's text reader or `float` refuses, out-of-range flags and
+# scores, broken counts and field counts, blank rows inside a record,
+# repeated names, zero-face dummies, blank lines and all three line ends.
+# Fields are separated and surrounded by the whitespace `str.split` knows,
+# ASCII and not.  The row walker is forced by making the bulk conversion
+# report a failure.
 _CLEAN_TOKENS = st.one_of(
     st.integers(min_value=0, max_value=30).map(str),
-    st.sampled_from(["-0", "-1", "0.5", "1.005", "1e2", "12.25", "1_0", "١٢", "1e300"]))
-_BAD_TOKENS = st.sampled_from(["1e308", "1e400", "-1e400", "nan", "-inf", "0x1", "x"])
+    st.sampled_from(["-0", "-1", "0.5", "1.005", "1e2", "12.25", "1_0", "١٢", "1e300",
+                     "+1", ".5", "5.", "1E5", "1e-400", "4.9e-324"]))
+_BAD_TOKENS = st.sampled_from(["1e308", "1e400", "-1e400", "nan", "-inf", "0x1", "x",
+                               "infinity", "#", '"1"', "1d5"])
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", "\x0c", "\x1c", "\u2028", "\u3000"])
 
 
 @st.composite
@@ -541,7 +547,12 @@ def _record_files(draw, fields):
             tokens = draw(st.lists(_CLEAN_TOKENS, min_size=n, max_size=n))
             if tokens and draw(st.integers(0, 5)) == 0:  # one bad token in a row
                 tokens[draw(st.integers(0, n - 1))] = draw(_BAD_TOKENS)
-            rows.append(" ".join(tokens))
+            row = tokens[0] + "".join(draw(_SEPARATORS) + tok for tok in tokens[1:])
+            if draw(st.integers(0, 3)) == 0:
+                row = draw(_SEPARATORS) + row + draw(_SEPARATORS)
+            rows.append(row)
+            if draw(st.integers(0, 15)) == 0:  # a blank row, counted in the record
+                rows.append(draw(st.sampled_from(["", " ", "\t"])))
         name = "r0.jpg" if i and draw(st.integers(0, 9)) == 0 else f"r{i}.jpg"
         count = draw(st.sampled_from([str(len(rows))] * 12 + [str(len(rows) + 1), "x", "-1"]))
         lines = [name, count] + rows
@@ -603,3 +614,51 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, gt, dets):
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
             assert bulk[3] == (walker[1] is not None)  # the bulk path rejects what the walker does
+
+
+# Which conversion tier runs: numpy's C text reader on every row, Python's
+# `float` only where that reader refuses one, the row walker only on a fault.
+@pytest.mark.filterwarnings("error")
+def test_canonical_files_never_reach_the_python_float_tier(tmp_path, monkeypatch):
+    import boxcal.formats as formats
+
+    def refuse(*args):
+        raise AssertionError("Python float tier or row walker ran")
+
+    monkeypatch.setattr(formats, "_py_floats", refuse)
+    monkeypatch.setattr(formats, "_walk", refuse)
+    dets = "a/img1.jpg\n2\n10 20 30 40 0.9\n5 5 12 18 0.25\n\nb/img2.jpg\n0\n"
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "img1.txt").write_text("img1\n1\n10 20 30 40 0.9\n", encoding="utf-8")
+    assert parse_wider_gt(GT_SAMPLE).boxes.tolist() == [[10, 20, 30, 40], [5, 5, 12, 18],
+                                                        [0, 0, 10.5, 10]]
+    assert parse_detections_file(dets).scores.tolist() == [0.9, 0.25]
+    assert parse_detections_dir(tmp_path).scores.tolist() == [0.9]
+    assert parse_wider_gt("a.jpg\n0\n").paths == ["a.jpg"]  # no rows, and no warning
+
+
+def test_tokens_the_c_reader_refuses_fall_back_to_python_float(monkeypatch):
+    import boxcal.formats as formats
+    tiers = []
+    for name in ("_c_floats", "_py_floats"):
+        def spy(rows, fields, real=getattr(formats, name), name=name):
+            out = real(rows, fields)
+            tiers.append((name, out is None))
+            return out
+        monkeypatch.setattr(formats, name, spy)
+    tokens = ["1_0", "١٢", "0.1", "4.9e-324", "1e-400", "+.5", "1E5", "-0"]
+    s = parse_detections_file("a.jpg\n2\n" + " ".join(tokens[:4]) + " 0.5\n"
+                              + "\u3000".join(tokens[4:]) + "\x1c0.5\n")
+    assert tiers == [("_c_floats", True), ("_py_floats", False)]
+    assert s.boxes.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns when every row it reads is blank
+@pytest.mark.parametrize("text,line", [
+    ("a.jpg\n3\n0 0 1 1 0 0 0 0 0 0\n{}\n0 0 1 1 0 0 0 0 0 0\n", 4),
+    ("a.jpg\n1\n{}\n", 3)])
+@pytest.mark.parametrize("blank", ["", "  ", "\t"])
+def test_blank_row_inside_a_record_raises_the_walker_error(text, line, blank):
+    with pytest.raises(ParseError) as exc:
+        parse_wider_gt(text.format(blank), name="gt.txt")
+    assert str(exc.value) == f"gt.txt:{line}: expected 10 fields on face line, got 0"

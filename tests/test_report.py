@@ -14,9 +14,9 @@ from boxcal.calibrate import CalibrationConfig, ClaimTable, MbpRecord, calibrate
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox
-from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, diou_cells, diou_loss, format_histogram_table,
-                           localization_histogram, loss_delta_report, mbp_export,
-                           percentage, summary_line, write_report)
+from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, MBP_EXPORT_HEADER, diou_cells, diou_loss,
+                           format_histogram_table, localization_histogram, loss_delta_report,
+                           mbp_export, percentage, summary_line, write_report)
 
 
 def test_percentage_reproduces_reference_table():
@@ -249,6 +249,42 @@ def test_mbp_export_json():
     assert [r["iou"] for r in rows] == [0.5, 0.75]
     with pytest.raises(ValueError):
         mbp_export(_claims(), io.StringIO(), fmt="xml")
+
+
+_LEDGER_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.1, 1e16, 1e300, 5e-324, float("inf"), float("nan")]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(paths=st.lists(st.one_of(st.text(max_size=8),
+                                st.sampled_from(['a"b.jpg', "c\\d.jpg", "é/ü.jpg", "x\ty\n", "😀"])),
+                      min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_mbp_export_json_equals_json_dump(paths, data):
+    n = data.draw(st.integers(0, 6))
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.reshape(data.draw(st.lists(_LEDGER_FLOATS, min_size=size, max_size=size)), shape)
+
+    claims = ClaimTable(
+        paths=paths, image=data.draw(st.lists(st.integers(0, len(paths) - 1), min_size=n, max_size=n)),
+        det_index=[0] * n, ann_index=data.draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)),
+        iou=floats(n), score=floats(n), old_boxes=floats(n, 4), new_boxes=floats(n, 4))
+    order = np.argsort(claims.iou, kind="stable").tolist()
+    rows = [dict(zip(MBP_EXPORT_HEADER, (
+        paths[claims.image[i]], int(claims.ann_index[i]), *claims.old_boxes[i].tolist(),
+        *claims.new_boxes[i].tolist(), float(claims.iou[i]), float(claims.score[i]))))
+        for i in order]
+    expected = io.StringIO()
+    json.dump(rows, expected, indent=2)
+    expected.write("\n")
+    buf = io.StringIO()
+    mbp_export(claims, buf, fmt="json")
+    assert buf.getvalue() == expected.getvalue()
+    if not n:
+        assert buf.getvalue() == "[]\n"
 
 
 def _small_result():
