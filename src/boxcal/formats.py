@@ -40,10 +40,14 @@ first fault in file order, with the same message and line as it always
 has, and is the reference the bulk path is tested against.  The per-face
 objects (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`,
 `Detection`) are a row view of a table, built on first use of `.images`.
+
+The writers work from the columns: small non-negative whole numbers take
+cached texts, every other value goes through `format_coord` or `repr`.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -590,7 +594,9 @@ def format_coord(v: float, policy: str = "decimal") -> str:
     """Canonical coordinate text: integral values bare, others per policy.
 
     "decimal" writes non-integral values with exactly 2 decimal places;
-    "integer" rounds to the nearest integer, halves away from zero.
+    "integer" rounds to the nearest integer, halves away from zero.  This is
+    the cell-for-cell reference of every writer: the GT and detection files
+    write each coordinate (and each flag, an integral value) as this does.
     """
     fv = float(v)
     if policy == "integer":
@@ -603,27 +609,42 @@ def format_coord(v: float, policy: str = "decimal") -> str:
     return f"{fv:.2f}"
 
 
-def _ints(column: np.ndarray) -> list[int]:
-    """A column of integral floats as Python ints, exact at any size."""
-    with np.errstate(invalid="ignore"):  # values past int64 are redone below
-        out = column.astype(np.int64).tolist()
-    for i in np.flatnonzero(np.abs(column) >= 2.0**63).tolist():
-        out[i] = int(column[i])
+@functools.cache
+def _text_table(suffix: str) -> np.ndarray:
+    """The texts of 0 .. 2**14 - 1, each followed by suffix, as an object
+    array; built on first use, so a run that writes nothing never holds it.
+    Read-only, since every caller shares it."""
+    table = np.array([f"{i}{suffix}" for i in range(1 << 14)], object)
+    table.flags.writeable = False
+    return table
+
+
+def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) -> list[str]:
+    """The text of each value of a float column: table[v] where v is a hit,
+    rest(v) for every other value.
+
+    A hit is a whole number from 0 to len(table) - 1 whose sign bit is
+    clear; most cells of the files boxcal writes are.  -0.0 is no hit,
+    though it equals 0: `repr` writes it "-0.0", and only rest knows how it
+    is written.  Fractions, negatives, values at or past the table, inf and
+    nan go to rest as well.
+    """
+    hit = ~np.signbit(column) & (column < len(table)) & (column == np.trunc(column))
+    out = table[np.where(hit, column, 0).astype(np.intp)].tolist()
+    miss = np.flatnonzero(~hit)
+    for i, v in zip(miss.tolist(), column[miss].tolist()):
+        out[i] = rest(v)
     return out
 
 
-def _coord_texts(column: np.ndarray, policy: str) -> list:
-    """format_coord over a column: ints for the values written bare (their
-    str is the text), strings for the rest."""
+def _coord_texts(column: np.ndarray, policy: str) -> list[str]:
+    """format_coord(v, policy) over a column."""
     if policy == "integer":
-        return _ints(np.where(column >= 0, np.floor(column + 0.5), np.ceil(column - 0.5)))
-    if policy != "decimal":
+        column = np.where(column >= 0, np.floor(column + 0.5), np.ceil(column - 0.5))
+    elif policy != "decimal":
         raise ValueError(f"unknown rounding policy {policy!r}")
-    out: list = _ints(column)
-    frac = np.flatnonzero(column != np.trunc(column))
-    for i, v in zip(frac.tolist(), column[frac].tolist()):
-        out[i] = f"{v:.2f}"
-    return out
+    # after rounding every value is integral, and format_coord writes those bare
+    return _texts(column, _text_table(""), format_coord)
 
 
 def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
@@ -632,10 +653,9 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
     Zero-face images emit the all-zero dummy line so that parse -> write is
     byte-identical on canonical files.
     """
-    coords = [_coord_texts(c, policy) for c in annset.boxes.T]
-    flags = [_ints(c) for c in annset.flags.T]
-    face_line = " ".join(["%s"] * 10)  # faster than an f-string over ten names
-    rows = [face_line % fields for fields in zip(*coords, *flags)]
+    cols = [_coord_texts(c, policy) for c in annset.boxes.T]
+    cols += [_texts(c, _text_table(""), format_coord) for c in annset.flags.T]
+    rows = list(map(" ".join, zip(*cols)))
     bounds = annset.offsets.tolist()
     out: list[str] = []
     for path, lo, hi in zip(annset.paths, bounds, bounds[1:]):
@@ -730,34 +750,36 @@ def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".j
     raise ValueError(f"unknown detection layout {layout!r}")
 
 
-def _detection_record_lines(name: str, dets: list[Detection]) -> list[str]:
-    out = [name, str(len(dets))]
-    for d in dets:
-        b = d.box
-        out.append(f"{format_coord(b.x)} {format_coord(b.y)} "
-                   f"{format_coord(b.w)} {format_coord(b.h)} {d.score!r}")
-    return out
+def _detection_rows(detset: DetectionSet) -> list[str]:
+    """Each detection's row: its box as format_coord writes it, its score
+    as repr does."""
+    cols = [_coord_texts(c, "decimal") for c in detset.boxes.T]
+    cols.append(list(map(repr, detset.scores.tolist())))
+    return list(map(" ".join, zip(*cols)))
 
 
 def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str = ".jpg") -> None:
     """Write one detection file per image under root, mirroring the key paths."""
     rootp = Path(root)
-    for img in detset.images:
-        key = img.path
+    rows = _detection_rows(detset)
+    bounds = detset.offsets.tolist()
+    for key, lo, hi in zip(detset.paths, bounds, bounds[1:]):
         rel = key[:-len(image_ext)] + ".txt" if key.endswith(image_ext) else key + ".txt"
         target = rootp / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        stem = Path(key).stem
-        lines = _detection_record_lines(stem, img.dets)
-        lines.append("")
-        target.write_text("\n".join(lines), encoding="utf-8")
+        target.write_text("\n".join([Path(key).stem, str(hi - lo), *rows[lo:hi], ""]),
+                          encoding="utf-8")
 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:
     """Write the consolidated single-file layout; name lines are the keys."""
+    rows = _detection_rows(detset)
+    bounds = detset.offsets.tolist()
     out: list[str] = []
-    for img in detset.images:
-        out.extend(_detection_record_lines(img.path, img.dets))
+    for path, lo, hi in zip(detset.paths, bounds, bounds[1:]):
+        out.append(path)
+        out.append(str(hi - lo))
+        out.extend(rows[lo:hi])
     out.append("")
     stream.write("\n".join(out))
 

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .calibrate import CalibrationResult, ClaimTable
+from .formats import _text_table, _texts
 from .geometry import BBox, iou, iou_cells
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -170,8 +171,6 @@ def loss_delta_report(claims: ClaimTable) -> LossDeltas:
     return LossDeltas(l_orig, l_calib, l_orig - l_calib)
 
 
-# path, ann_index, the old and new boxes, iou, score; floats as repr writes them
-_MBP_TSV_ROW = "%s\t%d" + "\t%r" * 10 + "\n"
 # one element of json.dump(rows, indent=2), every field through %s: the str of
 # an int or a finite float is its repr, which is what json writes; the path
 # and non-finite floats come already encoded
@@ -195,17 +194,21 @@ def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
     if fmt not in ("tsv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
     order = np.argsort(claims.iou, kind="stable")
-    paths = [claims.paths[i] for i in claims.image[order].tolist()]
+    names = claims.paths  # read once: each read of the column is a call
+    paths = [names[i] for i in claims.image[order].tolist()]
     ann_index = claims.ann_index[order].tolist()
-    floats = [*claims.old_boxes[order].T, *claims.new_boxes[order].T,
-              claims.iou[order], claims.score[order]]
+    boxes = [*claims.old_boxes[order].T, *claims.new_boxes[order].T]
+    ratios = [claims.iou[order], claims.score[order]]
     if fmt == "tsv":
-        stream.write("\t".join(MBP_EXPORT_HEADER) + "\n")
-        stream.write("".join(_MBP_TSV_ROW % row for row in zip(
-            paths, ann_index, *(c.tolist() for c in floats))))
+        # every float as repr writes it; most box fields are small whole numbers
+        cols = [paths, map(str, ann_index),
+                *(_texts(c, _text_table(".0"), repr) for c in boxes),
+                *(map(repr, c.tolist()) for c in ratios)]
+        stream.write("\n".join(["\t".join(MBP_EXPORT_HEADER),
+                                *map("\t".join, zip(*cols)), ""]))
     else:
         rows = [_MBP_JSON_ROW % row for row in zip(
-            map(json.dumps, paths), ann_index, *map(_json_floats, floats))]
+            map(json.dumps, paths), ann_index, *map(_json_floats, boxes + ratios))]
         stream.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 

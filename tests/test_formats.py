@@ -1,13 +1,19 @@
 import io
 import logging
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import boxcal
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, ParseError, align,
                             format_coord, load_detections, load_wider_gt, parse_detections_dir,
@@ -161,6 +167,88 @@ def test_write_policies_worked_example():
     s = AnnotationSet(images=[ImageAnnotations(path="p.jpg", faces=[face])])
     assert _write(s) == "p.jpg\n1\n2 0 10.50 10 0 0 0 0 0 0\n"
     assert _write(s, "integer") == "p.jpg\n1\n2 0 11 10 0 0 0 0 0 0\n"
+
+
+# --- the writers against their per-row reference -------------------------------
+
+# the values where cached cell texts and the scalar formatters could part:
+# signed zero, halves, the edges of the cache, values past int64, a subnormal
+_WRITER_EDGES = [-0.0, 0.5, -0.5, 2.5, -2.5, 16383.0, 16383.5, 16384.0, -1.0,
+                 1e16, 1e300, 2.0**63, 5e-324]
+_WRITER_FLOATS = st.one_of(st.sampled_from(_WRITER_EDGES), st.integers(0, 20).map(float),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _table_rows(draw, width: int):
+    """Per-image row counts (zero included) and an (N, width) value array."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    n = sum(counts)
+    vals = draw(st.lists(_WRITER_FLOATS, min_size=n * width, max_size=n * width))
+    return counts, np.array(vals, np.float64).reshape(n, width)
+
+
+def _record_lines(paths, counts, rows, empty=()):
+    """Each record's name line, count line and rows (`empty` if it has none)."""
+    out, k = [], 0
+    for path, n in zip(paths, counts):
+        out += [path, str(n), *(rows[k:k + n] if n else empty)]
+        k += n
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_rows(10), st.sampled_from(["decimal", "integer"]))
+def test_write_wider_gt_equals_the_per_row_reference(table, policy):
+    counts, values = table
+    paths = [f"d/{i}.jpg" for i in range(len(counts))]
+    boxes, flags = values[:, :4], np.trunc(values[:, 4:])  # flags are integer parts
+    rows = [" ".join([*(format_coord(v, policy) for v in b), *(str(int(f)) for f in fl)])
+            for b, fl in zip(boxes.tolist(), flags.tolist())]
+    expected = "".join(line + "\n" for line in _record_lines(
+        paths, counts, rows, empty=["0 0 0 0 0 0 0 0 0 0"]))
+    annset = AnnotationSet(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes, flags=flags)
+    assert _write(annset, policy) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_table_rows(4), st.data())
+def test_detection_writers_equal_the_per_row_reference(table, data):
+    counts, boxes = table
+    scores = data.draw(st.lists(st.one_of(_WRITER_FLOATS, st.floats()),
+                                min_size=len(boxes), max_size=len(boxes)))
+    keys = [f"{'ab'[i % 2]}/img{i}.jpg" for i in range(len(counts))]
+    rows = [" ".join([*map(format_coord, b), repr(s)]) for b, s in zip(boxes.tolist(), scores)]
+    detset = DetectionSet(paths=keys, offsets=np.cumsum([0, *counts]), boxes=boxes, scores=scores)
+
+    buf = io.StringIO()
+    write_detections_file(detset, buf)
+    assert buf.getvalue() == "".join(line + "\n" for line in _record_lines(keys, counts, rows))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_detections_dir(detset, tmp)
+        k = 0
+        for i, (key, n) in enumerate(zip(keys, counts)):
+            lines = _record_lines([f"img{i}"], [n], rows[k:k + n])
+            expected = "".join(line + "\n" for line in lines)
+            assert (Path(tmp) / key).with_suffix(".txt").read_text(encoding="utf-8") == expected
+            k += n
+
+
+def test_writers_build_their_cached_texts_on_first_use():
+    # a run that writes nothing (`boxcal stats`) must not hold the tables
+    code = ("import boxcal.cli, boxcal.formats as f; "
+            "assert f._text_table.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(boxcal.__file__).parents[1])})
+
+
+def test_a_hand_built_integer_score_is_written_as_a_float():
+    dets = DetectionSet(images=[ImageDetections("a.jpg", [Detection(BBox(1, 2, 3, 4), 1)])])
+    buf = io.StringIO()
+    write_detections_file(dets, buf)
+    assert buf.getvalue() == "a.jpg\n1\n1 2 3 4 1.0\n"
+    assert parse_detections_file(buf.getvalue()) == dets
 
 
 DETS_ONE = "img1\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\n"

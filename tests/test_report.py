@@ -287,6 +287,37 @@ def test_mbp_export_json_equals_json_dump(paths, data):
         assert buf.getvalue() == "[]\n"
 
 
+# as test_formats' writer differentials draw them: signed zero, halves, the
+# edges of the cached texts, values past int64, a subnormal
+_LEDGER_EDGES = st.sampled_from([-0.0, 0.5, -0.5, 2.5, -2.5, 16383.0, 16383.5, 16384.0, -1.0,
+                                 1e16, 1e300, 2.0**63, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mbp_export_tsv_equals_the_per_row_template(data):
+    n = data.draw(st.integers(0, 6))
+    values = st.one_of(_LEDGER_FLOATS, _LEDGER_EDGES, st.integers(0, 20).map(float))
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        return np.reshape(data.draw(st.lists(values, min_size=size, max_size=size)), shape)
+
+    paths = ["a.jpg", "b/c.jpg"]
+    claims = ClaimTable(
+        paths=paths, image=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        det_index=[0] * n, ann_index=data.draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)),
+        iou=floats(n), score=floats(n), old_boxes=floats(n, 4), new_boxes=floats(n, 4))
+    row = "%s\t%d" + "\t%r" * 10 + "\n"
+    expected = "\t".join(MBP_EXPORT_HEADER) + "\n" + "".join(
+        row % (paths[claims.image[i]], claims.ann_index[i], *claims.old_boxes[i].tolist(),
+               *claims.new_boxes[i].tolist(), float(claims.iou[i]), float(claims.score[i]))
+        for i in np.argsort(claims.iou, kind="stable").tolist())
+    buf = io.StringIO()
+    mbp_export(claims, buf)
+    assert buf.getvalue() == expected
+
+
 def _small_result():
     anns = AnnotationSet(images=[ImageAnnotations(
         path="x.jpg", faces=[FaceAnnotation(box=BBox(0, 0, 10, 10))])])
