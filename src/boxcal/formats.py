@@ -29,20 +29,21 @@ is meaningful.
 
 Parsed data lands in two tables, AnnotationSet and DetectionSet: image
 paths, per-image row offsets and one array per column.  `_records` is the
-one walk of the record grammar.  The parsers gather its row spans and
-convert them in two tiers: one call of numpy's C text reader
-(`np.loadtxt`, correctly rounded like `float`) over all rows and, only
-where that reader refuses a row, Python's `float` over every row in
-chunks, so the tokens only `float` reads (`1_0`, `١٢`) still parse.  The
-results are checked with array operations.  If any check fails, the row
-walker (`_walk`) parses the same lines again row by row: it raises the
-first fault in file order, with the same message and line as it always
-has, and is the reference the bulk path is tested against.  The per-face
-objects (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`,
-`Detection`) are a row view of a table, built on first use of `.images`.
+one walk of the record grammar.  Rows are converted on one of two paths.
+The fast path gathers every row span and reads them with one call of
+numpy's C text reader (`np.loadtxt`, correctly rounded like `float`), then
+checks the result with array operations.  Where the reader refuses a row
+or a check fails, the row walker (`_walk`) parses the same lines again
+row by row with Python's `float`: it reads the tokens only `float` reads
+(`1_0`, `١٢`), raises the first fault in file order, with the same message
+and line as it always has, and is the reference the fast path is tested
+against.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
+`ImageDetections`, `Detection`) are a row view of a table, built on first
+use of `.images`.
 
 The writers work from the columns: small non-negative whole numbers take
-cached texts, every other value goes through `format_coord` or `repr`.
+cached texts, every other value goes through `format_coord` or `repr`, the
+one copy of each rule.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ _FLAG_RANGES = (
 )
 _FLAG_LO = np.array([lo for _, lo, _ in _FLAG_RANGES], np.float64)
 _FLAG_HI = np.array([hi for _, _, hi in _FLAG_RANGES], np.float64)
-
-# Rows reach Python's `float` (the fallback tier, for rows numpy's C reader
-# refuses) this many at a time, which bounds the token lists held at once
-# (about 60 bytes a token) however large the file is.
-_CHUNK_ROWS = 1 << 14
 
 
 class ParseError(ValueError):
@@ -385,10 +381,17 @@ def _is_zero_dummy_line(line: str) -> bool:
 _Record = tuple[str, list[str], str, int, int]
 
 
-def _c_floats(rows: list[str], fields: int) -> np.ndarray | None:
-    """The rows as an (N, fields) float64 array read by numpy's C text
-    reader, or None where it refuses a token, finds a row of another width
-    or skips a blank row."""
+def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
+    """The fast path: every record's rows as one (N, fields) float64 array
+    read by one call of numpy's C text reader, or None when the reader
+    refuses a token, a row has another number of fields (the reader skips
+    blank rows, so the shape shows those too), a box is not a valid BBox,
+    or a value after the box is not finite.
+
+    Where the reader and `float` both read a token, both give the same
+    double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
+    and left to the row walker."""
+    rows = list(chain.from_iterable(lines[i - 1:i - 1 + n] for _, lines, _, i, n in records))
     if not rows:
         return np.empty((0, fields))  # loadtxt would warn that it read no data
     try:
@@ -398,40 +401,7 @@ def _c_floats(rows: list[str], fields: int) -> np.ndarray | None:
             values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    return values if values.shape == (len(rows), fields) else None
-
-
-def _py_floats(rows: list[str], fields: int) -> np.ndarray | None:
-    """The rows as an (N, fields) float64 array converted with Python's
-    `float`, or None when a row has another number of fields or a field is
-    not a number."""
-    values = np.empty((len(rows), fields))
-    flat = values.reshape(-1)
-    for r0 in range(0, len(rows), _CHUNK_ROWS):
-        split = [row.split() for row in rows[r0:r0 + _CHUNK_ROWS]]
-        if set(map(len, split)) != {fields}:
-            return None
-        try:
-            flat[r0 * fields:(r0 + len(split)) * fields] = np.fromiter(
-                map(float, chain.from_iterable(split)), np.float64, count=len(split) * fields)
-        except ValueError:
-            return None
-    return values
-
-
-def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
-    """Every record's rows as one (N, fields) float64 array, or None when a
-    row has the wrong number of fields, a field is not a number, a box is
-    not a valid BBox, or a value after the box is not finite.
-
-    numpy's C reader converts the rows; where it refuses any, Python's
-    `float` converts them all, so tokens only `float` reads (`1_0`, `١٢`)
-    still parse.  Where both read a token, both give the same double."""
-    rows = list(chain.from_iterable(lines[i - 1:i - 1 + n] for _, lines, _, i, n in records))
-    values = _c_floats(rows, fields)
-    if values is None:
-        values = _py_floats(rows, fields)
-    if values is None:
+    if values.shape != (len(rows), fields):
         return None
     ok = valid_boxes(values[:, :4]).all() and np.isfinite(values[:, 4:]).all()
     return values if ok else None
@@ -468,8 +438,9 @@ def _walk(records: Iterable[_Record], noun: str, fields: int,
 def _parse(records: Callable[[], Iterator[_Record]], noun: str, fields: int,
            check_row: Callable[[list[float], str, int], None],
            warn: Callable[[list[_Record], np.ndarray], None]) -> tuple[list[_Record], np.ndarray]:
-    """The records and their rows: the bulk path, or the row walker when
-    any check fails.  records() starts a fresh walk of the input."""
+    """The records and their rows: the fast path, or the row walker where
+    the C reader refuses a row or any check fails.  records() starts a
+    fresh walk of the input."""
     try:
         recs = list(records())
         values = _bulk(recs, fields)
@@ -594,9 +565,11 @@ def format_coord(v: float, policy: str = "decimal") -> str:
     """Canonical coordinate text: integral values bare, others per policy.
 
     "decimal" writes non-integral values with exactly 2 decimal places;
-    "integer" rounds to the nearest integer, halves away from zero.  This is
-    the cell-for-cell reference of every writer: the GT and detection files
-    write each coordinate (and each flag, an integral value) as this does.
+    "integer" rounds to the nearest integer, halves away from zero, and
+    raises on inf (OverflowError) and nan (ValueError).  This is the one copy
+    of both rules and the cell-for-cell reference of every writer: the GT
+    and detection files write each coordinate (and each flag, an integral
+    value) as this does, and raise as it does.
     """
     fv = float(v)
     if policy == "integer":
@@ -637,23 +610,17 @@ def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) 
     return out
 
 
-def _coord_texts(column: np.ndarray, policy: str) -> list[str]:
-    """format_coord(v, policy) over a column."""
-    if policy == "integer":
-        column = np.where(column >= 0, np.floor(column + 0.5), np.ceil(column - 0.5))
-    elif policy != "decimal":
-        raise ValueError(f"unknown rounding policy {policy!r}")
-    # after rounding every value is integral, and format_coord writes those bare
-    return _texts(column, _text_table(""), format_coord)
-
-
 def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
     """Write records in input order; see format_coord for the number policy.
 
     Zero-face images emit the all-zero dummy line so that parse -> write is
-    byte-identical on canonical files.
+    byte-identical on canonical files.  An unknown policy raises ValueError
+    before anything is written, whether or not the set has rows.
     """
-    cols = [_coord_texts(c, policy) for c in annset.boxes.T]
+    format_coord(0.0, policy)  # raises on an unknown policy
+    # a table hit is a whole number, which every policy writes bare
+    coord = functools.partial(format_coord, policy=policy)
+    cols = [_texts(c, _text_table(""), coord) for c in annset.boxes.T]
     cols += [_texts(c, _text_table(""), format_coord) for c in annset.flags.T]
     rows = list(map(" ".join, zip(*cols)))
     bounds = annset.offsets.tolist()
@@ -753,22 +720,26 @@ def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".j
 def _detection_rows(detset: DetectionSet) -> list[str]:
     """Each detection's row: its box as format_coord writes it, its score
     as repr does."""
-    cols = [_coord_texts(c, "decimal") for c in detset.boxes.T]
+    cols = [_texts(c, _text_table(""), format_coord) for c in detset.boxes.T]
     cols.append(list(map(repr, detset.scores.tolist())))
     return list(map(" ".join, zip(*cols)))
 
 
 def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str = ".jpg") -> None:
-    """Write one detection file per image under root, mirroring the key paths."""
-    rootp = Path(root)
+    """Write one detection file per image under root, mirroring the key paths:
+    a key's image_ext suffix, if it has one, is swapped for ".txt"."""
     rows = _detection_rows(detset)
     bounds = detset.offsets.tolist()
+    made: set[str] = set()
     for key, lo, hi in zip(detset.paths, bounds, bounds[1:]):
-        rel = key[:-len(image_ext)] + ".txt" if key.endswith(image_ext) else key + ".txt"
-        target = rootp / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join([Path(key).stem, str(hi - lo), *rows[lo:hi], ""]),
-                          encoding="utf-8")
+        stem = key[:len(key) - len(image_ext)] if key.endswith(image_ext) else key
+        target = os.path.join(root, stem + ".txt")
+        folder = os.path.dirname(target)
+        if folder not in made:
+            os.makedirs(folder or ".", exist_ok=True)
+            made.add(folder)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([Path(key).stem, str(hi - lo), *rows[lo:hi], ""]))
 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:

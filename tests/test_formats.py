@@ -20,7 +20,7 @@ from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotati
                             parse_detections_file, parse_wider_gt,
                             write_detections_dir, write_detections_file,
                             write_wider_gt)
-from boxcal.geometry import BBox
+from boxcal.geometry import BBox, valid_boxes
 
 GT_SAMPLE = """a/img1.jpg
 2
@@ -160,6 +160,9 @@ def test_format_coord_integer_halves_away_from_zero():
 def test_format_coord_rejects_unknown_policy():
     with pytest.raises(ValueError):
         format_coord(1.0, "nope")
+    for images in ([], [ImageAnnotations(path="e.jpg", faces=[])]):  # the writer, with no rows
+        with pytest.raises(ValueError, match="unknown rounding policy 'nope'"):
+            _write(AnnotationSet(images=images), "nope")
 
 
 def test_write_policies_worked_example():
@@ -197,17 +200,34 @@ def _record_lines(paths, counts, rows, empty=()):
     return out
 
 
+def _outcome(fn, *args):
+    """("ok", fn's result) or (exception type, its text)."""
+    try:
+        return "ok", fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_table_rows(10), st.sampled_from(["decimal", "integer"]))
-def test_write_wider_gt_equals_the_per_row_reference(table, policy):
+@given(_table_rows(10), st.sampled_from(["decimal", "integer"]), st.data())
+def test_write_wider_gt_equals_the_per_row_reference(table, policy, data):
     counts, values = table
+    for _ in range(data.draw(st.integers(0, 2)) if len(values) else 0):  # non-finite box cells
+        cell = data.draw(st.integers(0, len(values) - 1)), data.draw(st.integers(0, 3))
+        values[cell] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
     paths = [f"d/{i}.jpg" for i in range(len(counts))]
     boxes, flags = values[:, :4], np.trunc(values[:, 4:])  # flags are integer parts
-    rows = [" ".join([*(format_coord(v, policy) for v in b), *(str(int(f)) for f in fl)])
-            for b, fl in zip(boxes.tolist(), flags.tolist())]
+    annset = AnnotationSet(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes, flags=flags)
+    cells = [_outcome(format_coord, v, policy) for v in boxes.ravel().tolist()]
+    errors = {cell for cell in cells if cell[0] != "ok"}
+    if errors:  # the writer raises what format_coord raises on one of the cells
+        assert _outcome(_write, annset, policy) in errors
+        return
+    texts = iter(text for _, text in cells)
+    rows = [" ".join([*(next(texts) for _ in range(4)), *(str(int(f)) for f in fl)])
+            for fl in flags.tolist()]
     expected = "".join(line + "\n" for line in _record_lines(
         paths, counts, rows, empty=["0 0 0 0 0 0 0 0 0 0"]))
-    annset = AnnotationSet(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes, flags=flags)
     assert _write(annset, policy) == expected
 
 
@@ -225,14 +245,22 @@ def test_detection_writers_equal_the_per_row_reference(table, data):
     write_detections_file(detset, buf)
     assert buf.getvalue() == "".join(line + "\n" for line in _record_lines(keys, counts, rows))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        write_detections_dir(detset, tmp)
-        k = 0
-        for i, (key, n) in enumerate(zip(keys, counts)):
-            lines = _record_lines([f"img{i}"], [n], rows[k:k + n])
-            expected = "".join(line + "\n" for line in lines)
-            assert (Path(tmp) / key).with_suffix(".txt").read_text(encoding="utf-8") == expected
-            k += n
+    # an empty image_ext keeps the whole key and appends ".txt"
+    for image_ext, files in [(".jpg", [k[:-4] + ".txt" for k in keys]),
+                             ("", [k + ".txt" for k in keys])]:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_detections_dir(detset, tmp, image_ext=image_ext)
+            k = 0
+            for i, (rel, n) in enumerate(zip(files, counts)):
+                lines = _record_lines([f"img{i}"], [n], rows[k:k + n])
+                expected = "".join(line + "\n" for line in lines)
+                assert (Path(tmp) / rel).read_text(encoding="utf-8") == expected
+                k += n
+            assert sorted(p.relative_to(tmp).as_posix()
+                          for p in Path(tmp).rglob("*") if p.is_file()) == sorted(files)
+            written = np.array([row.split()[:4] for row in rows], np.float64).reshape(-1, 4)
+            if image_ext == "" and np.isfinite(scores).all() and valid_boxes(written).all():
+                assert sorted(parse_detections_dir(tmp, image_ext="").paths) == sorted(keys)
 
 
 def test_writers_build_their_cached_texts_on_first_use():
@@ -654,18 +682,26 @@ def _record_files(draw, fields):
 
 def _parse_outcome(parse, arg, caplog, walk_only):
     """(table columns or None, ParseError text or None, warnings, whether
-    the row walker ran)."""
+    the row walker ran, whether numpy's C text reader refused the rows)."""
     import boxcal.formats as formats
-    walked = []
-    real_walk = formats._walk
+    walked, refused = [], []
+    real_walk, real_loadtxt = formats._walk, np.loadtxt
 
     def walk(*args):
         walked.append(True)
         return real_walk(*args)
 
+    def loadtxt(*args, **kwargs):
+        try:
+            return real_loadtxt(*args, **kwargs)
+        except ValueError:
+            refused.append(True)
+            raise
+
     caplog.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_walk", walk)
+        mp.setattr(np, "loadtxt", loadtxt)
         if walk_only:
             mp.setattr(formats, "_bulk", lambda records, fields: None)
         try:
@@ -675,7 +711,8 @@ def _parse_outcome(parse, arg, caplog, walk_only):
             error = None
         except ParseError as exc:
             cols, error = None, str(exc)
-    return cols, error, [(r.levelname, r.getMessage()) for r in caplog.records], bool(walked)
+    return (cols, error, [(r.levelname, r.getMessage()) for r in caplog.records],
+            bool(walked), bool(refused))
 
 
 @settings(max_examples=150, deadline=None,
@@ -701,19 +738,19 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, gt, dets):
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
-            assert bulk[3] == (walker[1] is not None)  # the bulk path rejects what the walker does
+            # the walker runs if and only if the C reader refused or the walker raised
+            assert bulk[3] == (bulk[4] or walker[1] is not None)
 
 
-# Which conversion tier runs: numpy's C text reader on every row, Python's
-# `float` only where that reader refuses one, the row walker only on a fault.
+# Which path runs: numpy's C text reader on every row, the row walker only
+# where that reader refuses a row or a check fails.
 @pytest.mark.filterwarnings("error")
-def test_canonical_files_never_reach_the_python_float_tier(tmp_path, monkeypatch):
+def test_canonical_files_never_reach_the_row_walker(tmp_path, monkeypatch):
     import boxcal.formats as formats
 
     def refuse(*args):
-        raise AssertionError("Python float tier or row walker ran")
+        raise AssertionError("row walker ran")
 
-    monkeypatch.setattr(formats, "_py_floats", refuse)
     monkeypatch.setattr(formats, "_walk", refuse)
     dets = "a/img1.jpg\n2\n10 20 30 40 0.9\n5 5 12 18 0.25\n\nb/img2.jpg\n0\n"
     (tmp_path / "a").mkdir()
@@ -725,19 +762,19 @@ def test_canonical_files_never_reach_the_python_float_tier(tmp_path, monkeypatch
     assert parse_wider_gt("a.jpg\n0\n").paths == ["a.jpg"]  # no rows, and no warning
 
 
-def test_tokens_the_c_reader_refuses_fall_back_to_python_float(monkeypatch):
+def test_tokens_the_c_reader_refuses_fall_back_to_the_row_walker(monkeypatch):
     import boxcal.formats as formats
-    tiers = []
-    for name in ("_c_floats", "_py_floats"):
-        def spy(rows, fields, real=getattr(formats, name), name=name):
-            out = real(rows, fields)
-            tiers.append((name, out is None))
-            return out
-        monkeypatch.setattr(formats, name, spy)
+    walked = []
+
+    def walk(*args, real=formats._walk):
+        walked.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(formats, "_walk", walk)
     tokens = ["1_0", "١٢", "0.1", "4.9e-324", "1e-400", "+.5", "1E5", "-0"]
     s = parse_detections_file("a.jpg\n2\n" + " ".join(tokens[:4]) + " 0.5\n"
                               + "\u3000".join(tokens[4:]) + "\x1c0.5\n")
-    assert tiers == [("_c_floats", True), ("_py_floats", False)]
+    assert walked == [True]
     assert s.boxes.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
 
