@@ -6,6 +6,7 @@ stdout/stderr split are asserted directly; one subprocess test covers the
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -356,6 +357,126 @@ def test_diff_reports_structural_changes(tmp_path, capsys):
     assert f"- b/y.jpg: image only in {old}" in out
     assert f"+ c/z.jpg: image only in {new}" in out
     assert out.endswith("3 changes\n")
+
+
+# sha256 of every file `boxcal synth` writes, as the release that built its
+# datasets from per-face objects wrote them
+SYNTH_PINS = {
+    "dir": (["--seed", "5", "--images", "12", "--faces", "0,6", "--distractors", "0,3",
+             "--min-gap", "6"], {
+        "detections/d000/img000000.txt": "2d456ddecb79dc370e5d4b0ec85c199af8df96fea92e27bba9540de8c9c2745b",
+        "detections/d000/img000001.txt": "65ed61c5dab0b2e441f5a884511185dd2c7e51a666f767613c65ec3d5931f206",
+        "detections/d000/img000002.txt": "2351267b960d5e008bf3fce6e4f71ba0256b8d5a317e5df3c8d4ff7265357dec",
+        "detections/d000/img000003.txt": "b18c83e3f0e0a0392b215b721c87ad358b3fdd1a269a6f8185bd6ce48582a510",
+        "detections/d000/img000004.txt": "869a09b1ed32e2840e7c7b3e5c1937acea6c8155f4012910d439c0b6b80b4a3a",
+        "detections/d000/img000005.txt": "142cf1a1b5bc17b83050ddbdcef3fdd2b7bfd2f47c9706f18729aeedbff4b687",
+        "detections/d000/img000006.txt": "6f615d06677d893e73c3d483b5e8f9fabf06dfeba22cbc4ab97c257d9ad41c15",
+        "detections/d000/img000007.txt": "040d1baf07ce8b8baddbdb017444a0ed79e85933393029af9bf0e98a361cf295",
+        "detections/d000/img000008.txt": "3727c86399c0c3f2d3a1a0048dc86bee49617c5f80a67680c1bcfc1420a92621",
+        "detections/d000/img000009.txt": "d9eb8d3719c8f8f2135c8ede1ce3b0a75599b2c84efd8f238903be585a309fe9",
+        "detections/d000/img000010.txt": "4902bb48e27a3fb40b0d7010badfff734c181fef06a1ce4fdf49446a4e8d536d",
+        "detections/d000/img000011.txt": "862e7c5e9e89ce0d6d320aa4134797be2f37d63708961eafca3836b8cac0ad5a",
+        "gt.txt": "0765dd2e77623a0842a60f4a66c906fa8e7e49757ed58cdb455477a5cbc8c4aa",
+        "ledger.tsv": "48692d64d2020b77c8b7114b78e1a7f484101bf79eb69b759dc7ca3058f9c932",
+        "truth.txt": "5fb721fa1a5f55cae009f44ae66e78897df9cb84b613e631d8f17e84ede6ed55",
+    }),
+    "single-file": (["--single-file"], {
+        "detections.txt": "d32d1b0f7830fefc45fe7640df03d0957077fea2d45733fd84a9803eb664a9c4",
+        "gt.txt": "a4fc2213e190875e7efe92ff602c897439a868589f1526912ddda7c17b8edb81",
+        "ledger.tsv": "9dd994c10006e3d4077984ed3832bb9e667c0526542e80be7a6a7da4bfb3a9e2",
+        "truth.txt": "59decbe3f7cd35a8f09934e1e2e509cc01f554b99eedd88d6bfa1c54884df603",
+    }),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(SYNTH_PINS))
+def test_synth_output_bytes_are_pinned(tmp_path, capsys, layout):
+    argv, pins = SYNTH_PINS[layout]
+    assert main(["synth", "--out", str(tmp_path), *argv]) == 0
+    capsys.readouterr()
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == pins
+
+
+def _reference_diff(old_path: str, new_path: str) -> str:
+    """`boxcal diff`'s stdout as the release that walked the row view
+    printed it."""
+    old, new = load_wider_gt(old_path), load_wider_gt(new_path)
+    out = []
+    new_by_path = {img.path: img for img in new.images}
+    changes = 0
+    for img in old.images:
+        other = new_by_path.pop(img.path, None)
+        if other is None:
+            out.append(f"- {img.path}: image only in {old_path}")
+            changes += 1
+            continue
+        for k, (fa, fb) in enumerate(zip(img.faces, other.faces)):
+            if fa.box != fb.box:
+                a, b = fa.box, fb.box
+                out.append(f"~ {img.path}#{k}: ({a.x:g} {a.y:g} {a.w:g} {a.h:g})"
+                           f" -> ({b.x:g} {b.y:g} {b.w:g} {b.h:g})")
+                changes += 1
+        if len(img.faces) != len(other.faces):
+            out.append(f"~ {img.path}: face count {len(img.faces)} -> {len(other.faces)}")
+            changes += 1
+    for path in new_by_path:
+        out.append(f"+ {path}: image only in {new_path}")
+        changes += 1
+    out.append(f"{changes} changes")
+    return "".join(line + "\n" for line in out)
+
+
+# coordinate tokens: signed zeros in several spellings, fractions :g shortens,
+# a value past the cached texts, a large exponent
+_DIFF_TOKENS = st.sampled_from(["0", "-0", "0.0", "-0.0", "1", "1.5", "2.25", "3", "100",
+                                "1e2", "16384", "123456789.5", "1e150"])
+_DIFF_FACE = st.lists(_DIFF_TOKENS, min_size=4, max_size=4)
+# the same value spelt another way: -0 equals 0, as BBox == says
+_RESPELT = {"0": "-0", "-0": "0.0", "0.0": "-0.0", "-0.0": "0", "100": "1e2", "1e2": "100"}
+
+
+@st.composite
+def _diff_pair(draw):
+    """Two annotation files over overlapping image sets: the new file
+    changes boxes (-0 for 0 among them), adds and drops faces, drops
+    images, adds images and reorders them."""
+    paths = draw(st.lists(st.sampled_from([f"d/{c}.jpg" for c in "abcdefgh"]),
+                          max_size=6, unique=True))
+    old = {p: draw(st.lists(_DIFF_FACE, max_size=4)) for p in paths}
+    new = {}
+    for p, faces in old.items():
+        if draw(st.integers(0, 5)) == 0:
+            continue                                                # only in the old file
+        faces = [draw(st.sampled_from([f, [_RESPELT.get(t, t) for t in f], draw(_DIFF_FACE)]))
+                 for f in faces]                                    # kept, respelt, redrawn
+        if faces and draw(st.booleans()):
+            faces = faces[:draw(st.integers(0, len(faces) - 1))]    # fewer faces
+        faces += draw(st.lists(_DIFF_FACE, max_size=2))             # more faces
+        new[p] = faces
+    for p in draw(st.lists(st.sampled_from(["n/x.jpg", "n/y.jpg", "n/z.jpg"]), unique=True)):
+        new[p] = draw(st.lists(_DIFF_FACE, max_size=3))             # only in the new file
+    order = draw(st.permutations(list(new)))
+
+    def text(images, keys):
+        return "".join(f"{p}\n{len(images[p])}\n"
+                       + "".join(" ".join(f) + " 0 0 0 0 0 0\n" for f in images[p])
+                       for p in keys)
+
+    return text(old, old), text(new, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_diff_pair())
+def test_diff_equals_the_row_view_reference(pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _write(Path(tmp), "old.txt", pair[0])
+        new = _write(Path(tmp), "new.txt", pair[1])
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["diff", old, new]) == 0
+        assert out.getvalue() == _reference_diff(old, new)
 
 
 # --- argument and stream discipline ----------------------------------------
