@@ -26,8 +26,9 @@ the annotation images, step 1 is a per-image count of scores above the
 threshold, candidate pairs are scored in runs of HCDRs under a fixed pair
 budget, step 3 is a single `np.unique` over annotation rows, and step 4 is
 one indexed assignment into a copy of the box column.  The claims come out
-as columns too, a `ClaimTable`; their `MbpRecord` objects are a row view,
-built only when something reads them.
+as columns too, a `ClaimTable`, which is built only from columns; their
+`MbpRecord` objects are a read-only row view, built only when something
+reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from operator import attrgetter
 from time import perf_counter
-from typing import Iterable
 
 import numpy as np
 
@@ -84,17 +83,15 @@ class MbpRecord:
 
 
 def _column(k: int, doc: str) -> property:
-    return property(lambda self: self._columns()[k], doc=doc)
+    return property(lambda self: self._cols[k], doc=doc)
 
 
 class ClaimTable:
     """The replaced annotations, one row per claim, in image order, then
     score order.
 
-    Built either from the columns or from records (`ClaimTable(records)`,
-    as `oracle_calibrate` makes them); each form is derived from the other
-    at most once, on first use, and a table built from records keeps them
-    as its `records`.  The columns are read-only.
+    The columns are the table's only state, and they are read-only;
+    `records` is a row view of them, built on first use.
     """
 
     __slots__ = ("_records", "_cols")
@@ -102,16 +99,7 @@ class ClaimTable:
                 ("ann_index", np.int64, ()), ("iou", np.float64, ()), ("score", np.float64, ()),
                 ("old_boxes", np.float64, (4,)), ("new_boxes", np.float64, (4,)))
 
-    def __init__(self, records: Iterable[MbpRecord] | None = None, *,
-                 paths: list[str] | None = None, **columns) -> None:
-        if paths is None:
-            if columns:
-                raise TypeError("claim columns need paths")
-            self._records = [] if records is None else list(records)
-            self._cols = None
-            return
-        if records is not None:
-            raise TypeError("pass records or the claim columns, not both")
+    def __init__(self, *, paths: list[str], **columns) -> None:
         if set(columns) != {name for name, _, _ in self._COLUMNS}:
             raise TypeError(f"claim columns are paths and "
                             f"{', '.join(name for name, _, _ in self._COLUMNS)}")
@@ -131,7 +119,7 @@ class ClaimTable:
     new_boxes = _column(7, "float64 (n, 4): the detection box put in its place")
 
     def __len__(self) -> int:
-        return len(self._records) if self._cols is None else len(self._cols[1])
+        return len(self._cols[1])
 
     @property
     def records(self) -> list[MbpRecord]:
@@ -143,20 +131,6 @@ class ClaimTable:
                                  image.tolist(), det.tolist(), ann.tolist(), ious.tolist(),
                                  scores.tolist(), old.tolist(), new.tolist())]
         return self._records
-
-    def _columns(self) -> tuple:
-        if self._cols is None:
-            recs = self._records
-            paths = list(dict.fromkeys(r.path for r in recs))
-            where = {p: i for i, p in enumerate(paths)}
-            xywh = attrgetter("x", "y", "w", "h")
-            self._cols = ClaimTable(
-                paths=paths, image=[where[r.path] for r in recs],
-                det_index=[r.det_index for r in recs], ann_index=[r.ann_index for r in recs],
-                iou=[r.iou for r in recs], score=[r.score for r in recs],
-                old_boxes=[xywh(r.old_box) for r in recs],
-                new_boxes=[xywh(r.new_box) for r in recs])._cols
-        return self._cols
 
 
 @dataclass(slots=True)

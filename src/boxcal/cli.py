@@ -12,9 +12,12 @@ import argparse
 import logging
 import sys
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import Iterator
+
+import numpy as np
 
 from .adc import compute_adc
 from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_ious
@@ -245,7 +248,7 @@ def run_synth(args) -> int:
         with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
             write_perturb_ledger(ledger, fh)
         n_perturbed = len(ledger.entries)
-    print(f"wrote {len(truth.images)} images, {truth.total_faces()} faces, "
+    print(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
           f"{n_perturbed} perturbed, {dets.total_detections()} detections to {out}")
     return 0
 
@@ -253,27 +256,30 @@ def run_synth(args) -> int:
 def run_diff(args) -> int:
     old = load_wider_gt(args.old)
     new = load_wider_gt(args.new)
-    new_by_path = {img.path: img for img in new.images}
-    changes = 0
-    for img in old.images:
-        other = new_by_path.pop(img.path, None)
-        if other is None:
-            print(f"- {img.path}: image only in {args.old}")
-            changes += 1
-            continue
-        for k, (fa, fb) in enumerate(zip(img.faces, other.faces)):
-            if fa.box != fb.box:
-                a, b = fa.box, fb.box
-                print(f"~ {img.path}#{k}: ({a.x:g} {a.y:g} {a.w:g} {a.h:g})"
-                      f" -> ({b.x:g} {b.y:g} {b.w:g} {b.h:g})")
-                changes += 1
-        if len(img.faces) != len(other.faces):
-            print(f"~ {img.path}: face count {len(img.faces)} -> {len(other.faces)}")
-            changes += 1
-    for path in new_by_path:
-        print(f"+ {path}: image only in {args.new}")
-        changes += 1
-    print(f"{changes} changes")
+    only_new = dict(zip(new.paths, range(len(new.paths))))
+    match = np.array([only_new.pop(p, -1) for p in old.paths], np.int64)  # -1: only in old
+    n_old = np.diff(old.offsets)
+    n_new = np.append(np.diff(new.offsets), 0)[match]
+    # pair the faces of each image in both files, up to the smaller count
+    shared = np.minimum(n_old, n_new)
+    image = np.repeat(np.arange(len(match)), shared)
+    k = np.arange(len(image)) - np.repeat(np.cumsum(shared) - shared, shared)
+    a, b = old.offsets[image] + k, new.offsets[match[image]] + k
+    changed = np.flatnonzero((old.boxes[a] != new.boxes[b]).any(axis=1))  # -0.0 == 0.0
+    events = [(i, f"~ {old.paths[i]}#{j}: ({x:g} {y:g} {w:g} {h:g})"
+                  f" -> ({x2:g} {y2:g} {w2:g} {h2:g})")
+              for i, j, (x, y, w, h), (x2, y2, w2, h2) in zip(
+                  image[changed].tolist(), k[changed].tolist(),
+                  old.boxes[a[changed]].tolist(), new.boxes[b[changed]].tolist())]
+    recount = np.flatnonzero((match >= 0) & (n_old != n_new))
+    events += [(i, f"~ {old.paths[i]}: face count {p} -> {q}")
+               for i, p, q in zip(recount.tolist(), n_old[recount].tolist(),
+                                  n_new[recount].tolist())]
+    events += [(i, f"- {old.paths[i]}: image only in {args.old}")
+               for i in np.flatnonzero(match < 0).tolist()]
+    events.sort(key=itemgetter(0))  # stable: an image's faces, then its count
+    lines = [line for _, line in events] + [f"+ {p}: image only in {args.new}" for p in only_new]
+    print("".join(line + "\n" for line in lines) + f"{len(lines)} changes")
     return 0
 
 

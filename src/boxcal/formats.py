@@ -37,9 +37,10 @@ or a check fails, the row walker (`_walk`) parses the same lines again
 row by row with Python's `float`: it reads the tokens only `float` reads
 (`1_0`, `١٢`), raises the first fault in file order, with the same message
 and line as it always has, and is the reference the fast path is tested
-against.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
-`ImageDetections`, `Detection`) are a row view of a table, built on first
-use of `.images`.
+against.  The columns are a table's only state.  The per-face objects
+(`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`) are
+its row view, built on first use of `.images`; a table built from such
+objects converts them to columns at once and keeps them as that view.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, every other value goes through `format_coord` or `repr`, the
@@ -131,9 +132,10 @@ class _Table:
     column, rows stored image after image.  Image i owns rows
     offsets[i]:offsets[i+1].
 
-    Built either from the columns or from row objects (`images=`); each form
-    is derived from the other at most once, on first use, and a set built
-    from objects keeps them as its `images`.  `==` compares the tables.
+    The columns are the table's only state, and they are read-only.  Row
+    objects passed as `images` are converted to columns at once and kept as
+    the row view; otherwise `images` builds that view on first use.  `==`
+    compares the tables.
     """
 
     __slots__ = ("_images", "_cols")
@@ -143,14 +145,14 @@ class _Table:
 
     def __init__(self, images: Iterable | None = None, *,
                  paths: Iterable[str] | None = None, offsets=None, **columns) -> None:
-        if paths is None:
-            if offsets is not None or columns:
-                raise TypeError("table columns need paths")
-            self._images = [] if images is None else list(images)
-            self._cols = None
-            return
+        self._images = None
         if images is not None:
-            raise TypeError("pass images or the table columns, not both")
+            if paths is not None or offsets is not None or columns:
+                raise TypeError("pass images or the table columns, not both")
+            self._images = list(images)
+            paths, offsets, columns = self._from_rows(self._images)
+        elif paths is None:
+            raise TypeError("table columns need paths")
         if set(columns) != {name for name, _ in self._COLUMNS}:
             raise TypeError(f"table columns are paths, offsets and "
                             f"{', '.join(name for name, _ in self._COLUMNS)}")
@@ -162,21 +164,15 @@ class _Table:
             raise ValueError("offsets must rise from 0, one more than there are paths")
         cols = tuple(_frozen(columns[name], np.float64, (n, *shape))
                      for name, shape in self._COLUMNS)
-        self._images = None
         self._cols = (paths, offsets, *cols)
-
-    def _columns(self) -> tuple:
-        if self._cols is None:
-            self._cols = self._table(self._images)
-        return self._cols
 
     @property
     def paths(self) -> list[str]:
-        return self._columns()[0]
+        return self._cols[0]
 
     @property
     def offsets(self) -> np.ndarray:
-        return self._columns()[1]
+        return self._cols[1]
 
     @property
     def images(self) -> list:
@@ -188,7 +184,7 @@ class _Table:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        (p, *a), (q, *b) = self._columns(), other._columns()
+        (p, *a), (q, *b) = self._cols, other._cols
         return p == q and all(np.array_equal(x, y) for x, y in zip(a, b))
 
     __hash__ = None  # type: ignore[assignment]
@@ -197,7 +193,8 @@ class _Table:
         return f"{type(self).__name__}({len(self.paths)} images, {int(self.offsets[-1])} rows)"
 
     @classmethod
-    def _table(cls, images: list) -> tuple:
+    def _from_rows(cls, images: list) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
+        """The paths, offsets and columns of a list of row objects."""
         rows = [row for img in images for row in getattr(img, cls._ROWS)]
         n_fields = len(cls._FIELDS)
         values = np.fromiter(chain.from_iterable(map(attrgetter(*cls._FIELDS), rows)),
@@ -207,9 +204,8 @@ class _Table:
             width = shape[0] if shape else 1
             columns[name] = values[:, k:k + width]
             k += width
-        return cls(paths=[img.path for img in images],
-                   offsets=_offsets([len(getattr(img, cls._ROWS)) for img in images]),
-                   **columns)._cols
+        return ([img.path for img in images],
+                _offsets([len(getattr(img, cls._ROWS)) for img in images]), columns)
 
     def _row_view(self) -> list:
         raise NotImplementedError
@@ -239,11 +235,11 @@ class AnnotationSet(_Table):
 
     @property
     def boxes(self) -> np.ndarray:
-        return self._columns()[2]
+        return self._cols[2]
 
     @property
     def flags(self) -> np.ndarray:
-        return self._columns()[3]
+        return self._cols[3]
 
     def total_faces(self) -> int:
         return len(self.boxes)
@@ -273,11 +269,11 @@ class DetectionSet(_Table):
 
     @property
     def boxes(self) -> np.ndarray:
-        return self._columns()[2]
+        return self._cols[2]
 
     @property
     def scores(self) -> np.ndarray:
-        return self._columns()[3]
+        return self._cols[3]
 
     def total_detections(self) -> int:
         return len(self.scores)
@@ -565,16 +561,18 @@ def format_coord(v: float, policy: str = "decimal") -> str:
     """Canonical coordinate text: integral values bare, others per policy.
 
     "decimal" writes non-integral values with exactly 2 decimal places;
-    "integer" rounds to the nearest integer, halves away from zero, and
-    raises on inf (OverflowError) and nan (ValueError).  This is the one copy
-    of both rules and the cell-for-cell reference of every writer: the GT
-    and detection files write each coordinate (and each flag, an integral
-    value) as this does, and raise as it does.
+    "integer" rounds the exact value to the nearest integer, halves away
+    from zero, and raises on inf (OverflowError) and nan (ValueError).
+    This is the one copy of both rules and the cell-for-cell reference of
+    every writer: the GT and detection files write each coordinate (and
+    each flag, an integral value) as this does, and raise as it does.
     """
     fv = float(v)
     if policy == "integer":
-        r = math.floor(fv + 0.5) if fv >= 0 else math.ceil(fv - 0.5)
-        return str(int(r))
+        whole = math.trunc(fv)
+        if abs(fv - whole) >= 0.5:  # exact, where fv + 0.5 itself may round
+            whole += 1 if fv > 0 else -1
+        return str(whole)
     if policy != "decimal":
         raise ValueError(f"unknown rounding policy {policy!r}")
     if fv.is_integer():

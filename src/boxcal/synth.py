@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter
 from typing import TextIO
 
 import numpy as np
 
 from .adc import AdcResult
-from .calibrate import (CalibrationConfig, CalibrationCounters, CalibrationResult, ClaimTable,
-                        MbpRecord)
-from .formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
-                      ImageAnnotations, ImageDetections)
+from .calibrate import CalibrationConfig, CalibrationCounters, CalibrationResult, ClaimTable
+from .formats import AnnotationSet, Detection, DetectionSet, _offsets
 from .geometry import BBox, iou
 
 _PLACEMENT_TRIES = 1000
@@ -89,6 +88,10 @@ class PerturbLedger:
     entries: list[PerturbEntry] = field(default_factory=list)
 
 
+def _xywh(b: BBox) -> tuple[float, float, float, float]:
+    return b.x, b.y, b.w, b.h
+
+
 def _separated(a: BBox, b: BBox, gap: float) -> bool:
     return (a.x + a.w + gap <= b.x or b.x + b.w + gap <= a.x
             or a.y + a.h + gap <= b.y or b.y + b.h + gap <= a.y)
@@ -122,26 +125,22 @@ def generate_dataset(spec: SynthSpec) -> AnnotationSet:
     (rejection-sampled, raising ValueError for infeasible specs).
     """
     rng = random.Random(f"{spec.seed}:gt")
-    images: list[ImageAnnotations] = []
+    paths: list[str] = []
+    counts: list[int] = []
+    rows: list[float] = []  # x y w h blur expression illumination invalid occlusion pose
     for i in range(spec.n_images):
-        path = f"d{i // 1000:03d}/img{i:06d}.jpg"
+        paths.append(f"d{i // 1000:03d}/img{i:06d}.jpg")
         n_faces = rng.randint(spec.faces_per_image[0], spec.faces_per_image[1])
         placed: list[BBox] = []
-        faces: list[FaceAnnotation] = []
         for _ in range(n_faces):
             box = _place_box(rng, spec, placed)
             placed.append(box)
-            faces.append(FaceAnnotation(
-                box=box,
-                blur=rng.randint(0, 2),
-                expression=rng.randint(0, 1),
-                illumination=rng.randint(0, 1),
-                invalid=0,
-                occlusion=rng.randint(0, 2),
-                pose=rng.randint(0, 1),
-            ))
-        images.append(ImageAnnotations(path=path, faces=faces))
-    return AnnotationSet(images=images)
+            rows += (*_xywh(box), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1), 0,
+                     rng.randint(0, 2), rng.randint(0, 1))
+        counts.append(n_faces)
+    values = np.array(rows, np.float64).reshape(-1, 10)
+    return AnnotationSet(paths=paths, offsets=_offsets(counts),
+                         boxes=values[:, :4], flags=values[:, 4:])
 
 
 def perturb(annset: AnnotationSet, seed: int, fraction: float,
@@ -161,39 +160,34 @@ def perturb(annset: AnnotationSet, seed: int, fraction: float,
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
 
-    eligible = [(i, k)
-                for i, img in enumerate(annset.images)
-                for k, f in enumerate(img.faces)
-                if f.box.w > 0 and f.box.h > 0]
+    boxes = annset.boxes
+    eligible = np.flatnonzero((boxes[:, 2] > 0) & (boxes[:, 3] > 0))
     count = math.floor(fraction * len(eligible))
     if count == 0:
         return annset, PerturbLedger([])
 
     rng = random.Random(f"{seed}:perturb")
-    chosen = sorted(rng.sample(range(len(eligible)), count))
+    chosen = eligible[sorted(rng.sample(range(len(eligible)), count))]
+    image = np.searchsorted(annset.offsets, chosen, side="right") - 1
 
     entries: list[PerturbEntry] = []
-    new_faces_by_image: dict[int, list[FaceAnnotation]] = {}
-    for pos in chosen:
-        i, k = eligible[pos]
-        img = annset.images[i]
-        true_box = img.faces[k].box
+    moved_boxes = boxes.copy()
+    for row, i, xywh in zip(chosen.tolist(), image.tolist(), boxes[chosen].tolist()):
+        true_box = BBox(*xywh)
         t = rng.uniform(lo, hi)
         d = true_box.w * (1.0 - t) / (1.0 + t)
         new_x = true_box.x + d
         if image_size is not None and new_x + true_box.w > image_size[0]:
             new_x = true_box.x - d
         moved = BBox(new_x, true_box.y, true_box.w, true_box.h)
-        faces = new_faces_by_image.setdefault(i, list(img.faces))
-        faces[k] = replace(img.faces[k], box=moved)
+        moved_boxes[row, 0] = new_x
         entries.append(PerturbEntry(
-            path=img.path, ann_index=k, true_box=true_box,
+            path=annset.paths[i], ann_index=row - int(annset.offsets[i]), true_box=true_box,
             perturbed_box=moved, achieved_iou=iou(moved, true_box)))
 
-    images = [ImageAnnotations(path=img.path, faces=new_faces_by_image[i])
-              if i in new_faces_by_image else img
-              for i, img in enumerate(annset.images)]
-    return AnnotationSet(images=images), PerturbLedger(entries)
+    return (AnnotationSet(paths=annset.paths, offsets=annset.offsets, boxes=moved_boxes,
+                          flags=annset.flags),
+            PerturbLedger(entries))
 
 
 def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
@@ -204,20 +198,24 @@ def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
     distractors get random boxes and scores from the distractor range.
     """
     rng = random.Random(f"{spec.seed}:detections")
-    images: list[ImageDetections] = []
-    for img in truth.images:
-        dets = [Detection(box=f.box,
-                          score=rng.uniform(spec.aligned_score_range[0],
-                                            spec.aligned_score_range[1]))
-                for f in img.faces]
+    boxes = truth.boxes.tolist()
+    bounds = truth.offsets.tolist()
+    counts: list[int] = []
+    rows: list[tuple] = []  # score, x, y, w, h
+    for lo, hi in zip(bounds, bounds[1:]):
+        dets = [(rng.uniform(spec.aligned_score_range[0], spec.aligned_score_range[1]), *b)
+                for b in boxes[lo:hi]]
         n_extra = rng.randint(spec.distractors_per_image[0], spec.distractors_per_image[1])
         for _ in range(n_extra):
-            dets.append(Detection(box=_random_box(rng, spec),
-                                  score=rng.uniform(spec.distractor_score_range[0],
-                                                    spec.distractor_score_range[1])))
-        dets.sort(key=lambda d: d.score, reverse=True)
-        images.append(ImageDetections(path=img.path, dets=dets))
-    return DetectionSet(images=images)
+            box = _random_box(rng, spec)
+            dets.append((rng.uniform(spec.distractor_score_range[0],
+                                     spec.distractor_score_range[1]), *_xywh(box)))
+        dets.sort(key=itemgetter(0), reverse=True)
+        rows += dets
+        counts.append(len(dets))
+    values = np.array(rows, np.float64).reshape(-1, 5)
+    return DetectionSet(paths=truth.paths, offsets=_offsets(counts),
+                        boxes=values[:, 1:], scores=values[:, 0])
 
 
 def write_perturb_ledger(ledger: PerturbLedger, stream: TextIO) -> None:
@@ -262,8 +260,10 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
     detection's best annotation with a quadratic loop over all pairs.  Claims resolve in
     descending-score order against an explicit taken-set.  Each strong
     detection's max IoU over all annotations (hcdr_ious) comes from a
-    separate loop that ignores the candidate set.  Intended for
-    equivalence testing against calibrate_dataset, not for large datasets.
+    separate loop that ignores the candidate set.  It walks the row view
+    of its inputs and returns column tables whose paths are anns.paths, as
+    calibrate_dataset's are.  Intended for equivalence testing against
+    calibrate_dataset, not for large datasets.
     """
     if cfg is None:
         cfg = CalibrationConfig()
@@ -311,12 +311,13 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
         threshold = adc_result.value
 
     counters = CalibrationCounters(images_processed=len(joined))
-    out_images: list[ImageAnnotations] = []
-    mbps: list[MbpRecord] = []
+    out_boxes: list[tuple[float, float, float, float]] = []
+    claims: list[tuple] = []  # image, det_index, ann_index, iou, score, old box, new box
     hcdr_ious: list[float] = []
-    for img, dlist in joined:
+    for i, (img, dlist) in enumerate(joined):
+        first = len(out_boxes)
+        out_boxes += [_xywh(f.box) for f in img.faces]
         if not img.faces:
-            out_images.append(img)
             continue
         strong = [d for d in dlist if d.score > threshold]
         for det in strong:
@@ -326,12 +327,10 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
         else:
             candidates = [k for k, f in enumerate(img.faces) if not f.invalid]
         if not strong or not candidates:
-            out_images.append(img)
             continue
         counters.hcdrs_considered += len(strong)
 
         taken: set[int] = set()
-        img_records: list[MbpRecord] = []
         for j, det in enumerate(strong):
             best = -1.0
             best_k = -1
@@ -345,25 +344,20 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
                     counters.skipped_already_claimed += 1
                 else:
                     taken.add(best_k)
-                    img_records.append(MbpRecord(
-                        path=img.path, det_index=j, ann_index=best_k, iou=best,
-                        score=det.score, old_box=img.faces[best_k].box,
-                        new_box=det.box))
+                    claims.append((i, j, best_k, best, det.score,
+                                   _xywh(img.faces[best_k].box), _xywh(det.box)))
+                    out_boxes[first + best_k] = _xywh(det.box)
             else:
                 counters.skipped_out_of_interval += 1
 
-        if img_records:
-            new_faces = list(img.faces)
-            for r in img_records:
-                new_faces[r.ann_index] = replace(new_faces[r.ann_index], box=r.new_box)
-            out_images.append(ImageAnnotations(path=img.path, faces=new_faces))
-            mbps.extend(img_records)
-        else:
-            out_images.append(img)
-
+    image, det_index, ann_index, ious, scores, old_boxes, new_boxes = (
+        [list(column) for column in zip(*claims)] or [[]] * 7)
     return CalibrationResult(
-        calibrated=AnnotationSet(images=out_images),
-        claims=ClaimTable(mbps),
+        calibrated=AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=out_boxes,
+                                 flags=anns.flags),
+        claims=ClaimTable(paths=anns.paths, image=image, det_index=det_index,
+                          ann_index=ann_index, iou=ious, score=scores,
+                          old_boxes=old_boxes, new_boxes=new_boxes),
         counters=counters,
         wall_time=perf_counter() - t0,
         effective_adc=threshold,

@@ -594,6 +594,7 @@ def test_calibrate_and_stats_never_build_the_row_view(tmp_path, monkeypatch, cap
     monkeypatch.setattr(boxcal.formats.AnnotationSet, "_row_view", refuse)
     monkeypatch.setattr(boxcal.formats.DetectionSet, "_row_view", refuse)
     monkeypatch.setattr(boxcal.calibrate.ClaimTable, "records", property(refuse))
+    _synth(tmp_path / "columns", "--images", "30", "--faces", "0,4", "--distractors", "0,2")
     for gt, dets in ((tmp_path / "gt.txt", tmp_path / "detections"),
                      (tmp_path / "single" / "gt.txt", tmp_path / "single" / "detections.txt")):
         for ledger in (tmp_path / "m.tsv", tmp_path / "m.json"):
@@ -608,6 +609,7 @@ def test_calibrate_and_stats_never_build_the_row_view(tmp_path, monkeypatch, cap
                      "--include-invalid", "false", "--out", str(tmp_path / "out.txt")]) == 0
         assert main(["stats", "--gt", str(gt), "--dets", str(dets)]) == 0
         assert main(["adc", "--gt", str(gt), "--dets", str(dets)]) == 0
+        assert main(["diff", str(gt), str(tmp_path / "out.txt")]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 

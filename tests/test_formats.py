@@ -1,3 +1,4 @@
+import decimal
 import io
 import logging
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import suppress
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,35 @@ def test_format_coord_integer_halves_away_from_zero():
     assert format_coord(2.5, "integer") == "3"
     assert format_coord(-2.5, "integer") == "-3"
     assert format_coord(7.0, "integer") == "7"
+
+
+# full-range finite floats, the largest doubles below a half-integer, and
+# the values where v + 0.5 itself rounds: the largest double below 0.5 and
+# odd whole numbers from 2**52, where the doubles are the integers
+_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**53, 2**53).map(lambda k: math.nextafter(k + 0.5, 0)),
+    st.integers(-2**53, 2**53).map(lambda k: k + 0.5),
+    st.sampled_from([0.49999999999999994, -0.49999999999999994, 2.0**52 + 1, -(2.0**52 + 1),
+                     2.0**53 - 1, 0.5, -0.5, 1.5, 2.5, -0.0, 0.005, 0.015, 2.675, 5e-324,
+                     -5e-324, 1.7976931348623157e308]))
+_WIDE = decimal.Context(prec=400)  # every finite double, exactly
+
+
+@settings(max_examples=500, deadline=None)
+@given(_COORDS)
+def test_format_coord_integer_equals_decimal_half_up(v):
+    want = str(int(Decimal(v).quantize(Decimal(1), decimal.ROUND_HALF_UP, context=_WIDE)))
+    assert format_coord(v, "integer") == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(_COORDS)
+def test_format_coord_decimal_equals_decimal_half_even(v):
+    d = Decimal(v)
+    want = (str(int(d)) if d == d.to_integral_value() else
+            str(d.quantize(Decimal("0.01"), decimal.ROUND_HALF_EVEN, context=_WIDE)))
+    assert format_coord(v) == want
 
 
 def test_format_coord_rejects_unknown_policy():

@@ -17,6 +17,7 @@ from boxcal.geometry import BBox
 from boxcal.report import (DEFAULT_EDGES, LOSS_NOTE, MBP_EXPORT_HEADER, diou_cells, diou_loss,
                            format_histogram_table, localization_histogram, loss_delta_report,
                            mbp_export, percentage, summary_line, write_report)
+from claims import claim_table
 
 
 def test_percentage_reproduces_reference_table():
@@ -216,7 +217,7 @@ def _mbps():
 
 
 def _claims():
-    return ClaimTable(_mbps())
+    return claim_table(_mbps())
 
 
 def test_loss_delta_report():

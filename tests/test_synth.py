@@ -2,6 +2,7 @@ import dataclasses
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +230,10 @@ def _assert_equivalent(anns, dets, cfg=None):
     slow = oracle_calibrate(anns, dets, cfg)
     assert fast.calibrated == slow.calibrated
     assert fast.mbps == slow.mbps
+    assert slow.claims.paths == fast.claims.paths
+    for name in ("image", "det_index", "ann_index", "iou", "score", "old_boxes", "new_boxes"):
+        got, want = getattr(slow.claims, name), getattr(fast.claims, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert fast.counters == slow.counters
     assert fast.effective_adc == slow.effective_adc
     assert fast.adc == slow.adc
