@@ -44,13 +44,16 @@ from time import perf_counter
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import AnnotationSet, DetectionSet, _frozen, align, check_aligned
+from .formats import _FLAG_RANGES, AnnotationSet, DetectionSet, _frozen, align
 from .geometry import BBox, check_boxes, iou_cells
 
 log = logging.getLogger(__name__)
 
 DEFAULT_T_M = 0.5
 DEFAULT_T_C = 0.8
+
+# the invalid flag's column in AnnotationSet.flags
+_INVALID = [name for name, _, _ in _FLAG_RANGES].index("invalid")
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,7 +238,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
         eligible = None
         first_col = ann_off[:-1]
     else:
-        eligible = anns.flags[:, 3] == 0
+        eligible = anns.flags[:, _INVALID] == 0
         valid_at = np.append(np.flatnonzero(eligible), n_ann)
         first_col = valid_at[np.searchsorted(valid_at, ann_off[:-1])]
     has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
@@ -311,15 +314,6 @@ def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
     calibrated = AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=boxes,
                                flags=anns.flags)
     return calibrated, claims, counters, max_all
-
-
-def hcdr_ious(anns: AnnotationSet, dets: DetectionSet, adc: float) -> np.ndarray:
-    """Each HCDR's max IoU over all its image's annotations, in image order,
-    then score order: the `CalibrationResult.hcdr_ious` of a calibration at
-    this threshold, without its claim scan.  dets must be aligned to anns,
-    as `align(anns, dets)` returns them."""
-    check_aligned(anns, dets)
-    return _match(anns, dets, _hcdr_counts(anns, dets, adc), include_invalid=True)[0]
 
 
 def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,

@@ -20,13 +20,14 @@ from typing import Iterator
 import numpy as np
 
 from .adc import compute_adc
-from .calibrate import CalibrationConfig, calibrate_dataset, hcdr_ious
-from .formats import align, load_detections, load_wider_gt, save_wider_gt, write_detections_file, write_detections_dir
+from .calibrate import CalibrationConfig, calibrate_dataset
+from .formats import (AnnotationSet, DetectionSet, align, load_detections, load_wider_gt,
+                      save_wider_gt, write_detections_file, write_detections_dir)
 from .report import (DEFAULT_EDGES, check_edges, format_histogram_table, localization_histogram,
                      mbp_export, summary_line, write_report)
 from .synth import SynthSpec, emit_detections, generate_dataset, perturb, write_perturb_ledger
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("boxcal.cli")  # not __main__ under python -m
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log progress details to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the input flags of every command that reads a dataset
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--gt", required=True, help="ground-truth annotation file")
+    inputs.add_argument("--dets", required=True, help="detection directory or file")
+    inputs.add_argument("--dets-format", choices=("auto", "dir", "file"), default="auto",
+                        help="detection layout (default: directory if the path is one)")
+    inputs.add_argument("--image-ext", default=".jpg",
+                        help="image extension for per-image detection files (default .jpg)")
 
-    cal = sub.add_parser("calibrate", help="replace misaligned annotation boxes")
-    cal.add_argument("--gt", required=True, help="ground-truth annotation file")
-    cal.add_argument("--dets", required=True, help="detection directory or file")
+    cal = sub.add_parser("calibrate", parents=[inputs], help="replace misaligned annotation boxes")
     cal.add_argument("--out", required=True, help="calibrated annotation file to write")
     cal.add_argument("--tm", type=float, default=0.5, help="interval lower edge (default 0.5)")
     cal.add_argument("--tc", type=float, default=0.8, help="interval upper edge (default 0.8)")
@@ -104,23 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="kept for compatibility; must be >= 1 and changes neither "
                           "speed nor output (default 1)")
     cal.add_argument("--predictor", default="external", help="label for the report")
-    _add_dets_layout_flags(cal)
 
-    stats = sub.add_parser("stats", help="localization-accuracy histogram")
-    stats.add_argument("--gt", required=True)
-    stats.add_argument("--dets", required=True)
+    stats = sub.add_parser("stats", parents=[inputs], help="localization-accuracy histogram")
     stats.add_argument("--adc", type=float, default=None,
                        help="fixed confidence threshold for selecting detections")
     stats.add_argument("--edges", type=_float_list,
                        default=DEFAULT_EDGES,
                        help="histogram bin edges (default 0.5,0.6,0.7,0.8,0.9,1.0)")
     stats.add_argument("--out", default=None, help="write the table here instead of stdout")
-    _add_dets_layout_flags(stats)
 
-    adc = sub.add_parser("adc", help="print the average detection confidence")
-    adc.add_argument("--gt", required=True)
-    adc.add_argument("--dets", required=True)
-    _add_dets_layout_flags(adc)
+    sub.add_parser("adc", parents=[inputs], help="print the average detection confidence")
 
     synth = sub.add_parser("synth", help="write a seeded synthetic dataset")
     synth.add_argument("--out", required=True, help="output directory")
@@ -146,13 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_dets_layout_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dets-format", choices=("auto", "dir", "file"), default="auto",
-                   help="detection layout (default: directory if the path is one)")
-    p.add_argument("--image-ext", default=".jpg",
-                   help="image extension for per-image detection files (default .jpg)")
-
-
 @contextmanager
 def _stage(name: str) -> Iterator[None]:
     """Log the perf_counter span of the block at INFO, which -v shows."""
@@ -161,16 +154,21 @@ def _stage(name: str) -> Iterator[None]:
     log.info("stage %s: %.3f s", name, perf_counter() - t0)
 
 
+def _load(args) -> tuple[AnnotationSet, DetectionSet]:
+    with _stage("parse GT"):
+        anns = load_wider_gt(args.gt)
+    with _stage("parse detections"):
+        dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
+    return anns, dets
+
+
 def run_calibrate(args) -> int:
     cfg = CalibrationConfig(
         t_m=args.tm, t_c=args.tc, adc_override=args.adc, include_invalid=args.include_invalid,
     )
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    with _stage("parse GT"):
-        anns = load_wider_gt(args.gt)
-    with _stage("parse detections"):
-        dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
+    anns, dets = _load(args)
     with _stage("calibrate"):
         result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
     with _stage("write GT"):
@@ -189,28 +187,21 @@ def run_calibrate(args) -> int:
 
 def run_stats(args) -> int:
     check_edges(args.edges)
-    CalibrationConfig(adc_override=args.adc)  # rejects a bad --adc before any input is read
-    with _stage("parse GT"):
-        anns = load_wider_gt(args.gt)
-    with _stage("parse detections"):
-        dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
-    with _stage("align + IoU"):
-        dets = align(anns, dets)
-        threshold = args.adc if args.adc is not None else compute_adc(anns, dets).value
-        # the calibration's IoU pass without its claim scan: one max per HCDR
-        ious = hcdr_ious(anns, dets, threshold)
+    cfg = CalibrationConfig(adc_override=args.adc)  # rejects a bad --adc before any input is read
+    anns, dets = _load(args)
+    with _stage("calibrate"):
+        ious = calibrate_dataset(anns, dets, cfg).hcdr_ious
     with _stage("table"):
         table = format_histogram_table(localization_histogram(ious, edges=args.edges))
         if args.out:
-            Path(args.out).write_text(table, encoding="utf-8")
+            Path(args.out).write_text(table, encoding="utf-8", newline="\n")
         else:
             sys.stdout.write(table)
     return 0
 
 
 def run_adc(args) -> int:
-    anns = load_wider_gt(args.gt)
-    dets = load_detections(args.dets, layout=args.dets_format, image_ext=args.image_ext)
+    anns, dets = _load(args)
     res = compute_adc(anns, align(anns, dets))
     print(f"{res.value:.6f}")
     print(f"numerator={res.numerator!r} denominator={res.denominator} "
@@ -265,20 +256,21 @@ def run_diff(args) -> int:
     image = np.repeat(np.arange(len(match)), shared)
     k = np.arange(len(image)) - np.repeat(np.cumsum(shared) - shared, shared)
     a, b = old.offsets[image] + k, new.offsets[match[image]] + k
-    changed = np.flatnonzero((old.boxes[a] != new.boxes[b]).any(axis=1))  # -0.0 == 0.0
-    events = [(i, f"~ {old.paths[i]}#{j}: ({x:g} {y:g} {w:g} {h:g})"
-                  f" -> ({x2:g} {y2:g} {w2:g} {h2:g})")
-              for i, j, (x, y, w, h), (x2, y2, w2, h2) in zip(
-                  image[changed].tolist(), k[changed].tolist(),
-                  old.boxes[a[changed]].tolist(), new.boxes[b[changed]].tolist())]
+    events = []  # (image, face, line); an image's count line sorts after its faces
+    for label, before, after in (("", old.boxes, new.boxes), ("flags ", old.flags, new.flags)):
+        changed = np.flatnonzero((before[a] != after[b]).any(axis=1))  # -0.0 == 0.0
+        events += [(i, j, f"~ {old.paths[i]}#{j}: {label}({' '.join(f'{v:g}' for v in u)})"
+                          f" -> ({' '.join(f'{v:g}' for v in w)})")
+                   for i, j, u, w in zip(image[changed].tolist(), k[changed].tolist(),
+                                         before[a[changed]].tolist(), after[b[changed]].tolist())]
     recount = np.flatnonzero((match >= 0) & (n_old != n_new))
-    events += [(i, f"~ {old.paths[i]}: face count {p} -> {q}")
+    events += [(i, p, f"~ {old.paths[i]}: face count {p} -> {q}")
                for i, p, q in zip(recount.tolist(), n_old[recount].tolist(),
                                   n_new[recount].tolist())]
-    events += [(i, f"- {old.paths[i]}: image only in {args.old}")
+    events += [(i, 0, f"- {old.paths[i]}: image only in {args.old}")
                for i in np.flatnonzero(match < 0).tolist()]
-    events.sort(key=itemgetter(0))  # stable: an image's faces, then its count
-    lines = [line for _, line in events] + [f"+ {p}: image only in {args.new}" for p in only_new]
+    events.sort(key=itemgetter(0, 1))  # stable: a face's box line, then its flags line
+    lines = [line for *_, line in events] + [f"+ {p}: image only in {args.new}" for p in only_new]
     print("".join(line + "\n" for line in lines) + f"{len(lines)} changes")
     return 0
 

@@ -223,8 +223,8 @@ class AnnotationSet(_Table):
     paths: image paths; offsets: int64 (n+1,); boxes: float64 (N, 4), one
     x y w h row per face; flags: float64 (N, 6), the integer parts of blur,
     expression, illumination, invalid, occlusion and pose (held as floats,
-    so a finite flag of any size round-trips).  `images` is the row view, a
-    list of ImageAnnotations.
+    so a finite flag of any size round-trips; a parsed flag is never -0.0).
+    `images` is the row view, a list of ImageAnnotations.
     """
 
     __slots__ = ()
@@ -403,19 +403,18 @@ def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
     return values if ok else None
 
 
-def _walk(records: Iterable[_Record], noun: str, fields: int,
-          check_row: Callable[[list[float], str, int], None]) -> tuple[list[_Record], np.ndarray]:
-    """The row walker: the records and their rows, read one row at a time.
+def _walk(records: list[_Record], noun: str, fields: int,
+          check_row: Callable[[list[float], str, int], None]) -> np.ndarray:
+    """The row walker: the records' rows as one (N, fields) array, read one
+    row at a time with Python's `float`.
 
-    Consumes records lazily, so a fault in one record's rows is raised
-    before anything `records` would raise later.  Raises ParseError on a row
-    with the wrong number of fields or a non-numeric one; check_row(values,
-    source, lineno) raises on the rest and logs the range warnings.
+    Raises ParseError on the first faulty row in file order.  The walker
+    raises on a row with the wrong number of fields or a non-numeric one;
+    check_row(values, source, lineno) raises on the rest and logs the range
+    warnings.
     """
-    done: list[_Record] = []
     vals: list[float] = []
-    for rec in records:
-        source, lines, _, lineno, count = rec
+    for source, lines, _, lineno, count in records:
         for k, line in enumerate(lines[lineno - 1:lineno - 1 + count], lineno):
             tokens = line.split()
             if len(tokens) != fields:
@@ -427,26 +426,31 @@ def _walk(records: Iterable[_Record], noun: str, fields: int,
                 raise ParseError(source, k, f"non-numeric field in {tokens!r}") from None
             check_row(row, source, k)
             vals.extend(row)
-        done.append(rec)
-    return done, np.array(vals, np.float64).reshape(-1, fields)
+    return np.array(vals, np.float64).reshape(-1, fields)
 
 
-def _parse(records: Callable[[], Iterator[_Record]], noun: str, fields: int,
+def _parse(records: Iterator[_Record], noun: str, fields: int,
            check_row: Callable[[list[float], str, int], None],
            warn: Callable[[list[_Record], np.ndarray], None]) -> tuple[list[_Record], np.ndarray]:
     """The records and their rows: the fast path, or the row walker where
-    the C reader refuses a row or any check fails.  records() starts a
-    fresh walk of the input."""
+    the C reader refuses a row or any check fails.
+
+    records is walked once.  Where the walk raises (a grammar fault, a file
+    with extra lines, an OSError), the row walker first reads the records
+    collected so far, so that a bad row before the walk's fault is the one
+    raised; otherwise the walk's error is re-raised.
+    """
+    recs: list[_Record] = []
     try:
-        recs = list(records())
-        values = _bulk(recs, fields)
+        recs.extend(records)  # keeps the records before a fault
     except (ParseError, OSError):
-        # the walk may fail on a later record or file than the first bad
-        # row; the row walker finds whichever comes first in file order
-        values = None
+        _walk(recs, noun, fields, check_row)
+        raise
+    values = _bulk(recs, fields)
     if values is None:
-        return _walk(records(), noun, fields, check_row)
-    warn(recs, values)
+        values = _walk(recs, noun, fields, check_row)
+    else:
+        warn(recs, values)
     return recs, values
 
 
@@ -510,10 +514,11 @@ def _warn_scores(records: list[_Record], values: np.ndarray) -> None:
 
 
 def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
-    # a copy of the boxes, so that the (N, 10) array of raw values is freed
+    # a copy of the boxes, so that the (N, 10) array of raw values is freed;
+    # + 0.0 turns the -0.0 that trunc gives for -0 and -0.5 into 0
     return AnnotationSet(paths=[name for _, _, name, _, _ in records],
                          offsets=_offsets([n for *_, n in records]),
-                         boxes=values[:, :4].copy(), flags=np.trunc(values[:, 4:]))
+                         boxes=values[:, :4].copy(), flags=np.trunc(values[:, 4:]) + 0.0)
 
 
 def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
@@ -539,9 +544,9 @@ def _detections(records: list[_Record], values: np.ndarray) -> DetectionSet:
 
 
 def _file_records(lines: list[str], source: str, noun: str,
-                  zero_dummy: bool = False) -> Callable[[], Iterator[_Record]]:
-    return lambda: ((source, lines, name, i, n)
-                    for name, i, n in _records(lines, source, noun, zero_dummy))
+                  zero_dummy: bool = False) -> Iterator[_Record]:
+    return ((source, lines, name, i, n)
+            for name, i, n in _records(lines, source, noun, zero_dummy))
 
 
 def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
@@ -690,7 +695,7 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
                 raise ParseError(source, extra + 1,
                                  f"file lists more than the declared {count} detections")
 
-    return _detections(*_parse(records, "detection", 5, _check_detection, _warn_scores))
+    return _detections(*_parse(records(), "detection", 5, _check_detection, _warn_scores))
 
 
 def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> DetectionSet:

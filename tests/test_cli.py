@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,22 @@ def test_diff_counts_perturbed_boxes(tmp_path, capsys):
     assert sum(1 for line in out.splitlines() if line.startswith("~ ")) == 3
 
 
+def test_diff_shows_flag_changes(tmp_path, capsys):
+    old = _write(tmp_path, "old.txt", "a.jpg\n2\n0 0 8 8 0 0 0 0 0 0\n1 1 4 4 0 0 0 0 0 0\n")
+    new = _write(tmp_path, "new.txt", "a.jpg\n1\n0 0 9 8 2 1 1 1 2 1\n")
+    assert main(["diff", old, new]) == 0
+    assert capsys.readouterr().out == ("~ a.jpg#0: (0 0 8 8) -> (0 0 9 8)\n"
+                                       "~ a.jpg#0: flags (0 0 0 0 0 0) -> (2 1 1 1 2 1)\n"
+                                       "~ a.jpg: face count 2 -> 1\n"
+                                       "3 changes\n")
+    # flags alone: one change
+    old = _write(tmp_path, "a.txt", "a.jpg\n1\n0 0 8 8 0 0 0 0 0 0\n")
+    new = _write(tmp_path, "b.txt", "a.jpg\n1\n0 0 8 8 2 1 1 1 2 1\n")
+    assert main(["diff", old, new]) == 0
+    assert capsys.readouterr().out == ("~ a.jpg#0: flags (0 0 0 0 0 0) -> (2 1 1 1 2 1)\n"
+                                       "1 changes\n")
+
+
 def test_diff_reports_structural_changes(tmp_path, capsys):
     old = _write(tmp_path, "old.txt", GT_TWO + "b/y.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n")
     new = _write(tmp_path, "new.txt",
@@ -399,6 +416,9 @@ def test_synth_output_bytes_are_pinned(tmp_path, capsys, layout):
     assert written == pins
 
 
+_flags = attrgetter("blur", "expression", "illumination", "invalid", "occlusion", "pose")
+
+
 def _reference_diff(old_path: str, new_path: str) -> str:
     """`boxcal diff`'s stdout as the release that walked the row view
     printed it."""
@@ -418,6 +438,10 @@ def _reference_diff(old_path: str, new_path: str) -> str:
                 out.append(f"~ {img.path}#{k}: ({a.x:g} {a.y:g} {a.w:g} {a.h:g})"
                            f" -> ({b.x:g} {b.y:g} {b.w:g} {b.h:g})")
                 changes += 1
+            if _flags(fa) != _flags(fb):
+                out.append(f"~ {img.path}#{k}: flags ({' '.join(f'{v:g}' for v in _flags(fa))})"
+                           f" -> ({' '.join(f'{v:g}' for v in _flags(fb))})")
+                changes += 1
         if len(img.faces) != len(other.faces):
             out.append(f"~ {img.path}: face count {len(img.faces)} -> {len(other.faces)}")
             changes += 1
@@ -432,16 +456,21 @@ def _reference_diff(old_path: str, new_path: str) -> str:
 # a value past the cached texts, a large exponent
 _DIFF_TOKENS = st.sampled_from(["0", "-0", "0.0", "-0.0", "1", "1.5", "2.25", "3", "100",
                                 "1e2", "16384", "123456789.5", "1e150"])
-_DIFF_FACE = st.lists(_DIFF_TOKENS, min_size=4, max_size=4)
+# flag tokens: the parser keeps integer parts, so 1.5 equals 1 and -0.5 equals 0
+_DIFF_FLAG_TOKENS = st.sampled_from(["0", "-0", "1", "1.5", "2", "-0.5", "1e300"])
+_DIFF_FLAGS = st.lists(_DIFF_FLAG_TOKENS, min_size=6, max_size=6)
+_DIFF_FACE = st.builds(lambda box, flags: box + flags,
+                       st.lists(_DIFF_TOKENS, min_size=4, max_size=4), _DIFF_FLAGS)
 # the same value spelt another way: -0 equals 0, as BBox == says
-_RESPELT = {"0": "-0", "-0": "0.0", "0.0": "-0.0", "-0.0": "0", "100": "1e2", "1e2": "100"}
+_RESPELT = {"0": "-0", "-0": "0.0", "0.0": "-0.0", "-0.0": "0", "100": "1e2", "1e2": "100",
+            "1": "1.5", "1.5": "1", "-0.5": "0"}
 
 
 @st.composite
 def _diff_pair(draw):
     """Two annotation files over overlapping image sets: the new file
-    changes boxes (-0 for 0 among them), adds and drops faces, drops
-    images, adds images and reorders them."""
+    changes boxes and flags (-0 for 0 among them), adds and drops faces,
+    drops images, adds images and reorders them."""
     paths = draw(st.lists(st.sampled_from([f"d/{c}.jpg" for c in "abcdefgh"]),
                           max_size=6, unique=True))
     old = {p: draw(st.lists(_DIFF_FACE, max_size=4)) for p in paths}
@@ -449,8 +478,9 @@ def _diff_pair(draw):
     for p, faces in old.items():
         if draw(st.integers(0, 5)) == 0:
             continue                                                # only in the old file
-        faces = [draw(st.sampled_from([f, [_RESPELT.get(t, t) for t in f], draw(_DIFF_FACE)]))
-                 for f in faces]                                    # kept, respelt, redrawn
+        faces = [draw(st.sampled_from([f, [_RESPELT.get(t, t) for t in f], draw(_DIFF_FACE),
+                                       f[:4] + draw(_DIFF_FLAGS)]))
+                 for f in faces]                    # kept, respelt, redrawn, new flags
         if faces and draw(st.booleans()):
             faces = faces[:draw(st.integers(0, len(faces) - 1))]    # fewer faces
         faces += draw(st.lists(_DIFF_FACE, max_size=2))             # more faces
@@ -461,7 +491,7 @@ def _diff_pair(draw):
 
     def text(images, keys):
         return "".join(f"{p}\n{len(images[p])}\n"
-                       + "".join(" ".join(f) + " 0 0 0 0 0 0\n" for f in images[p])
+                       + "".join(" ".join(f) + "\n" for f in images[p])
                        for p in keys)
 
     return text(old, old), text(new, order)
@@ -524,7 +554,7 @@ def test_calibrate_output_parses_back(tmp_path):
      ["parse GT", "parse detections", "calibrate", "write GT", "report", "ledger"]),
     (["calibrate", "--out", "{tmp}/out.txt"],
      ["parse GT", "parse detections", "calibrate", "write GT"]),
-    (["stats"], ["parse GT", "parse detections", "align + IoU", "table"])])
+    (["stats"], ["parse GT", "parse detections", "calibrate", "table"])])
 def test_verbose_logs_each_stage_once_and_quiet_runs_do_not(tmp_path, capsys, argv, stages):
     argv = [*(a.format(tmp=tmp_path) for a in argv), "--adc", "0.5",
             "--gt", _write(tmp_path, "gt.txt", GT_TWO), "--dets", _write(tmp_path, "d.txt", DETS_TWO)]
@@ -546,11 +576,14 @@ def test_module_entry_point(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-m", "boxcal.cli", "adc", "--gt", str(gt), "--dets", str(dets)],
+        [sys.executable, "-m", "boxcal.cli", "-v", "adc", "--gt", str(gt), "--dets", str(dets)],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "0.850000"
+    # the logger is named after the module, not __main__
+    assert [re.sub(r"\d+\.\d{3} s$", "T", line) for line in proc.stderr.splitlines()] == [
+        "INFO boxcal.cli: stage parse GT: T", "INFO boxcal.cli: stage parse detections: T"]
     bare = subprocess.run([sys.executable, "-m", "boxcal.cli"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert bare.returncode == 1

@@ -665,6 +665,22 @@ def test_detection_dir_reports_the_first_fault_in_file_order(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [f"{a}:3: score 1.5 outside [0, 1]"]
 
 
+def test_detection_dir_reads_each_file_once(tmp_path, monkeypatch):
+    # 0.9_0 is a token only `float` reads, so the row walker runs as well
+    import boxcal.formats as formats
+    reads = []
+
+    def read(path, real=formats._read_file):
+        reads.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(formats, "_read_file", read)
+    for name, score in [("a", "0.5"), ("b", "0.9_0"), ("c", "0.7")]:
+        (tmp_path / f"{name}.txt").write_text(f"{name}\n1\n0 0 1 1 {score}\n", encoding="utf-8")
+    assert parse_detections_dir(tmp_path).scores.tolist() == [0.5, 0.9, 0.7]
+    assert reads == ["a.txt", "b.txt", "c.txt"]
+
+
 # Differential: the bulk parse against the row walker.  Files shaped like
 # records, mostly valid, with the tokens whose float conversion is unusual
 # (underscores, non-ASCII digits, overflow, underflow, signs, bare points),
