@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import AnnotationSet, DetectionSet, check_aligned
+from .formats import AnnotationSet, DetectionSet, _segment_rows, check_aligned
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +51,7 @@ def compute_adc(anns: AnnotationSet, dets: DetectionSet) -> AdcResult:
     if denominator == 0:
         log.warning("no detection scores usable for the confidence average; value defaults to 0")
         return AdcResult(0.0, 0.0, 0, 0, shortfall)
-    used_off = np.cumsum(used) - used
-    rows = np.repeat(dets.offsets[:-1] - used_off, used) + np.arange(denominator)
+    rows = _segment_rows(dets.offsets[:-1], used)
     # cumsum adds in order, like a loop from 0.0; adding 0.0 gives such a
     # loop's 0.0 where every score used is -0.0
     numerator = float(np.cumsum(dets.scores[rows])[-1]) + 0.0

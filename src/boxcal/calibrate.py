@@ -44,7 +44,8 @@ from time import perf_counter
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import _FLAG_RANGES, AnnotationSet, DetectionSet, _frozen, align
+from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _frozen, _offsets,
+                      _segment_rows, align)
 from .geometry import BBox, check_boxes, iou_cells
 
 log = logging.getLogger(__name__)
@@ -206,8 +207,7 @@ def _hcdr_counts(anns: AnnotationSet, dets: DetectionSet, adc: float) -> np.ndar
     """Each image's HCDR count: its detections scoring strictly above adc,
     a prefix of its score-sorted run; none for an image without
     annotations, which has no IoU to take."""
-    above = np.zeros(len(dets.scores) + 1, np.int64)
-    np.cumsum(dets.scores > adc, out=above[1:])
+    above = _offsets(dets.scores > adc)
     counts = above[dets.offsets[1:]] - above[dets.offsets[:-1]]
     return np.where(anns.offsets[1:] > anns.offsets[:-1], counts, 0)
 
@@ -227,9 +227,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     """
     ann_off = anns.offsets
     n_ann = int(ann_off[-1])
-    row_off = np.zeros(len(n_rows) + 1, np.int64)
-    np.cumsum(n_rows, out=row_off[1:])
-    hcdr = np.repeat(dets.offsets[:-1] - row_off[:-1], n_rows) + np.arange(row_off[-1])
+    hcdr = _segment_rows(dets.offsets[:-1], n_rows)
     ax, ay, aw, ah = anns.boxes.T
     px, py, pw, ph = dets.boxes[hcdr].T
     order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, n_rows, px, pw)
@@ -244,8 +242,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
 
     counts = hi - lo
-    pair_off = np.zeros(len(px) + 1, dtype=np.int64)
-    np.cumsum(counts, out=pair_off[1:])
+    pair_off = _offsets(counts)
     max_all = np.zeros(len(px))
     best = np.zeros(len(px))
     arg = np.repeat(first_col, n_rows)
@@ -258,7 +255,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
             c = counts[hit]
             seg = pair_off[hit] - pair_off[r0]
             row = np.repeat(hit, c)
-            col = order[np.arange(pair_off[r0], pair_off[r1]) - np.repeat(pair_off[hit] - lo[hit], c)]
+            col = order[_segment_rows(lo[hit], c)]
             ious = iou_cells(px[row], py[row], pw[row], ph[row],
                              ax[col], ay[col], aw[col], ah[col])
             max_all[hit] = np.maximum.reduceat(ious, seg)

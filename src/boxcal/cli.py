@@ -12,6 +12,7 @@ import argparse
 import logging
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
@@ -20,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .adc import compute_adc
-from .calibrate import CalibrationConfig, calibrate_dataset
+from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
 from .formats import (AnnotationSet, DetectionSet, align, load_detections, load_wider_gt,
                       save_wider_gt, write_detections_file, write_detections_dir)
 from .report import (DEFAULT_EDGES, check_edges, format_histogram_table, localization_histogram,
@@ -38,35 +39,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _pair_int(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(part) for part in text.split(","))
-        return lo, hi
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected MIN,MAX integers, got {text!r}") from None
+def _numbers(kind: type, count: int | None, expected: str, sep: str = ","):
+    """An argument type reading sep-separated numbers of kind as a tuple:
+    exactly count of them, or any number when count is None.  sep matches
+    in either case."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(map(kind, text.lower().split(sep)))
+            if count in (None, len(values)):
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _pair_float(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(part) for part in text.split(","))
-        return lo, hi
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO,HI numbers, got {text!r}") from None
-
-
-def _size(text: str) -> tuple[int, int]:
-    try:
-        w, h = (int(part) for part in text.lower().split("x"))
-        return w, h
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WIDTHxHEIGHT, got {text!r}") from None
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+_MIN_MAX = _numbers(int, 2, "MIN,MAX integers")
+_LO_HI = _numbers(float, 2, "LO,HI numbers")
 
 
 def _bool(text: str) -> bool:
@@ -96,8 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", parents=[inputs], help="replace misaligned annotation boxes")
     cal.add_argument("--out", required=True, help="calibrated annotation file to write")
-    cal.add_argument("--tm", type=float, default=0.5, help="interval lower edge (default 0.5)")
-    cal.add_argument("--tc", type=float, default=0.8, help="interval upper edge (default 0.8)")
+    cal.add_argument("--tm", type=float, default=DEFAULT_T_M,
+                     help="interval lower edge (default %(default)s)")
+    cal.add_argument("--tc", type=float, default=DEFAULT_T_C,
+                     help="interval upper edge (default %(default)s)")
     cal.add_argument("--adc", type=float, default=None,
                      help="fixed confidence threshold; skips computing the average")
     cal.add_argument("--round-int", action="store_true",
@@ -115,29 +106,32 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", parents=[inputs], help="localization-accuracy histogram")
     stats.add_argument("--adc", type=float, default=None,
                        help="fixed confidence threshold for selecting detections")
-    stats.add_argument("--edges", type=_float_list,
+    stats.add_argument("--edges", type=_numbers(float, None, "comma-separated numbers"),
                        default=DEFAULT_EDGES,
-                       help="histogram bin edges (default 0.5,0.6,0.7,0.8,0.9,1.0)")
+                       help=f"histogram bin edges (default {','.join(map(str, DEFAULT_EDGES))})")
     stats.add_argument("--out", default=None, help="write the table here instead of stdout")
 
     sub.add_parser("adc", parents=[inputs], help="print the average detection confidence")
 
-    synth = sub.add_parser("synth", help="write a seeded synthetic dataset")
+    # the dests are SynthSpec's fields: an option not given keeps SynthSpec's default
+    synth = sub.add_parser("synth", help="write a seeded synthetic dataset",
+                           argument_default=argparse.SUPPRESS)
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--images", type=int, default=100)
-    synth.add_argument("--faces", type=_pair_int, default=(1, 5), metavar="MIN,MAX")
-    synth.add_argument("--image-size", type=_size, default=(1024, 1024), metavar="WxH")
-    synth.add_argument("--box-size", type=_pair_int, default=(16, 64), metavar="MIN,MAX")
+    synth.add_argument("--images", dest="n_images", type=int, default=100, metavar="IMAGES")
+    synth.add_argument("--faces", dest="faces_per_image", type=_MIN_MAX, metavar="MIN,MAX")
+    synth.add_argument("--image-size", type=_numbers(int, 2, "WIDTHxHEIGHT", sep="x"),
+                       metavar="WxH")
+    synth.add_argument("--box-size", type=_MIN_MAX, metavar="MIN,MAX")
     synth.add_argument("--perturb-fraction", type=float, default=0.3)
-    synth.add_argument("--iou-range", type=_pair_float, default=(0.55, 0.75), metavar="LO,HI")
-    synth.add_argument("--distractors", type=_pair_int, default=(0, 0), metavar="MIN,MAX")
-    synth.add_argument("--score-range", type=_pair_float, default=(0.9, 1.0), metavar="LO,HI")
-    synth.add_argument("--distractor-score-range", type=_pair_float, default=(0.0, 0.2),
-                       metavar="LO,HI")
-    synth.add_argument("--min-gap", type=float, default=0.0,
+    synth.add_argument("--iou-range", type=_LO_HI, default=(0.55, 0.75), metavar="LO,HI")
+    synth.add_argument("--distractors", dest="distractors_per_image", type=_MIN_MAX,
+                       metavar="MIN,MAX")
+    synth.add_argument("--score-range", dest="aligned_score_range", type=_LO_HI, metavar="LO,HI")
+    synth.add_argument("--distractor-score-range", type=_LO_HI, metavar="LO,HI")
+    synth.add_argument("--min-gap", type=float,
                        help="minimum pixel separation between faces (0 allows overlap)")
-    synth.add_argument("--single-file", action="store_true",
+    synth.add_argument("--single-file", action="store_true", default=False,
                        help="write consolidated detections.txt instead of a directory")
 
     diff = sub.add_parser("diff", help="compare two annotation files")
@@ -210,20 +204,12 @@ def run_adc(args) -> int:
 
 
 def run_synth(args) -> int:
-    spec = SynthSpec(
-        seed=args.seed, n_images=args.images, faces_per_image=args.faces,
-        image_size=args.image_size, box_size=args.box_size,
-        aligned_score_range=args.score_range,
-        distractor_score_range=args.distractor_score_range,
-        distractors_per_image=args.distractors, min_gap=args.min_gap,
-    )
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)
+                        if hasattr(args, f.name)})
     truth = generate_dataset(spec)
     dets = emit_detections(truth, spec)
-    if args.perturb_fraction > 0:
-        perturbed, ledger = perturb(truth, args.seed, args.perturb_fraction,
-                                    args.iou_range, image_size=spec.image_size)
-    else:
-        perturbed, ledger = truth, None
+    perturbed, ledger = perturb(truth, args.seed, args.perturb_fraction, args.iou_range,
+                                image_size=spec.image_size)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,13 +220,10 @@ def run_synth(args) -> int:
             write_detections_file(dets, fh)
     else:
         write_detections_dir(dets, out / "detections")
-    n_perturbed = 0
-    if ledger is not None:
-        with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            write_perturb_ledger(ledger, fh)
-        n_perturbed = len(ledger.entries)
+    with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
+        write_perturb_ledger(ledger, fh)
     print(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
-          f"{n_perturbed} perturbed, {dets.total_detections()} detections to {out}")
+          f"{len(ledger.entries)} perturbed, {dets.total_detections()} detections to {out}")
     return 0
 
 

@@ -217,6 +217,13 @@ def _offsets(counts) -> np.ndarray:
     return offsets
 
 
+def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The row numbers of the segments starts[i] .. starts[i] + counts[i] - 1,
+    one segment after another; starts is an int64 array."""
+    offsets = _offsets(counts)
+    return np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+
+
 class AnnotationSet(_Table):
     """A dataset's annotations.
 
@@ -321,17 +328,17 @@ def _lines(source: str | TextIO, name: str) -> list[str]:
 
 
 def _records(lines: list[str], source: str, noun: str,
-             zero_dummy: bool = False) -> Iterator[tuple[str, int, int]]:
+             zero_dummy: bool = False) -> Iterator[_Record]:
     """Walk the records of an annotation or detection file: the one copy of
     their grammar.
 
-    Yields (name, lineno, count) per record: its count rows sit on 1-based
-    lines lineno to lineno + count - 1.  Rows are not read; the generator
-    resumes past them.  Blank lines between records are skipped.  With
-    zero_dummy, an all-zero row after a zero-count record is consumed and
-    dropped.  Raises ParseError on a name without a count line, a
-    non-numeric or negative count, a record cut short by the end of the
-    file, and a repeated name.
+    Yields one _Record (source, lines, name, lineno, count) per record: its
+    count rows sit on 1-based lines lineno to lineno + count - 1.  Rows are
+    not read; the generator resumes past them.  Blank lines between records
+    are skipped.  With zero_dummy, an all-zero row after a zero-count record
+    is consumed and dropped.  Raises ParseError on a name without a count
+    line, a non-numeric or negative count, a record cut short by the end of
+    the file, and a repeated name.
     """
     seen: set[str] = set()
     n = len(lines)
@@ -356,7 +363,7 @@ def _records(lines: list[str], source: str, noun: str,
         seen.add(name)
         if i + count > n:
             raise ParseError(source, n + 1, f"record {name!r} ends before its {count} {noun}s")
-        yield name, i + 1, count
+        yield source, lines, name, i + 1, count
         i += count
         if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(lines[i]):
             i += 1  # the WIDER zero-face placeholder row
@@ -372,7 +379,7 @@ def _is_zero_dummy_line(line: str) -> bool:
         return False
 
 
-# One record as the parsers see it: source name, the source's lines, image
+# One record as `_records` yields it: source name, the source's lines, image
 # key, 1-based line of its first row, row count.
 _Record = tuple[str, list[str], str, int, int]
 
@@ -543,12 +550,6 @@ def _detections(records: list[_Record], values: np.ndarray) -> DetectionSet:
                         boxes=values[:, :4], scores=values[:, 4])
 
 
-def _file_records(lines: list[str], source: str, noun: str,
-                  zero_dummy: bool = False) -> Iterator[_Record]:
-    return ((source, lines, name, i, n)
-            for name, i, n in _records(lines, source, noun, zero_dummy))
-
-
 def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     """Parse a WIDER ground-truth annotation file.
 
@@ -558,7 +559,7 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     negative-size or whose far edge or area overflows, or a non-finite
     attribute flag.  Out-of-range attribute flags only produce a warning.
     """
-    records = _file_records(_lines(source, name), name, "face", zero_dummy=True)
+    records = _records(_lines(source, name), name, "face", zero_dummy=True)
     return _annotations(*_parse(records, "face", 10, _check_face, _warn_flags))
 
 
@@ -613,6 +614,21 @@ def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) 
     return out
 
 
+def _record_text(names: list[str], offsets: np.ndarray, rows: list[str],
+                 empty: tuple[str, ...] = ()) -> str:
+    """The records as text: per record its name line, its row count and its
+    rows, offsets[i]:offsets[i+1] of rows, or the lines of empty where it
+    has none; every line ends in LF."""
+    bounds = offsets.tolist()
+    out: list[str] = []
+    for name, lo, hi in zip(names, bounds, bounds[1:]):
+        out.append(name)
+        out.append(str(hi - lo))
+        out.extend(rows[lo:hi] if lo < hi else empty)
+    out.append("")  # the last line's LF
+    return "\n".join(out)
+
+
 def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
     """Write records in input order; see format_coord for the number policy.
 
@@ -626,17 +642,8 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
     cols = [_texts(c, _text_table(""), coord) for c in annset.boxes.T]
     cols += [_texts(c, _text_table(""), format_coord) for c in annset.flags.T]
     rows = list(map(" ".join, zip(*cols)))
-    bounds = annset.offsets.tolist()
-    out: list[str] = []
-    for path, lo, hi in zip(annset.paths, bounds, bounds[1:]):
-        out.append(path)
-        out.append(str(hi - lo))
-        if lo == hi:
-            out.append("0 0 0 0 0 0 0 0 0 0")
-        else:
-            out.extend(rows[lo:hi])
-    out.append("")  # trailing newline
-    stream.write("\n".join(out))
+    stream.write(_record_text(annset.paths, annset.offsets, rows,
+                              empty=("0 0 0 0 0 0 0 0 0 0",)))
 
 
 def load_wider_gt(path: str | Path) -> AnnotationSet:
@@ -649,24 +656,29 @@ def save_wider_gt(annset: AnnotationSet, path: str | Path, policy: str = "decima
         write_wider_gt(annset, fh, policy)
 
 
-def _txt_entries(root: str, prefix: str = "") -> Iterator[str]:
+def _txt_entries(root: str) -> Iterator[str]:
     """'/'-joined paths, relative to root, of every entry below it whose
     name ends in ".txt", in the order of their Path objects: by parts, so
     a/x.txt comes before a-b/x.txt.  The entries are those of
     Path.rglob("*.txt"): symlinks to directories are not followed, a
     directory that cannot be listed is skipped, and a directory whose name
-    matches is listed too."""
-    try:
-        with os.scandir(root) as it:
-            entries = sorted(it, key=attrgetter("name"))
-    except PermissionError:
-        return
-    for entry in entries:
-        rel = prefix + entry.name
-        if entry.name.endswith(".txt"):
+    matches is listed too.  The walk keeps its own stack, so no depth of
+    tree reaches the interpreter's recursion limit."""
+    stack = [("", root)]  # (path relative to root, directory to list or None); next is last
+    while stack:
+        rel, folder = stack.pop()
+        if rel.endswith(".txt"):
             yield rel
-        if entry.is_dir(follow_symlinks=False):
-            yield from _txt_entries(entry.path, rel + "/")
+        if folder is None:
+            continue
+        try:
+            with os.scandir(folder) as it:
+                entries = sorted(it, key=attrgetter("name"), reverse=True)
+        except PermissionError:
+            continue
+        prefix = rel + "/" if rel else ""
+        stack += [(prefix + e.name, e.path if e.is_dir(follow_symlinks=False) else None)
+                  for e in entries]
 
 
 def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> DetectionSet:
@@ -687,7 +699,7 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
             record = next(_records(lines, source, "detection"), None)
             if record is None:
                 raise ParseError(source, 1, "per-image detection file holds no record")
-            _, lineno, count = record
+            *_, lineno, count = record
             yield source, lines, key, lineno, count
             extra = next((k for k in range(lineno - 1 + count, len(lines)) if lines[k].strip()),
                          None)
@@ -704,7 +716,7 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
     Records use the same layout as per-image files concatenated; the name
     line is the image key verbatim (e.g. "0--Parade/x.jpg").
     """
-    records = _file_records(_lines(source, name), name, "detection")
+    records = _records(_lines(source, name), name, "detection")
     return _detections(*_parse(records, "detection", 5, _check_detection, _warn_scores))
 
 
@@ -747,15 +759,7 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:
     """Write the consolidated single-file layout; name lines are the keys."""
-    rows = _detection_rows(detset)
-    bounds = detset.offsets.tolist()
-    out: list[str] = []
-    for path, lo, hi in zip(detset.paths, bounds, bounds[1:]):
-        out.append(path)
-        out.append(str(hi - lo))
-        out.extend(rows[lo:hi])
-    out.append("")
-    stream.write("\n".join(out))
+    stream.write(_record_text(detset.paths, detset.offsets, _detection_rows(detset)))
 
 
 def check_aligned(anns: AnnotationSet, dets: DetectionSet) -> None:
@@ -808,7 +812,6 @@ def align(anns: AnnotationSet, dets: DetectionSet) -> DetectionSet:
         log.warning("%d detection image(s) missing from the annotations were ignored",
                     len(paths) - matched)
     counts = np.append(np.diff(offsets), 0)[idx]  # index -1: no detections
-    new_offsets = _offsets(counts)
-    rows = np.repeat(offsets[idx] - new_offsets[:-1], counts) + np.arange(new_offsets[-1])
-    return DetectionSet(paths=anns.paths, offsets=new_offsets,
+    rows = _segment_rows(offsets[idx], counts)
+    return DetectionSet(paths=anns.paths, offsets=_offsets(counts),
                         boxes=dets.boxes[rows], scores=scores[rows])

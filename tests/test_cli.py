@@ -261,6 +261,30 @@ def test_stats_out_file_and_custom_edges(tmp_path, capsys):
     assert "2\t[0.5, 1]\t2\t100.000" in text
 
 
+def test_stats_reads_a_detection_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1,100 levels, made and removed one at a time: os.makedirs and
+    # shutil.rmtree recurse on some Python versions
+    levels = [tmp_path / "dets"]
+    for _ in range(1100):
+        levels.append(levels[-1] / "d")
+    made = []
+    try:
+        for level in levels:
+            level.mkdir()
+            made.append(level)
+        (levels[-1] / "x.txt").write_text("x\n1\n0 0 8 8 0.9\n", encoding="utf-8")
+        gt = _write(tmp_path, "gt.txt", "d/" * 1100 + "x.jpg\n1\n0 0 8 8 0 0 0 0 0 0\n")
+        rc = main(["stats", "--gt", gt, "--dets", str(levels[0]), "--adc", "0.5"])
+        out, err = capsys.readouterr()
+    finally:
+        (levels[-1] / "x.txt").unlink(missing_ok=True)
+        for level in reversed(made):
+            level.rmdir()
+    assert rc == 0
+    assert "Traceback" not in err
+    assert "5\t[0.9, 1]\t1\t100.000" in out  # the one detection, found at the bottom
+
+
 def test_report_histogram_equals_stats_without_invalid_faces(tmp_path, capsys):
     # Only valid faces can be claimed, but both histograms bin each detection's
     # max IoU over ALL faces: 0.8 against x's invalid face, 0.7 against y's.
@@ -328,6 +352,57 @@ def test_synth_summary_line(tmp_path, capsys):
     _synth(tmp_path)
     out = capsys.readouterr().out
     assert out == f"wrote 10 images, 10 faces, 3 perturbed, 10 detections to {tmp_path}\n"
+
+
+@pytest.mark.parametrize("fraction", ["nan", "-0.5"])
+def test_synth_rejects_a_fraction_outside_0_1(tmp_path, capsys, fraction):
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--images", "3",
+               f"--perturb-fraction={fraction}"])
+    assert rc == 1
+    assert "fraction must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_writes_a_header_only_ledger_when_nothing_is_perturbed(tmp_path, capsys):
+    _synth(tmp_path, "--perturb-fraction", "0")
+    assert capsys.readouterr().out.startswith("wrote 10 images, 10 faces, 0 perturbed, ")
+    assert (tmp_path / "ledger.tsv").read_text(encoding="utf-8") == (
+        "path\tann_index\ttrue_x\ttrue_y\ttrue_w\ttrue_h"
+        "\tpert_x\tpert_y\tpert_w\tpert_h\tachieved_iou\n")
+
+
+SYNTH_HELP = """\
+usage: boxcal synth [-h] --out OUT [--seed SEED] [--images IMAGES]
+                    [--faces MIN,MAX] [--image-size WxH] [--box-size MIN,MAX]
+                    [--perturb-fraction PERTURB_FRACTION] [--iou-range LO,HI]
+                    [--distractors MIN,MAX] [--score-range LO,HI]
+                    [--distractor-score-range LO,HI] [--min-gap MIN_GAP]
+                    [--single-file]
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory
+  --seed SEED
+  --images IMAGES
+  --faces MIN,MAX
+  --image-size WxH
+  --box-size MIN,MAX
+  --perturb-fraction PERTURB_FRACTION
+  --iou-range LO,HI
+  --distractors MIN,MAX
+  --score-range LO,HI
+  --distractor-score-range LO,HI
+  --min-gap MIN_GAP     minimum pixel separation between faces (0 allows
+                        overlap)
+  --single-file         write consolidated detections.txt instead of a
+                        directory
+"""
+
+
+def test_synth_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal's width
+    assert main(["synth", "--help"]) == 0
+    assert capsys.readouterr().out == SYNTH_HELP
 
 
 def test_diff_identical_files(tmp_path, capsys):

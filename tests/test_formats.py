@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import boxcal
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
-                            ImageAnnotations, ImageDetections, ParseError, align,
+                            ImageAnnotations, ImageDetections, ParseError, _segment_rows, align,
                             format_coord, load_detections, load_wider_gt, parse_detections_dir,
                             parse_detections_file, parse_wider_gt,
                             write_detections_dir, write_detections_file,
@@ -650,6 +650,18 @@ def test_detection_dir_walk_orders_by_path_parts(tmp_path):
     assert paths == ["a/b/y.jpg", "a/c.jpg", "a/x.jpg", "a-b/x.jpg", "a0/z.jpg", "ab.jpg"]
     assert paths == [p.relative_to(tmp_path).as_posix()[:-4] + ".jpg"
                      for p in sorted(tmp_path.rglob("*.txt"))]
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 4)), max_size=8))
+@example([])
+@example([(3, 0), (0, 2), (7, 0)])
+def test_segment_rows_concatenates_the_ranges(segments):
+    starts = np.array([s for s, _ in segments], np.int64)
+    counts = np.array([c for _, c in segments], np.int64)
+    expected = np.concatenate([np.arange(s, s + c) for s, c in segments] + [np.arange(0)])
+    rows = _segment_rows(starts, counts)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, expected)
 
 
 def test_detection_dir_reports_the_first_fault_in_file_order(tmp_path, caplog):
