@@ -26,9 +26,9 @@ the annotation images, step 1 is a per-image count of scores above the
 threshold, candidate pairs are scored in runs of HCDRs under a fixed pair
 budget, step 3 is a single `np.unique` over annotation rows, and step 4 is
 one indexed assignment into a copy of the box column.  The claims come out
-as columns too, a `ClaimTable`, which is built only from columns; their
-`MbpRecord` objects are a read-only row view, built only when something
-reads them.
+as columns too, a `ClaimTable`, the tables' type built only from columns;
+their `MbpRecord` objects are a read-only row view, built only when
+something reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -44,7 +44,7 @@ from time import perf_counter
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _frozen, _offsets,
+from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _Columns, _offsets,
                       _segment_rows, align)
 from .geometry import BBox, check_boxes, iou_cells
 
@@ -86,55 +86,23 @@ class MbpRecord:
     new_box: BBox
 
 
-def _column(k: int, doc: str) -> property:
-    return property(lambda self: self._cols[k], doc=doc)
-
-
-class ClaimTable:
+class ClaimTable(_Columns):
     """The replaced annotations, one row per claim, in image order, then
-    score order.
+    score order: `image` (a position in `paths`, the dataset's image paths),
+    `det_index` (the claiming detection's position in its image's
+    score-sorted detections), `ann_index` (the claimed annotation's position
+    in its image), `iou` (the detection's max IoU against the original
+    annotations), `score`, and `old_boxes` and `new_boxes` (x y w h: the box
+    replaced and the detection box put in its place).  `records` is the row
+    view, one MbpRecord per claim."""
 
-    The columns are the table's only state, and they are read-only;
-    `records` is a row view of them, built on first use.
-    """
-
-    __slots__ = ("_records", "_cols")
+    __slots__ = ()
     _COLUMNS = (("image", np.int64, ()), ("det_index", np.int64, ()),
                 ("ann_index", np.int64, ()), ("iou", np.float64, ()), ("score", np.float64, ()),
                 ("old_boxes", np.float64, (4,)), ("new_boxes", np.float64, (4,)))
+    _ROW = MbpRecord
 
-    def __init__(self, *, paths: list[str], **columns) -> None:
-        if set(columns) != {name for name, _, _ in self._COLUMNS}:
-            raise TypeError(f"claim columns are paths and "
-                            f"{', '.join(name for name, _, _ in self._COLUMNS)}")
-        n = len(columns["image"])
-        self._records = None
-        self._cols = (paths, *(_frozen(columns[name], dtype, (n, *shape))
-                               for name, dtype, shape in self._COLUMNS))
-
-    paths = _column(0, "the image paths that `image` indexes")
-    image = _column(1, "int64 (n,): each claim's image, a position in `paths`")
-    det_index = _column(2, "int64 (n,): the claiming detection's position in its "
-                           "image's score-sorted detections")
-    ann_index = _column(3, "int64 (n,): the claimed annotation's position in its image")
-    iou = _column(4, "float64 (n,): the detection's max IoU against the original annotations")
-    score = _column(5, "float64 (n,): the detection's score")
-    old_boxes = _column(6, "float64 (n, 4): the annotation box replaced, x y w h")
-    new_boxes = _column(7, "float64 (n, 4): the detection box put in its place")
-
-    def __len__(self) -> int:
-        return len(self._cols[1])
-
-    @property
-    def records(self) -> list[MbpRecord]:
-        """The row view: one MbpRecord per claim."""
-        if self._records is None:
-            paths, image, det, ann, ious, scores, old, new = self._cols
-            self._records = [MbpRecord(paths[i], j, k, v, s, BBox(*o), BBox(*b))
-                             for i, j, k, v, s, o, b in zip(
-                                 image.tolist(), det.tolist(), ann.tolist(), ious.tolist(),
-                                 scores.tolist(), old.tolist(), new.tolist())]
-        return self._records
+    records = property(_Columns._cached_view)
 
 
 @dataclass(slots=True)
@@ -299,7 +267,7 @@ def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
     )
 
     img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
-    first_row = np.cumsum(n_rows) - n_rows
+    first_row = _offsets(n_rows)
     ann, det = arg[claimed], hcdr[claimed]
     old_boxes, new_boxes = anns.boxes[ann], dets.boxes[det]
     check_boxes(np.hstack((old_boxes, new_boxes)).reshape(-1, 4))  # old, then new, per claim

@@ -22,11 +22,12 @@ import numpy as np
 
 from .adc import compute_adc
 from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
-from .formats import (AnnotationSet, DetectionSet, align, load_detections, load_wider_gt,
-                      save_wider_gt, write_detections_file, write_detections_dir)
+from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
+                      load_wider_gt, save_wider_gt, write_detections_dir, write_detections_file)
 from .report import (DEFAULT_EDGES, check_edges, format_histogram_table, localization_histogram,
                      mbp_export, summary_line, write_report)
-from .synth import SynthSpec, emit_detections, generate_dataset, perturb, write_perturb_ledger
+from .synth import (SynthSpec, check_perturbation, emit_detections, generate_dataset, perturb,
+                    write_perturb_ledger)
 
 log = logging.getLogger("boxcal.cli")  # not __main__ under python -m
 
@@ -206,6 +207,7 @@ def run_adc(args) -> int:
 def run_synth(args) -> int:
     spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)
                         if hasattr(args, f.name)})
+    check_perturbation(args.perturb_fraction, args.iou_range)  # before the costly generation
     truth = generate_dataset(spec)
     dets = emit_detections(truth, spec)
     perturbed, ledger = perturb(truth, args.seed, args.perturb_fraction, args.iou_range,
@@ -223,7 +225,7 @@ def run_synth(args) -> int:
     with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
         write_perturb_ledger(ledger, fh)
     print(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
-          f"{len(ledger.entries)} perturbed, {dets.total_detections()} detections to {out}")
+          f"{len(ledger)} perturbed, {dets.total_detections()} detections to {out}")
     return 0
 
 
@@ -237,7 +239,7 @@ def run_diff(args) -> int:
     # pair the faces of each image in both files, up to the smaller count
     shared = np.minimum(n_old, n_new)
     image = np.repeat(np.arange(len(match)), shared)
-    k = np.arange(len(image)) - np.repeat(np.cumsum(shared) - shared, shared)
+    k = _segment_rows(np.zeros_like(shared), shared)
     a, b = old.offsets[image] + k, new.offsets[match[image]] + k
     events = []  # (image, face, line); an image's count line sorts after its faces
     for label, before, after in (("", old.boxes, new.boxes), ("flags ", old.flags, new.flags)):

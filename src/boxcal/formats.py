@@ -28,7 +28,9 @@ face order exactly as found in the file, so the in-memory index k of a face
 is meaningful.
 
 Parsed data lands in two tables, AnnotationSet and DetectionSet: image
-paths, per-image row offsets and one array per column.  `_records` is the
+paths, per-image row offsets and one array per column.  With the claims
+and the perturbation ledger they are the four tables of the one table
+type, `_Columns`, and its one construction path.  `_records` is the
 one walk of the record grammar.  Rows are converted on one of two paths.
 The fast path gathers every row span and reads them with one call of
 numpy's C text reader (`np.loadtxt`, correctly rounded like `float`), then
@@ -44,7 +46,8 @@ objects converts them to columns at once and keeps them as that view.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, every other value goes through `format_coord` or `repr`, the
-one copy of each rule.
+one copy of each rule.  `_ledger_text` is the one emitter of both TSV
+ledgers, the claims' and the perturbations'.
 """
 
 from __future__ import annotations
@@ -127,59 +130,51 @@ def _frozen(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-class _Table:
-    """A dataset table: image paths, per-image row offsets and one array per
-    column, rows stored image after image.  Image i owns rows
-    offsets[i]:offsets[i+1].
+class _Columns:
+    """The one table type: image paths and one read-only array per column,
+    each declared once in `_COLUMNS` as (name, dtype, trailing shape) and
+    read through a property of its name; the first axis counts rows.  The
+    row view is built on first use and kept: by default one `_ROW` per row,
+    from the path its `image` column points at, then each column's value,
+    a box's as a BBox.  `==` compares the tables, which are not hashable."""
 
-    The columns are the table's only state, and they are read-only.  Row
-    objects passed as `images` are converted to columns at once and kept as
-    the row view; otherwise `images` builds that view on first use.  `==`
-    compares the tables.
-    """
+    __slots__ = ("_view", "_cols")
+    _COLUMNS: tuple[tuple[str, type, tuple[int, ...]], ...]
+    _ROW: type
 
-    __slots__ = ("_images", "_cols")
-    _COLUMNS: tuple[tuple[str, tuple[int, ...]], ...]  # name and trailing shape
-    _ROWS: str                 # the attribute of an image object holding its rows
-    _FIELDS: tuple[str, ...]   # the attributes of a row object, column after column
+    def __init_subclass__(cls) -> None:
+        for k, (name, _, _) in enumerate(cls.__dict__.get("_COLUMNS", ()), 1):
+            setattr(cls, name, property(lambda self, k=k: self._cols[k]))
 
-    def __init__(self, images: Iterable | None = None, *,
-                 paths: Iterable[str] | None = None, offsets=None, **columns) -> None:
-        self._images = None
-        if images is not None:
-            if paths is not None or offsets is not None or columns:
-                raise TypeError("pass images or the table columns, not both")
-            self._images = list(images)
-            paths, offsets, columns = self._from_rows(self._images)
-        elif paths is None:
-            raise TypeError("table columns need paths")
-        if set(columns) != {name for name, _ in self._COLUMNS}:
-            raise TypeError(f"table columns are paths, offsets and "
-                            f"{', '.join(name for name, _ in self._COLUMNS)}")
-        paths = list(paths)
-        offsets = _frozen(offsets, np.int64, (-1,))
-        n = int(offsets[-1]) if len(offsets) else -1
-        if (len(offsets) != len(paths) + 1 or offsets[0] != 0
-                or np.any(offsets[1:] < offsets[:-1])):
-            raise ValueError("offsets must rise from 0, one more than there are paths")
-        cols = tuple(_frozen(columns[name], np.float64, (n, *shape))
-                     for name, shape in self._COLUMNS)
-        self._cols = (paths, offsets, *cols)
+    def __init__(self, *, paths: list[str], **columns) -> None:
+        names = [name for name, _, _ in self._COLUMNS]
+        if set(columns) != set(names):
+            raise TypeError(f"{type(self).__name__} columns are paths and {', '.join(names)}")
+        self._view = None
+        self._cols = (paths, *(_frozen(columns[name], dtype, (-1, *shape))
+                               for name, dtype, shape in self._COLUMNS))
+        self._check()
 
     @property
     def paths(self) -> list[str]:
         return self._cols[0]
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._cols[1]
+    def _check(self) -> None:
+        if len({len(c) for c in self._cols[1:]}) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length")
 
-    @property
-    def images(self) -> list:
-        """The row view: one object per image holding one object per row."""
-        if self._images is None:
-            self._images = self._row_view()
-        return self._images
+    def _cached_view(self) -> list:
+        if self._view is None:
+            self._view = self._row_view()
+        return self._view
+
+    def _row_view(self) -> list:
+        paths, image, *cols = self._cols
+        fields = [[BBox(*b) for b in c.tolist()] if c.ndim == 2 else c.tolist() for c in cols]
+        return list(map(self._ROW, [paths[i] for i in image.tolist()], *fields))
+
+    def __len__(self) -> int:
+        return len(self._cols[-1])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -187,28 +182,50 @@ class _Table:
         (p, *a), (q, *b) = self._cols, other._cols
         return p == q and all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.paths)} images, {int(self.offsets[-1])} rows)"
+        return f"{type(self).__name__}({len(self.paths)} images, {len(self)} rows)"
+
+
+class _Table(_Columns):
+    """A dataset table: its first column, `offsets`, rises from 0 to the
+    row count, one more than there are paths; image i owns rows
+    offsets[i]:offsets[i+1].  Row objects passed as `images` are converted
+    to columns at once and kept as the row view."""
+
+    __slots__ = ()
+    _ROWS: str                 # the attribute of an image object holding its rows
+    _FIELDS: tuple[str, ...]   # the attributes of a row object, column after column
+
+    def __init__(self, images: Iterable | None = None, *,
+                 paths: Iterable[str] | None = None, **columns) -> None:
+        if images is not None:
+            if paths is not None or columns:
+                raise TypeError("pass images or the table columns, not both")
+            images = list(images)
+            paths, columns = self._from_rows(images)
+        super().__init__(paths=list(paths), **columns)  # a missing paths: list(None) raises
+        self._view = images
+
+    images = property(_Columns._cached_view)
+
+    def _check(self) -> None:
+        paths, offsets, *cols = self._cols
+        if (len(offsets) != len(paths) + 1 or offsets[0] != 0
+                or np.any(offsets[1:] < offsets[:-1]) or any(len(c) != offsets[-1] for c in cols)):
+            raise ValueError("offsets must rise from 0 to the row count, one more than the paths")
 
     @classmethod
-    def _from_rows(cls, images: list) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
-        """The paths, offsets and columns of a list of row objects."""
+    def _from_rows(cls, images: list) -> tuple[list[str], dict[str, np.ndarray]]:
+        """The paths and columns of a list of row objects: the offsets, the
+        boxes, then the row's other fields."""
         rows = [row for img in images for row in getattr(img, cls._ROWS)]
         n_fields = len(cls._FIELDS)
         values = np.fromiter(chain.from_iterable(map(attrgetter(*cls._FIELDS), rows)),
                              np.float64, count=len(rows) * n_fields).reshape(-1, n_fields)
-        columns, k = {}, 0
-        for name, shape in cls._COLUMNS:
-            width = shape[0] if shape else 1
-            columns[name] = values[:, k:k + width]
-            k += width
-        return ([img.path for img in images],
-                _offsets([len(getattr(img, cls._ROWS)) for img in images]), columns)
-
-    def _row_view(self) -> list:
-        raise NotImplementedError
+        (offsets, _, _), (boxes, _, _), (rest, _, _) = cls._COLUMNS
+        return [img.path for img in images], {
+            offsets: _offsets([len(getattr(img, cls._ROWS)) for img in images]),
+            boxes: values[:, :4], rest: values[:, 4:]}
 
 
 def _offsets(counts) -> np.ndarray:
@@ -225,28 +242,18 @@ def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class AnnotationSet(_Table):
-    """A dataset's annotations.
-
-    paths: image paths; offsets: int64 (n+1,); boxes: float64 (N, 4), one
-    x y w h row per face; flags: float64 (N, 6), the integer parts of blur,
-    expression, illumination, invalid, occlusion and pose (held as floats,
-    so a finite flag of any size round-trips; a parsed flag is never -0.0).
-    `images` is the row view, a list of ImageAnnotations.
-    """
+    """A dataset's annotations: per face, `boxes` (x y w h) and `flags`, the
+    integer parts of blur, expression, illumination, invalid, occlusion and
+    pose (held as floats, so a finite flag of any size round-trips; a parsed
+    flag is never -0.0).  `images` is the row view, a list of
+    ImageAnnotations."""
 
     __slots__ = ()
-    _COLUMNS = (("boxes", (4,)), ("flags", (6,)))
+    _COLUMNS = (("offsets", np.int64, ()), ("boxes", np.float64, (4,)),
+                ("flags", np.float64, (6,)))
     _ROWS = "faces"
     _FIELDS = ("box.x", "box.y", "box.w", "box.h",
                "blur", "expression", "illumination", "invalid", "occlusion", "pose")
-
-    @property
-    def boxes(self) -> np.ndarray:
-        return self._cols[2]
-
-    @property
-    def flags(self) -> np.ndarray:
-        return self._cols[3]
 
     def total_faces(self) -> int:
         return len(self.boxes)
@@ -260,27 +267,15 @@ class AnnotationSet(_Table):
 
 
 class DetectionSet(_Table):
-    """A dataset's detections.
-
-    paths: image paths; offsets: int64 (n+1,); boxes: float64 (N, 4);
-    scores: float64 (N,).  The parsers sort each image's rows by descending
-    score, keeping file order among equal scores; `align` rejects a set
-    that is not sorted so.  `images` is the row view, a list of
-    ImageDetections.
-    """
+    """A dataset's detections: per detection, `boxes` (x y w h) and
+    `scores`.  The parsers sort each image's rows by descending score,
+    keeping file order among equal scores; `align` rejects a set that is
+    not sorted so.  `images` is the row view, a list of ImageDetections."""
 
     __slots__ = ()
-    _COLUMNS = (("boxes", (4,)), ("scores", ()))
+    _COLUMNS = (("offsets", np.int64, ()), ("boxes", np.float64, (4,)), ("scores", np.float64, ()))
     _ROWS = "dets"
     _FIELDS = ("box.x", "box.y", "box.w", "box.h", "score")
-
-    @property
-    def boxes(self) -> np.ndarray:
-        return self._cols[2]
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self._cols[3]
 
     def total_detections(self) -> int:
         return len(self.scores)
@@ -629,6 +624,16 @@ def _record_text(names: list[str], offsets: np.ndarray, rows: list[str],
     return "\n".join(out)
 
 
+def _ledger_text(header: tuple[str, ...], paths: list[str], index: list[int],
+                 boxes: list[np.ndarray], ratios: list[np.ndarray]) -> str:
+    """A TSV ledger: the header, then per row its path, its index, its box
+    cells and its ratios, every float as `repr` writes it.  Box cells are
+    mostly small whole numbers, which take cached texts; ratios rarely are."""
+    cols = [paths, map(str, index), *(_texts(c, _text_table(".0"), repr) for c in boxes),
+            *(map(repr, c.tolist()) for c in ratios)]
+    return "\n".join(["\t".join(header), *map("\t".join, zip(*cols)), ""])
+
+
 def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
     """Write records in input order; see format_coord for the number policy.
 
@@ -742,17 +747,22 @@ def _detection_rows(detset: DetectionSet) -> list[str]:
 
 def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str = ".jpg") -> None:
     """Write one detection file per image under root, mirroring the key paths:
-    a key's image_ext suffix, if it has one, is swapped for ".txt"."""
-    rows = _detection_rows(detset)
-    bounds = detset.offsets.tolist()
-    made: set[str] = set()
-    for key, lo, hi in zip(detset.paths, bounds, bounds[1:]):
+    a key's image_ext suffix, if it has one, is swapped for ".txt".  Two
+    keys that map to one file ("a" and "a.jpg") raise ValueError, naming
+    both, before any file is written."""
+    keys: dict[str, str] = {}  # file -> image key
+    for key in detset.paths:
         stem = key[:len(key) - len(image_ext)] if key.endswith(image_ext) else key
         target = os.path.join(root, stem + ".txt")
-        folder = os.path.dirname(target)
-        if folder not in made:
-            os.makedirs(folder or ".", exist_ok=True)
-            made.add(folder)
+        if target in keys:
+            raise ValueError(f"detection images {keys[target]!r} and {key!r} "
+                             f"would both be written to {target}")
+        keys[target] = key
+    for folder in {os.path.dirname(target) for target in keys}:
+        os.makedirs(folder or ".", exist_ok=True)
+    rows = _detection_rows(detset)
+    bounds = detset.offsets.tolist()
+    for (target, key), lo, hi in zip(keys.items(), bounds, bounds[1:]):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write("\n".join([Path(key).stem, str(hi - lo), *rows[lo:hi], ""]))
 

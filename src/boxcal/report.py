@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .calibrate import CalibrationResult, ClaimTable
-from .formats import _text_table, _texts
+from .formats import _ledger_text
 from .geometry import BBox, iou, iou_cells
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -200,12 +200,7 @@ def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
     boxes = [*claims.old_boxes[order].T, *claims.new_boxes[order].T]
     ratios = [claims.iou[order], claims.score[order]]
     if fmt == "tsv":
-        # every float as repr writes it; most box fields are small whole numbers
-        cols = [paths, map(str, ann_index),
-                *(_texts(c, _text_table(".0"), repr) for c in boxes),
-                *(map(repr, c.tolist()) for c in ratios)]
-        stream.write("\n".join(["\t".join(MBP_EXPORT_HEADER),
-                                *map("\t".join, zip(*cols)), ""]))
+        stream.write(_ledger_text(MBP_EXPORT_HEADER, paths, ann_index, boxes, ratios))
     else:
         rows = [_MBP_JSON_ROW % row for row in zip(
             map(json.dumps, paths), ann_index, *map(_json_floats, boxes + ratios))]

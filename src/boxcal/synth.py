@@ -9,6 +9,8 @@ Misalignment is injected by shifting a box along one axis.  For two
 equal-size boxes of width w offset by d on that axis, IoU = (w - d)/(w + d),
 so d = w * (1 - t)/(1 + t) hits a target IoU of t in closed form.  No
 search, no tolerance juggling: recovery tests can demand exact box equality.
+The shifts are taken on the columns, and recorded in a PerturbLedger, a
+table of the same type as the annotations; `ledger.tsv` is its TSV.
 
 oracle_calibrate is a deliberately naive re-implementation of the
 calibration scan.  It enumerates every (detection, annotation) pair with a
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from time import perf_counter
 from typing import TextIO
@@ -30,8 +32,8 @@ import numpy as np
 
 from .adc import AdcResult
 from .calibrate import CalibrationConfig, CalibrationCounters, CalibrationResult, ClaimTable
-from .formats import AnnotationSet, Detection, DetectionSet, _offsets
-from .geometry import BBox, iou
+from .formats import AnnotationSet, Detection, DetectionSet, _Columns, _ledger_text, _offsets
+from .geometry import BBox, check_boxes, iou_cells
 
 _PLACEMENT_TRIES = 1000
 
@@ -83,9 +85,20 @@ class PerturbEntry:
     achieved_iou: float
 
 
-@dataclass(frozen=True)
-class PerturbLedger:
-    entries: list[PerturbEntry] = field(default_factory=list)
+class PerturbLedger(_Columns):
+    """The shifted boxes, one row per box, in table order: `image` (a
+    position in `paths`, the set's image paths), `ann_index` (the box's
+    position in its image), `true_boxes` and `perturbed_boxes` (x y w h,
+    before and after the shift) and `achieved_iou`, the IoU of the two.
+    `entries` is the row view, one PerturbEntry per box."""
+
+    __slots__ = ()
+    _COLUMNS = (("image", np.int64, ()), ("ann_index", np.int64, ()),
+                ("true_boxes", np.float64, (4,)), ("perturbed_boxes", np.float64, (4,)),
+                ("achieved_iou", np.float64, ()))
+    _ROW = PerturbEntry
+
+    entries = property(_Columns._cached_view)
 
 
 def _xywh(b: BBox) -> tuple[float, float, float, float]:
@@ -143,6 +156,15 @@ def generate_dataset(spec: SynthSpec) -> AnnotationSet:
                          boxes=values[:, :4], flags=values[:, 4:])
 
 
+def check_perturbation(fraction: float, iou_range: tuple[float, float]) -> None:
+    """Raise ValueError for the values `perturb` rejects."""
+    lo, hi = iou_range
+    if not (0.0 < lo <= hi < 1.0):
+        raise ValueError(f"iou_range needs 0 < lo <= hi < 1, got ({lo}, {hi})")
+    if not (0.0 <= fraction <= 1.0):
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+
+
 def perturb(annset: AnnotationSet, seed: int, fraction: float,
             iou_range: tuple[float, float], *,
             image_size: tuple[int, int] | None = None) -> tuple[AnnotationSet, PerturbLedger]:
@@ -154,40 +176,30 @@ def perturb(annset: AnnotationSet, seed: int, fraction: float,
     edge (no further fallback).  Flags are untouched.  Zero-area boxes are
     not eligible: they have no IoU to target.
     """
-    lo, hi = iou_range
-    if not (0.0 < lo <= hi < 1.0):
-        raise ValueError(f"iou_range needs 0 < lo <= hi < 1, got ({lo}, {hi})")
-    if not (0.0 <= fraction <= 1.0):
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-
+    check_perturbation(fraction, iou_range)
     boxes = annset.boxes
     eligible = np.flatnonzero((boxes[:, 2] > 0) & (boxes[:, 3] > 0))
     count = math.floor(fraction * len(eligible))
-    if count == 0:
-        return annset, PerturbLedger([])
-
     rng = random.Random(f"{seed}:perturb")
     chosen = eligible[sorted(rng.sample(range(len(eligible)), count))]
+    t = np.array([rng.uniform(*iou_range) for _ in range(count)], np.float64)
+    true_boxes = boxes[chosen]
+    x, y, w, h = true_boxes.T
+    d = w * (1.0 - t) / (1.0 + t)
+    new_x = x + d
+    if image_size is not None:
+        new_x = np.where(new_x + w > image_size[0], x - d, new_x)
+    moved = np.column_stack((new_x, y, w, h))
+    check_boxes(np.hstack((true_boxes, moved)).reshape(-1, 4))  # true, then moved, per row
+    out = boxes.copy()
+    out[chosen] = moved
     image = np.searchsorted(annset.offsets, chosen, side="right") - 1
-
-    entries: list[PerturbEntry] = []
-    moved_boxes = boxes.copy()
-    for row, i, xywh in zip(chosen.tolist(), image.tolist(), boxes[chosen].tolist()):
-        true_box = BBox(*xywh)
-        t = rng.uniform(lo, hi)
-        d = true_box.w * (1.0 - t) / (1.0 + t)
-        new_x = true_box.x + d
-        if image_size is not None and new_x + true_box.w > image_size[0]:
-            new_x = true_box.x - d
-        moved = BBox(new_x, true_box.y, true_box.w, true_box.h)
-        moved_boxes[row, 0] = new_x
-        entries.append(PerturbEntry(
-            path=annset.paths[i], ann_index=row - int(annset.offsets[i]), true_box=true_box,
-            perturbed_box=moved, achieved_iou=iou(moved, true_box)))
-
-    return (AnnotationSet(paths=annset.paths, offsets=annset.offsets, boxes=moved_boxes,
+    return (AnnotationSet(paths=annset.paths, offsets=annset.offsets, boxes=out,
                           flags=annset.flags),
-            PerturbLedger(entries))
+            PerturbLedger(paths=annset.paths, image=image,
+                          ann_index=chosen - annset.offsets[image], true_boxes=true_boxes,
+                          perturbed_boxes=moved,
+                          achieved_iou=iou_cells(new_x, y, w, h, x, y, w, h)))
 
 
 def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
@@ -219,13 +231,12 @@ def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
 
 
 def write_perturb_ledger(ledger: PerturbLedger, stream: TextIO) -> None:
-    stream.write("path\tann_index\ttrue_x\ttrue_y\ttrue_w\ttrue_h"
-                 "\tpert_x\tpert_y\tpert_w\tpert_h\tachieved_iou\n")
-    for e in ledger.entries:
-        t, p = e.true_box, e.perturbed_box
-        cells = (e.path, e.ann_index, t.x, t.y, t.w, t.h, p.x, p.y, p.w, p.h, e.achieved_iou)
-        stream.write("\t".join(repr(c) if isinstance(c, float) else str(c)
-                               for c in cells) + "\n")
+    names = ledger.paths  # read once: each read of the column is a call
+    stream.write(_ledger_text(
+        ("path", "ann_index", "true_x", "true_y", "true_w", "true_h",
+         "pert_x", "pert_y", "pert_w", "pert_h", "achieved_iou"),
+        [names[i] for i in ledger.image.tolist()], ledger.ann_index.tolist(),
+        [*ledger.true_boxes.T, *ledger.perturbed_boxes.T], [ledger.achieved_iou]))
 
 
 def _plain_iou(a: BBox, b: BBox) -> float:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import boxcal
 import boxcal.calibrate
+import boxcal.cli
 import boxcal.formats
 from boxcal.cli import main
 from boxcal.formats import load_wider_gt
@@ -360,6 +361,20 @@ def test_synth_rejects_a_fraction_outside_0_1(tmp_path, capsys, fraction):
                f"--perturb-fraction={fraction}"])
     assert rc == 1
     assert "fraction must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--perturb-fraction", "nan"], "fraction must lie in [0, 1], got nan"),
+    (["--iou-range", "0.9,0.1"], "iou_range needs 0 < lo <= hi < 1, got (0.9, 0.1)")])
+def test_synth_checks_the_perturbation_before_generating(tmp_path, monkeypatch, capsys,
+                                                         option, message):
+    def refuse(spec):
+        raise AssertionError("the dataset was generated before the values were checked")
+
+    monkeypatch.setattr(boxcal.cli, "generate_dataset", refuse)
+    assert main(["synth", "--out", str(tmp_path / "out"), "--images", "12880", *option]) == 1
+    assert capsys.readouterr().err == f"boxcal: error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -327,6 +327,15 @@ def test_detection_dir_round_trip(tmp_path):
     assert back == dets
 
 
+def test_detection_dir_rejects_two_keys_that_share_a_file(tmp_path):
+    # "a" and "a.jpg" both map to a.txt: writing both would lose an image
+    dets = DetectionSet(paths=["a", "b.jpg", "a.jpg"], offsets=[0, 1, 1, 3],
+                        boxes=[[0, 0, 1, 1]] * 3, scores=[0.5, 0.9, 0.4])
+    with pytest.raises(ValueError, match=r"'a' and 'a\.jpg' would both be written to .*a\.txt"):
+        write_detections_dir(dets, tmp_path / "d")
+    assert not (tmp_path / "d").exists()  # nothing is written
+
+
 def test_detection_dir_key_mapping(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "x.txt").write_text(DETS_ONE, encoding="utf-8")
@@ -766,7 +775,7 @@ def _parse_outcome(parse, arg, caplog, walk_only):
         try:
             table = parse(arg)
             cols = (table.paths, table.offsets.tobytes(),
-                    *(getattr(table, name).tobytes() for name, _ in table._COLUMNS))
+                    *(getattr(table, name).tobytes() for name, *_ in table._COLUMNS))
             error = None
         except ParseError as exc:
             cols, error = None, str(exc)

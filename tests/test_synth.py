@@ -1,10 +1,12 @@
+import bisect
 import dataclasses
 import io
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxcal.calibrate
@@ -12,8 +14,8 @@ from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, write_wider_gt)
 from boxcal.geometry import BBox, iou
-from boxcal.synth import (SynthSpec, emit_detections, generate_dataset,
-                          oracle_calibrate, perturb, write_perturb_ledger)
+from boxcal.synth import (PerturbEntry, PerturbLedger, SynthSpec, emit_detections,
+                          generate_dataset, oracle_calibrate, perturb, write_perturb_ledger)
 
 MIXED = SynthSpec(seed=11, n_images=40, faces_per_image=(0, 8), box_size=(16, 64),
                   aligned_score_range=(0.05, 1.0), distractor_score_range=(0.0, 0.8),
@@ -145,6 +147,100 @@ def test_perturb_validation():
         perturb(annset, 1, 0.5, (0.5, 1.0))
     with pytest.raises(ValueError):
         perturb(annset, 1, 1.5, (0.5, 0.7))
+
+
+def _reference_perturb(annset, seed, fraction, iou_range, image_size=None):
+    """perturb one entry at a time with scalar arithmetic and geometry.iou:
+    the perturbed boxes, the ledger entries and the ledger's TSV."""
+    lo, hi = iou_range
+    boxes = annset.boxes.tolist()
+    offsets = annset.offsets.tolist()
+    eligible = [k for k, (_, _, w, h) in enumerate(boxes) if w > 0 and h > 0]
+    count = math.floor(fraction * len(eligible))
+    rng = random.Random(f"{seed}:perturb")
+    chosen = [eligible[j] for j in sorted(rng.sample(range(len(eligible)), count))]
+    entries = []
+    for row in chosen:
+        i = bisect.bisect_right(offsets, row) - 1
+        true_box = BBox(*boxes[row])
+        t = rng.uniform(lo, hi)
+        d = true_box.w * (1.0 - t) / (1.0 + t)
+        new_x = true_box.x + d
+        if image_size is not None and new_x + true_box.w > image_size[0]:
+            new_x = true_box.x - d
+        moved = BBox(new_x, true_box.y, true_box.w, true_box.h)
+        boxes[row][0] = new_x
+        entries.append(PerturbEntry(annset.paths[i], row - offsets[i], true_box, moved,
+                                    iou(moved, true_box)))
+    tsv = ["path\tann_index\ttrue_x\ttrue_y\ttrue_w\ttrue_h"
+           "\tpert_x\tpert_y\tpert_w\tpert_h\tachieved_iou\n"]
+    for e in entries:
+        t, p = e.true_box, e.perturbed_box
+        cells = (e.path, e.ann_index, t.x, t.y, t.w, t.h, p.x, p.y, p.w, p.h, e.achieved_iou)
+        tsv.append("\t".join(repr(c) if isinstance(c, float) else str(c) for c in cells) + "\n")
+    return boxes, entries, "".join(tsv)
+
+
+# lengths of 0 (zero-area boxes, never eligible), whole and fractional
+_LENGTHS = st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0, allow_subnormal=False))
+# one face: its image (of six) and its box
+_FACES = st.tuples(st.integers(0, 5), st.integers(0, 50).map(float),
+                   st.integers(0, 50).map(float), _LENGTHS, _LENGTHS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(faces=st.lists(_FACES, max_size=30), seed=st.integers(0, 2**32),
+       fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       ious=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2).map(sorted),
+       image_size=st.one_of(st.none(), st.tuples(st.integers(1, 60), st.integers(1, 60))))
+# d = 4: the shifted box ends exactly on the right edge, which keeps the +x shift
+@example(faces=[(0, 0.0, 0.0, 12.0, 12.0)], seed=1, fraction=1.0, ious=[0.5, 0.5],
+         image_size=(16, 16))
+def test_perturb_equals_the_per_entry_reference(faces, seed, fraction, ious, image_size):
+    # a small image_size flips many shifts to -x at the right edge
+    faces.sort(key=lambda face: face[0])  # stable: image after image
+    counts = np.bincount([face[0] for face in faces], minlength=6)
+    boxes = np.array([face[1:] for face in faces], np.float64).reshape(-1, 4)
+    paths = [f"d/{i}.jpg" for i in range(len(counts))]
+    annset = AnnotationSet(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes,
+                           flags=np.zeros((len(faces), 6)))
+    out, ledger = perturb(annset, seed, fraction, tuple(ious), image_size=image_size)
+    want_boxes, want_entries, want_tsv = _reference_perturb(annset, seed, fraction, ious,
+                                                            image_size)
+    assert out.boxes.tobytes() == np.array(want_boxes, np.float64).reshape(-1, 4).tobytes()
+    assert out.paths == paths and out.flags.tobytes() == annset.flags.tobytes()
+    assert ledger.paths is annset.paths and len(ledger) == len(want_entries)
+    assert ledger.entries == want_entries
+    assert ledger.image.tolist() == [paths.index(e.path) for e in want_entries]
+    assert ledger.ann_index.tolist() == [e.ann_index for e in want_entries]
+    for name, field in (("true_boxes", "true_box"), ("perturbed_boxes", "perturbed_box")):
+        want = [dataclasses.astuple(getattr(e, field)) for e in want_entries]
+        assert getattr(ledger, name).tobytes() == np.array(want, np.float64).reshape(-1, 4).tobytes()
+    want_ious = np.array([e.achieved_iou for e in want_entries], np.float64)
+    assert ledger.achieved_iou.tobytes() == want_ious.tobytes()
+    buf = io.StringIO()
+    write_perturb_ledger(ledger, buf)
+    assert buf.getvalue() == want_tsv
+
+
+def test_perturb_ledger_is_a_read_only_table():
+    truth = generate_dataset(MIXED)
+    _, ledger = perturb(truth, 9, 0.5, (0.5, 0.7))
+    columns = {name: getattr(ledger, name) for name in
+               ("image", "ann_index", "true_boxes", "perturbed_boxes", "achieved_iou")}
+    assert PerturbLedger(paths=truth.paths, **columns) == ledger
+    assert ledger.entries is ledger.entries            # the row view is built once
+    for name, column in columns.items():
+        assert not column.flags.writeable, name
+    with pytest.raises(ValueError):
+        ledger.true_boxes[0, 0] = 1.0
+    missing = {k: v for k, v in columns.items() if k != "achieved_iou"}
+    with pytest.raises(TypeError):
+        PerturbLedger(paths=truth.paths, **missing)
+    with pytest.raises(TypeError):
+        PerturbLedger(paths=truth.paths, score=columns["achieved_iou"], **columns)
+    with pytest.raises(ValueError):
+        PerturbLedger(paths=truth.paths, **{**columns, "image": columns["image"][1:]})
 
 
 def test_emit_detections_shapes_and_order():
