@@ -18,9 +18,9 @@ Detection files (one per image, mirroring the image directory tree):
     count lines of: x y w h score
 
 The image key of a per-image file is its path relative to the root with the
-".txt" suffix swapped for the image extension.  A consolidated single-file
-variant concatenates the same records; there the name line is the image key
-verbatim.
+".txt" suffix swapped for the image extension; the writer normalises that
+path, refuses one outside the root and always makes the root.  A single-file
+variant concatenates the same records, each named by its key verbatim.
 
 Input is UTF-8 with lines ended by LF, CRLF or CR; output is always LF.
 Malformed input raises ParseError naming the file and line.  Parsers keep
@@ -46,8 +46,9 @@ objects converts them to columns at once and keeps them as that view.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, every other value goes through `format_coord` or `repr`, the
-one copy of each rule.  `_ledger_text` is the one emitter of both TSV
-ledgers, the claims' and the perturbations'.
+one copy of each rule.  Every record file streams the one record emitter,
+`_record_text`; both TSV ledgers, the claims' and the perturbations', are
+written by the one TSV emitter, `_ledger_text`.
 """
 
 from __future__ import annotations
@@ -610,18 +611,13 @@ def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) 
 
 
 def _record_text(names: list[str], offsets: np.ndarray, rows: list[str],
-                 empty: tuple[str, ...] = ()) -> str:
-    """The records as text: per record its name line, its row count and its
-    rows, offsets[i]:offsets[i+1] of rows, or the lines of empty where it
-    has none; every line ends in LF."""
+                 empty: tuple[str, ...] = ()) -> Iterator[str]:
+    """The one emitter of records: per record, the text of its name line,
+    its row count and its rows, offsets[i]:offsets[i+1] of rows, or the
+    lines of empty where it has none; every line ends in LF."""
     bounds = offsets.tolist()
-    out: list[str] = []
     for name, lo, hi in zip(names, bounds, bounds[1:]):
-        out.append(name)
-        out.append(str(hi - lo))
-        out.extend(rows[lo:hi] if lo < hi else empty)
-    out.append("")  # the last line's LF
-    return "\n".join(out)
+        yield "\n".join([name, str(hi - lo), *(rows[lo:hi] if lo < hi else empty), ""])
 
 
 def _ledger_text(header: tuple[str, ...], paths: list[str], index: list[int],
@@ -647,8 +643,8 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
     cols = [_texts(c, _text_table(""), coord) for c in annset.boxes.T]
     cols += [_texts(c, _text_table(""), format_coord) for c in annset.flags.T]
     rows = list(map(" ".join, zip(*cols)))
-    stream.write(_record_text(annset.paths, annset.offsets, rows,
-                              empty=("0 0 0 0 0 0 0 0 0 0",)))
+    stream.writelines(_record_text(annset.paths, annset.offsets, rows,
+                                   empty=("0 0 0 0 0 0 0 0 0 0",)))
 
 
 def load_wider_gt(path: str | Path) -> AnnotationSet:
@@ -746,30 +742,34 @@ def _detection_rows(detset: DetectionSet) -> list[str]:
 
 
 def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str = ".jpg") -> None:
-    """Write one detection file per image under root, mirroring the key paths:
-    a key's image_ext suffix, if it has one, is swapped for ".txt".  Two
-    keys that map to one file ("a" and "a.jpg") raise ValueError, naming
-    both, before any file is written."""
-    keys: dict[str, str] = {}  # file -> image key
+    """Write one detection file per image under root, its name line the
+    key's stem.  The file is the key, its image_ext suffix (if any) swapped
+    for ".txt", normalised: "x/../a.jpg" writes a.txt.  A file outside root
+    (absolute, on a drive or under ".."), and two keys sharing one file ("a"
+    and "a.jpg"), raise ValueError naming the keys before anything is made.
+    root is always made, so an empty set writes an empty tree."""
+    files: dict[str, str] = {}  # normalised file, relative to root -> image key
     for key in detset.paths:
         stem = key[:len(key) - len(image_ext)] if key.endswith(image_ext) else key
-        target = os.path.join(root, stem + ".txt")
-        if target in keys:
-            raise ValueError(f"detection images {keys[target]!r} and {key!r} "
-                             f"would both be written to {target}")
-        keys[target] = key
-    for folder in {os.path.dirname(target) for target in keys}:
-        os.makedirs(folder or ".", exist_ok=True)
-    rows = _detection_rows(detset)
-    bounds = detset.offsets.tolist()
-    for (target, key), lo, hi in zip(keys.items(), bounds, bounds[1:]):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write("\n".join([Path(key).stem, str(hi - lo), *rows[lo:hi], ""]))
+        rel = os.path.normpath(stem + ".txt")
+        if os.path.isabs(rel) or os.path.splitdrive(rel)[0] or rel.startswith(os.pardir + os.sep):
+            raise ValueError(f"detection image {key!r} would be written outside {root}")
+        if rel in files:
+            raise ValueError(f"detection images {files[rel]!r} and {key!r} "
+                             f"would both be written to {os.path.join(root, rel)}")
+        files[rel] = key
+    for folder in {"", *map(os.path.dirname, files)}:
+        os.makedirs(os.path.join(root, folder) or ".", exist_ok=True)
+    records = _record_text([Path(key).stem for key in files.values()], detset.offsets,
+                           _detection_rows(detset))
+    for rel, text in zip(files, records):
+        with open(os.path.join(root, rel), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:
     """Write the consolidated single-file layout; name lines are the keys."""
-    stream.write(_record_text(detset.paths, detset.offsets, _detection_rows(detset)))
+    stream.writelines(_record_text(detset.paths, detset.offsets, _detection_rows(detset)))
 
 
 def check_aligned(anns: AnnotationSet, dets: DetectionSet) -> None:

@@ -156,8 +156,8 @@ def diou_cells(px: np.ndarray, py: np.ndarray, pw: np.ndarray, ph: np.ndarray,
 class LossDeltas:
     """Per claim, in claim order: the DIoU loss of the replacing detection
     box against the original annotation box (l_orig) and against the
-    calibrated box (l_calib, 0 for every replacement), and their difference
-    (delta = l_orig - l_calib, >= 0)."""
+    calibrated box, which is that detection box (l_calib, so 0), and their
+    difference (delta = l_orig - l_calib = l_orig, >= 0)."""
 
     l_orig: np.ndarray
     l_calib: np.ndarray
@@ -167,8 +167,7 @@ class LossDeltas:
 def loss_delta_report(claims: ClaimTable) -> LossDeltas:
     new, old = claims.new_boxes.T, claims.old_boxes.T
     l_orig = diou_cells(*new, *old)
-    l_calib = diou_cells(*new, *new)
-    return LossDeltas(l_orig, l_calib, l_orig - l_calib)
+    return LossDeltas(l_orig, np.zeros_like(l_orig), l_orig.copy())
 
 
 # one element of json.dump(rows, indent=2), every field through %s: the str of

@@ -72,7 +72,7 @@ class SynthSpec:
             raise ValueError(
                 f"infeasible: boxes up to {self.box_size[1]} px cannot fit a "
                 f"{w}x{h} image")
-        if self.min_gap < 0:
+        if not self.min_gap >= 0:  # nan as well
             raise ValueError(f"min_gap must be >= 0, got {self.min_gap}")
 
 

@@ -378,6 +378,26 @@ def test_synth_checks_the_perturbation_before_generating(tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_rejects_a_nan_min_gap_before_generating(tmp_path, monkeypatch, capsys):
+    def refuse(spec):
+        raise AssertionError("the dataset was generated before min_gap was checked")
+
+    monkeypatch.setattr(boxcal.cli, "generate_dataset", refuse)
+    assert main(["synth", "--out", str(tmp_path / "out"), "--min-gap", "nan"]) == 1
+    assert capsys.readouterr().err == "boxcal: error: min_gap must be >= 0, got nan\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_synthetic_set_calibrates_and_stats(tmp_path, capsys):
+    out = tmp_path / "empty"
+    assert main(["synth", "--out", str(out), "--images", "0"]) == 0
+    assert (out / "detections").is_dir()
+    inputs = ["--gt", str(out / "gt.txt"), "--dets", str(out / "detections")]
+    assert main(["calibrate", *inputs, "--out", str(out / "calibrated.txt")]) == 0
+    assert (out / "calibrated.txt").read_text(encoding="utf-8") == ""
+    assert main(["stats", *inputs]) == 0
+
+
 def test_synth_writes_a_header_only_ledger_when_nothing_is_perturbed(tmp_path, capsys):
     _synth(tmp_path, "--perturb-fraction", "0")
     assert capsys.readouterr().out.startswith("wrote 10 images, 10 faces, 0 perturbed, ")

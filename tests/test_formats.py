@@ -19,7 +19,7 @@ import boxcal
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, ParseError, _segment_rows, align,
                             format_coord, load_detections, load_wider_gt, parse_detections_dir,
-                            parse_detections_file, parse_wider_gt,
+                            parse_detections_file, parse_wider_gt, save_wider_gt,
                             write_detections_dir, write_detections_file,
                             write_wider_gt)
 from boxcal.geometry import BBox, valid_boxes
@@ -311,6 +311,7 @@ def test_a_hand_built_integer_score_is_written_as_a_float():
 
 
 DETS_ONE = "img1\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\n"
+DETS_TWO_IMAGES = "a/img1.jpg\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\nb/img2.jpg\n0\n"
 
 
 def test_detection_dir_round_trip(tmp_path):
@@ -334,6 +335,40 @@ def test_detection_dir_rejects_two_keys_that_share_a_file(tmp_path):
     with pytest.raises(ValueError, match=r"'a' and 'a\.jpg' would both be written to .*a\.txt"):
         write_detections_dir(dets, tmp_path / "d")
     assert not (tmp_path / "d").exists()  # nothing is written
+
+
+@pytest.mark.parametrize("keys, message", [
+    (["a.jpg", "x/../a.jpg"], "would both be written to"),
+    (["a//b.jpg", "a/b.jpg"], "would both be written to"),
+    (["/tmp/x.jpg"], "would be written outside"),
+    (["../x.jpg"], "would be written outside")])
+def test_detection_dir_rejects_keys_that_share_a_normalised_file_or_leave_the_root(
+        tmp_path, keys, message):
+    dets = DetectionSet(paths=keys, offsets=range(len(keys) + 1),
+                        boxes=[[0, 0, 1, 1]] * len(keys), scores=[0.5] * len(keys))
+    with pytest.raises(ValueError, match=message):
+        write_detections_dir(dets, tmp_path / "d")
+    assert not (tmp_path / "d").exists()  # nothing is made
+
+
+def test_detection_dir_writes_an_empty_set_as_an_empty_root(tmp_path):
+    write_detections_dir(DetectionSet(paths=[], offsets=[0], boxes=[], scores=[]), tmp_path / "d")
+    assert list((tmp_path / "d").iterdir()) == []
+    assert len(parse_detections_dir(tmp_path / "d").paths) == 0
+
+
+def test_every_write_mode_open_ends_lines_in_lf(tmp_path, monkeypatch):
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        if "r" not in mode:
+            opened.append((mode, kwargs.get("encoding"), kwargs.get("newline")))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(boxcal.formats, "open", spy, raising=False)
+    save_wider_gt(parse_wider_gt(GT_SAMPLE), tmp_path / "gt.txt")
+    write_detections_dir(parse_detections_file(DETS_TWO_IMAGES), tmp_path / "d")
+    assert opened == [("w", "utf-8", "\n")] * 3
 
 
 def test_detection_dir_key_mapping(tmp_path):

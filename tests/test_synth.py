@@ -72,6 +72,11 @@ def test_spec_validation():
         SynthSpec(seed=0, n_images=1, min_gap=-1)
 
 
+def test_spec_rejects_a_nan_min_gap():
+    with pytest.raises(ValueError, match="min_gap must be >= 0, got nan"):
+        SynthSpec(seed=0, n_images=1, min_gap=float("nan"))
+
+
 def test_infeasible_packing_raises():
     spec = SynthSpec(seed=0, n_images=1, faces_per_image=(50, 50),
                      image_size=(64, 64), box_size=(16, 16), min_gap=32.0)
