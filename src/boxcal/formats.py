@@ -31,15 +31,15 @@ Parsed data lands in two tables, AnnotationSet and DetectionSet: image
 paths, per-image row offsets and one array per column.  With the claims
 and the perturbation ledger they are the four tables of the one table
 type, `_Columns`, and its one construction path.  `_records` is the
-one walk of the record grammar.  Rows are converted on one of two paths.
-The fast path gathers every row span and reads them with one call of
-numpy's C text reader (`np.loadtxt`, correctly rounded like `float`), then
-checks the result with array operations.  Where the reader refuses a row
-or a check fails, the row walker (`_walk`) parses the same lines again
-row by row with Python's `float`: it reads the tokens only `float` reads
-(`1_0`, `١٢`), raises the first fault in file order, with the same message
-and line as it always has, and is the reference the fast path is tested
-against.  The columns are a table's only state.  The per-face objects
+one walk of the record grammar.  Rows are read on one of two paths.  The
+fast path gathers every row span and reads them with one call of numpy's
+C text reader (`np.loadtxt`, correctly rounded like `float`).  Where that
+reader refuses a row or misses one, the row walker (`_walk`) reads the
+same lines again with Python's `float`, which also reads `1_0` and `١٢`;
+it is the reference the fast path is tested against.  Either path's array
+goes through the one check of the row rules (`_check`), which logs the
+range warnings and raises the first fault in file order, naming its file
+and line.  The columns are a table's only state.  The per-face objects
 (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`) are
 its row view, built on first use of `.images`; a table built from such
 objects converts them to columns at once and keeps them as that view.
@@ -80,8 +80,6 @@ _FLAG_RANGES = (
     ("occlusion", 0, 2),
     ("pose", 0, 1),
 )
-_FLAG_LO = np.array([lo for _, lo, _ in _FLAG_RANGES], np.float64)
-_FLAG_HI = np.array([hi for _, _, hi in _FLAG_RANGES], np.float64)
 
 
 class ParseError(ValueError):
@@ -383,9 +381,8 @@ _Record = tuple[str, list[str], str, int, int]
 def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
     """The fast path: every record's rows as one (N, fields) float64 array
     read by one call of numpy's C text reader, or None when the reader
-    refuses a token, a row has another number of fields (the reader skips
-    blank rows, so the shape shows those too), a box is not a valid BBox,
-    or a value after the box is not finite.
+    refuses a token or a row has another number of fields (the reader skips
+    blank rows, so the shape shows those too).
 
     Where the reader and `float` both read a token, both give the same
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
@@ -400,120 +397,116 @@ def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
             values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(rows), fields):
-        return None
-    ok = valid_boxes(values[:, :4]).all() and np.isfinite(values[:, 4:]).all()
-    return values if ok else None
+    return values if values.shape == (len(rows), fields) else None
 
 
-def _walk(records: list[_Record], noun: str, fields: int,
-          check_row: Callable[[list[float], str, int], None]) -> np.ndarray:
-    """The row walker: the records' rows as one (N, fields) array, read one
-    row at a time with Python's `float`.
-
-    Raises ParseError on the first faulty row in file order.  The walker
-    raises on a row with the wrong number of fields or a non-numeric one;
-    check_row(values, source, lineno) raises on the rest and logs the range
-    warnings.
-    """
+def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, ParseError | None]:
+    """The row walker: the records' rows read one at a time with Python's
+    `float` up to the first row with the wrong number of fields or a
+    non-numeric one, as an (N, fields) array, with that row's ParseError or
+    None.  It checks no value and never raises."""
     vals: list[float] = []
-    for source, lines, _, lineno, count in records:
-        for k, line in enumerate(lines[lineno - 1:lineno - 1 + count], lineno):
-            tokens = line.split()
-            if len(tokens) != fields:
-                raise ParseError(source, k,
-                                 f"expected {fields} fields on {noun} line, got {len(tokens)}")
-            try:
-                row = list(map(float, tokens))
-            except ValueError:
-                raise ParseError(source, k, f"non-numeric field in {tokens!r}") from None
-            check_row(row, source, k)
-            vals.extend(row)
-    return np.array(vals, np.float64).reshape(-1, fields)
+    try:
+        for source, lines, _, lineno, count in records:
+            for k, line in enumerate(lines[lineno - 1:lineno - 1 + count], lineno):
+                tokens = line.split()
+                if len(tokens) != fields:
+                    raise ParseError(source, k,
+                                     f"expected {fields} fields on {noun} line, got {len(tokens)}")
+                try:
+                    vals.extend(list(map(float, tokens)))
+                except ValueError:
+                    raise ParseError(source, k, f"non-numeric field in {tokens!r}") from None
+        fault = None
+    except ParseError as exc:
+        fault = exc
+    return np.array(vals, np.float64).reshape(-1, fields), fault
 
 
 def _parse(records: Iterator[_Record], noun: str, fields: int,
-           check_row: Callable[[list[float], str, int], None],
-           warn: Callable[[list[_Record], np.ndarray], None]) -> tuple[list[_Record], np.ndarray]:
-    """The records and their rows: the fast path, or the row walker where
-    the C reader refuses a row or any check fails.
+           check: Callable[[list[_Record], np.ndarray, Exception | None], None]
+           ) -> tuple[list[_Record], np.ndarray]:
+    """The records and their checked rows, read by the fast path, or by the
+    row walker where the C reader refuses a row or misses one.
 
     records is walked once.  Where the walk raises (a grammar fault, a file
-    with extra lines, an OSError), the row walker first reads the records
-    collected so far, so that a bad row before the walk's fault is the one
-    raised; otherwise the walk's error is re-raised.
+    with extra lines, an OSError), the rows of the records before the fault
+    are read and checked all the same: check(records, values, fault) raises
+    the first fault in file order, a rule's, else the walker's, whose row
+    comes first, else the walk's.
     """
     recs: list[_Record] = []
+    fault: Exception | None = None
     try:
         recs.extend(records)  # keeps the records before a fault
-    except (ParseError, OSError):
-        _walk(recs, noun, fields, check_row)
-        raise
+    except (ParseError, OSError) as exc:
+        fault = exc
     values = _bulk(recs, fields)
     if values is None:
-        values = _walk(recs, noun, fields, check_row)
-    else:
-        warn(recs, values)
+        values, row_fault = _walk(recs, noun, fields)
+        fault = row_fault or fault
+    check(recs, values, fault)
     return recs, values
 
 
-def _locate(records: list[_Record], rows: np.ndarray) -> list[tuple[str, int]]:
-    """(source, line) of each of the given rows."""
+def _check(records: list[_Record], values: np.ndarray, fault: Exception | None,
+           rules: list[tuple[np.ndarray, int | slice, Callable[..., str], bool]]) -> None:
+    """The one check of the row rules, on the array of either parse path.
+
+    values holds the rows read from records before fault, the error that
+    ended the input, or None.  rules lists each row's rules in its check
+    order, each as (mask of the rows it fires on, the column of its value,
+    its message on that value, whether it is a fault or a warning).  Logs
+    every warning before the first fault in file order, then raises that
+    fault: a rule's, else the given one.  Only the rows a rule fires on are
+    put in that order, by row and then by rule, so a clean file costs one
+    mask per rule."""
+    rows = np.flatnonzero(functools.reduce(np.logical_or, [mask for mask, *_ in rules]))
+    at, rule = np.nonzero(np.column_stack([mask[rows] for mask, *_ in rules]))
     starts = _offsets([n for *_, n in records])
-    rec = np.searchsorted(starts, rows, side="right") - 1
-    return [(records[r][0], records[r][3] + k - int(starts[r]))
-            for r, k in zip(rec.tolist(), rows.tolist())]
+    rec = np.searchsorted(starts, rows[at], side="right") - 1
+    for i, row, r in zip(rec.tolist(), rows[at].tolist(), rule.tolist()):
+        source, lineno = records[i][0], records[i][3] + row - int(starts[i])
+        _, column, message, is_fault = rules[r]
+        text = message(values[row, column].tolist())
+        if is_fault:
+            fault = ParseError(source, lineno, text)
+            break
+        log.warning("%s:%d: %s", source, lineno, text)
+    if fault is not None:
+        raise fault
 
 
-def _flag_warning(source: str, lineno: int, k: int, v: float) -> None:
-    flag_name, lo, hi = _FLAG_RANGES[k]
-    log.warning("%s:%d: %s flag %r outside documented range [%d, %d]",
-                source, lineno, flag_name, v, lo, hi)
-
-
-def _check_face(vals: list[float], source: str, lineno: int) -> None:
+def _box_error(box: list[float]) -> str:
+    """BBox's error on an invalid box."""
     try:
-        BBox(vals[0], vals[1], vals[2], vals[3])
+        BBox(*box)
     except ValueError as exc:
-        raise ParseError(source, lineno, str(exc)) from None
-    for k, ((flag_name, lo, hi), v) in enumerate(zip(_FLAG_RANGES, vals[4:])):
-        if not math.isfinite(v):
-            raise ParseError(source, lineno, f"non-finite {flag_name} flag {v!r}")
-        f = int(v)
-        if f != v or not lo <= f <= hi:
-            _flag_warning(source, lineno, k, v)
+        return str(exc)
 
 
-def _warn_flags(records: list[_Record], values: np.ndarray) -> None:
-    flags = values[:, 4:]
-    whole = np.trunc(flags)
-    rows, cols = np.nonzero((whole != flags) | (whole < _FLAG_LO) | (whole > _FLAG_HI))
-    for (source, lineno), k, v in zip(_locate(records, rows), cols.tolist(),
-                                      flags[rows, cols].tolist()):
-        _flag_warning(source, lineno, k, v)
+def _check_faces(records: list[_Record], values: np.ndarray, fault: Exception | None) -> None:
+    """A face row's rules: a valid box, then each flag in turn finite (a
+    fault) and a whole number in its documented range (a warning)."""
+    rules = [(~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)]
+    for k, (name, lo, hi) in enumerate(_FLAG_RANGES, 4):
+        flag = values[:, k]
+        whole = np.trunc(flag)
+        rules += [(~np.isfinite(flag), k, f"non-finite {name} flag {{!r}}".format, True),
+                  ((whole != flag) | (whole < lo) | (whole > hi), k,
+                   f"{name} flag {{!r}} outside documented range [{lo}, {hi}]".format, False)]
+    _check(records, values, fault, rules)
 
 
-def _score_warning(source: str, lineno: int, score: float) -> None:
-    log.warning("%s:%d: score %r outside [0, 1]", source, lineno, score)
-
-
-def _check_detection(vals: list[float], source: str, lineno: int) -> None:
-    x, y, w, h, score = vals
-    if not math.isfinite(score):
-        raise ParseError(source, lineno, f"non-finite score {score!r}")
-    if not 0.0 <= score <= 1.0:
-        _score_warning(source, lineno, score)
-    try:
-        BBox(x, y, w, h)
-    except ValueError as exc:
-        raise ParseError(source, lineno, str(exc)) from None
-
-
-def _warn_scores(records: list[_Record], values: np.ndarray) -> None:
+def _check_detections(records: list[_Record], values: np.ndarray,
+                      fault: Exception | None) -> None:
+    """A detection row's rules: a finite score, a score in [0, 1] (a
+    warning), then a valid box."""
     scores = values[:, 4]
-    rows = np.flatnonzero(~((0.0 <= scores) & (scores <= 1.0)))
-    for (source, lineno), v in zip(_locate(records, rows), scores[rows].tolist()):
-        _score_warning(source, lineno, v)
+    _check(records, values, fault, [
+        (~np.isfinite(scores), 4, "non-finite score {!r}".format, True),
+        (~((0.0 <= scores) & (scores <= 1.0)), 4, "score {!r} outside [0, 1]".format, False),
+        (~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)])
 
 
 def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
@@ -556,7 +549,7 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     attribute flag.  Out-of-range attribute flags only produce a warning.
     """
     records = _records(_lines(source, name), name, "face", zero_dummy=True)
-    return _annotations(*_parse(records, "face", 10, _check_face, _warn_flags))
+    return _annotations(*_parse(records, "face", 10, _check_faces))
 
 
 def format_coord(v: float, policy: str = "decimal") -> str:
@@ -708,7 +701,7 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
                 raise ParseError(source, extra + 1,
                                  f"file lists more than the declared {count} detections")
 
-    return _detections(*_parse(records(), "detection", 5, _check_detection, _warn_scores))
+    return _detections(*_parse(records(), "detection", 5, _check_detections))
 
 
 def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> DetectionSet:
@@ -718,7 +711,7 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
     line is the image key verbatim (e.g. "0--Parade/x.jpg").
     """
     records = _records(_lines(source, name), name, "detection")
-    return _detections(*_parse(records, "detection", 5, _check_detection, _warn_scores))
+    return _detections(*_parse(records, "detection", 5, _check_detections))
 
 
 def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".jpg") -> DetectionSet:
@@ -745,9 +738,11 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
     """Write one detection file per image under root, its name line the
     key's stem.  The file is the key, its image_ext suffix (if any) swapped
     for ".txt", normalised: "x/../a.jpg" writes a.txt.  A file outside root
-    (absolute, on a drive or under ".."), and two keys sharing one file ("a"
-    and "a.jpg"), raise ValueError naming the keys before anything is made.
-    root is always made, so an empty set writes an empty tree."""
+    (absolute, on a drive or under ".."), two keys sharing one file ("a"
+    and "a.jpg"), and a key whose file is a directory of another key's
+    ("a.jpg" and "a.txt/b.jpg"), raise ValueError naming the keys before
+    anything is made.  root is always made, so an empty set writes an
+    empty tree."""
     files: dict[str, str] = {}  # normalised file, relative to root -> image key
     for key in detset.paths:
         stem = key[:len(key) - len(image_ext)] if key.endswith(image_ext) else key
@@ -758,8 +753,13 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
             raise ValueError(f"detection images {files[rel]!r} and {key!r} "
                              f"would both be written to {os.path.join(root, rel)}")
         files[rel] = key
-    for folder in {"", *map(os.path.dirname, files)}:
-        os.makedirs(os.path.join(root, folder) or ".", exist_ok=True)
+    folders = {str(folder): key for rel, key in files.items() for folder in Path(rel).parents}
+    clash = next((rel for rel in files if rel in folders), None)
+    if clash is not None:
+        raise ValueError(f"detection image {files[clash]!r} would be written to "
+                         f"{os.path.join(root, clash)}, a directory of {folders[clash]!r}")
+    for folder in {".", *folders}:
+        os.makedirs(os.path.join(root, folder), exist_ok=True)
     records = _record_text([Path(key).stem for key in files.values()], detset.offsets,
                            _detection_rows(detset))
     for rel, text in zip(files, records):

@@ -341,7 +341,10 @@ def test_detection_dir_rejects_two_keys_that_share_a_file(tmp_path):
     (["a.jpg", "x/../a.jpg"], "would both be written to"),
     (["a//b.jpg", "a/b.jpg"], "would both be written to"),
     (["/tmp/x.jpg"], "would be written outside"),
-    (["../x.jpg"], "would be written outside")])
+    (["../x.jpg"], "would be written outside"),
+    (["a.jpg", "a.txt/b.jpg"], r"'a\.jpg' would be written to .*a\.txt, a directory of 'a\.txt/b"),
+    (["a.txt/b.jpg", "a.jpg"], r"'a\.jpg' would be written to .*a\.txt, a directory of 'a\.txt/b"),
+    (["a.jpg", "x/../a.txt/b.jpg"], r"'a\.jpg' would be written to .*, a directory of 'x/\.\./a")])
 def test_detection_dir_rejects_keys_that_share_a_normalised_file_or_leave_the_root(
         tmp_path, keys, message):
     dets = DetectionSet(paths=keys, offsets=range(len(keys) + 1),
@@ -721,6 +724,36 @@ def test_detection_dir_reports_the_first_fault_in_file_order(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [f"{a}:3: score 1.5 outside [0, 1]"]
 
 
+_BOX_ERROR = "box width/height must be >= 0, got BBox(x=0.0, y=0.0, w=-1.0, h=1.0)"
+
+
+# Within a row, faces check the box, then each flag in turn; detections the
+# score's finiteness, then its range, then the box.  Warnings before the
+# first fault are logged, none after it.
+@pytest.mark.parametrize("parse, rows, warned, error", [
+    (parse_wider_gt, ["0 0 -1 1 nan 0 0 0 0 0"], [], f"f.txt:3: {_BOX_ERROR}"),
+    (parse_wider_gt, ["0 0 1 1 3 0 nan 0 0 0"],
+     ["f.txt:3: blur flag 3.0 outside documented range [0, 2]"],
+     "f.txt:3: non-finite illumination flag nan"),
+    (parse_wider_gt, ["0 0 1 1 3 0 0 0 0 0", "0 0 1 1 x 0 0 0 0 0"],
+     ["f.txt:3: blur flag 3.0 outside documented range [0, 2]"],
+     "f.txt:4: non-numeric field in ['0', '0', '1', '1', 'x', '0', '0', '0', '0', '0']"),
+    (parse_wider_gt, ["0 0 -1 1 0 0 0 0 0 0", "0 0 1 1 x 0 0 0 0 0"], [], f"f.txt:3: {_BOX_ERROR}"),
+    # 1_0 is read by `float` only: the row walker's path
+    (parse_wider_gt, ["0 0 1 1 0 0 0 0 0 0", "0 0 -1 1 1_0 0 0 0 0 0"], [],
+     f"f.txt:4: {_BOX_ERROR}"),
+    (parse_detections_file, ["0 0 -1 1 nan"], [], "f.txt:3: non-finite score nan"),
+    (parse_detections_file, ["0 0 -1 1 1.5"], ["f.txt:3: score 1.5 outside [0, 1]"],
+     f"f.txt:3: {_BOX_ERROR}")])
+def test_row_rules_report_in_check_order(caplog, parse, rows, warned, error):
+    text = "".join(f"{line}\n" for line in ["a.jpg", str(len(rows)), *rows])
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        with pytest.raises(ParseError) as exc:
+            parse(text, name="f.txt")
+    assert [r.getMessage() for r in caplog.records] == warned
+    assert str(exc.value) == error
+
+
 def test_detection_dir_reads_each_file_once(tmp_path, monkeypatch):
     # 0.9_0 is a token only `float` reads, so the row walker runs as well
     import boxcal.formats as formats
@@ -785,21 +818,24 @@ def _record_files(draw, fields):
 
 def _parse_outcome(parse, arg, caplog, walk_only):
     """(table columns or None, ParseError text or None, warnings, whether
-    the row walker ran, whether numpy's C text reader refused the rows)."""
+    the row walker ran, and what each call of numpy's C text reader gave:
+    None where it raised, else (rows passed, shape returned))."""
     import boxcal.formats as formats
-    walked, refused = [], []
+    walked, loaded = [], []
     real_walk, real_loadtxt = formats._walk, np.loadtxt
 
     def walk(*args):
         walked.append(True)
         return real_walk(*args)
 
-    def loadtxt(*args, **kwargs):
+    def loadtxt(rows, *args, **kwargs):
         try:
-            return real_loadtxt(*args, **kwargs)
+            values = real_loadtxt(rows, *args, **kwargs)
         except ValueError:
-            refused.append(True)
+            loaded.append(None)
             raise
+        loaded.append((len(rows), values.shape))
+        return values
 
     caplog.clear()
     with pytest.MonkeyPatch.context() as mp:
@@ -815,7 +851,7 @@ def _parse_outcome(parse, arg, caplog, walk_only):
         except ParseError as exc:
             cols, error = None, str(exc)
     return (cols, error, [(r.levelname, r.getMessage()) for r in caplog.records],
-            bool(walked), bool(refused))
+            bool(walked), loaded)
 
 
 @settings(max_examples=150, deadline=None,
@@ -833,20 +869,21 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, gt, dets):
     for i, lines in enumerate(dets[1]):
         (root / f"{i:02d}.txt").write_text(dets[0].join(lines) + dets[0], encoding="utf-8",
                                            newline="")
-    cases = [(lambda t: parse_wider_gt(t, name="gt.txt"), text(gt)),
-             (lambda t: parse_detections_file(t, name="d.txt"), text(dets)),
-             (parse_detections_dir, root)]
+    cases = [(lambda t: parse_wider_gt(t, name="gt.txt"), text(gt), 10),
+             (lambda t: parse_detections_file(t, name="d.txt"), text(dets), 5),
+             (parse_detections_dir, root, 5)]
     with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
-        for parse, arg in cases:
+        for parse, arg, fields in cases:
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
-            # the walker runs if and only if the C reader refused or the walker raised
-            assert bulk[3] == (bulk[4] or walker[1] is not None)
+            # the walker runs if and only if loadtxt raised or returned a
+            # shape other than (rows, fields)
+            assert bulk[3] == any(r is None or r[1] != (r[0], fields) for r in bulk[4])
 
 
 # Which path runs: numpy's C text reader on every row, the row walker only
-# where that reader refuses a row or a check fails.
+# where that reader refuses a row or misses one.
 @pytest.mark.filterwarnings("error")
 def test_canonical_files_never_reach_the_row_walker(tmp_path, monkeypatch):
     import boxcal.formats as formats
