@@ -21,14 +21,14 @@ Per image the procedure is:
    Attribute flags are untouched.
 
 One vectorised kernel runs these steps for all images at once, on the
-columnar tables the parsers build: `align` reindexes the detection table to
-the annotation images, step 1 is a per-image count of scores above the
-threshold, candidate pairs are scored in runs of HCDRs under a fixed pair
-budget, step 3 is a single `np.unique` over annotation rows, and step 4 is
-one indexed assignment into a copy of the box column.  The claims come out
-as columns too, a `ClaimTable`, the tables' type built only from columns;
-their `MbpRecord` objects are a read-only row view, built only when
-something reads them.
+columnar tables the parsers build: `align` checks them and reindexes the
+detection table to the annotation images, step 1 is a per-image count of
+scores above the threshold, candidate pairs are scored in runs of HCDRs
+under a fixed pair budget, step 3 is a single `np.unique` over annotation
+rows, and step 4 is one indexed assignment into a copy of the box column.
+The claims come out as columns too, a `ClaimTable`, the tables' type built
+only from columns; their `MbpRecord` objects are a read-only row view,
+built only when something reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -46,7 +46,7 @@ import numpy as np
 from .adc import AdcResult, compute_adc
 from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _Columns, _offsets,
                       _segment_rows, align)
-from .geometry import BBox, check_boxes, iou_cells
+from .geometry import BBox, iou_cells
 
 log = logging.getLogger(__name__)
 
@@ -141,11 +141,8 @@ _PAIR_BUDGET = 1 << 14
 
 def _keys(img: np.ndarray, coord: np.ndarray) -> np.ndarray:
     """(image, coordinate) pairs as complex numbers, which numpy sorts,
-    searches and takes maxima of lexicographically: image first."""
-    keys = np.empty(len(coord), np.complex128)
-    keys.real = img
-    keys.imag = coord  # not img + 1j * coord, whose real part is nan where coord is inf
-    return keys
+    searches and takes maxima of lexicographically; `align` keeps coord finite."""
+    return img + 1j * coord
 
 
 def _candidate_runs(n_faces: np.ndarray, ax: np.ndarray, aw: np.ndarray,
@@ -200,13 +197,9 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     px, py, pw, ph = dets.boxes[hcdr].T
     order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, n_rows, px, pw)
 
-    if include_invalid:
-        eligible = None
-        first_col = ann_off[:-1]
-    else:
-        eligible = anns.flags[:, _INVALID] == 0
-        valid_at = np.append(np.flatnonzero(eligible), n_ann)
-        first_col = valid_at[np.searchsorted(valid_at, ann_off[:-1])]
+    eligible = include_invalid | (anns.flags[:, _INVALID] == 0)
+    eligible_at = np.append(np.flatnonzero(eligible), n_ann)
+    first_col = eligible_at[np.searchsorted(eligible_at, ann_off[:-1])]
     has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
 
     counts = hi - lo
@@ -227,7 +220,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
             ious = iou_cells(px[row], py[row], pw[row], ph[row],
                              ax[col], ay[col], aw[col], ah[col])
             max_all[hit] = np.maximum.reduceat(ious, seg)
-            if eligible is None:
+            if include_invalid:  # every cell is eligible
                 best[hit] = max_all[hit]
             else:
                 ious[~eligible[col]] = -1.0
@@ -249,8 +242,7 @@ def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
     dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
     its detections.  Returns the calibrated annotations, the claims, the
     counters and each HCDR's max IoU over all its image's annotations.
-    Raises BBox's ValueError when a claim's old or new box is not a valid
-    BBox, which only a table built by hand can hold.
+    It checks no value: `align` is the gate of its inputs.
     """
     max_all, best, arg, considered, hcdr = _match(anns, dets, n_rows, cfg.include_invalid)
 
@@ -267,13 +259,11 @@ def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
     )
 
     img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
-    first_row = _offsets(n_rows)
     ann, det = arg[claimed], hcdr[claimed]
     old_boxes, new_boxes = anns.boxes[ann], dets.boxes[det]
-    check_boxes(np.hstack((old_boxes, new_boxes)).reshape(-1, 4))  # old, then new, per claim
     boxes = anns.boxes.copy()
     boxes[ann] = new_boxes
-    claims = ClaimTable(paths=anns.paths, image=img, det_index=claimed - first_row[img],
+    claims = ClaimTable(paths=anns.paths, image=img, det_index=det - dets.offsets[img],
                         ann_index=ann - anns.offsets[img], iou=best[claimed],
                         score=dets.scores[det], old_boxes=old_boxes, new_boxes=new_boxes)
     calibrated = AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=boxes,
@@ -289,7 +279,8 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
     The confidence threshold is the computed dataset average unless
     cfg.adc_override pins it.  threads must be >= 1 and is kept for
     compatibility only: the kernel is a single vectorised pass, so the
-    value changes neither speed nor output.
+    value changes neither speed nor output.  `align` raises ValueError on
+    the tables the kernel does not take.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

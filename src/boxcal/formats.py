@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .geometry import BBox, valid_boxes
+from .geometry import BBox, check_boxes, valid_boxes
 
 log = logging.getLogger(__name__)
 
@@ -797,12 +797,19 @@ def align(anns: AnnotationSet, dets: DetectionSet) -> DetectionSet:
     the annotations (dropped) are only warned about, so partial prediction
     runs stay usable.
 
-    Raises ValueError, naming the image path, when two detection images or
-    two annotation images share a path, or an image's detections are not
-    sorted by descending score: threshold selection relies on all three.
-    Detection images are checked first, in order.
+    The one gate of the kernel's inputs: the parsers' fault rules, then
+    the rules threshold selection relies on, detections checked first.  A
+    box that is not a valid BBox raises BBox's ValueError; a non-finite
+    score or flag, two images sharing a path, or detections not sorted by
+    descending score raise ValueError naming the image path.
     """
     paths, offsets, scores = dets.paths, dets.offsets, dets.scores
+    for table, values, noun in ((dets, scores, "score"), (anns, anns.flags, "flag")):
+        check_boxes(table.boxes)
+        if not np.isfinite(values).all():
+            at = np.argwhere(~np.isfinite(values))[0]  # the first in row order
+            path = table.paths[np.searchsorted(table.offsets, at[0], side="right") - 1]
+            raise ValueError(f"non-finite {noun} {float(values[tuple(at)])} for {path!r}")
     dup = _first_duplicate(paths)
     unsorted = _first_unsorted(offsets, scores)
     if dup is not None and (unsorted is None or dup <= unsorted):

@@ -210,8 +210,7 @@ def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "ex
     """Serialize a finished run as a key-value tree (JSON); the histogram
     bins the run's own HCDR max IoUs."""
     t_c = result.config.t_c
-    hist = localization_histogram(result.hcdr_ious, DEFAULT_EDGES,
-                                  t_c if t_c in DEFAULT_EDGES else None)
+    hist = localization_histogram(result.hcdr_ious, DEFAULT_EDGES, t_c)
     deltas = loss_delta_report(result.claims).delta
     n = len(deltas)
     doc = {

@@ -263,9 +263,10 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
                      cfg: CalibrationConfig | None = None) -> CalibrationResult:
     """Reference calibration by exhaustive enumeration.
 
-    Joins annotations to detections itself, raising ValueError for the
-    inputs calibrate_dataset rejects (a duplicate detection or annotation
-    image path, detections not sorted by descending score), recomputes the
+    Joins annotations to detections itself, without `align`, raising for
+    the inputs calibrate_dataset rejects: its row view rejects an invalid
+    box or a non-finite flag, its own checks a non-finite score, a repeated
+    image path and detections out of score order.  It recomputes the
     confidence average with its own accumulator, filters high-confidence
     detections by plain comparison instead of a prefix scan, and finds each
     detection's best annotation with a quadratic loop over all pairs.  Claims resolve in
@@ -285,6 +286,8 @@ def oracle_calibrate(anns: AnnotationSet, dets: DetectionSet,
         if det_img.path in by_path:
             raise ValueError(f"duplicate detection image path {det_img.path!r}")
         scores = [d.score for d in det_img.dets]
+        if not all(map(math.isfinite, scores)):
+            raise ValueError(f"detections for {det_img.path!r} hold a non-finite score")
         if any(later > earlier for earlier, later in zip(scores, scores[1:])):
             raise ValueError(f"detections for {det_img.path!r} are not sorted by descending score")
         by_path[det_img.path] = det_img.dets

@@ -37,6 +37,10 @@ def test_single_image_fixture():
     assert res.numerator == pytest.approx(1.7, abs=1e-9)
     assert res.images_used == 1
     assert res.shortfall_images == 0
+    # detections that are not aligned to the annotations: align(anns, dets) first
+    with pytest.raises(ValueError, match="not aligned"):
+        _compute_adc(AnnotationSet(images=[_img(2)]),
+                     DetectionSet(images=[_dets([0.9, 0.8], path="y.jpg")]))
 
 
 def test_shortfall_clamps_to_real_scores():

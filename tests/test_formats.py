@@ -59,6 +59,9 @@ def test_zero_count_consumes_dummy_line():
 def test_zero_count_without_dummy():
     s = parse_wider_gt("b.jpg\n0\nc.jpg\n1\n1 2 3 4 0 0 0 0 0 0\n")
     assert [len(img.faces) for img in s.images] == [0, 1]
+    # ten tokens, one of them not a number: no dummy row, but the next name
+    s = parse_wider_gt("b.jpg\n0\nx 0 0 0 0 0 0 0 0 0\n1\n1 2 3 4 0 0 0 0 0 0\n")
+    assert s.paths == ["b.jpg", "x 0 0 0 0 0 0 0 0 0"] and s.offsets.tolist() == [0, 0, 1]
 
 
 def test_crlf_and_blank_lines_tolerated():
@@ -651,6 +654,8 @@ def test_tables_and_row_views():
         parsed.boxes[0, 0] = 1.0                                       # tables are read-only
     with pytest.raises(ValueError, match="offsets"):
         AnnotationSet(paths=["a.jpg"], offsets=[0, 2, 3], boxes=parsed.boxes, flags=parsed.flags)
+    with pytest.raises(TypeError, match="pass images or the table columns, not both"):
+        AnnotationSet(images, paths=parsed.paths)
     dets = parse_detections_file("b.jpg\n2\n1 1 2 2 0.25\n3 3 2 2 0.75\na.jpg\n0\n")
     assert dets.paths == ["b.jpg", "a.jpg"] and dets.offsets.tolist() == [0, 2, 2]
     assert dets.scores.tolist() == [0.75, 0.25] and dets.boxes[0].tolist() == [3, 3, 2, 2]

@@ -53,6 +53,14 @@ def test_degenerate_boxes():
     assert iou(a, BBox(5, 5, 0, 4)) == 0.0   # zero width, inside a
     assert iou(a, BBox(5, 5, 4, 0)) == 0.0   # zero height
     assert iou(BBox(0, 0, 0, 0), BBox(0, 0, 0, 0)) == 0.0  # union is empty
+    # both areas underflow to 0, so the union is empty on every path
+    tiny = BBox(0, 0, 1e-200, 1e-200)
+    assert iou(tiny, tiny) == 0.0
+    assert iou_cells(*([np.array([v]) for v in (0.0, 0.0, 1e-200, 1e-200)] * 2)).tolist() == [0.0]
+    anns = AnnotationSet(images=[ImageAnnotations("a.jpg", [FaceAnnotation(box=tiny)])])
+    dets = DetectionSet(images=[ImageDetections("a.jpg", [Detection(box=tiny, score=0.9)])])
+    for impl in (calibrate_dataset, oracle_calibrate):
+        assert impl(anns, dets, CalibrationConfig(adc_override=0.5)).hcdr_ious.tolist() == [0.0]
 
 
 def test_bbox_rejects_bad_fields():

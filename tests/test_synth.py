@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ def test_spec_validation():
         SynthSpec(seed=0, n_images=1, aligned_score_range=(0.5, 1.2))
     with pytest.raises(ValueError, match="infeasible"):
         SynthSpec(seed=0, n_images=1, image_size=(256, 256), box_size=(200, 300))
+    with pytest.raises(ValueError, match="image_size must be positive"):
+        SynthSpec(seed=0, n_images=1, image_size=(0, 64))
+    with pytest.raises(ValueError, match="box_size minimum must be >= 1"):
+        SynthSpec(seed=0, n_images=1, box_size=(0, 16))
     with pytest.raises(ValueError):
         SynthSpec(seed=0, n_images=1, min_gap=-1)
 
@@ -400,6 +405,39 @@ def test_fast_path_and_oracle_reject_the_same_inputs():
             impl(anns, twice, cfg)
         with pytest.raises(ValueError, match="duplicate annotation image path 'x.jpg'"):
             impl(anns_twice, DetectionSet(images=twice.images[:1]), cfg)
+
+    # tables built from columns skip the parsers' rules; both paths reject
+    # each value a file cannot hold, whether or not a claim reaches it
+    def faces(boxes, blur=0.0):
+        return AnnotationSet(paths=["x.jpg"], offsets=[0, len(boxes)], boxes=boxes,
+                             flags=[[blur, 0, 0, 0, 0, 0]] * len(boxes))
+
+    def detections(scores, boxes):
+        return DetectionSet(paths=["x.jpg"], offsets=[0, len(scores)], boxes=boxes, scores=scores)
+
+    box, near, far = [0, 0, 10, 10], [2, 0, 10, 10], [500, 0, 10, 10]
+    one = detections([0.9], [near])
+    bad_tables = [
+        # a nan score compares as sorted, and a prefix scan of two HCDRs
+        # would take it, not the 0.8 detection
+        (faces([box, [100, 0, 10, 10]]),
+         detections([0.9, math.nan, 0.8], [far, near, [102, 0, 10, 10]]),
+         "non-finite score nan for 'x.jpg'", ValueError),
+        (faces([box, [math.nan, 0, 5, 5]]), one, "must be finite", ValueError),  # never claimed
+        (faces([box], blur=math.nan), one, "non-finite flag nan for 'x.jpg'", ValueError),
+        (faces([box], blur=math.inf), one, "non-finite flag inf for 'x.jpg'", OverflowError),
+        (faces([box]), detections([math.inf], [near]), "non-finite score inf for 'x.jpg'",
+         ValueError),
+        # align drops the detection-only image; the oracle's row view still sees it
+        (faces([box]), DetectionSet(paths=["x.jpg", "y.jpg"], offsets=[0, 1, 2],
+                                    boxes=[near, [0, 0, -5, 10]], scores=[0.9, 0.9]),
+         "width/height must be >= 0", ValueError),
+    ]
+    for bad_anns, bad_dets, message, oracle_error in bad_tables:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calibrate_dataset(bad_anns, bad_dets, cfg)
+        with pytest.raises(oracle_error):
+            oracle_calibrate(bad_anns, bad_dets, cfg)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 100])
