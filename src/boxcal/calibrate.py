@@ -22,13 +22,14 @@ Per image the procedure is:
 
 One vectorised kernel runs these steps for all images at once, on the
 columnar tables the parsers build: `align` checks them and reindexes the
-detection table to the annotation images, step 1 is a per-image count of
-scores above the threshold, candidate pairs are scored in runs of HCDRs
-under a fixed pair budget, step 3 is a single `np.unique` over annotation
-rows, and step 4 is one indexed assignment into a copy of the box column.
-The claims come out as columns too, a `ClaimTable`, the tables' type built
-only from columns; their `MbpRecord` objects are a read-only row view,
-built only when something reads them.
+detection table to the annotation images, step 1 (`_hcdr_counts`) is a
+per-image count of scores above the threshold, step 2 (`_match`) scores
+candidate pairs in runs of HCDRs under a fixed pair budget and never reads
+the interval, step 3 (`_resolve`) applies it and is a single `np.unique`
+over annotation rows, and step 4 is one indexed assignment into a copy of
+the box column.  The claims come out as columns too, a `ClaimTable`, the
+tables' type built only from columns; their `MbpRecord` objects are a
+read-only row view, built only when something reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -234,47 +235,22 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     return max_all, best, arg, has_eligible, hcdr
 
 
-def _calibrate(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray,
-               cfg: CalibrationConfig
-               ) -> tuple[AnnotationSet, ClaimTable, CalibrationCounters, np.ndarray]:
-    """The calibration kernel: one vectorised pass over the whole dataset.
-
-    dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
-    its detections.  Returns the calibrated annotations, the claims, the
-    counters and each HCDR's max IoU over all its image's annotations.
-    It checks no value: `align` is the gate of its inputs.
-    """
-    max_all, best, arg, considered, hcdr = _match(anns, dets, n_rows, cfg.include_invalid)
-
-    # claims never fall back, so the claimer of an annotation is the first
-    # in-interval row in (image, score) order that points at it
-    inside = np.flatnonzero(considered & (cfg.t_m <= best) & (best <= cfg.t_c))
+def _resolve(best: np.ndarray, arg: np.ndarray, considered: np.ndarray,
+             t_m: float, t_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The claim rule on `_match`'s outputs: the rows whose eligible max IoU
+    lies in the closed interval [t_m, t_c], and those of them that claim
+    their argmax annotation, in (image, score) order.  Claims never fall
+    back, so an annotation's claimer is the first in-interval row pointing at it."""
+    inside = np.flatnonzero(considered & (t_m <= best) & (best <= t_c))
     claimed = np.sort(inside[np.unique(arg[inside], return_index=True)[1]])
-    n_considered = int(considered.sum())
-    counters = CalibrationCounters(
-        images_processed=len(n_rows),
-        hcdrs_considered=n_considered,
-        skipped_out_of_interval=n_considered - len(inside),
-        skipped_already_claimed=len(inside) - len(claimed),
-    )
-
-    img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
-    ann, det = arg[claimed], hcdr[claimed]
-    old_boxes, new_boxes = anns.boxes[ann], dets.boxes[det]
-    boxes = anns.boxes.copy()
-    boxes[ann] = new_boxes
-    claims = ClaimTable(paths=anns.paths, image=img, det_index=det - dets.offsets[img],
-                        ann_index=ann - anns.offsets[img], iou=best[claimed],
-                        score=dets.scores[det], old_boxes=old_boxes, new_boxes=new_boxes)
-    calibrated = AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=boxes,
-                               flags=anns.flags)
-    return calibrated, claims, counters, max_all
+    return inside, claimed
 
 
 def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
                       cfg: CalibrationConfig | None = None, *,
                       threads: int = 1) -> CalibrationResult:
-    """Calibrate a whole dataset: align, threshold, then one kernel pass.
+    """Calibrate a whole dataset: `align`, the threshold, each image's HCDR
+    count, one `_match` and one `_resolve`, then the claims applied.
 
     The confidence threshold is the computed dataset average unless
     cfg.adc_override pins it.  threads must be >= 1 and is kept for
@@ -299,15 +275,31 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
         adc_result = compute_adc(anns, aligned)
         effective_adc = adc_result.value
 
-    calibrated, claims, counters, ious = _calibrate(
-        anns, aligned, _hcdr_counts(anns, aligned, effective_adc), cfg)
+    n_rows = _hcdr_counts(anns, aligned, effective_adc)
+    max_all, best, arg, considered, hcdr = _match(anns, aligned, n_rows, cfg.include_invalid)
+    inside, claimed = _resolve(best, arg, considered, cfg.t_m, cfg.t_c)
+
+    img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
+    ann, det = arg[claimed], hcdr[claimed]
+    boxes = anns.boxes.copy()
+    boxes[ann] = aligned.boxes[det]
+    n_considered = int(considered.sum())
     return CalibrationResult(
-        calibrated=calibrated,
-        claims=claims,
-        counters=counters,
+        calibrated=AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=boxes,
+                                 flags=anns.flags),
+        claims=ClaimTable(paths=anns.paths, image=img, det_index=det - aligned.offsets[img],
+                          ann_index=ann - anns.offsets[img], iou=best[claimed],
+                          score=aligned.scores[det], old_boxes=anns.boxes[ann],
+                          new_boxes=boxes[ann]),
+        counters=CalibrationCounters(
+            images_processed=len(n_rows),
+            hcdrs_considered=n_considered,
+            skipped_out_of_interval=n_considered - len(inside),
+            skipped_already_claimed=len(inside) - len(claimed),
+        ),
         wall_time=perf_counter() - t0,
         effective_adc=effective_adc,
-        hcdr_ious=ious,
+        hcdr_ious=max_all,
         adc=adc_result,
         config=cfg,
     )

@@ -352,8 +352,9 @@ def test_claim_table_columns_and_row_view():
 
 @pytest.mark.parametrize("side", ["old", "new"])
 def test_claimed_box_that_is_not_a_bbox_is_rejected(side):
-    # tables built from columns skip BBox's checks; t_m = 0 lets the
-    # negative-width box take part in a claim at IoU 0
+    # tables built from columns skip BBox's checks until `align` runs them,
+    # before the kernel: the negative-width box is rejected with BBox's own
+    # message, although t_m = 0 would let it claim at IoU 0
     bad, good = [0.0, 0.0, -5.0, 10.0], [0.0, 0.0, 10.0, 10.0]
     anns = AnnotationSet(paths=["a.jpg"], offsets=[0, 1], boxes=[bad if side == "old" else good],
                          flags=[[0] * 6])

@@ -332,6 +332,7 @@ BAD_STATS_ARGS = {
     "--adc=5": "adc override must lie in [0, 1]",
     "--adc=-0.1": "adc override must lie in [0, 1]",
     "--adc=nan": "adc override must lie in [0, 1]",
+    "--edges=0.5,x": "expected comma-separated numbers, got '0.5,x'",
 }
 
 
@@ -641,6 +642,9 @@ def test_unknown_flag_exits_1(tmp_path, capsys):
     rc = main(["adc", "--gt", "x", "--dets", "y", "--frobnicate"])
     assert rc == 1
     assert "usage:" in capsys.readouterr().err
+    rc = main(["calibrate", "--gt", "x", "--dets", "y", "--out", "z", "--include-invalid", "maybe"])
+    assert rc == 1
+    assert "expected true or false, got 'maybe'" in capsys.readouterr().err
 
 
 def test_warnings_go_to_stderr_not_stdout(tmp_path, capsys):
@@ -713,7 +717,8 @@ NONCANONICAL = Path(__file__).parent / "data" / "noncanonical"
 
 
 @pytest.mark.parametrize("tag,extra", [("default", []),
-                                       ("fixed", ["--adc", "0.5", "--include-invalid", "false"])])
+                                       ("fixed", ["--adc", "0.5", "--include-invalid", "false"]),
+                                       ("default", ["--include-invalid", " TRUE"])])
 def test_noncanonical_inputs_give_pinned_bytes(tmp_path, capsys, tag, extra):
     # CRLF input with 1.0, 1.005, -0, 1e2, fractional, negative and
     # out-of-range flags, a flag of 1e300, zero-face records with and without

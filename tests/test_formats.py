@@ -659,6 +659,8 @@ def test_tables_and_row_views():
     dets = parse_detections_file("b.jpg\n2\n1 1 2 2 0.25\n3 3 2 2 0.75\na.jpg\n0\n")
     assert dets.paths == ["b.jpg", "a.jpg"] and dets.offsets.tolist() == [0, 2, 2]
     assert dets.scores.tolist() == [0.75, 0.25] and dets.boxes[0].tolist() == [3, 3, 2, 2]
+    assert parsed != dets                      # tables of different types never compare equal
+    assert repr(parsed) == "AnnotationSet(2 images, 3 rows)"
 
 
 def test_align_reindexes_the_detection_table():
@@ -690,7 +692,7 @@ def test_flag_beyond_int64_round_trips(caplog):
     assert _write(s) == f"a.jpg\n1\n0 0 1 1 {int(1e300)} 0 0 0 -2 0\n"
 
 
-def test_detection_dir_walk_orders_by_path_parts(tmp_path):
+def test_detection_dir_walk_orders_by_path_parts(tmp_path, monkeypatch):
     # Path order compares part by part: a/x.txt before a-b/x.txt, although
     # the string "a-b/x.txt" sorts before "a/x.txt"
     for rel in ["a-b/x.txt", "a/x.txt", "a/b/y.txt", "a/c.txt", "ab.txt", "a0/z.txt",
@@ -702,6 +704,16 @@ def test_detection_dir_walk_orders_by_path_parts(tmp_path):
     assert paths == ["a/b/y.jpg", "a/c.jpg", "a/x.jpg", "a-b/x.jpg", "a0/z.jpg", "ab.jpg"]
     assert paths == [p.relative_to(tmp_path).as_posix()[:-4] + ".jpg"
                      for p in sorted(tmp_path.rglob("*.txt"))]
+
+    # a directory that cannot be listed is skipped, as rglob skips it
+    scandir = os.scandir
+
+    def refuse_a0(folder):
+        if os.path.basename(folder) == "a0":
+            raise PermissionError(13, "Permission denied", folder)
+        return scandir(folder)
+    monkeypatch.setattr(os, "scandir", refuse_a0)
+    assert parse_detections_dir(tmp_path).paths == [p for p in paths if p != "a0/z.jpg"]
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 4)), max_size=8))
