@@ -208,22 +208,26 @@ def run_synth(args) -> int:
     spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)
                         if hasattr(args, f.name)})
     check_perturbation(args.perturb_fraction, args.iou_range)  # before the costly generation
-    truth = generate_dataset(spec)
-    dets = emit_detections(truth, spec)
-    perturbed, ledger = perturb(truth, args.seed, args.perturb_fraction, args.iou_range,
-                                image_size=spec.image_size)
+    with _stage("generate"):
+        truth = generate_dataset(spec)
+    with _stage("detections"):
+        dets = emit_detections(truth, spec)
+    with _stage("perturb"):
+        perturbed, ledger = perturb(truth, args.seed, args.perturb_fraction, args.iou_range,
+                                    image_size=spec.image_size)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_wider_gt(perturbed, out / "gt.txt")
-    save_wider_gt(truth, out / "truth.txt")
-    if args.single_file:
-        with open(out / "detections.txt", "w", encoding="utf-8", newline="\n") as fh:
-            write_detections_file(dets, fh)
-    else:
-        write_detections_dir(dets, out / "detections")
-    with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        write_perturb_ledger(ledger, fh)
+    with _stage("write"):
+        out.mkdir(parents=True, exist_ok=True)
+        save_wider_gt(perturbed, out / "gt.txt")
+        save_wider_gt(truth, out / "truth.txt")
+        if args.single_file:
+            with open(out / "detections.txt", "w", encoding="utf-8", newline="\n") as fh:
+                write_detections_file(dets, fh)
+        else:
+            write_detections_dir(dets, out / "detections")
+        with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
+            write_perturb_ledger(ledger, fh)
     print(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
           f"{len(ledger)} perturbed, {dets.total_detections()} detections to {out}")
     return 0

@@ -3,7 +3,9 @@
 Everything here is a pure function of (inputs, seed).  Randomness comes from
 random.Random seeded with strings like "7:gt"; string seeding is hashed with
 SHA-512 by the interpreter, so the streams reproduce across platforms and
-interpreter versions.
+interpreter versions.  The integers rest on `getrandbits` and boxcal's own
+rejection loop, `_draw`, not on CPython's `randint` algorithm, which Python
+does not promise to keep.
 
 Misalignment is injected by shifting a box along one axis.  For two
 equal-size boxes of width w offset by d on that axis, IoU = (w - d)/(w + d),
@@ -22,11 +24,11 @@ the two is the point; keep them independent.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -53,6 +55,14 @@ class SynthSpec:
     min_gap: float = 0.0  # 0 disables the separation constraint; faces may overlap
 
     def __post_init__(self) -> None:
+        for name in ("n_images", "faces_per_image", "image_size", "box_size",
+                     "distractors_per_image"):  # stored as ints: _draw checks nothing
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value) if name == "n_images"
+                                   else tuple(map(operator.index, value)))
+            except TypeError:
+                raise ValueError(f"{name} must hold integers, got {value!r}") from None
         if self.n_images < 0:
             raise ValueError(f"n_images must be >= 0, got {self.n_images}")
         for name in ("faces_per_image", "box_size", "distractors_per_image"):
@@ -105,29 +115,24 @@ def _xywh(b: BBox) -> tuple[float, float, float, float]:
     return b.x, b.y, b.w, b.h
 
 
-def _separated(a: BBox, b: BBox, gap: float) -> bool:
-    return (a.x + a.w + gap <= b.x or b.x + b.w + gap <= a.x
-            or a.y + a.h + gap <= b.y or b.y + b.h + gap <= a.y)
+def _draw(rng: random.Random) -> Callable[[int, int], int]:
+    """rng.randint(lo, hi) without its argument checks, read from the same bits."""
+    getrandbits = rng.getrandbits
+
+    def draw(lo: int, hi: int) -> int:
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+    return draw
 
 
-def _random_box(rng: random.Random, spec: SynthSpec) -> BBox:
-    bw = rng.randint(spec.box_size[0], spec.box_size[1])
-    bh = rng.randint(spec.box_size[0], spec.box_size[1])
-    x = rng.randint(0, spec.image_size[0] - bw)
-    y = rng.randint(0, spec.image_size[1] - bh)
-    return BBox(float(x), float(y), float(bw), float(bh))
-
-
-def _place_box(rng: random.Random, spec: SynthSpec, placed: list[BBox]) -> BBox:
-    if spec.min_gap == 0:
-        return _random_box(rng, spec)
-    for _ in range(_PLACEMENT_TRIES):
-        box = _random_box(rng, spec)
-        if all(_separated(box, other, spec.min_gap) for other in placed):
-            return box
-    raise ValueError(
-        f"could not place a face with min_gap={spec.min_gap} after "
-        f"{_PLACEMENT_TRIES} tries; enlarge the image or reduce faces/gap")
+def _random_box(draw: Callable[[int, int], int], spec: SynthSpec) -> tuple[int, int, int, int]:
+    bw = draw(spec.box_size[0], spec.box_size[1])
+    bh = draw(spec.box_size[0], spec.box_size[1])
+    return draw(0, spec.image_size[0] - bw), draw(0, spec.image_size[1] - bh), bw, bh
 
 
 def generate_dataset(spec: SynthSpec) -> AnnotationSet:
@@ -137,20 +142,27 @@ def generate_dataset(spec: SynthSpec) -> AnnotationSet:
     pair of faces separated by at least that many pixels on some axis
     (rejection-sampled, raising ValueError for infeasible specs).
     """
-    rng = random.Random(f"{spec.seed}:gt")
-    paths: list[str] = []
+    draw = _draw(random.Random(f"{spec.seed}:gt"))
+    gap = spec.min_gap
+    paths = [f"d{i // 1000:03d}/img{i:06d}.jpg" for i in range(spec.n_images)]
     counts: list[int] = []
     rows: list[float] = []  # x y w h blur expression illumination invalid occlusion pose
-    for i in range(spec.n_images):
-        paths.append(f"d{i // 1000:03d}/img{i:06d}.jpg")
-        n_faces = rng.randint(spec.faces_per_image[0], spec.faces_per_image[1])
-        placed: list[BBox] = []
-        for _ in range(n_faces):
-            box = _place_box(rng, spec, placed)
-            placed.append(box)
-            rows += (*_xywh(box), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1), 0,
-                     rng.randint(0, 2), rng.randint(0, 1))
-        counts.append(n_faces)
+    for _ in paths:
+        placed: list[tuple] = []  # x, y, x + w + gap, y + h + gap of each face so far
+        for _ in range(draw(*spec.faces_per_image)):
+            for _ in range(_PLACEMENT_TRIES):
+                x, y, w, h = box = _random_box(draw, spec)
+                right, bottom = x + w + gap, y + h + gap
+                if not gap or all(right <= px or pr <= x or bottom <= py or pb <= y
+                                  for px, py, pr, pb in placed):
+                    break
+            else:
+                raise ValueError(
+                    f"could not place a face with min_gap={gap} after "
+                    f"{_PLACEMENT_TRIES} tries; enlarge the image or reduce faces/gap")
+            placed.append((x, y, right, bottom))
+            rows += (*box, draw(0, 2), draw(0, 1), draw(0, 1), 0, draw(0, 2), draw(0, 1))
+        counts.append(len(placed))
     values = np.array(rows, np.float64).reshape(-1, 10)
     return AnnotationSet(paths=paths, offsets=_offsets(counts),
                          boxes=values[:, :4], flags=values[:, 4:])
@@ -210,19 +222,17 @@ def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
     distractors get random boxes and scores from the distractor range.
     """
     rng = random.Random(f"{spec.seed}:detections")
+    draw = _draw(rng)  # interleaves with rng.uniform on the one state
     boxes = truth.boxes.tolist()
     bounds = truth.offsets.tolist()
     counts: list[int] = []
     rows: list[tuple] = []  # score, x, y, w, h
     for lo, hi in zip(bounds, bounds[1:]):
-        dets = [(rng.uniform(spec.aligned_score_range[0], spec.aligned_score_range[1]), *b)
-                for b in boxes[lo:hi]]
-        n_extra = rng.randint(spec.distractors_per_image[0], spec.distractors_per_image[1])
-        for _ in range(n_extra):
-            box = _random_box(rng, spec)
-            dets.append((rng.uniform(spec.distractor_score_range[0],
-                                     spec.distractor_score_range[1]), *_xywh(box)))
-        dets.sort(key=itemgetter(0), reverse=True)
+        dets = [(rng.uniform(*spec.aligned_score_range), *b) for b in boxes[lo:hi]]
+        for _ in range(draw(*spec.distractors_per_image)):
+            box = _random_box(draw, spec)  # drawn before its score
+            dets.append((rng.uniform(*spec.distractor_score_range), *box))
+        dets.sort(key=operator.itemgetter(0), reverse=True)
         rows += dets
         counts.append(len(dets))
     values = np.array(rows, np.float64).reshape(-1, 5)

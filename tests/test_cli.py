@@ -670,22 +670,34 @@ def test_calibrate_output_parses_back(tmp_path):
     assert reread.total_faces() == 10
 
 
+_INPUTS = ["--adc", "0.5", "--gt", "{tmp}/gt.txt", "--dets", "{tmp}/d.txt"]
+
+
 @pytest.mark.parametrize("argv,stages", [
     (["calibrate", "--out", "{tmp}/out.txt", "--report", "{tmp}/r.json",
-      "--mbp-export", "{tmp}/m.json"],
+      "--mbp-export", "{tmp}/m.json", *_INPUTS],
      ["parse GT", "parse detections", "calibrate", "write GT", "report", "ledger"]),
-    (["calibrate", "--out", "{tmp}/out.txt"],
+    (["calibrate", "--out", "{tmp}/out.txt", *_INPUTS],
      ["parse GT", "parse detections", "calibrate", "write GT"]),
-    (["stats"], ["parse GT", "parse detections", "calibrate", "table"])])
+    (["stats", *_INPUTS], ["parse GT", "parse detections", "calibrate", "table"]),
+    (["synth", "--out", "{tmp}/synth", "--images", "3", "--distractors", "0,2"],
+     ["generate", "detections", "perturb", "write"])])
 def test_verbose_logs_each_stage_once_and_quiet_runs_do_not(tmp_path, capsys, argv, stages):
-    argv = [*(a.format(tmp=tmp_path) for a in argv), "--adc", "0.5",
-            "--gt", _write(tmp_path, "gt.txt", GT_TWO), "--dets", _write(tmp_path, "d.txt", DETS_TWO)]
+    _write(tmp_path, "gt.txt", GT_TWO)
+    _write(tmp_path, "d.txt", DETS_TWO)
+    argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv) == 0
-    assert capsys.readouterr().err == ""
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert main(["-v", *argv]) == 0
-    lines = capsys.readouterr().err.splitlines()
+    verbose = capsys.readouterr()
+    lines = verbose.err.splitlines()
     logged = [re.fullmatch(r"INFO boxcal\.cli: stage (.+): \d+\.\d{3} s", line) for line in lines]
     assert [m and m[1] for m in logged] == stages
+    if argv[0] == "synth":  # -v changes neither its stdout nor its files
+        assert verbose.out == quiet.out
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
 
 
 def test_module_entry_point(tmp_path):

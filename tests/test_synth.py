@@ -15,7 +15,7 @@ from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, write_wider_gt)
 from boxcal.geometry import BBox, iou
-from boxcal.synth import (PerturbEntry, PerturbLedger, SynthSpec, emit_detections,
+from boxcal.synth import (PerturbEntry, PerturbLedger, SynthSpec, _draw, emit_detections,
                           generate_dataset, oracle_calibrate, perturb, write_perturb_ledger)
 
 MIXED = SynthSpec(seed=11, n_images=40, faces_per_image=(0, 8), box_size=(16, 64),
@@ -75,6 +75,28 @@ def test_spec_validation():
         SynthSpec(seed=0, n_images=1, box_size=(0, 16))
     with pytest.raises(ValueError):
         SynthSpec(seed=0, n_images=1, min_gap=-1)
+    # a non-integer count or size fails before generation, naming its field
+    for name, value in (("n_images", 2.0), ("faces_per_image", (1.0, 5.0)),
+                        ("image_size", (1024.5, 1024)), ("box_size", (16, "64")),
+                        ("distractors_per_image", (0, np.float64(1.0))),
+                        ("faces_per_image", 5)):
+        with pytest.raises(ValueError, match=f"^{name} must hold integers, got "):
+            SynthSpec(seed=0, **{"n_images": 1, name: value})
+
+
+def test_spec_stores_integer_types_as_python_ints():
+    spec = SynthSpec(seed=4, n_images=np.int64(6), faces_per_image=[np.int32(1), np.int64(4)],
+                     image_size=(np.uint16(128), 96), box_size=(np.int8(8), 24),
+                     distractors_per_image=(np.int64(0), 2), min_gap=3.0)
+    plain = SynthSpec(seed=4, n_images=6, faces_per_image=(1, 4), image_size=(128, 96),
+                      box_size=(8, 24), distractors_per_image=(0, 2), min_gap=3.0)
+    assert spec == plain
+    assert type(spec.n_images) is int
+    assert all(type(v) is int for v in (*spec.faces_per_image, *spec.image_size,
+                                        *spec.box_size, *spec.distractors_per_image))
+    truth = generate_dataset(spec)
+    assert truth == generate_dataset(plain)
+    assert emit_detections(truth, spec) == emit_detections(truth, plain)
 
 
 def test_spec_rejects_a_nan_min_gap():
@@ -251,6 +273,125 @@ def test_perturb_ledger_is_a_read_only_table():
         PerturbLedger(paths=truth.paths, score=columns["achieved_iou"], **columns)
     with pytest.raises(ValueError):
         PerturbLedger(paths=truth.paths, **{**columns, "image": columns["image"][1:]})
+
+
+@pytest.mark.parametrize("lo", [-3, -1, 0, 2, 3])
+def test_draw_reads_the_bits_randint_reads(lo):
+    # widths 1, 2**k and 2**k + 1: the rejection loop's edges; equal states
+    # after the draws mean the same bits were read
+    for n in (1, 3, *(2**k + d for k in range(1, 70) for d in (0, 1))):
+        ours, theirs = random.Random(f"{lo}:{n}"), random.Random(f"{lo}:{n}")
+        draw = _draw(ours)
+        assert ([draw(lo, lo + n - 1) for _ in range(16)]
+                == [theirs.randint(lo, lo + n - 1) for _ in range(16)]), n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+def _separated(a, b, gap):
+    return (a.x + a.w + gap <= b.x or b.x + b.w + gap <= a.x
+            or a.y + a.h + gap <= b.y or b.y + b.h + gap <= a.y)
+
+
+def _reference_box(rng, spec):
+    bw = rng.randint(spec.box_size[0], spec.box_size[1])
+    bh = rng.randint(spec.box_size[0], spec.box_size[1])
+    x = rng.randint(0, spec.image_size[0] - bw)
+    y = rng.randint(0, spec.image_size[1] - bh)
+    return BBox(float(x), float(y), float(bw), float(bh))
+
+
+def _reference_generate(spec):
+    """generate_dataset one face at a time with rng.randint, a BBox per try
+    and a pairwise separation test: per image, its path and its faces'
+    x y w h and six flags."""
+    rng = random.Random(f"{spec.seed}:gt")
+    images = []
+    for i in range(spec.n_images):
+        n_faces = rng.randint(spec.faces_per_image[0], spec.faces_per_image[1])
+        placed, rows = [], []
+        for _ in range(n_faces):
+            for _ in range(1000):
+                box = _reference_box(rng, spec)
+                if spec.min_gap == 0 or all(_separated(box, other, spec.min_gap)
+                                            for other in placed):
+                    break
+            else:
+                raise ValueError(
+                    f"could not place a face with min_gap={spec.min_gap} after "
+                    "1000 tries; enlarge the image or reduce faces/gap")
+            placed.append(box)
+            rows.append((box.x, box.y, box.w, box.h, rng.randint(0, 2), rng.randint(0, 1),
+                         rng.randint(0, 1), 0, rng.randint(0, 2), rng.randint(0, 1)))
+        images.append((f"d{i // 1000:03d}/img{i:06d}.jpg", rows))
+    return images
+
+
+def _reference_emit(truth, spec):
+    """emit_detections one detection at a time: per image, (score, BBox)
+    in descending score order."""
+    rng = random.Random(f"{spec.seed}:detections")
+    images = []
+    for img in truth.images:
+        dets = [(rng.uniform(spec.aligned_score_range[0], spec.aligned_score_range[1]), f.box)
+                for f in img.faces]
+        for _ in range(rng.randint(spec.distractors_per_image[0], spec.distractors_per_image[1])):
+            box = _reference_box(rng, spec)
+            dets.append((rng.uniform(spec.distractor_score_range[0],
+                                     spec.distractor_score_range[1]), box))
+        dets.sort(key=lambda d: d[0], reverse=True)
+        images.append(dets)
+    return images
+
+
+@st.composite
+def _specs(draw):
+    faces = draw(st.integers(0, 6))
+    box = draw(st.integers(1, 40))
+    box_hi = box + draw(st.sampled_from([0, 0, 1, 7, 30]))  # lo == hi as well
+    distractors = draw(st.integers(0, 3))
+    return SynthSpec(
+        seed=draw(st.integers(0, 2**32)), n_images=draw(st.integers(0, 6)),
+        faces_per_image=(faces, faces + draw(st.integers(0, 4))),
+        image_size=(box_hi + draw(st.integers(0, 160)), box_hi + draw(st.integers(0, 160))),
+        box_size=(box, box_hi),
+        aligned_score_range=tuple(sorted(draw(st.lists(st.floats(0, 1), min_size=2,
+                                                       max_size=2)))),
+        distractors_per_image=(distractors, distractors + draw(st.integers(0, 3))),
+        # none, whole (as int and float) and fractional
+        min_gap=draw(st.one_of(st.just(0.0), st.integers(0, 30), st.integers(0, 30).map(float),
+                               st.floats(0, 30, allow_subnormal=False))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_specs())
+# zero-face images, one box size and distractors, no gap
+@example(spec=SynthSpec(seed=2, n_images=4, faces_per_image=(0, 2), box_size=(9, 9),
+                        image_size=(9, 40), distractors_per_image=(2, 2)))
+# the first face that cannot be placed ends generation in both
+@example(spec=SynthSpec(seed=0, n_images=2, faces_per_image=(50, 50), image_size=(64, 64),
+                        box_size=(16, 16), min_gap=32.0))
+# a fractional gap
+@example(spec=SynthSpec(seed=7, n_images=3, faces_per_image=(4, 6), image_size=(80, 80),
+                        box_size=(10, 20), min_gap=2.5, distractors_per_image=(0, 3)))
+def test_generator_equals_the_per_face_reference(spec):
+    try:
+        want = _reference_generate(spec)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            generate_dataset(spec)
+        assert str(got.value) == str(err)
+        assert "could not place" in str(err)
+        return
+    truth = generate_dataset(spec)
+    assert truth.paths == [path for path, _ in want]
+    assert truth.offsets.tolist() == np.cumsum([0, *(len(rows) for _, rows in want)]).tolist()
+    rows = np.array([row for _, image in want for row in image], np.float64).reshape(-1, 10)
+    assert truth.boxes.tobytes() == rows[:, :4].tobytes()
+    assert truth.flags.tobytes() == rows[:, 4:].tobytes()
+    dets = emit_detections(truth, spec)
+    assert dets.paths == truth.paths
+    assert [[(d.score, d.box) for d in img.dets] for img in dets.images] == (
+        _reference_emit(truth, spec))
 
 
 def test_emit_detections_shapes_and_order():
