@@ -20,16 +20,20 @@ Per image the procedure is:
 4. Each claimed annotation's box is replaced by its detection's box.
    Attribute flags are untouched.
 
-One vectorised kernel runs these steps for all images at once, on the
-columnar tables the parsers build: `align` checks them and reindexes the
-detection table to the annotation images, step 1 (`_hcdr_counts`) is a
-per-image count of scores above the threshold, step 2 (`_match`) scores
-candidate pairs in runs of HCDRs under a fixed pair budget and never reads
-the interval, step 3 (`_resolve`) applies it and is a single `np.unique`
-over annotation rows, and step 4 is one indexed assignment into a copy of
-the box column.  The claims come out as columns too, a `ClaimTable`, the
-tables' type built only from columns; their `MbpRecord` objects are a
-read-only row view, built only when something reads them.
+One vectorised kernel runs these steps on the columnar tables the parsers
+build: `align` checks them and reindexes the detection table to the
+annotation images (a table already in their order is kept as it is),
+step 1 (`_hcdr_counts`) is a per-image count of scores above the
+threshold, step 2 (`_match`) runs over blocks of consecutive images
+holding at most `_ROW_BUDGET` annotation and HCDR rows, scores candidate
+pairs in runs of HCDRs under a fixed pair budget and never reads the
+interval, step 3 (`_resolve`) applies it and is a single `np.unique` over
+annotation rows for the whole dataset, since claims never cross images,
+and step 4 is one indexed assignment into a copy of the box column.  Only
+the per-HCDR outputs of step 2 grow with the dataset; its temporaries are
+bounded by the two budgets.  The claims come out as columns too, a
+`ClaimTable`, the tables' type built only from columns; their `MbpRecord`
+objects are a read-only row view, built only when something reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -45,7 +49,7 @@ from time import perf_counter
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _Columns, _offsets,
+from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _blocks, _Columns, _offsets,
                       _segment_rows, align)
 from .geometry import BBox, iou_cells
 
@@ -138,6 +142,10 @@ class CalibrationResult:
 # this many pairs, which bounds the kernel's temporaries (about 150 bytes a
 # pair) however crowded a single image is.
 _PAIR_BUDGET = 1 << 14
+# Images are matched in runs of consecutive images holding at most this many
+# annotation and HCDR rows, or one image, which bounds the temporaries of
+# the candidate search (about 100 bytes a row) however large the dataset.
+_ROW_BUDGET = 1 << 14
 
 
 def _keys(img: np.ndarray, coord: np.ndarray) -> np.ndarray:
@@ -179,26 +187,47 @@ def _hcdr_counts(anns: AnnotationSet, dets: DetectionSet, adc: float) -> np.ndar
 
 
 def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_invalid: bool
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each HCDR's IoU maxima against its image's annotations.
 
     dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
-    its detections.  IoU is computed only on each HCDR's candidate run;
-    every other cell is exactly 0.  Returns, per HCDR in (image, score)
-    order: the max over all annotations; the max over eligible ones (valid
-    ones only unless include_invalid) and the table row of its lowest
-    annotation, or of the image's first eligible one when that max is 0;
-    whether the image has an eligible annotation at all; and the HCDR's
-    row in the detection table.
+    its detections.  Returns, per HCDR in (image, score) order: the max over
+    all annotations; the max over eligible ones (valid ones only unless
+    include_invalid) and the table row of its lowest annotation, or of the
+    image's first eligible one when that max is 0; and whether the image
+    has an eligible annotation at all.  The images are matched in runs
+    holding at most _ROW_BUDGET annotation and HCDR rows (`_match_images`),
+    so only the outputs grow with the dataset.
     """
-    ann_off = anns.offsets
-    n_ann = int(ann_off[-1])
-    hcdr = _segment_rows(dets.offsets[:-1], n_rows)
-    ax, ay, aw, ah = anns.boxes.T
-    px, py, pw, ph = dets.boxes[hcdr].T
+    hcdr_off = _offsets(n_rows)
+    n = int(hcdr_off[-1])
+    max_all, best = np.zeros(n), np.zeros(n)
+    arg, has_eligible = np.zeros(n, np.int64), np.zeros(n, bool)
+    for i, j in _blocks(anns.offsets + hcdr_off, _ROW_BUDGET):
+        a, b = int(anns.offsets[i]), int(anns.offsets[j])
+        out = slice(int(hcdr_off[i]), int(hcdr_off[j]))
+        hcdr = _segment_rows(dets.offsets[i:j], n_rows[i:j])
+        max_all[out], best[out], arg[out], has_eligible[out] = _match_images(
+            anns.offsets[i:j + 1] - a, anns.boxes[a:b], anns.flags[a:b], n_rows[i:j],
+            dets.boxes[hcdr], include_invalid)
+        arg[out] += a
+    return max_all, best, arg, has_eligible
+
+
+def _match_images(ann_off: np.ndarray, boxes: np.ndarray, flags: np.ndarray,
+                  n_rows: np.ndarray, hcdr_boxes: np.ndarray, include_invalid: bool
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_match` on a run of images: the annotation rows ann_off bounds and
+    their boxes and flags, and the images' HCDR counts and boxes; rows are
+    numbered within the run.  IoU is computed only on each HCDR's candidate
+    run, in runs of HCDRs holding at most _PAIR_BUDGET pairs; every other
+    cell is exactly 0."""
+    n_ann = len(boxes)
+    eligible = include_invalid | (flags[:, _INVALID] == 0)
+    ax, ay, aw, ah = boxes.T
+    px, py, pw, ph = hcdr_boxes.T
     order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, n_rows, px, pw)
 
-    eligible = include_invalid | (anns.flags[:, _INVALID] == 0)
     eligible_at = np.append(np.flatnonzero(eligible), n_ann)
     first_col = eligible_at[np.searchsorted(eligible_at, ann_off[:-1])]
     has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
@@ -208,10 +237,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     max_all = np.zeros(len(px))
     best = np.zeros(len(px))
     arg = np.repeat(first_col, n_rows)
-    r0 = 0
-    while r0 < len(px):
-        r1 = int(np.searchsorted(pair_off, pair_off[r0] + _PAIR_BUDGET, side="right")) - 1
-        r1 = max(r1, r0 + 1)
+    for r0, r1 in _blocks(pair_off, _PAIR_BUDGET):
         hit = np.flatnonzero(counts[r0:r1]) + r0     # rows with candidates
         if hit.size:
             c = counts[hit]
@@ -231,8 +257,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
             low = np.minimum.reduceat(np.where(top, col, n_ann), seg)
             found = low < n_ann
             arg[hit[found]] = low[found]
-        r0 = r1
-    return max_all, best, arg, has_eligible, hcdr
+    return max_all, best, arg, has_eligible
 
 
 def _resolve(best: np.ndarray, arg: np.ndarray, considered: np.ndarray,
@@ -276,18 +301,20 @@ def calibrate_dataset(anns: AnnotationSet, dets: DetectionSet,
         effective_adc = adc_result.value
 
     n_rows = _hcdr_counts(anns, aligned, effective_adc)
-    max_all, best, arg, considered, hcdr = _match(anns, aligned, n_rows, cfg.include_invalid)
+    max_all, best, arg, considered = _match(anns, aligned, n_rows, cfg.include_invalid)
     inside, claimed = _resolve(best, arg, considered, cfg.t_m, cfg.t_c)
 
-    img = np.repeat(np.arange(len(n_rows)), n_rows)[claimed]
-    ann, det = arg[claimed], hcdr[claimed]
+    hcdr_off = _offsets(n_rows)
+    img = np.searchsorted(hcdr_off, claimed, side="right") - 1
+    det_index = claimed - hcdr_off[img]
+    ann, det = arg[claimed], aligned.offsets[img] + det_index
     boxes = anns.boxes.copy()
     boxes[ann] = aligned.boxes[det]
     n_considered = int(considered.sum())
     return CalibrationResult(
         calibrated=AnnotationSet(paths=anns.paths, offsets=anns.offsets, boxes=boxes,
                                  flags=anns.flags),
-        claims=ClaimTable(paths=anns.paths, image=img, det_index=det - aligned.offsets[img],
+        claims=ClaimTable(paths=anns.paths, image=img, det_index=det_index,
                           ann_index=ann - anns.offsets[img], iou=best[claimed],
                           score=aligned.scores[det], old_boxes=anns.boxes[ann],
                           new_boxes=boxes[ann]),

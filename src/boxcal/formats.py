@@ -31,24 +31,33 @@ Parsed data lands in two tables, AnnotationSet and DetectionSet: image
 paths, per-image row offsets and one array per column.  With the claims
 and the perturbation ledger they are the four tables of the one table
 type, `_Columns`, and its one construction path.  `_records` is the
-one walk of the record grammar.  Rows are read on one of two paths.  The
-fast path gathers every row span and reads them with one call of numpy's
-C text reader (`np.loadtxt`, correctly rounded like `float`).  Where that
-reader refuses a row or misses one, the row walker (`_walk`) reads the
-same lines again with Python's `float`, which also reads `1_0` and `١٢`;
-it is the reference the fast path is tested against.  Either path's array
-goes through the one check of the row rules (`_check`), which logs the
-range warnings and raises the first fault in file order, naming its file
-and line.  The columns are a table's only state.  The per-face objects
-(`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`) are
-its row view, built on first use of `.images`; a table built from such
-objects converts them to columns at once and keeps them as that view.
+one walk of the record grammar, for all three parsers.  It walks a
+source's bytes (`_Text`) through an int64 index of their line ends and
+does its Python work per record, never per line: it decodes each
+record's name and count, and a record carries the line span of its rows
+in those bytes, not a list of lines.  A directory's files share one
+buffer and one index.  Rows are read on one of two paths.  The fast path
+fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
+correctly rounded like `float`), in blocks of at most `_ROW_BLOCK` rows
+whose texts are cut from the spans and dropped after the call.  Where
+that reader refuses a row or misses one, the row walker (`_walk`) reads
+the same spans again with Python's `float`, which also reads `1_0` and
+`١٢`; it is the reference the fast path is tested against.  Either
+path's array goes through the one check of the row rules (`_check`),
+which logs the range warnings and raises the first fault in file order,
+naming its file and line.  The columns are a table's only state.  The
+per-face objects (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`,
+`Detection`) are its row view, built on first use of `.images`; a table
+built from such objects converts them to columns at once and keeps them
+as that view.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, every other value goes through `format_coord` or `repr`, the
 one copy of each rule.  Every record file streams the one record emitter,
 `_record_text`; both TSV ledgers, the claims' and the perturbations', are
-written by the one TSV emitter, `_ledger_text`.
+written by the one TSV emitter, `_ledger_text`.  Both build the texts of
+one block of records or rows at a time, so a write holds no per-row text
+for the whole table.
 """
 
 from __future__ import annotations
@@ -240,6 +249,17 @@ def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
 
 
+def _blocks(offsets: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs [i, j) of the segments offsets bounds, segment i
+    holding rows offsets[i]:offsets[i+1]: each run the most segments whose
+    rows fit in budget, and at least one."""
+    i, n = 0, len(offsets) - 1
+    while i < n:
+        j = max(int(np.searchsorted(offsets, offsets[i] + budget, side="right")) - 1, i + 1)
+        yield i, j
+        i = j
+
+
 class AnnotationSet(_Table):
     """A dataset's annotations: per face, `boxes` (x y w h) and `flags`, the
     integer parts of blur, expression, illumination, invalid, occlusion and
@@ -295,56 +315,120 @@ def _decode_error(source: str, exc: UnicodeDecodeError) -> ParseError:
                       f"not {exc.encoding.upper()}: {exc.reason} 0x{exc.object[exc.start]:02x}")
 
 
-def _read_file(path: str | Path) -> str:
-    """The file's text; a byte that is not UTF-8 raises ParseError on its line."""
+def _lf(data: bytes) -> bytes:
+    """data with its CRLF and CR line ends turned into LF: the newlines
+    text-mode reading knows.  Both are ASCII, so no UTF-8 sequence holds
+    one."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def _read_file(path: str | Path) -> bytes:
+    """The file's bytes with LF line ends, checked as UTF-8 once: a byte
+    that is not UTF-8 raises ParseError on its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _decode_error(str(path), exc) from None
+    return _lf(data)
 
 
-def _lines(source: str | TextIO, name: str) -> list[str]:
-    """The text's lines, ended by LF, CRLF or CR: the newlines text-mode
-    reading knows.  str.splitlines would also break at form feeds, vertical
-    tabs, U+2028 and other separators, which may stand inside an image path
-    or trail a row.  A stream that fails to decode raises ParseError on the
+def _source_bytes(source: str | TextIO, name: str) -> bytes:
+    """A text or text stream as UTF-8 bytes with LF line ends; a lone
+    surrogate in the text passes through (`surrogatepass`) and decodes
+    back unchanged.  A stream that fails to decode raises ParseError on the
     line of the bad byte, counted from where reading started."""
     try:
         text = source if isinstance(source, str) else source.read()
     except UnicodeDecodeError as exc:
         raise _decode_error(name, exc) from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # a final newline ends the last line; it starts no new one
-    return lines
+    return _lf(text.encode("utf-8", "surrogatepass"))
 
 
-def _records(lines: list[str], source: str, noun: str,
-             zero_dummy: bool = False) -> Iterator[_Record]:
+def _line_ends(data: bytes) -> np.ndarray:
+    """The int64 offset in data of each line's end: its LF, or len(data)
+    for a last line without one."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    return np.append(ends, len(data)) if data and data[-1] != 10 else ends
+
+
+class _Text:
+    """n lines of UTF-8 bytes ended by LF, cut and decoded only when read:
+    line i is line base + i of data, whose line ends `ends` indexes.  Only
+    LF ends a line; a form feed, vertical tab, U+2028 or other separator
+    str.splitlines knows may stand inside an image path or trail a row.
+    The index is read through a memoryview, whose items are Python ints,
+    about three times cheaper to read than numpy scalars; texts cut from
+    one buffer share it."""
+
+    __slots__ = ("data", "ends", "base", "n")
+
+    def __init__(self, data: bytes, ends: memoryview, base: int, n: int) -> None:
+        self.data, self.ends, self.base, self.n = data, ends, base, n
+
+    @classmethod
+    def of(cls, data: bytes) -> _Text:
+        ends = memoryview(_line_ends(data))
+        return cls(data, ends, 0, len(ends))
+
+    def rows(self, i: int, count: int) -> list[str]:
+        """Lines i to i + count - 1, one text each."""
+        if not count:
+            return []
+        j = self.base + i
+        start = self.ends[j - 1] + 1 if j else 0
+        text = self.data[start:self.ends[j + count - 1]].decode("utf-8", "surrogatepass")
+        return text.split("\n")
+
+    def line(self, i: int) -> str:
+        return self.rows(i, 1)[0]
+
+
+def _read_tree(sources: list[str]) -> tuple[list[_Text], Exception | None]:
+    """The files' lines, read in turn up to the first file that cannot be
+    read or decoded, and that file's error or None.  The files share one
+    buffer and one line index; a file whose last line has no LF gets one,
+    so that the next file starts a line of its own."""
+    blobs, fault = [], None
+    try:
+        for source in sources:
+            blob = _read_file(source)
+            blobs.append(blob + b"\n" if blob and blob[-1] != 10 else blob)
+    except (ParseError, OSError) as exc:
+        fault = exc
+    bases = _offsets([blob.count(b"\n") for blob in blobs]).tolist()
+    data = b"".join(blobs)
+    del blobs
+    ends = memoryview(_line_ends(data))
+    return [_Text(data, ends, a, b - a) for a, b in zip(bases, bases[1:])], fault
+
+
+def _records(text: _Text, source: str, noun: str, zero_dummy: bool = False) -> Iterator[_Record]:
     """Walk the records of an annotation or detection file: the one copy of
     their grammar.
 
-    Yields one _Record (source, lines, name, lineno, count) per record: its
-    count rows sit on 1-based lines lineno to lineno + count - 1.  Rows are
-    not read; the generator resumes past them.  Blank lines between records
-    are skipped.  With zero_dummy, an all-zero row after a zero-count record
-    is consumed and dropped.  Raises ParseError on a name without a count
+    Yields one _Record (source, text, name, lineno, count) per record: its
+    count rows sit on 1-based lines lineno to lineno + count - 1 of text.
+    Only a record's name and count lines are decoded; its rows are not
+    read, and the walk resumes past them.  Blank lines between records are
+    skipped.  With zero_dummy, an all-zero row after a zero-count record is
+    consumed and dropped.  Raises ParseError on a name without a count
     line, a non-numeric or negative count, a record cut short by the end of
     the file, and a repeated name.
     """
     seen: set[str] = set()
-    n = len(lines)
+    n = text.n
     i = 0
     while i < n:
-        name = lines[i].strip()
+        head = text.rows(i, min(2, n - i))  # the name line and the count line
+        name = head[0].strip()
         i += 1
         if not name:
             continue
         if i == n:
             raise ParseError(source, i, f"record {name!r} has no {noun} count line")
-        count_tok = lines[i].strip()
+        count_tok = head[1].strip()
         i += 1
         try:
             count = int(count_tok)
@@ -357,9 +441,9 @@ def _records(lines: list[str], source: str, noun: str,
         seen.add(name)
         if i + count > n:
             raise ParseError(source, n + 1, f"record {name!r} ends before its {count} {noun}s")
-        yield source, lines, name, i + 1, count
+        yield source, text, name, i + 1, count
         i += count
-        if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(lines[i]):
+        if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(text.line(i)):
             i += 1  # the WIDER zero-face placeholder row
 
 
@@ -373,31 +457,56 @@ def _is_zero_dummy_line(line: str) -> bool:
         return False
 
 
-# One record as `_records` yields it: source name, the source's lines, image
-# key, 1-based line of its first row, row count.
-_Record = tuple[str, list[str], str, int, int]
+# One record as `_records` yields it: source name, the source's `_Text`,
+# image key, 1-based line of its first row, row count.
+_Record = tuple[str, _Text, str, int, int]
+
+# Rows per call of numpy's C text reader, and per block of the writers: the
+# texts of one block are all that is held of them at a time.
+_ROW_BLOCK = 1 << 12
+
+
+def _row_blocks(records: list[_Record]) -> Iterator[list[str]]:
+    """The records' rows in file order, one text each, in blocks of
+    _ROW_BLOCK rows but the last; a record's rows may straddle blocks."""
+    block: list[str] = []
+    for _, text, _, lineno, count in records:
+        k = 0
+        while k < count:
+            take = min(count - k, _ROW_BLOCK - len(block))
+            block += text.rows(lineno - 1 + k, take)
+            k += take
+            if len(block) == _ROW_BLOCK:
+                yield block
+                block = []
+    if block:
+        yield block
 
 
 def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
-    """The fast path: every record's rows as one (N, fields) float64 array
-    read by one call of numpy's C text reader, or None when the reader
-    refuses a token or a row has another number of fields (the reader skips
-    blank rows, so the shape shows those too).
+    """The fast path: every record's rows as one (N, fields) float64 array,
+    filled block by block (`_row_blocks`) by numpy's C text reader, or None
+    when the reader refuses a token in a block or a row has another number
+    of fields (the reader skips blank rows, so the shape shows those too).
 
     Where the reader and `float` both read a token, both give the same
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
     and left to the row walker."""
-    rows = list(chain.from_iterable(lines[i - 1:i - 1 + n] for _, lines, _, i, n in records))
-    if not rows:
-        return np.empty((0, fields))  # loadtxt would warn that it read no data
-    try:
-        with warnings.catch_warnings():
-            # every row blank: the shape check below rejects the result
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape == (len(rows), fields) else None
+    values = np.empty((sum(n for *_, n in records), fields))
+    done = 0
+    with warnings.catch_warnings():
+        # every row of a block blank: the shape check below rejects the result
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for rows in _row_blocks(records):
+            try:
+                block = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if block.shape != (len(rows), fields):
+                return None
+            values[done:done + len(rows)] = block
+            done += len(rows)
+    return values
 
 
 def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, ParseError | None]:
@@ -407,8 +516,8 @@ def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, P
     None.  It checks no value and never raises."""
     vals: list[float] = []
     try:
-        for source, lines, _, lineno, count in records:
-            for k, line in enumerate(lines[lineno - 1:lineno - 1 + count], lineno):
+        for source, text, _, lineno, count in records:
+            for k, line in enumerate(text.rows(lineno - 1, count), lineno):
                 tokens = line.split()
                 if len(tokens) != fields:
                     raise ParseError(source, k,
@@ -510,11 +619,15 @@ def _check_detections(records: list[_Record], values: np.ndarray,
 
 
 def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
-    # a copy of the boxes, so that the (N, 10) array of raw values is freed;
-    # + 0.0 turns the -0.0 that trunc gives for -0 and -0.5 into 0
+    """The annotation table, its boxes and flags views of values: the flags
+    are truncated in place, and + 0.0 turns the -0.0 that trunc gives for
+    -0 and -0.5 into 0."""
+    flags = values[:, 4:]
+    np.trunc(flags, out=flags)
+    flags += 0.0
     return AnnotationSet(paths=[name for _, _, name, _, _ in records],
                          offsets=_offsets([n for *_, n in records]),
-                         boxes=values[:, :4].copy(), flags=np.trunc(values[:, 4:]) + 0.0)
+                         boxes=values[:, :4], flags=flags)
 
 
 def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
@@ -548,7 +661,11 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     negative-size or whose far edge or area overflows, or a non-finite
     attribute flag.  Out-of-range attribute flags only produce a warning.
     """
-    records = _records(_lines(source, name), name, "face", zero_dummy=True)
+    return _parse_gt(_source_bytes(source, name), name)
+
+
+def _parse_gt(data: bytes, name: str) -> AnnotationSet:
+    records = _records(_Text.of(data), name, "face", zero_dummy=True)
     return _annotations(*_parse(records, "face", 10, _check_faces))
 
 
@@ -603,24 +720,36 @@ def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) 
     return out
 
 
-def _record_text(names: list[str], offsets: np.ndarray, rows: list[str],
+def _record_text(names: list[str], offsets: np.ndarray, rows: Callable[[int, int], list[str]],
                  empty: tuple[str, ...] = ()) -> Iterator[str]:
     """The one emitter of records: per record, the text of its name line,
-    its row count and its rows, offsets[i]:offsets[i+1] of rows, or the
-    lines of empty where it has none; every line ends in LF."""
-    bounds = offsets.tolist()
-    for name, lo, hi in zip(names, bounds, bounds[1:]):
-        yield "\n".join([name, str(hi - lo), *(rows[lo:hi] if lo < hi else empty), ""])
+    its row count and its rows, offsets[i]:offsets[i+1] of the table, or
+    the lines of empty where it has none; every line ends in LF.  rows(lo,
+    hi) gives the texts of rows lo:hi; it is called once per block of
+    records holding at most _ROW_BLOCK rows, or one record, so only one
+    block's texts are held at a time."""
+    for i, j in _blocks(offsets, _ROW_BLOCK):
+        lo = int(offsets[i])
+        texts = rows(lo, int(offsets[j]))
+        bounds = (offsets[i:j + 1] - lo).tolist()
+        for name, a, b in zip(names[i:j], bounds, bounds[1:]):
+            yield "\n".join([name, str(b - a), *(texts[a:b] if a < b else empty), ""])
 
 
-def _ledger_text(header: tuple[str, ...], paths: list[str], index: list[int],
-                 boxes: list[np.ndarray], ratios: list[np.ndarray]) -> str:
-    """A TSV ledger: the header, then per row its path, its index, its box
-    cells and its ratios, every float as `repr` writes it.  Box cells are
-    mostly small whole numbers, which take cached texts; ratios rarely are."""
-    cols = [paths, map(str, index), *(_texts(c, _text_table(".0"), repr) for c in boxes),
-            *(map(repr, c.tolist()) for c in ratios)]
-    return "\n".join(["\t".join(header), *map("\t".join, zip(*cols)), ""])
+def _ledger_text(header: tuple[str, ...], names: list[str], image: np.ndarray,
+                 index: np.ndarray, boxes: list[np.ndarray], ratios: list[np.ndarray]
+                 ) -> Iterator[str]:
+    """A TSV ledger: the header, then per row its path, names[image[r]],
+    its index, its box cells and its ratios, every float as `repr` writes
+    it, in blocks of _ROW_BLOCK rows.  Box cells are mostly small whole
+    numbers, which take cached texts; ratios rarely are."""
+    yield "\t".join(header) + "\n"
+    for lo in range(0, len(index), _ROW_BLOCK):
+        part = slice(lo, lo + _ROW_BLOCK)
+        cols = [[names[i] for i in image[part].tolist()], map(str, index[part].tolist()),
+                *(_texts(c[part], _text_table(".0"), repr) for c in boxes),
+                *(map(repr, c[part].tolist()) for c in ratios)]
+        yield "\n".join(map("\t".join, zip(*cols))) + "\n"
 
 
 def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
@@ -633,16 +762,20 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
     format_coord(0.0, policy)  # raises on an unknown policy
     # a table hit is a whole number, which every policy writes bare
     coord = functools.partial(format_coord, policy=policy)
-    cols = [_texts(c, _text_table(""), coord) for c in annset.boxes.T]
-    cols += [_texts(c, _text_table(""), format_coord) for c in annset.flags.T]
-    rows = list(map(" ".join, zip(*cols)))
+    boxes, flags = annset.boxes, annset.flags
+
+    def rows(lo: int, hi: int) -> list[str]:
+        cols = [_texts(c, _text_table(""), coord) for c in boxes[lo:hi].T]
+        cols += [_texts(c, _text_table(""), format_coord) for c in flags[lo:hi].T]
+        return list(map(" ".join, zip(*cols)))
+
     stream.writelines(_record_text(annset.paths, annset.offsets, rows,
                                    empty=("0 0 0 0 0 0 0 0 0 0",)))
 
 
 def load_wider_gt(path: str | Path) -> AnnotationSet:
     p = Path(path)
-    return parse_wider_gt(_read_file(p), name=str(p))
+    return _parse_gt(_read_file(p), str(p))
 
 
 def save_wider_gt(annset: AnnotationSet, path: str | Path, policy: str = "decimal") -> None:
@@ -686,20 +819,22 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
         raise NotADirectoryError(f"detection root {rootp} is not a directory")
     base = "" if str(rootp) == "." else str(rootp)  # Path(".") / rel prints as rel
     files = [(os.path.join(base, rel), rel[:-4] + image_ext) for rel in _txt_entries(str(rootp))]
+    texts, fault = _read_tree([source for source, _ in files])
 
     def records() -> Iterator[_Record]:
-        for source, key in files:
-            lines = _lines(_read_file(source), source)
-            record = next(_records(lines, source, "detection"), None)
+        for (source, key), text in zip(files, texts):
+            record = next(_records(text, source, "detection"), None)
             if record is None:
                 raise ParseError(source, 1, "per-image detection file holds no record")
             *_, lineno, count = record
-            yield source, lines, key, lineno, count
-            extra = next((k for k in range(lineno - 1 + count, len(lines)) if lines[k].strip()),
+            yield source, text, key, lineno, count
+            extra = next((k for k in range(lineno - 1 + count, text.n) if text.line(k).strip()),
                          None)
             if extra is not None:
                 raise ParseError(source, extra + 1,
                                  f"file lists more than the declared {count} detections")
+        if fault is not None:
+            raise fault  # after the records of the files read before it
 
     return _detections(*_parse(records(), "detection", 5, _check_detections))
 
@@ -710,7 +845,11 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
     Records use the same layout as per-image files concatenated; the name
     line is the image key verbatim (e.g. "0--Parade/x.jpg").
     """
-    records = _records(_lines(source, name), name, "detection")
+    return _parse_detections(_source_bytes(source, name), name)
+
+
+def _parse_detections(data: bytes, name: str) -> DetectionSet:
+    records = _records(_Text.of(data), name, "detection")
     return _detections(*_parse(records, "detection", 5, _check_detections))
 
 
@@ -722,15 +861,15 @@ def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".j
     if layout == "dir":
         return parse_detections_dir(p, image_ext=image_ext)
     if layout == "file":
-        return parse_detections_file(_read_file(p), name=str(p))
+        return _parse_detections(_read_file(p), str(p))
     raise ValueError(f"unknown detection layout {layout!r}")
 
 
-def _detection_rows(detset: DetectionSet) -> list[str]:
-    """Each detection's row: its box as format_coord writes it, its score
-    as repr does."""
-    cols = [_texts(c, _text_table(""), format_coord) for c in detset.boxes.T]
-    cols.append(list(map(repr, detset.scores.tolist())))
+def _detection_rows(detset: DetectionSet, lo: int, hi: int) -> list[str]:
+    """Rows lo:hi of the detections: each one's box as format_coord writes
+    it, its score as repr does."""
+    cols = [_texts(c, _text_table(""), format_coord) for c in detset.boxes[lo:hi].T]
+    cols.append(list(map(repr, detset.scores[lo:hi].tolist())))
     return list(map(" ".join, zip(*cols)))
 
 
@@ -761,7 +900,7 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
     for folder in {".", *folders}:
         os.makedirs(os.path.join(root, folder), exist_ok=True)
     records = _record_text([Path(key).stem for key in files.values()], detset.offsets,
-                           _detection_rows(detset))
+                           functools.partial(_detection_rows, detset))
     for rel, text in zip(files, records):
         with open(os.path.join(root, rel), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -769,7 +908,8 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:
     """Write the consolidated single-file layout; name lines are the keys."""
-    stream.writelines(_record_text(detset.paths, detset.offsets, _detection_rows(detset)))
+    stream.writelines(_record_text(detset.paths, detset.offsets,
+                                   functools.partial(_detection_rows, detset)))
 
 
 def check_aligned(anns: AnnotationSet, dets: DetectionSet) -> None:
@@ -791,7 +931,8 @@ def _first_duplicate(paths: list[str]) -> int | None:
 def align(anns: AnnotationSet, dets: DetectionSet) -> DetectionSet:
     """The detection table reindexed to the annotation images: image i of
     the result holds the detections whose path is anns.paths[i], an empty
-    run when there are none.
+    run when there are none.  A table that lists anns' images in anns'
+    order already is returned itself, once checked.
 
     Annotation images with no detections and detection images absent from
     the annotations (dropped) are only warned about, so partial prediction
@@ -819,6 +960,8 @@ def align(anns: AnnotationSet, dets: DetectionSet) -> DetectionSet:
     dup = _first_duplicate(anns.paths)
     if dup is not None:
         raise ValueError(f"duplicate annotation image path {anns.paths[dup]!r}")
+    if paths == anns.paths:
+        return dets  # the reindex would rebuild the same table
 
     by_path = dict(zip(paths, range(len(paths))))
     idx = np.fromiter((by_path.get(p, -1) for p in anns.paths), np.int64, count=len(anns.paths))

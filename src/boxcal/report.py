@@ -194,15 +194,15 @@ def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
         raise ValueError(f"unknown export format {fmt!r}")
     order = np.argsort(claims.iou, kind="stable")
     names = claims.paths  # read once: each read of the column is a call
-    paths = [names[i] for i in claims.image[order].tolist()]
-    ann_index = claims.ann_index[order].tolist()
+    image, ann_index = claims.image[order], claims.ann_index[order]
     boxes = [*claims.old_boxes[order].T, *claims.new_boxes[order].T]
     ratios = [claims.iou[order], claims.score[order]]
     if fmt == "tsv":
-        stream.write(_ledger_text(MBP_EXPORT_HEADER, paths, ann_index, boxes, ratios))
+        stream.writelines(_ledger_text(MBP_EXPORT_HEADER, names, image, ann_index, boxes, ratios))
     else:
+        paths = [names[i] for i in image.tolist()]
         rows = [_MBP_JSON_ROW % row for row in zip(
-            map(json.dumps, paths), ann_index, *map(_json_floats, boxes + ratios))]
+            map(json.dumps, paths), ann_index.tolist(), *map(_json_floats, boxes + ratios))]
         stream.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 

@@ -241,11 +241,10 @@ def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
 
 
 def write_perturb_ledger(ledger: PerturbLedger, stream: TextIO) -> None:
-    names = ledger.paths  # read once: each read of the column is a call
-    stream.write(_ledger_text(
+    stream.writelines(_ledger_text(
         ("path", "ann_index", "true_x", "true_y", "true_w", "true_h",
          "pert_x", "pert_y", "pert_w", "pert_h", "achieved_iou"),
-        [names[i] for i in ledger.image.tolist()], ledger.ann_index.tolist(),
+        ledger.paths, ledger.image, ledger.ann_index,
         [*ledger.true_boxes.T, *ledger.perturbed_boxes.T], [ledger.achieved_iou]))
 
 

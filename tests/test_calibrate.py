@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections)
 from boxcal.geometry import BBox, iou
+from boxcal.synth import SynthSpec, emit_detections, generate_dataset, perturb
 from claims import claim_table
 
 CFG = CalibrationConfig(adc_override=0.5)
@@ -364,3 +366,27 @@ def test_claimed_box_that_is_not_a_bbox_is_rejected(side):
         BBox(*bad)
     with pytest.raises(ValueError, match=re.escape(str(want.value))):
         calibrate_dataset(anns, dets, CalibrationConfig(t_m=0.0, adc_override=0.5))
+
+
+def test_kernel_memory_does_not_grow_with_the_dataset():
+    # the kernel matches runs of images holding a bounded number of rows, so
+    # with 4x the images its traced peak, less the result's own arrays, does
+    # not grow (it falls, as the result outgrows one run's temporaries)
+    def transient(n_images):
+        spec = SynthSpec(seed=5, n_images=n_images, faces_per_image=(5, 20),
+                         distractors_per_image=(0, 10))
+        truth = generate_dataset(spec)
+        pert, _ = perturb(truth, 5, 0.3, (0.55, 0.75), image_size=spec.image_size)
+        dets = emit_detections(truth, spec)
+        tracemalloc.start()
+        try:
+            result = calibrate_dataset(pert, dets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = [result.calibrated.boxes, result.hcdr_ious,
+               *(getattr(result.claims, name) for name, *_ in result.claims._COLUMNS)]
+        return peak - sum(a.nbytes for a in own)
+
+    small, large = transient(1000), transient(4000)  # 19k and 75k annotation and HCDR rows
+    assert large - small < 512 * 1024

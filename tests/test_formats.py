@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import suppress
 from decimal import Decimal
 from pathlib import Path
@@ -313,6 +314,56 @@ def test_a_hand_built_integer_score_is_written_as_a_float():
     assert parse_detections_file(buf.getvalue()) == dets
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_writers_give_the_same_bytes_at_every_block_size(tmp_path, monkeypatch, block):
+    # at 1 and 3 rows a block, records and ledger rows straddle the blocks
+    import boxcal.formats as formats
+    from boxcal.calibrate import calibrate_dataset
+    from boxcal.report import mbp_export
+    from boxcal.synth import (SynthSpec, emit_detections, generate_dataset, perturb,
+                              write_perturb_ledger)
+    spec = SynthSpec(seed=3, n_images=20, faces_per_image=(0, 5), distractors_per_image=(0, 3))
+    truth = generate_dataset(spec)
+    pert, ledger = perturb(truth, 3, 0.5, (0.55, 0.75), image_size=spec.image_size)
+    dets = emit_detections(truth, spec)
+    claims = calibrate_dataset(pert, dets).claims
+    assert min(len(ledger), len(claims)) > block and 0 in np.diff(pert.offsets)
+
+    def written(tag):
+        bufs = [io.StringIO() for _ in range(5)]
+        write_wider_gt(pert, bufs[0])
+        write_wider_gt(pert, bufs[1], "integer")
+        write_detections_file(dets, bufs[2])
+        write_perturb_ledger(ledger, bufs[3])
+        mbp_export(claims, bufs[4])
+        write_detections_dir(dets, tmp_path / tag)
+        files = sorted((p.relative_to(tmp_path / tag).as_posix(), p.read_bytes())
+                       for p in (tmp_path / tag).rglob("*.txt"))
+        return [buf.getvalue() for buf in bufs], files
+
+    default = written("default")
+    monkeypatch.setattr(formats, "_ROW_BLOCK", block)
+    assert written("blocked") == default
+
+
+def test_gt_parse_memory_is_bounded_by_the_table_and_the_file(tmp_path):
+    # no Python object per line: the parse holds the file's bytes, its line
+    # index, the table's one array and one block of rows at a time
+    from boxcal.synth import SynthSpec, generate_dataset
+    truth = generate_dataset(SynthSpec(seed=11, n_images=1600, faces_per_image=(5, 20)))
+    path = tmp_path / "gt.txt"
+    save_wider_gt(truth, path)
+    tracemalloc.start()
+    try:
+        parsed = load_wider_gt(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == truth and len(parsed) > 19_000
+    table = sum(a.nbytes for a in (parsed.offsets, parsed.boxes, parsed.flags))
+    assert peak < 2 * (table + path.stat().st_size)
+
+
 DETS_ONE = "img1\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\n"
 DETS_TWO_IMAGES = "a/img1.jpg\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\nb/img2.jpg\n0\n"
 
@@ -390,6 +441,21 @@ def test_detection_dir_rejects_extra_record(tmp_path):
     (tmp_path / "x.txt").write_text(DETS_ONE + "img2\n0\n", encoding="utf-8")
     with pytest.raises(ParseError):
         parse_detections_dir(tmp_path)
+
+
+def test_detection_dir_files_without_a_final_newline(tmp_path):
+    # the files share one buffer: each still starts a line of its own
+    texts = {"a.txt": "a\n1\n0 0 1 1 0.5", "b.txt": "b\r1\r0 0 2 2 0.25\r",
+             "c.txt": "c\r\n0", "d.txt": "\n\nd\n2\n0 0 3 3 0.75\n0 0 4 4 0.5\n\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode())
+    dets = parse_detections_dir(tmp_path)
+    assert dets == parse_detections_file("a.jpg\n1\n0 0 1 1 0.5\nb.jpg\n1\n0 0 2 2 0.25\n"
+                                         "c.jpg\n0\nd.jpg\n2\n0 0 3 3 0.75\n0 0 4 4 0.5\n")
+    (tmp_path / "c.txt").write_bytes(b"c\n1")
+    with pytest.raises(ParseError) as exc:
+        parse_detections_dir(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'c.txt'}:3: record 'c' ends before its 1 detections"
 
 
 def test_detection_dir_missing_root():
@@ -560,6 +626,16 @@ def test_only_lf_crlf_and_cr_break_lines(sep):
     assert exc.value.line == 6
 
 
+def test_a_lone_surrogate_in_a_text_source_parses():
+    # a text is read as UTF-8 bytes, its lone surrogates passed through
+    name = "a\udc80\ud83d.jpg"
+    assert parse_wider_gt(f"{name}\r\n1\r\n0 0 4 4 0 0 0 0 0 0\r\n").paths == [name]
+    assert parse_detections_file(io.StringIO(f"{name}\n1\n0 0 4 4 0.5\n")).paths == [name]
+    with pytest.raises(ParseError) as exc:
+        parse_wider_gt(f"{name}\n1\n0 0 4 4 0 0 0 0 0\n", name="gt.txt")
+    assert str(exc.value) == "gt.txt:3: expected 10 fields on face line, got 9"
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 def test_undecodable_byte_raises_parse_error_on_its_line(tmp_path, newline):
     # each input holds one 0xff byte, on line 4
@@ -672,6 +748,19 @@ def test_align_reindexes_the_detection_table():
     assert aligned.offsets.tolist() == [0, 0, 2, 3]               # a.jpg gets an empty run
     assert aligned.scores.tolist() == [0.75, 0.25, 0.5]
     assert aligned.boxes.tolist() == [[2, 2, 1, 1], [1, 1, 1, 1], [5, 5, 1, 1]]
+    assert align(anns, aligned) is aligned      # already aligned: checked, not rebuilt
+    # a table in the annotations' order is checked all the same
+    one, twice = ([ImageAnnotations("a.jpg")] * n for n in (1, 2))
+    low, high = (Detection(box=BBox(0, 0, 1, 1), score=s) for s in (0.25, 0.75))
+    for faces, dets, message in [
+            (one, [ImageDetections("a.jpg", [Detection(box=BBox(0, 0, 1, 1), score=math.nan)])],
+             "non-finite score nan for 'a.jpg'"),
+            (one, [ImageDetections("a.jpg", [low, high])],
+             "detections for 'a.jpg' are not sorted by descending score"),
+            (twice, [ImageDetections("a.jpg")] * 2, "duplicate detection image path 'a.jpg'")]:
+        with pytest.raises(ValueError) as exc:
+            align(AnnotationSet(images=faces), DetectionSet(images=dets))
+        assert str(exc.value) == message
 
 
 def test_align_rejects_duplicate_annotation_paths():
@@ -836,7 +925,7 @@ def _record_files(draw, fields):
 def _parse_outcome(parse, arg, caplog, walk_only):
     """(table columns or None, ParseError text or None, warnings, whether
     the row walker ran, and what each call of numpy's C text reader gave:
-    None where it raised, else (rows passed, shape returned))."""
+    (rows passed, None where it raised, else the shape returned))."""
     import boxcal.formats as formats
     walked, loaded = [], []
     real_walk, real_loadtxt = formats._walk, np.loadtxt
@@ -849,7 +938,7 @@ def _parse_outcome(parse, arg, caplog, walk_only):
         try:
             values = real_loadtxt(rows, *args, **kwargs)
         except ValueError:
-            loaded.append(None)
+            loaded.append((len(rows), None))
             raise
         loaded.append((len(rows), values.shape))
         return values
@@ -871,10 +960,14 @@ def _parse_outcome(parse, arg, caplog, walk_only):
             bool(walked), loaded)
 
 
+# block: the C reader's rows per call; at 1 and 3 records straddle blocks
+@pytest.mark.parametrize("block", [None, 1, 3])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(gt=_record_files(10), dets=_record_files(5))
-def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, gt, dets):
+def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
+    import boxcal.formats as formats
+    block = block or formats._ROW_BLOCK
     def text(case):
         newline, records = case
         return newline.join(line for lines in records for line in lines) + newline
@@ -889,14 +982,22 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, gt, dets):
     cases = [(lambda t: parse_wider_gt(t, name="gt.txt"), text(gt), 10),
              (lambda t: parse_detections_file(t, name="d.txt"), text(dets), 5),
              (parse_detections_dir, root, 5)]
-    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_ROW_BLOCK", block)
         for parse, arg, fields in cases:
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
             # the walker runs if and only if loadtxt raised or returned a
             # shape other than (rows, fields)
-            assert bulk[3] == any(r is None or r[1] != (r[0], fields) for r in bulk[4])
+            assert bulk[3] == any(shape != (n, fields) for n, shape in bulk[4])
+            # one call per block: full blocks, then the last one
+            sizes = [n for n, _ in bulk[4]]
+            assert all(n == block for n in sizes[:-1]) and all(0 < n <= block for n in sizes)
+            if bulk[0] is not None and not bulk[3]:  # the C reader read every row
+                rows = int(np.frombuffer(bulk[0][1], np.int64)[-1])
+                assert sizes == [min(block, rows - k) for k in range(0, rows, block)]
 
 
 # Which path runs: numpy's C text reader on every row, the row walker only

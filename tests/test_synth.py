@@ -678,7 +678,12 @@ _CONFIGS = st.builds(CalibrationConfig,
                      include_invalid=st.booleans())
 
 
+# budget: the kernel's rows per run of images; at 1 every image is a run of
+# its own, at 7 runs hold a few small images or one larger one
+@pytest.mark.parametrize("budget", [None, 1, 7])
 @settings(max_examples=100, deadline=None)
 @given(_datasets(), _CONFIGS)
-def test_fast_path_equals_oracle_on_random_datasets(dataset, cfg):
-    _assert_equivalent(*dataset, cfg)
+def test_fast_path_equals_oracle_on_random_datasets(budget, dataset, cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxcal.calibrate, "_ROW_BUDGET", budget or boxcal.calibrate._ROW_BUDGET)
+        _assert_equivalent(*dataset, cfg)
