@@ -21,8 +21,18 @@ from .geometry import BBox, iou
 from .report import (HistogramBin, LocalizationHistogram, LossDeltas, diou_loss,
                      format_histogram_table, localization_histogram,
                      loss_delta_report, mbp_export, summary_line, write_report)
-from .synth import (PerturbEntry, PerturbLedger, SynthSpec, emit_detections,
-                    generate_dataset, oracle_calibrate, perturb)
+
+# synth's names, imported on first use: of the commands only `boxcal synth` needs them
+_SYNTH = ("PerturbEntry", "PerturbLedger", "SynthSpec", "emit_detections",
+          "generate_dataset", "oracle_calibrate", "perturb")
+
+
+def __getattr__(name: str):
+    if name in _SYNTH:
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

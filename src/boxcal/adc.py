@@ -9,7 +9,11 @@ the shortfall is reported.
 
 The scores are summed one after another in dataset order (a cumulative
 sum, never numpy's pairwise `sum`), so the reported numerator is bit-for-bit
-the one a plain loop gives.
+the one a plain loop from 0.0 gives.  The sum runs over blocks of
+consecutive images holding at most `_ROW_BUDGET` used scores, so its
+temporaries are bounded however large the dataset; the running sum enters
+each block's cumulative sum as its first term, which adds it in the loop's
+order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import AnnotationSet, DetectionSet, _segment_rows, check_aligned
+from .formats import (_ROW_BUDGET, AnnotationSet, DetectionSet, _blocks, _offsets, _segment_rows,
+                      check_aligned)
 
 log = logging.getLogger(__name__)
 
@@ -51,9 +56,9 @@ def compute_adc(anns: AnnotationSet, dets: DetectionSet) -> AdcResult:
     if denominator == 0:
         log.warning("no detection scores usable for the confidence average; value defaults to 0")
         return AdcResult(0.0, 0.0, 0, 0, shortfall)
-    rows = _segment_rows(dets.offsets[:-1], used)
-    # cumsum adds in order, like a loop from 0.0; adding 0.0 gives such a
-    # loop's 0.0 where every score used is -0.0
-    numerator = float(np.cumsum(dets.scores[rows])[-1]) + 0.0
+    numerator = 0.0
+    for i, j in _blocks(_offsets(used), _ROW_BUDGET):
+        rows = _segment_rows(dets.offsets[i:j], used[i:j])
+        numerator = float(np.cumsum(np.append(numerator, dets.scores[rows]))[-1])
     return AdcResult(numerator / denominator, numerator, denominator,
                      int(np.count_nonzero(used)), shortfall)

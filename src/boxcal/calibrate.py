@@ -49,8 +49,8 @@ from time import perf_counter
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _blocks, _Columns, _offsets,
-                      _segment_rows, align)
+from .formats import (_FLAG_RANGES, _ROW_BUDGET, AnnotationSet, DetectionSet, _blocks, _Columns,
+                      _offsets, _segment_rows, align)
 from .geometry import BBox, iou_cells
 
 log = logging.getLogger(__name__)
@@ -142,10 +142,6 @@ class CalibrationResult:
 # this many pairs, which bounds the kernel's temporaries (about 150 bytes a
 # pair) however crowded a single image is.
 _PAIR_BUDGET = 1 << 14
-# Images are matched in runs of consecutive images holding at most this many
-# annotation and HCDR rows, or one image, which bounds the temporaries of
-# the candidate search (about 100 bytes a row) however large the dataset.
-_ROW_BUDGET = 1 << 14
 
 
 def _keys(img: np.ndarray, coord: np.ndarray) -> np.ndarray:

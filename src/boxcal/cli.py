@@ -26,8 +26,6 @@ from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_de
                       load_wider_gt, save_wider_gt, write_detections_dir, write_detections_file)
 from .report import (DEFAULT_EDGES, check_edges, format_histogram_table, localization_histogram,
                      mbp_export, summary_line, write_report)
-from .synth import (SynthSpec, check_perturbation, emit_detections, generate_dataset, perturb,
-                    write_perturb_ledger)
 
 log = logging.getLogger("boxcal.cli")  # not __main__ under python -m
 
@@ -205,6 +203,10 @@ def run_adc(args) -> int:
 
 
 def run_synth(args) -> int:
+    # imported here, so that the other commands never load synth
+    from .synth import (SynthSpec, check_perturbation, emit_detections, generate_dataset,
+                        perturb, write_perturb_ledger)
+
     spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)
                         if hasattr(args, f.name)})
     check_perturbation(args.perturb_fraction, args.iou_range)  # before the costly generation

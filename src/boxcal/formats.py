@@ -40,16 +40,20 @@ buffer and one index.  Rows are read on one of two paths.  The fast path
 fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
 correctly rounded like `float`), in blocks of at most `_ROW_BLOCK` rows
 whose texts are cut from the spans and dropped after the call.  Where
-that reader refuses a row or misses one, the row walker (`_walk`) reads
-the same spans again with Python's `float`, which also reads `1_0` and
-`١٢`; it is the reference the fast path is tested against.  Either
-path's array goes through the one check of the row rules (`_check`),
-which logs the range warnings and raises the first fault in file order,
-naming its file and line.  The columns are a table's only state.  The
-per-face objects (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`,
-`Detection`) are its row view, built on first use of `.images`; a table
-built from such objects converts them to columns at once and keeps them
-as that view.
+that reader refuses a row of a block or misses one, the row walker
+(`_walk`) reads that block's spans again with Python's `float`, which
+also reads `1_0` and `١٢`, into the same array, and the C reader goes on
+with the next block; the walker is the reference the fast path is tested
+against.  The array goes through the one check of the row rules
+(`_check`), which logs the range warnings and raises the first fault in
+file order, naming its file and line.  The columns are a table's only
+state.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
+`ImageDetections`, `Detection`) are its row view, built on first use of
+`.images`; a table built from such objects converts them to columns at
+once and keeps them as that view.  All four tables' row views come from
+one builder, `_row_objects`: it checks the columns once with the array
+rules, raising what the per-row construction raises first, then sets
+each field of all rows from its column, with no constructor call per row.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, every other value goes through `format_coord` or `repr`, the
@@ -67,8 +71,9 @@ import logging
 import math
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -138,6 +143,60 @@ def _frozen(values, dtype, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def _new_objects(cls: type, n: int, fields: Iterable[list]) -> list:
+    """n new objects of the slotted class cls, the k-th slot of each set
+    from the k-th list of fields: one `object.__new__` per object, then
+    each slot's descriptor mapped over its list, so no `__init__` or
+    `__post_init__` and no Python frame runs per object."""
+    objects = list(map(object.__new__, repeat(cls, n)))
+    for slot, values in zip(cls.__slots__, fields):
+        deque(map(getattr(cls, slot).__set__, objects, values), maxlen=0)
+    return objects
+
+
+def _row_objects(cls: type, columns: list[tuple[np.ndarray, Callable | None]],
+                 by_row: bool = False) -> list:
+    """The one builder of the row views: one cls object per row, its
+    fields in order from the (column, convert) pairs.  BBox makes a BBox of
+    each row of an (N, 4) column, None keeps the values as they are, any
+    other callable is applied to each value; int is exact at any
+    magnitude, 1e300 too.
+
+    It checks once, then builds.  The first box that is not a valid BBox
+    (`valid_boxes`) or non-finite value of an int column raises what the
+    per-row construction raises on it, by running that on it alone: BBox's
+    ValueError, or int's ValueError for nan and OverflowError for an
+    infinity.  First is in column order, each column's rows before the
+    next column, as the base view is built, or with by_row in row order,
+    each row's fields in column order, as the annotations' view is."""
+    checked = [(c, convert) for c, convert in columns if convert in (BBox, int)]
+    if checked:
+        bad = np.column_stack([~valid_boxes(c) if convert is BBox else ~np.isfinite(c)
+                               for c, convert in checked])
+        first = np.argwhere(bad if by_row else bad.T)[:1].tolist()
+        if first:
+            row, k = first[0] if by_row else first[0][::-1]
+            c, convert = checked[k]
+            convert(*c[row].reshape(-1).tolist())  # raises
+    return _new_objects(cls, len(columns[0][0]), [_field(*column) for column in columns])
+
+
+def _field(column: np.ndarray, convert: Callable | None) -> list:
+    """`_row_objects`' list of one field's values."""
+    if convert is BBox:
+        return _new_objects(BBox, len(column), column.T.tolist())
+    if convert is int and np.all(np.abs(column) < 2.0 ** 63):
+        return column.astype(np.int64).tolist()  # truncates as int does, without a call each
+    values = column.tolist()
+    return values if convert is None else list(map(convert, values))
+
+
+def _grouped(cls: type, paths: list[str], offsets: np.ndarray, rows: list) -> list:
+    """One cls(path, rows) per image: image i gets rows offsets[i]:offsets[i+1]."""
+    bounds = offsets.tolist()
+    return list(map(cls, paths, map(rows.__getitem__, map(slice, bounds, bounds[1:]))))
+
+
 class _Columns:
     """The one table type: image paths and one read-only array per column,
     each declared once in `_COLUMNS` as (name, dtype, trailing shape) and
@@ -178,8 +237,8 @@ class _Columns:
 
     def _row_view(self) -> list:
         paths, image, *cols = self._cols
-        fields = [[BBox(*b) for b in c.tolist()] if c.ndim == 2 else c.tolist() for c in cols]
-        return list(map(self._ROW, [paths[i] for i in image.tolist()], *fields))
+        return _row_objects(self._ROW, [(image, paths.__getitem__),
+                                        *((c, BBox if c.ndim == 2 else None) for c in cols)])
 
     def __len__(self) -> int:
         return len(self._cols[-1])
@@ -249,6 +308,13 @@ def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
 
 
+# Images are matched, and their scores averaged, in runs of consecutive
+# images holding at most this many rows, or one image, which bounds the
+# temporaries of the kernel's candidate search (about 100 bytes a row) and
+# of the confidence average however large the dataset.
+_ROW_BUDGET = 1 << 14
+
+
 def _blocks(offsets: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
     """Consecutive runs [i, j) of the segments offsets bounds, segment i
     holding rows offsets[i]:offsets[i+1]: each run the most segments whose
@@ -279,10 +345,9 @@ class AnnotationSet(_Table):
 
     def _row_view(self) -> list[ImageAnnotations]:
         paths, offsets, boxes, flags = self._cols
-        faces = [FaceAnnotation(BBox(*b), *map(int, f))
-                 for b, f in zip(boxes.tolist(), flags.tolist())]
-        bounds = offsets.tolist()
-        return [ImageAnnotations(p, faces[a:b]) for p, a, b in zip(paths, bounds, bounds[1:])]
+        faces = _row_objects(FaceAnnotation, [(boxes, BBox), *((f, int) for f in flags.T)],
+                             by_row=True)
+        return _grouped(ImageAnnotations, paths, offsets, faces)
 
 
 class DetectionSet(_Table):
@@ -301,9 +366,8 @@ class DetectionSet(_Table):
 
     def _row_view(self) -> list[ImageDetections]:
         paths, offsets, boxes, scores = self._cols
-        dets = [Detection(BBox(*b), s) for b, s in zip(boxes.tolist(), scores.tolist())]
-        bounds = offsets.tolist()
-        return [ImageDetections(p, dets[a:b]) for p, a, b in zip(paths, bounds, bounds[1:])]
+        dets = _row_objects(Detection, [(boxes, BBox), (scores, None)])
+        return _grouped(ImageDetections, paths, offsets, dets)
 
 
 def _decode_error(source: str, exc: UnicodeDecodeError) -> ParseError:
@@ -461,52 +525,51 @@ def _is_zero_dummy_line(line: str) -> bool:
 # image key, 1-based line of its first row, row count.
 _Record = tuple[str, _Text, str, int, int]
 
-# Rows per call of numpy's C text reader, and per block of the writers: the
-# texts of one block are all that is held of them at a time.
+# Rows per call of numpy's C text reader or walk of the row walker, and per
+# block of the writers: the texts and walked values of one block are all
+# that is held of them at a time.
 _ROW_BLOCK = 1 << 12
 
 
-def _row_blocks(records: list[_Record]) -> Iterator[list[str]]:
-    """The records' rows in file order, one text each, in blocks of
-    _ROW_BLOCK rows but the last; a record's rows may straddle blocks."""
-    block: list[str] = []
-    for _, text, _, lineno, count in records:
+def _record_blocks(records: list[_Record]) -> Iterator[list[_Record]]:
+    """The records' rows in file order, in blocks of _ROW_BLOCK rows but
+    the last, each block the records or parts of records it holds: a
+    record straddling blocks is cut, each part keeping its own first line
+    and row count."""
+    block: list[_Record] = []
+    size = 0
+    for source, text, name, lineno, count in records:
         k = 0
         while k < count:
-            take = min(count - k, _ROW_BLOCK - len(block))
-            block += text.rows(lineno - 1 + k, take)
+            take = min(count - k, _ROW_BLOCK - size)
+            block.append((source, text, name, lineno + k, take))
+            size += take
             k += take
-            if len(block) == _ROW_BLOCK:
+            if size == _ROW_BLOCK:
                 yield block
-                block = []
+                block, size = [], 0
     if block:
         yield block
 
 
-def _bulk(records: list[_Record], fields: int) -> np.ndarray | None:
-    """The fast path: every record's rows as one (N, fields) float64 array,
-    filled block by block (`_row_blocks`) by numpy's C text reader, or None
-    when the reader refuses a token in a block or a row has another number
-    of fields (the reader skips blank rows, so the shape shows those too).
+def _bulk(block: list[_Record], fields: int) -> np.ndarray | None:
+    """The fast path: one block's rows as an (n, fields) float64 array read
+    by numpy's C text reader, whose texts are cut from the spans and
+    dropped after the call, or None when the reader refuses a token or a
+    row has another number of fields (the reader skips blank rows, so the
+    shape shows those too).
 
     Where the reader and `float` both read a token, both give the same
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
     and left to the row walker."""
-    values = np.empty((sum(n for *_, n in records), fields))
-    done = 0
-    with warnings.catch_warnings():
-        # every row of a block blank: the shape check below rejects the result
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for rows in _row_blocks(records):
-            try:
-                block = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
-            except ValueError:
-                return None
-            if block.shape != (len(rows), fields):
-                return None
-            values[done:done + len(rows)] = block
-            done += len(rows)
-    return values
+    rows: list[str] = []
+    for _, text, _, lineno, count in block:
+        rows += text.rows(lineno - 1, count)
+    try:
+        values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), fields) else None
 
 
 def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, ParseError | None]:
@@ -535,14 +598,16 @@ def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, P
 def _parse(records: Iterator[_Record], noun: str, fields: int,
            check: Callable[[list[_Record], np.ndarray, Exception | None], None]
            ) -> tuple[list[_Record], np.ndarray]:
-    """The records and their checked rows, read by the fast path, or by the
-    row walker where the C reader refuses a row or misses one.
+    """The records and their checked rows, in one preallocated (N, fields)
+    array filled block by block (`_record_blocks`): by the C reader
+    (`_bulk`), or by the row walker where that reader refuses the block,
+    and then on with the C reader.
 
     records is walked once.  Where the walk raises (a grammar fault, a file
     with extra lines, an OSError), the rows of the records before the fault
     are read and checked all the same: check(records, values, fault) raises
     the first fault in file order, a rule's, else the walker's, whose row
-    comes first, else the walk's.
+    comes first and ends the read, else the walk's.
     """
     recs: list[_Record] = []
     fault: Exception | None = None
@@ -550,10 +615,20 @@ def _parse(records: Iterator[_Record], noun: str, fields: int,
         recs.extend(records)  # keeps the records before a fault
     except (ParseError, OSError) as exc:
         fault = exc
-    values = _bulk(recs, fields)
-    if values is None:
-        values, row_fault = _walk(recs, noun, fields)
-        fault = row_fault or fault
+    values = np.empty((sum(n for *_, n in recs), fields))
+    done = 0
+    with warnings.catch_warnings():
+        # every row of a block blank: `_bulk`'s shape check rejects the result
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for block in _record_blocks(recs):
+            rows, row_fault = _bulk(block, fields), None
+            if rows is None:
+                rows, row_fault = _walk(block, noun, fields)
+            values[done:done + len(rows)] = rows
+            done += len(rows)
+            if row_fault is not None:
+                values, fault = values[:done], row_fault
+                break
     check(recs, values, fault)
     return recs, values
 

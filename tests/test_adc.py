@@ -2,7 +2,7 @@ import logging
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcal.adc import compute_adc as _compute_adc
@@ -128,3 +128,27 @@ def test_hcdr_prefix_equals_filter_on_sorted(score_lists, threshold):
     counts = hcdr_counts(ordered, threshold)
     assert [scores[:n] for scores, n in zip(ordered, counts)] == \
         [[s for s in scores if s > threshold] for scores in ordered]
+
+
+# budget: used scores per block of images; at 1 every image is a block of
+# its own, at 7 blocks hold a few images
+@pytest.mark.parametrize("budget", [None, 1, 7])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                          st.lists(st.sampled_from([-0.0, 0.1, 1 / 3, 0.7, 1.0, 1e-17, 2e-9]),
+                                   max_size=8)),
+                max_size=12),
+       st.booleans())
+def test_numerator_is_bit_identical_to_a_plain_loop(budget, cases, negative_zeros):
+    import boxcal.adc
+    if negative_zeros:  # every score used is -0.0: the loop's sum is 0.0
+        cases = [(n_faces, [-0.0] * len(scores)) for n_faces, scores in cases]
+    ordered = [(n_faces, sorted(scores, reverse=True)) for n_faces, scores in cases]
+    total = 0.0
+    for n_faces, scores in ordered:
+        for s in scores[:n_faces]:
+            total += s
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxcal.adc, "_ROW_BUDGET", budget or boxcal.adc._ROW_BUDGET)
+        res = compute_adc([(_img(n_faces), _dets(scores)) for n_faces, scores in ordered])
+    assert res.numerator.hex() == total.hex()

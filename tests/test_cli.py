@@ -26,6 +26,7 @@ import boxcal
 import boxcal.calibrate
 import boxcal.cli
 import boxcal.formats
+import boxcal.synth
 from boxcal.cli import main
 from boxcal.formats import load_wider_gt
 
@@ -381,7 +382,7 @@ def test_synth_checks_the_perturbation_before_generating(tmp_path, monkeypatch, 
     def refuse(spec):
         raise AssertionError("the dataset was generated before the values were checked")
 
-    monkeypatch.setattr(boxcal.cli, "generate_dataset", refuse)
+    monkeypatch.setattr(boxcal.synth, "generate_dataset", refuse)  # run_synth imports it
     assert main(["synth", "--out", str(tmp_path / "out"), "--images", "12880", *option]) == 1
     assert capsys.readouterr().err == f"boxcal: error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -391,7 +392,7 @@ def test_synth_rejects_a_nan_min_gap_before_generating(tmp_path, monkeypatch, ca
     def refuse(spec):
         raise AssertionError("the dataset was generated before min_gap was checked")
 
-    monkeypatch.setattr(boxcal.cli, "generate_dataset", refuse)
+    monkeypatch.setattr(boxcal.synth, "generate_dataset", refuse)  # run_synth imports it
     assert main(["synth", "--out", str(tmp_path / "out"), "--min-gap", "nan"]) == 1
     assert capsys.readouterr().err == "boxcal: error: min_gap must be >= 0, got nan\n"
     assert not (tmp_path / "out").exists()
@@ -721,6 +722,25 @@ def test_module_entry_point(tmp_path):
     bare = subprocess.run([sys.executable, "-m", "boxcal.cli"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert bare.returncode == 1
+
+
+def test_only_synth_imports_synth():
+    # the package resolves synth's names on first use, and `boxcal synth`
+    # imports the module itself, so no other command pays for it
+    code = """if True:
+        import sys
+        import boxcal.cli
+        assert "boxcal.synth" not in sys.modules
+        import boxcal
+        assert boxcal.oracle_calibrate.__module__ == "boxcal.synth"
+        namespace = {}
+        exec("from boxcal import *", namespace)
+        assert set(boxcal.__all__) <= set(namespace) and namespace["SynthSpec"](seed=0, n_images=1)
+        """
+    src = str(Path(boxcal.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
 # --- pinned outputs, the columnar path, fuzzing ------------------------------

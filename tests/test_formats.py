@@ -364,6 +364,36 @@ def test_gt_parse_memory_is_bounded_by_the_table_and_the_file(tmp_path):
     assert peak < 2 * (table + path.stat().st_size)
 
 
+def test_a_token_the_c_reader_refuses_costs_one_block_of_memory(tmp_path):
+    # the row walker reads only the block holding the token: the peak stays
+    # within one walked block of the clean file's, a Python float (24 bytes)
+    # and its list slot (8 bytes) per value, where walking the whole file
+    # would hold 32 bytes for every value in it
+    import boxcal.formats as formats
+    from boxcal.synth import SynthSpec, generate_dataset
+    truth = generate_dataset(SynthSpec(seed=11, n_images=1600, faces_per_image=(5, 20)))
+    clean = tmp_path / "clean.txt"
+    save_wider_gt(truth, clean)
+    lines = clean.read_text(encoding="utf-8").split("\n")
+    k = len(lines) // 2 + next(i for i, line in enumerate(lines[len(lines) // 2:])
+                               if len(line.split()) == 10)
+    lines[k] = " ".join(["0_" + tok if i == 4 else tok for i, tok in enumerate(lines[k].split())])
+    odd = tmp_path / "odd.txt"
+    odd.write_text("\n".join(lines), encoding="utf-8")
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            parsed = load_wider_gt(path)
+            return parsed, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (parsed, clean_peak), (odd_parsed, odd_peak) = peak(clean), peak(odd)
+    assert parsed == truth and odd_parsed == truth and len(truth) > 19_000
+    assert odd_peak < clean_peak + formats._ROW_BLOCK * 10 * 32
+
+
 DETS_ONE = "img1\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\n"
 DETS_TWO_IMAGES = "a/img1.jpg\n2\n1 2 3 4 0.9\n5 6 7 8 0.4\nb/img2.jpg\n0\n"
 
@@ -1000,6 +1030,53 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
                 assert sizes == [min(block, rows - k) for k in range(0, rows, block)]
 
 
+# A token only `float` reads (`0_1`) sends only the block holding it to the
+# row walker; the C reader reads every other block, the blocks after it too.
+# Files of about 2.5 blocks, the token in the middle one, records of 8 rows
+# and empty ones between; fault adds a non-numeric token in the last row or
+# a negative width in the first, whose rule fault comes first in the file.
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("fault", [None, "later", "earlier"])
+def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
+    import boxcal.formats as formats
+    block = block or formats._ROW_BLOCK
+    n_rows = max(10, 5 * block // 2)
+    odd = n_rows // 2
+    cases = []
+    for fields, parse in [(10, lambda t: parse_wider_gt(t, name="gt.txt")),
+                          (5, lambda t: parse_detections_file(t, name="d.txt"))]:
+        rows = [[str(k % 50), "2", "3", "4", *(["1"] * (fields - 4))] for k in range(n_rows)]
+        rows[odd][4] = "0_1"
+        if fault == "later":
+            rows[-1][0] = "x"
+        elif fault == "earlier":
+            rows[0][2] = "-1"
+        rows = [" ".join(row) for row in rows]
+        records = [[f"r{i}.jpg", str(len(rows[a:a + 8])), *rows[a:a + 8]]
+                   for i, a in enumerate(range(0, n_rows, 8))]
+        records.insert(len(records) // 3, ["empty.jpg", "0"])
+        cases.append((parse, "\n".join(line for lines in records for line in lines) + "\n",
+                      fields))
+        if fields == 5:  # the same records, one file each
+            root = tmp_path / "dets"
+            root.mkdir()
+            for i, lines in enumerate(records):
+                (root / f"{i:05d}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            cases.append((parse_detections_dir, root, fields))
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_ROW_BLOCK", block)
+        for parse, arg, fields in cases:
+            bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
+            assert bulk[:3] == _parse_outcome(parse, arg, caplog, walk_only=True)[:3]
+            assert (bulk[0] is None) == (fault is not None)
+            shapes = [shape for _, shape in bulk[4]]
+            refused = [k for k, shape in enumerate(shapes) if shape is None]
+            assert len(shapes) == (n_rows + block - 1) // block  # every block went to the reader
+            assert refused == [odd // block] + ([len(shapes) - 1] if fault == "later" else [])
+            assert all(shape == (n, fields) for (n, shape) in bulk[4] if shape is not None)
+
+
 # Which path runs: numpy's C text reader on every row, the row walker only
 # where that reader refuses a row or misses one.
 @pytest.mark.filterwarnings("error")
@@ -1045,3 +1122,141 @@ def test_blank_row_inside_a_record_raises_the_walker_error(text, line, blank):
     with pytest.raises(ParseError) as exc:
         parse_wider_gt(text.format(blank), name="gt.txt")
     assert str(exc.value) == f"gt.txt:{line}: expected 10 fields on face line, got 0"
+
+
+# --- the row views ---------------------------------------------------------------
+# Every row view is built by one builder, `formats._row_objects`.  The
+# reference is the per-row construction it replaced: one dataclass call per
+# row (and per box), which runs BBox's check on each box and `int` on each
+# flag, the annotations' row by row, the base view's column by column.
+
+def _reference_view(table):
+    if isinstance(table, AnnotationSet):
+        faces = [FaceAnnotation(BBox(*b), *map(int, f))
+                 for b, f in zip(table.boxes.tolist(), table.flags.tolist())]
+        rows, image = faces, ImageAnnotations
+    elif isinstance(table, DetectionSet):
+        rows = [Detection(BBox(*b), s)
+                for b, s in zip(table.boxes.tolist(), table.scores.tolist())]
+        image = ImageDetections
+    else:
+        fields = [[BBox(*b) for b in c.tolist()] if c.ndim == 2 else c.tolist()
+                  for c in (getattr(table, name) for name, *_ in table._COLUMNS[1:])]
+        return list(map(table._ROW, [table.paths[i] for i in table.image.tolist()], *fields))
+    bounds = table.offsets.tolist()
+    return [image(p, rows[a:b]) for p, a, b in zip(table.paths, bounds, bounds[1:])]
+
+
+def _view_name(table):
+    from boxcal.calibrate import ClaimTable
+    return {AnnotationSet: "images", DetectionSet: "images", ClaimTable: "records"}.get(
+        type(table), "entries")
+
+
+_GOOD_BOXES = st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e300])] * 2,
+                        *[st.sampled_from([0.0, 1.0, 2.5, 1e-300])] * 2)
+_BAD_BOXES = st.sampled_from([(0, 0, -1, 1), (0, 0, 1, -0.5), (math.nan, 0, 1, 1),
+                              (0, math.inf, 1, 1), (1e308, 0, 1e308, 1), (0, 0, 1e200, 1e200)])
+_GOOD_FLAGS = st.sampled_from([0.0, 1.0, 2.0, -0.0, 2.5, -2.5, 1e300, -1e300, 2.0 ** 63,
+                               -(2.0 ** 63), 9.5e18])
+_BAD_FLAGS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _view_tables(draw):
+    """A table of one of the four types, valid or, one time in three, with
+    invalid boxes and non-finite flags among its rows."""
+    from boxcal.calibrate import ClaimTable
+    from boxcal.synth import PerturbLedger
+    faulty = draw(st.integers(0, 2)) == 0
+    boxes_of = st.one_of(_GOOD_BOXES, _BAD_BOXES) if faulty else _GOOD_BOXES
+    flags_of = st.one_of(_GOOD_FLAGS, _BAD_FLAGS) if faulty else _GOOD_FLAGS
+    paths = [f"i{k}.jpg" for k in range(draw(st.integers(0, 4)))]
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(paths), max_size=len(paths)))
+    kind = draw(st.sampled_from([AnnotationSet, DetectionSet, ClaimTable, PerturbLedger]))
+    n = sum(counts) if kind in (AnnotationSet, DetectionSet) else draw(st.integers(0, 5))
+
+    def column(values, width=None):
+        rows = draw(st.lists(values, min_size=n, max_size=n))
+        return np.array(rows, np.float64).reshape(n, *([width] if width else []))
+
+    boxes = lambda: column(boxes_of, 4)  # noqa: E731
+    scores = lambda: column(st.sampled_from([0.0, -0.0, 0.5, 1.5, math.nan]))  # noqa: E731
+    if kind is AnnotationSet:
+        return kind(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes(),
+                    flags=column(st.tuples(*[flags_of] * 6), 6))
+    if kind is DetectionSet:
+        return kind(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes(),
+                    scores=scores())
+    # an image index outside the paths raises the list's IndexError
+    image = draw(st.lists(st.integers(-len(paths) - 1, len(paths)), min_size=n, max_size=n))
+    ints = lambda: draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))  # noqa: E731
+    if kind is ClaimTable:
+        return kind(paths=paths, image=image, det_index=ints(), ann_index=ints(), iou=scores(),
+                    score=scores(), old_boxes=boxes(), new_boxes=boxes())
+    return kind(paths=paths, image=image, ann_index=ints(), true_boxes=boxes(),
+                perturbed_boxes=boxes(), achieved_iou=scores())
+
+
+def _view_outcome(build, table):
+    """repr of the view (it shows every field, -0.0, nan and int or float
+    as they are), or the type and text of what building it raised."""
+    try:
+        return repr(build(table))
+    except (ValueError, OverflowError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_view_tables())
+@example(AnnotationSet(paths=["a.jpg", "b.jpg", "c.jpg"], offsets=[0, 0, 2, 2],
+                       boxes=[[0, 0, 1, 1], [-0.0, 0, 0, 0]],
+                       flags=[[1e300, -0.0, -0.5, 2.0 ** 63, -1e300, 2.5]] * 2))
+@example(AnnotationSet(paths=[], offsets=[0], boxes=np.zeros((0, 4)), flags=np.zeros((0, 6))))
+@example(AnnotationSet(paths=["a.jpg"], offsets=[0, 3],  # a later row's box, an earlier flag
+                       boxes=[[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, -1, 1]],
+                       flags=[[0] * 6, [0, 0, math.inf, math.nan, 0, 0], [0] * 6]))
+@example(AnnotationSet(paths=["a.jpg"], offsets=[0, 1],  # one row: its box before its flags
+                       boxes=[[0, 0, -1, 1]], flags=[[math.nan] * 6]))
+def test_row_views_equal_the_per_row_reference(table):
+    view = _view_name(table)
+    assert _view_outcome(lambda t: getattr(t, view), table) == _view_outcome(_reference_view, table)
+
+
+def test_row_views_are_built_once():
+    from boxcal.synth import SynthSpec, emit_detections, generate_dataset, perturb
+    spec = SynthSpec(seed=3, n_images=4)
+    truth = generate_dataset(spec)
+    _, ledger = perturb(truth, 3, 0.5, (0.6, 0.7))
+    dets = emit_detections(truth, spec)
+    claims = boxcal.calibrate_dataset(truth, dets).claims
+    for table in (truth, dets, claims, ledger):
+        view = _view_name(table)
+        assert getattr(table, view) is getattr(table, view)
+        assert getattr(table, view) == _reference_view(table)
+
+
+def test_row_classes_have_no_check_to_skip():
+    # the builder runs no __init__: the row classes have no __post_init__
+    # to skip, and BBox's is the check `valid_boxes` mirrors (below)
+    from boxcal.calibrate import MbpRecord
+    from boxcal.synth import PerturbEntry
+    for cls in (FaceAnnotation, Detection, MbpRecord, PerturbEntry):
+        assert not hasattr(cls, "__post_init__")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.one_of(st.floats(), st.sampled_from([0.0, 1e154, 1e308, -1.0]))] * 4))
+def test_bbox_checks_what_valid_boxes_tests(fields):
+    from boxcal.geometry import check_boxes
+    boxes = np.array([fields], np.float64)
+    try:
+        BBox(*fields)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    assert valid_boxes(boxes).tolist() == [error is None]
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            check_boxes(boxes)
+        assert str(exc.value) == error

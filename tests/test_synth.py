@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import boxcal.adc
 import boxcal.calibrate
 from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
@@ -678,12 +679,14 @@ _CONFIGS = st.builds(CalibrationConfig,
                      include_invalid=st.booleans())
 
 
-# budget: the kernel's rows per run of images; at 1 every image is a run of
-# its own, at 7 runs hold a few small images or one larger one
+# budget: the kernel's and the confidence average's rows per run of images;
+# at 1 every image is a run of its own, at 7 runs hold a few small images or
+# one larger one
 @pytest.mark.parametrize("budget", [None, 1, 7])
 @settings(max_examples=100, deadline=None)
 @given(_datasets(), _CONFIGS)
 def test_fast_path_equals_oracle_on_random_datasets(budget, dataset, cfg):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boxcal.calibrate, "_ROW_BUDGET", budget or boxcal.calibrate._ROW_BUDGET)
+        for module in (boxcal.calibrate, boxcal.adc):
+            mp.setattr(module, "_ROW_BUDGET", budget or module._ROW_BUDGET)
         _assert_equivalent(*dataset, cfg)
