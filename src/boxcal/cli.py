@@ -4,12 +4,20 @@ Exit codes are a stable scripting contract: 0 success, 1 usage or
 validation or parse error, 2 I/O error.  Diagnostics go to stderr; data
 (tables, summaries, file payloads) goes to stdout or the named output
 files, never interleaved.
+
+The CLI starts numpy's OpenBLAS single-threaded unless the caller set
+``OPENBLAS_NUM_THREADS``: boxcal makes no BLAS call, and an idle pool of
+OpenBLAS workers costs CPU time on every run.  The default is set only when
+this module is the first to load numpy (``python -m boxcal.cli`` and the
+``boxcal`` script); the package itself is lazy (see ``boxcal/__init__``),
+and importing its library modules never touches the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -18,7 +26,10 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterator
 
-import numpy as np
+if "numpy" not in sys.modules:  # this process is the CLI's, not a host's that loaded numpy
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # after the default: OpenBLAS reads it when numpy loads
 
 from .adc import compute_adc
 from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset

@@ -1,12 +1,13 @@
 """Command-line interface tests.
 
 Everything runs in-process through ``main(argv)`` so exit codes and the
-stdout/stderr split are asserted directly; one subprocess test covers the
-``python -m`` entry point.
+stdout/stderr split are asserted directly; subprocess tests cover the
+``python -m`` entry point and what each import loads.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -701,15 +702,23 @@ def test_verbose_logs_each_stage_once_and_quiet_runs_do_not(tmp_path, capsys, ar
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
 
 
+def _child_env(**overrides: str) -> dict:
+    """The environment of a child Python that imports the same boxcal as this
+    process, installed or not, with OPENBLAS_NUM_THREADS unset unless given:
+    this process may carry it."""
+    src = str(Path(boxcal.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return {**env, **overrides}
+
+
 def test_module_entry_point(tmp_path):
     gt = tmp_path / "gt.txt"
     gt.write_text(GT_TWO, encoding="utf-8")
     dets = tmp_path / "dets.txt"
     dets.write_text(DETS_TWO, encoding="utf-8")
-    # the child imports the same boxcal as this process, installed or not
-    src = str(Path(boxcal.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "boxcal.cli", "-v", "adc", "--gt", str(gt), "--dets", str(dets)],
         capture_output=True, text=True, timeout=60, env=env,
@@ -724,23 +733,63 @@ def test_module_entry_point(tmp_path):
     assert bare.returncode == 1
 
 
-def test_only_synth_imports_synth():
-    # the package resolves synth's names on first use, and `boxcal synth`
-    # imports the module itself, so no other command pays for it
+def test_the_package_imports_only_what_is_used():
+    # `import boxcal` is a lazy facade, and `boxcal synth` imports synth
+    # itself, so no other command pays for it
     code = """if True:
         import sys
+        import boxcal
+        loaded = [m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("boxcal.")]
+        assert not loaded, loaded
         import boxcal.cli
         assert "boxcal.synth" not in sys.modules
-        import boxcal
-        assert boxcal.oracle_calibrate.__module__ == "boxcal.synth"
         namespace = {}
         exec("from boxcal import *", namespace)
         assert set(boxcal.__all__) <= set(namespace) and namespace["SynthSpec"](seed=0, n_images=1)
         """
-    src = str(Path(boxcal.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=_child_env())
+
+
+def test_every_public_name_is_its_home_modules():
+    assert set(boxcal.__all__) <= set(dir(boxcal))
+    for name in set(boxcal.__all__) - {"__version__"}:
+        value = getattr(boxcal, name)
+        assert value.__module__ == f"boxcal.{boxcal._HOME[name]}", name
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        boxcal.no_such_name
+
+
+_RUN_AS_MAIN = """import runpy
+try:
+    runpy.run_module("boxcal.cli", run_name="__main__")
+except SystemExit:
+    pass"""
+
+
+@pytest.mark.parametrize("imports,caller,expected", [
+    ("import boxcal.cli", None, "1"),
+    (_RUN_AS_MAIN, None, "1"),  # python -m boxcal.cli, the benchmark's path
+    ("import boxcal.cli", "2", "2"),
+    ("import boxcal.formats, boxcal.calibrate, boxcal.report, boxcal.synth", None, None),
+    ("import numpy, boxcal.cli", None, None),  # a host that loaded numpy itself
+], ids=["cli", "run-as-main", "caller-wins", "library", "numpy-first"])
+def test_the_cli_starts_openblas_single_threaded(imports, caller, expected):
+    # boxcal makes no BLAS call: an idle OpenBLAS pool is CPU time for nothing
+    code = imports + """
+import json, os
+value = os.environ.get("OPENBLAS_NUM_THREADS")
+import numpy
+tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else None
+print(json.dumps([value, tasks and len(tasks)]))
+"""
+    env = _child_env(**({"OPENBLAS_NUM_THREADS": caller} if caller else {}))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, env=env)
+    value, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert value == expected
+    if expected == "1" and threads is not None:  # Linux: count the process's threads
+        assert threads == 1
 
 
 # --- pinned outputs, the columnar path, fuzzing ------------------------------
