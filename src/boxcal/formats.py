@@ -30,13 +30,17 @@ is meaningful.
 Parsed data lands in two tables, AnnotationSet and DetectionSet: image
 paths, per-image row offsets and one array per column.  With the claims
 and the perturbation ledger they are the four tables of the one table
-type, `_Columns`, and its one construction path.  `_records` is the
-one walk of the record grammar, for all three parsers.  It walks a
-source's bytes (`_Text`) through an int64 index of their line ends and
-does its Python work per record, never per line: it decodes each
-record's name and count, and a record carries the line span of its rows
-in those bytes, not a list of lines.  A directory's files share one
-buffer and one index.  Rows are read on one of two paths.  The fast path
+type, `_Columns`, and its one construction path.  Every input file is
+read by one helper, `_read_bytes`, with plain OS calls (`os.open`,
+`os.read` until a read comes back empty, `os.close`), and a directory's
+files go into one buffer with one int64 index of its line ends (`_Text`)
+and each file's line bounds (`_read_tree`); a buffer of ASCII bytes is
+checked as UTF-8 at once.  `_records` is the one walk of the record
+grammar, for all three parsers: it walks the files' line ranges of that
+index, a directory's files in one pass, and does its Python work per
+record, never per line: it decodes each record's name and count, and a
+record carries the line span of its rows in those bytes, not a list of
+lines.  Rows are read on one of two paths.  The fast path
 fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
 correctly rounded like `float`), in blocks of at most `_ROW_BLOCK` rows
 whose texts are cut from the spans and dropped after the call.  Where
@@ -386,16 +390,30 @@ def _lf(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _read_file(path: str | Path) -> bytes:
-    """The file's bytes with LF line ends, checked as UTF-8 once: a byte
-    that is not UTF-8 raises ParseError on its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+# The size of every read after a file's first, and of the first read of a
+# tree's file: a per-image detection file fits in one.
+_CHUNK = 1 << 16
+_O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no newline translation on Windows
+
+
+def _read_bytes(path: str | Path, first: int = 0) -> bytes:
+    """The bytes of the file at path, read with plain OS calls until a read
+    comes back empty.  The first read asks for first bytes, by default for
+    the file's size (`os.fstat`), so that a large file is read in one piece
+    and never held twice; a file that grew, or a pipe, is read on in pieces
+    of _CHUNK, then joined.  Every OSError names path as open() names it,
+    though os.read on a directory raises EISDIR without a name, and the
+    file is closed whatever happens."""
+    fd = os.open(path, _O_READ)
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _decode_error(str(path), exc) from None
-    return _lf(data)
+        chunks = [os.read(fd, first or os.fstat(fd).st_size or _CHUNK)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _CHUNK))
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return chunks[0] if len(chunks) <= 2 else b"".join(chunks)
 
 
 def _source_bytes(source: str | TextIO, name: str) -> bytes:
@@ -419,96 +437,142 @@ def _line_ends(data: bytes) -> np.ndarray:
 
 class _Text:
     """n lines of UTF-8 bytes ended by LF, cut and decoded only when read:
-    line i is line base + i of data, whose line ends `ends` indexes.  Only
-    LF ends a line; a form feed, vertical tab, U+2028 or other separator
-    str.splitlines knows may stand inside an image path or trail a row.
-    The index is read through a memoryview, whose items are Python ints,
-    about three times cheaper to read than numpy scalars; texts cut from
-    one buffer share it."""
+    line i of data ends at ends[i] and starts just past the line before.
+    Only LF ends a line; a form feed, vertical tab, U+2028 or other
+    separator str.splitlines knows may stand inside an image path or trail
+    a row.  The index is read through a memoryview, whose items are Python
+    ints, about three times cheaper to read than numpy scalars.  One text
+    holds every file of a parse, each a range of its lines."""
 
-    __slots__ = ("data", "ends", "base", "n")
+    __slots__ = ("data", "ends", "n")
 
-    def __init__(self, data: bytes, ends: memoryview, base: int, n: int) -> None:
-        self.data, self.ends, self.base, self.n = data, ends, base, n
-
-    @classmethod
-    def of(cls, data: bytes) -> _Text:
-        ends = memoryview(_line_ends(data))
-        return cls(data, ends, 0, len(ends))
+    def __init__(self, data: bytes, ends: np.ndarray | None = None) -> None:
+        ends = _line_ends(data) if ends is None else ends
+        self.data, self.ends, self.n = data, memoryview(ends), len(ends)
 
     def rows(self, i: int, count: int) -> list[str]:
         """Lines i to i + count - 1, one text each."""
         if not count:
             return []
-        j = self.base + i
-        start = self.ends[j - 1] + 1 if j else 0
-        text = self.data[start:self.ends[j + count - 1]].decode("utf-8", "surrogatepass")
+        start = self.ends[i - 1] + 1 if i else 0
+        text = self.data[start:self.ends[i + count - 1]].decode("utf-8", "surrogatepass")
         return text.split("\n")
 
     def line(self, i: int) -> str:
         return self.rows(i, 1)[0]
 
 
-def _read_tree(sources: list[str]) -> tuple[list[_Text], Exception | None]:
-    """The files' lines, read in turn up to the first file that cannot be
-    read or decoded, and that file's error or None.  The files share one
-    buffer and one line index; a file whose last line has no LF gets one,
-    so that the next file starts a line of its own."""
+def _read_tree(sources: list[str], first: int = _CHUNK
+               ) -> tuple[_Text, list[int], Exception | None]:
+    """The files' lines in one text, up to the first file that cannot be
+    read or decoded; the line bounds of the files before it, file k holding
+    the text's lines bounds[k]:bounds[k + 1]; and that file's error or None.
+
+    Each file is read in turn with plain OS calls (`_read_bytes`, its first
+    read asking for first bytes), up to the first OSError, and the bytes
+    are joined into one buffer with one line index, with no Python object
+    per file but its bytes until the join.  A buffer of ASCII bytes is
+    valid UTF-8 at once; any other is decoded file by file to find the
+    first that fails, whose error is a ParseError on the line of its bad
+    byte, and the files from it on are dropped.  A file whose last line
+    has no LF gets one, so that the next file starts a line of its own,
+    and CRLF and CR become LF; both are rare, and rebuild the buffer."""
     blobs, fault = [], None
     try:
         for source in sources:
-            blob = _read_file(source)
-            blobs.append(blob + b"\n" if blob and blob[-1] != 10 else blob)
-    except (ParseError, OSError) as exc:
+            blobs.append(_read_bytes(source, first))
+    except OSError as exc:
         fault = exc
-    bases = _offsets([blob.count(b"\n") for blob in blobs]).tolist()
     data = b"".join(blobs)
+    if not data.isascii():
+        for k, blob in enumerate(blobs):
+            try:
+                blob.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                del blobs[k:]
+                data, fault = b"".join(blobs), _decode_error(str(sources[k]), exc)
+                break
+    files = len(blobs)
+    cuts = np.cumsum(np.fromiter(map(len, blobs), np.int64, files))[:-1]  # where files 1.. start
+    if b"\r" in data or np.any(np.frombuffer(data, np.uint8)[cuts[cuts > 0] - 1] != 10):
+        blobs = [blob + b"\n" if blob[-1:] not in (b"", b"\n") else blob
+                 for blob in map(_lf, blobs)]
+        data = b"".join(blobs)
+        cuts = np.cumsum(np.fromiter(map(len, blobs), np.int64, files))[:-1]
     del blobs
-    ends = memoryview(_line_ends(data))
-    return [_Text(data, ends, a, b - a) for a, b in zip(bases, bases[1:])], fault
+    ends = _line_ends(data)
+    bounds = [0, *np.searchsorted(ends, cuts).tolist(), len(ends)]
+    return _Text(data, ends), bounds[:files + 1], fault
 
 
-def _records(text: _Text, source: str, noun: str, zero_dummy: bool = False) -> Iterator[_Record]:
-    """Walk the records of an annotation or detection file: the one copy of
+def _read_file(path: str | Path) -> _Text:
+    """The file's lines, read in one piece; a file that cannot be read or
+    decoded raises its error."""
+    text, _, fault = _read_tree([path], first=0)
+    if fault is not None:
+        raise fault
+    return text
+
+
+def _records(text: _Text, sources: list[str], bounds: list[int], noun: str,
+             zero_dummy: bool = False, keys: list[str] | None = None) -> Iterator[_Record]:
+    """Walk the records of annotation or detection files: the one copy of
     their grammar.
 
-    Yields one _Record (source, text, name, lineno, count) per record: its
-    count rows sit on 1-based lines lineno to lineno + count - 1 of text.
-    Only a record's name and count lines are decoded; its rows are not
-    read, and the walk resumes past them.  Blank lines between records are
-    skipped.  With zero_dummy, an all-zero row after a zero-count record is
-    consumed and dropped.  Raises ParseError on a name without a count
-    line, a non-numeric or negative count, a record cut short by the end of
-    the file, and a repeated name.
+    The files are ranges of one text: source k holds lines bounds[k] to
+    bounds[k + 1] - 1, its line 1 the text's line bounds[k].  Yields one
+    _Record (source, text, base, name, lineno, count) per record: its count
+    rows sit on the source's 1-based lines lineno to lineno + count - 1,
+    the text's lines base + lineno - 1 onwards.  Only a record's name and
+    count lines are decoded; its rows are not read, and the walk resumes
+    past them.  Blank lines between records are skipped.  With zero_dummy,
+    an all-zero row after a zero-count record is consumed and dropped.
+    With keys, each source is a per-image file: it holds one record, named
+    keys[k] whatever its name line says, then only blank lines.  Raises
+    ParseError on a name without a count line, a non-numeric or negative
+    count, a record cut short by the end of its file, a repeated name, and
+    a per-image file with no record or with more lines than its record.
     """
     seen: set[str] = set()
-    n = text.n
-    i = 0
-    while i < n:
-        head = text.rows(i, min(2, n - i))  # the name line and the count line
-        name = head[0].strip()
-        i += 1
-        if not name:
-            continue
-        if i == n:
-            raise ParseError(source, i, f"record {name!r} has no {noun} count line")
-        count_tok = head[1].strip()
-        i += 1
-        try:
-            count = int(count_tok)
-        except ValueError:
-            raise ParseError(source, i, f"invalid {noun} count {count_tok!r}") from None
-        if count < 0:
-            raise ParseError(source, i, f"negative {noun} count {count}")
-        if name in seen:
-            raise ParseError(source, i - 1, f"duplicate image path {name!r}")
-        seen.add(name)
-        if i + count > n:
-            raise ParseError(source, n + 1, f"record {name!r} ends before its {count} {noun}s")
-        yield source, text, name, i + 1, count
-        i += count
-        if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(text.line(i)):
-            i += 1  # the WIDER zero-face placeholder row
+    for k, (source, base, n) in enumerate(zip(sources, bounds, bounds[1:])):
+        i = base
+        while i < n:
+            head = text.rows(i, 2 if i + 1 < n else 1)  # the name line and the count line
+            name = head[0].strip()
+            i += 1
+            if not name:
+                continue
+            if i == n:
+                raise ParseError(source, i - base, f"record {name!r} has no {noun} count line")
+            count_tok = head[1].strip()
+            i += 1
+            try:
+                count = int(count_tok)
+            except ValueError:
+                raise ParseError(source, i - base, f"invalid {noun} count {count_tok!r}") from None
+            if count < 0:
+                raise ParseError(source, i - base, f"negative {noun} count {count}")
+            if keys is None:
+                if name in seen:
+                    raise ParseError(source, i - base - 1, f"duplicate image path {name!r}")
+                seen.add(name)
+            if i + count > n:
+                raise ParseError(source, n - base + 1,
+                                 f"record {name!r} ends before its {count} {noun}s")
+            yield source, text, base, name if keys is None else keys[k], i - base + 1, count
+            i += count
+            if keys is not None:
+                if i < n:
+                    for j, line in enumerate(text.rows(i, n - i), i - base + 1):
+                        if line.strip():
+                            raise ParseError(source, j,
+                                             f"file lists more than the declared {count} {noun}s")
+                break
+            if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(text.line(i)):
+                i += 1  # the WIDER zero-face placeholder row
+        else:
+            if keys is not None:
+                raise ParseError(source, 1, f"per-image {noun} file holds no record")
 
 
 def _is_zero_dummy_line(line: str) -> bool:
@@ -521,9 +585,10 @@ def _is_zero_dummy_line(line: str) -> bool:
         return False
 
 
-# One record as `_records` yields it: source name, the source's `_Text`,
-# image key, 1-based line of its first row, row count.
-_Record = tuple[str, _Text, str, int, int]
+# One record as `_records` yields it: source name, the `_Text` holding it,
+# the text's 0-based line number of the source's line 1, image key, 1-based
+# line of its first row in the source, row count.
+_Record = tuple[str, _Text, int, str, int, int]
 
 # Rows per call of numpy's C text reader or walk of the row walker, and per
 # block of the writers: the texts and walked values of one block are all
@@ -538,11 +603,11 @@ def _record_blocks(records: list[_Record]) -> Iterator[list[_Record]]:
     and row count."""
     block: list[_Record] = []
     size = 0
-    for source, text, name, lineno, count in records:
+    for source, text, base, name, lineno, count in records:
         k = 0
         while k < count:
             take = min(count - k, _ROW_BLOCK - size)
-            block.append((source, text, name, lineno + k, take))
+            block.append((source, text, base, name, lineno + k, take))
             size += take
             k += take
             if size == _ROW_BLOCK:
@@ -563,8 +628,8 @@ def _bulk(block: list[_Record], fields: int) -> np.ndarray | None:
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
     and left to the row walker."""
     rows: list[str] = []
-    for _, text, _, lineno, count in block:
-        rows += text.rows(lineno - 1, count)
+    for _, text, base, _, lineno, count in block:
+        rows += text.rows(base + lineno - 1, count)
     try:
         values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
     except ValueError:
@@ -579,8 +644,8 @@ def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, P
     None.  It checks no value and never raises."""
     vals: list[float] = []
     try:
-        for source, text, _, lineno, count in records:
-            for k, line in enumerate(text.rows(lineno - 1, count), lineno):
+        for source, text, base, _, lineno, count in records:
+            for k, line in enumerate(text.rows(base + lineno - 1, count), lineno):
                 tokens = line.split()
                 if len(tokens) != fields:
                     raise ParseError(source, k,
@@ -650,7 +715,7 @@ def _check(records: list[_Record], values: np.ndarray, fault: Exception | None,
     starts = _offsets([n for *_, n in records])
     rec = np.searchsorted(starts, rows[at], side="right") - 1
     for i, row, r in zip(rec.tolist(), rows[at].tolist(), rule.tolist()):
-        source, lineno = records[i][0], records[i][3] + row - int(starts[i])
+        source, lineno = records[i][0], records[i][4] + row - int(starts[i])
         _, column, message, is_fault = rules[r]
         text = message(values[row, column].tolist())
         if is_fault:
@@ -700,7 +765,7 @@ def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
     flags = values[:, 4:]
     np.trunc(flags, out=flags)
     flags += 0.0
-    return AnnotationSet(paths=[name for _, _, name, _, _ in records],
+    return AnnotationSet(paths=[name for _, _, _, name, _, _ in records],
                          offsets=_offsets([n for *_, n in records]),
                          boxes=values[:, :4], flags=flags)
 
@@ -723,7 +788,7 @@ def _detections(records: list[_Record], values: np.ndarray) -> DetectionSet:
     if _first_unsorted(offsets, values[:, 4]) is not None:
         image = np.repeat(np.arange(len(records)), np.diff(offsets))
         values = values[np.lexsort((-values[:, 4], image))]
-    return DetectionSet(paths=[name for _, _, name, _, _ in records], offsets=offsets,
+    return DetectionSet(paths=[name for _, _, _, name, _, _ in records], offsets=offsets,
                         boxes=values[:, :4], scores=values[:, 4])
 
 
@@ -736,11 +801,11 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
     negative-size or whose far edge or area overflows, or a non-finite
     attribute flag.  Out-of-range attribute flags only produce a warning.
     """
-    return _parse_gt(_source_bytes(source, name), name)
+    return _parse_gt(_Text(_source_bytes(source, name)), name)
 
 
-def _parse_gt(data: bytes, name: str) -> AnnotationSet:
-    records = _records(_Text.of(data), name, "face", zero_dummy=True)
+def _parse_gt(text: _Text, name: str) -> AnnotationSet:
+    records = _records(text, [name], [0, text.n], "face", zero_dummy=True)
     return _annotations(*_parse(records, "face", 10, _check_faces))
 
 
@@ -892,22 +957,15 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
     rootp = Path(root)
     if not rootp.is_dir():
         raise NotADirectoryError(f"detection root {rootp} is not a directory")
-    base = "" if str(rootp) == "." else str(rootp)  # Path(".") / rel prints as rel
-    files = [(os.path.join(base, rel), rel[:-4] + image_ext) for rel in _txt_entries(str(rootp))]
-    texts, fault = _read_tree([source for source, _ in files])
+    # Path(".") / rel prints as rel; os.path.join(root, rel) as root + this + rel
+    prefix = os.path.join("" if str(rootp) == "." else str(rootp), "")
+    rels = list(_txt_entries(str(rootp)))
+    sources, keys = [prefix + rel for rel in rels], [rel[:-4] + image_ext for rel in rels]
+    del rels  # a string per file, not needed while the tree is read
+    text, bounds, fault = _read_tree(sources)
 
     def records() -> Iterator[_Record]:
-        for (source, key), text in zip(files, texts):
-            record = next(_records(text, source, "detection"), None)
-            if record is None:
-                raise ParseError(source, 1, "per-image detection file holds no record")
-            *_, lineno, count = record
-            yield source, text, key, lineno, count
-            extra = next((k for k in range(lineno - 1 + count, text.n) if text.line(k).strip()),
-                         None)
-            if extra is not None:
-                raise ParseError(source, extra + 1,
-                                 f"file lists more than the declared {count} detections")
+        yield from _records(text, sources, bounds, "detection", keys=keys)
         if fault is not None:
             raise fault  # after the records of the files read before it
 
@@ -920,11 +978,11 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
     Records use the same layout as per-image files concatenated; the name
     line is the image key verbatim (e.g. "0--Parade/x.jpg").
     """
-    return _parse_detections(_source_bytes(source, name), name)
+    return _parse_detections(_Text(_source_bytes(source, name)), name)
 
 
-def _parse_detections(data: bytes, name: str) -> DetectionSet:
-    records = _records(_Text.of(data), name, "detection")
+def _parse_detections(text: _Text, name: str) -> DetectionSet:
+    records = _records(text, [name], [0, text.n], "detection")
     return _detections(*_parse(records, "detection", 5, _check_detections))
 
 

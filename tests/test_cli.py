@@ -176,7 +176,35 @@ def test_missing_input_exits_2(tmp_path, capsys):
                "--dets", str(tmp_path / "alsoabsent"),
                "--out", str(tmp_path / "out.txt")])
     assert rc == 2
-    assert "boxcal: i/o error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("boxcal: i/o error: ") and f"'{tmp_path / 'absent.txt'}'" in err, err
+
+
+@pytest.mark.parametrize("case", ["gt is a directory", "a .txt directory", "unreadable file"])
+def test_every_io_error_exits_2_naming_its_path(tmp_path, capsys, case):
+    gt = Path(_write(tmp_path, "gt.txt", GT_TWO))
+    root = tmp_path / "dets"
+    (root / "a").mkdir(parents=True)
+    (root / "a" / "x.txt").write_text("x\n1\n0 0 8 8 0.9\n", encoding="utf-8")
+    if case == "gt is a directory":
+        gt = shown = tmp_path / "gt-dir"
+        gt.mkdir()
+    elif case == "a .txt directory":
+        shown = root / "a" / "y.txt"
+        shown.mkdir()
+    else:
+        shown = root / "a" / "x.txt"
+        shown.chmod(0)
+    try:
+        if case == "unreadable file" and os.access(shown, os.R_OK):
+            pytest.skip("this user reads a file whatever its mode, as root does")
+        rc = main(["calibrate", "--gt", str(gt), "--dets", str(root),
+                   "--out", str(tmp_path / "out.txt")])
+    finally:
+        (root / "a" / "x.txt").chmod(0o644)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("boxcal: i/o error: ") and f"'{shown}'" in err, err
 
 
 def test_malformed_gt_exits_1_with_location(tmp_path, capsys):

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import boxcal
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
-                            ImageAnnotations, ImageDetections, ParseError, _segment_rows, align,
-                            format_coord, load_detections, load_wider_gt, parse_detections_dir,
-                            parse_detections_file, parse_wider_gt, save_wider_gt,
+                            ImageAnnotations, ImageDetections, ParseError, _offsets,
+                            _segment_rows, align, format_coord, load_detections, load_wider_gt,
+                            parse_detections_dir, parse_detections_file, parse_wider_gt,
+                            save_wider_gt,
                             write_detections_dir, write_detections_file,
                             write_wider_gt)
 from boxcal.geometry import BBox, valid_boxes
@@ -488,6 +489,15 @@ def test_detection_dir_files_without_a_final_newline(tmp_path):
     assert str(exc.value) == f"{tmp_path / 'c.txt'}:3: record 'c' ends before its 1 detections"
 
 
+@pytest.mark.parametrize("text", [b"", b"\n\n", b"  \r\n\t"])
+def test_a_detection_file_without_a_record_raises_on_line_1(tmp_path, text):
+    (tmp_path / "a.txt").write_text("a\n0\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_bytes(text)
+    with pytest.raises(ParseError) as exc:
+        parse_detections_dir(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'b.txt'}:1: per-image detection file holds no record"
+
+
 def test_detection_dir_missing_root():
     with pytest.raises(NotADirectoryError):
         parse_detections_dir("/nonexistent/detections")
@@ -893,17 +903,177 @@ def test_row_rules_report_in_check_order(caplog, parse, rows, warned, error):
 def test_detection_dir_reads_each_file_once(tmp_path, monkeypatch):
     # 0.9_0 is a token only `float` reads, so the row walker runs as well
     import boxcal.formats as formats
-    reads = []
+    opened, walked = [], []
 
-    def read(path, real=formats._read_file):
-        reads.append(os.path.basename(path))
-        return real(path)
+    def open_(path, *args, real=os.open):
+        opened.append(os.path.basename(path))
+        return real(path, *args)
 
-    monkeypatch.setattr(formats, "_read_file", read)
+    def walk(*args, real=formats._walk):
+        walked.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(os, "open", open_)
+    monkeypatch.setattr(formats, "_walk", walk)
     for name, score in [("a", "0.5"), ("b", "0.9_0"), ("c", "0.7")]:
         (tmp_path / f"{name}.txt").write_text(f"{name}\n1\n0 0 1 1 {score}\n", encoding="utf-8")
+    opened.clear()
     assert parse_detections_dir(tmp_path).scores.tolist() == [0.5, 0.9, 0.7]
-    assert reads == ["a.txt", "b.txt", "c.txt"]
+    assert opened == ["a.txt", "b.txt", "c.txt"]
+    assert walked
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_read_leaves_a_file_descriptor_open(tmp_path):
+    # raw descriptors raise no ResourceWarning, so a leak shows only here
+    def undecodable(root):
+        (root / "b.txt").write_bytes(b"b\xff\n0\n")
+
+    def txt_directory(root):
+        (root / "b.txt").mkdir()
+
+    gt = tmp_path / "gt.txt"
+    gt.write_text("a.jpg\n1\n0 0 1 1 0 0 0 0 0 0\n", encoding="utf-8")
+    for k, (make, error) in enumerate([(undecodable, ParseError),
+                                       (txt_directory, IsADirectoryError), (None, None)]):
+        root = tmp_path / f"tree{k}"
+        root.mkdir()
+        (root / "a.txt").write_text("a\n1\n0 0 1 1 0.5\n", encoding="utf-8")
+        (root / "c.txt").write_text("c\n0\n", encoding="utf-8")
+        if make is not None:
+            make(root)
+        before = os.listdir("/proc/self/fd")
+        if error is None:
+            assert len(parse_detections_dir(root)) == 1
+            assert len(load_wider_gt(gt)) == 1
+            assert len(load_detections(root / "a.txt", layout="file")) == 1
+        else:
+            with pytest.raises(error):
+                parse_detections_dir(root)
+        assert os.listdir("/proc/self/fd") == before
+    before = os.listdir("/proc/self/fd")
+    with pytest.raises(IsADirectoryError) as exc:
+        load_wider_gt(tmp_path)  # a GT path that is a directory
+    assert exc.value.filename == str(tmp_path)
+    assert os.listdir("/proc/self/fd") == before
+
+
+@pytest.mark.parametrize("directory", ["0.txt", "b.txt"])
+def test_a_directory_named_like_a_detection_file_raises_naming_it(tmp_path, directory):
+    # os.read on a directory raises EISDIR without a file name; the reader
+    # names the path as open() did, first file or after the files before it
+    (tmp_path / "a.txt").write_text("a\n1\n0 0 1 1 0.5\n", encoding="utf-8")
+    (tmp_path / directory).mkdir()
+    (tmp_path / directory / "c.txt").write_text("c\n0\n", encoding="utf-8")
+    with pytest.raises(IsADirectoryError) as exc:
+        parse_detections_dir(tmp_path)
+    shown = tmp_path / directory
+    assert exc.value.filename == str(shown)
+    assert str(exc.value) == f"[Errno {exc.value.errno}] {exc.value.strerror}: '{shown}'"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_gt_read_from_a_pipe_is_read_to_its_end(tmp_path):
+    # a pipe has no size to read at once: it is read in pieces and joined
+    import threading
+    text = "".join(f"d{i}.jpg\n1\n0 0 {i + 1} 1 0 0 0 0 0 0\n" for i in range(6000))
+    assert len(text) > 3 * (1 << 16)
+    r, w = os.pipe()
+
+    def write():
+        data = text.encode()
+        with suppress(BrokenPipeError):  # a reader that stopped early
+            while data:
+                data = data[os.write(w, data):]
+        os.close(w)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        anns = load_wider_gt(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert anns == parse_wider_gt(text)
+
+
+# Differential: the tree reader against each file parsed alone, in a tree of
+# its own, in path order.  Files with LF, CRLF or CR ends, with and without
+# a final line end, trailing blank lines, empty files, non-ASCII names and
+# name lines, rows that warn or fault, a second record, and a byte that is
+# not UTF-8 at a random spot.
+_TREE_FILES = ["a.txt", "b.txt", "é.txt", "日本.txt", "sub/ü.txt", "sub/a.txt", "sub-b/x.txt",
+               "ñ/ø/y.txt"]
+_TREE_ROWS = st.sampled_from(["0 0 1 1 0.5"] * 6 + [
+    "1 2 3 4 0.25", "0 0 1 1 1.5", "0 0 -1 1 0.5", "0 0 1 1 x", "0 0 1 1", "0 0 1 1 0_5",
+    "0 0 1 1 nan"])
+
+
+@st.composite
+def _detection_trees(draw):
+    """{path relative to the root: file bytes}."""
+    files = {}
+    for rel in draw(st.lists(st.sampled_from(_TREE_FILES), unique=True, max_size=6)):
+        if draw(st.integers(0, 7)) == 0:
+            files[rel] = b""
+            continue
+        rows = draw(st.lists(_TREE_ROWS, max_size=3))
+        count = draw(st.sampled_from([str(len(rows))] * 8 + [str(len(rows) + 1), "x"]))
+        name = draw(st.sampled_from(["n", "ñame", "x y"]))
+        lines = [""] * draw(st.integers(0, 1)) + [name, count, *rows]
+        lines += draw(st.sampled_from([[], [], [""], ["", "  "], ["extra"]]))
+        newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+        data = (newline.join(lines) + newline * draw(st.integers(0, 1))).encode()
+        if draw(st.integers(0, 5)) == 0:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+        files[rel] = data
+    return files
+
+
+def _tree_outcome(root, caplog):
+    """(table or None, ParseError text or None, warnings) of the tree."""
+    caplog.clear()
+    try:
+        table, error = parse_detections_dir(root), None
+    except ParseError as exc:
+        table, error = None, str(exc)
+    return table, error, [r.getMessage() for r in caplog.records]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_detection_trees())
+def test_tree_parse_equals_each_file_parsed_alone(caplog, files):
+    with tempfile.TemporaryDirectory() as work, \
+            caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        root = Path(work) / "tree"
+        root.mkdir()
+        for rel, data in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+        table, error, warned = _tree_outcome(root, caplog)
+
+        paths, counts, boxes, scores, ref_error, ref_warned = [], [], [], [], None, []
+        for k, path in enumerate(sorted(root.rglob("*.txt"))):
+            alone = Path(work) / f"alone{k}"
+            (alone / path.relative_to(root)).parent.mkdir(parents=True)
+            (alone / path.relative_to(root)).write_bytes(path.read_bytes())
+            one, one_error, one_warned = _tree_outcome(alone, caplog)
+            ref_warned += [w.replace(str(alone), str(root)) for w in one_warned]
+            if one_error is not None:
+                ref_error = one_error.replace(str(alone), str(root))
+                break
+            paths += one.paths
+            counts += np.diff(one.offsets).tolist()
+            boxes.append(one.boxes)
+            scores.append(one.scores)
+    assert (error, warned) == (ref_error, ref_warned)
+    if ref_error is None:
+        assert table == DetectionSet(paths=paths, offsets=_offsets(counts),
+                                     boxes=np.concatenate([np.zeros((0, 4)), *boxes]),
+                                     scores=np.concatenate([np.zeros(0), *scores]))
 
 
 # Differential: the bulk parse against the row walker.  Files shaped like
