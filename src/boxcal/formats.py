@@ -58,6 +58,10 @@ once and keeps them as that view.  All four tables' row views come from
 one builder, `_row_objects`: it checks the columns once with the array
 rules, raising what the per-row construction raises first, then sets
 each field of all rows from its column, with no constructor call per row.
+A view is built with the cyclic garbage collector paused
+(`_Columns._cached_view`): its objects form no cycle, and the passes
+their allocation would set off find nothing to free.  The collector's
+state is restored after the build, also when the build raises.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, every other value goes through `format_coord` or `repr`, the
@@ -71,6 +75,7 @@ for the whole table.
 from __future__ import annotations
 
 import functools
+import gc
 import logging
 import math
 import os
@@ -235,8 +240,14 @@ class _Columns:
             raise ValueError(f"{type(self).__name__} columns differ in length")
 
     def _cached_view(self) -> list:
-        if self._view is None:
-            self._view = self._row_view()
+        if self._view is None:  # its objects form no cycle: no collector pass frees any
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                self._view = self._row_view()
+            finally:
+                if enabled:
+                    gc.enable()
         return self._view
 
     def _row_view(self) -> list:

@@ -4,8 +4,10 @@ Everything here is a pure function of (inputs, seed).  Randomness comes from
 random.Random seeded with strings like "7:gt"; string seeding is hashed with
 SHA-512 by the interpreter, so the streams reproduce across platforms and
 interpreter versions.  The integers rest on `getrandbits` and boxcal's own
-rejection loop, `_draw`, not on CPython's `randint` algorithm, which Python
-does not promise to keep.
+rejection loop, not on CPython's `randint` algorithm, which Python does not
+promise to keep.  Each range gets its sampler (`_sampler`) once per call,
+which binds the range's width and bit count, so a draw is one call; a
+box's offsets are drawn by samplers made per box size on first use.
 
 Misalignment is injected by shifting a box along one axis.  For two
 equal-size boxes of width w offset by d on that axis, IoU = (w - d)/(w + d),
@@ -56,7 +58,7 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_images", "faces_per_image", "image_size", "box_size",
-                     "distractors_per_image"):  # stored as ints: _draw checks nothing
+                     "distractors_per_image"):  # stored as ints: _sampler checks nothing
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value) if name == "n_images"
@@ -115,24 +117,33 @@ def _xywh(b: BBox) -> tuple[float, float, float, float]:
     return b.x, b.y, b.w, b.h
 
 
-def _draw(rng: random.Random) -> Callable[[int, int], int]:
-    """rng.randint(lo, hi) without its argument checks, read from the same bits."""
-    getrandbits = rng.getrandbits
+def _sampler(bits: Callable[[int], int], lo: int, hi: int) -> Callable[[], int]:
+    """A draw of randint(lo, hi) without its argument checks: the same
+    rejection loop on `bits` (a Random's getrandbits), so it reads the same
+    words, with the range's width and bit count worked out once."""
+    n = hi - lo + 1
+    k = n.bit_length()
 
-    def draw(lo: int, hi: int) -> int:
-        n = hi - lo + 1
-        k = n.bit_length()
-        r = getrandbits(k)
+    def draw() -> int:
+        r = bits(k)
         while r >= n:
-            r = getrandbits(k)
+            r = bits(k)
         return lo + r
     return draw
 
 
-def _random_box(draw: Callable[[int, int], int], spec: SynthSpec) -> tuple[int, int, int, int]:
-    bw = draw(spec.box_size[0], spec.box_size[1])
-    bh = draw(spec.box_size[0], spec.box_size[1])
-    return draw(0, spec.image_size[0] - bw), draw(0, spec.image_size[1] - bh), bw, bh
+class _Offsets(dict):
+    """Samplers of a box's offset on an axis of `span` pixels, by box size:
+    size s draws from 0..span - s.  Each is made when its size is first
+    drawn; a spec's sizes may span up to 10**9 values."""
+
+    def __init__(self, bits: Callable[[int], int], span: int) -> None:
+        super().__init__()
+        self.bits, self.span = bits, span
+
+    def __missing__(self, size: int) -> Callable[[], int]:
+        draw = self[size] = _sampler(self.bits, 0, self.span - size)
+        return draw
 
 
 def generate_dataset(spec: SynthSpec) -> AnnotationSet:
@@ -142,27 +153,38 @@ def generate_dataset(spec: SynthSpec) -> AnnotationSet:
     pair of faces separated by at least that many pixels on some axis
     (rejection-sampled, raising ValueError for infeasible specs).
     """
-    draw = _draw(random.Random(f"{spec.seed}:gt"))
+    bits = random.Random(f"{spec.seed}:gt").getrandbits
+    faces = _sampler(bits, *spec.faces_per_image)
+    size = _sampler(bits, *spec.box_size)
+    xs, ys = _Offsets(bits, spec.image_size[0]), _Offsets(bits, spec.image_size[1])
+    flag3, flag2 = _sampler(bits, 0, 2), _sampler(bits, 0, 1)
     gap = spec.min_gap
     paths = [f"d{i // 1000:03d}/img{i:06d}.jpg" for i in range(spec.n_images)]
     counts: list[int] = []
     rows: list[float] = []  # x y w h blur expression illumination invalid occlusion pose
     for _ in paths:
-        placed: list[tuple] = []  # x, y, x + w + gap, y + h + gap of each face so far
-        for _ in range(draw(*spec.faces_per_image)):
+        count = faces()
+        placed: list[tuple] = []  # with a gap: x, y, x + w + gap, y + h + gap of each face
+        for _ in range(count):
             for _ in range(_PLACEMENT_TRIES):
-                x, y, w, h = box = _random_box(draw, spec)
+                w = size()
+                h = size()
+                x = xs[w]()
+                y = ys[h]()
                 right, bottom = x + w + gap, y + h + gap
-                if not gap or all(right <= px or pr <= x or bottom <= py or pb <= y
-                                  for px, py, pr, pb in placed):
+                for px, py, pr, pb in placed:
+                    if not (right <= px or pr <= x or bottom <= py or pb <= y):
+                        break  # too close to that face: draw again
+                else:
                     break
             else:
                 raise ValueError(
                     f"could not place a face with min_gap={gap} after "
                     f"{_PLACEMENT_TRIES} tries; enlarge the image or reduce faces/gap")
-            placed.append((x, y, right, bottom))
-            rows += (*box, draw(0, 2), draw(0, 1), draw(0, 1), 0, draw(0, 2), draw(0, 1))
-        counts.append(len(placed))
+            if gap:
+                placed.append((x, y, right, bottom))
+            rows += (x, y, w, h, flag3(), flag2(), flag2(), 0, flag3(), flag2())
+        counts.append(count)
     values = np.array(rows, np.float64).reshape(-1, 10)
     return AnnotationSet(paths=paths, offsets=_offsets(counts),
                          boxes=values[:, :4], flags=values[:, 4:])
@@ -222,15 +244,20 @@ def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
     distractors get random boxes and scores from the distractor range.
     """
     rng = random.Random(f"{spec.seed}:detections")
-    draw = _draw(rng)  # interleaves with rng.uniform on the one state
+    bits = rng.getrandbits  # the samplers interleave with rng.uniform on the one state
+    distractors = _sampler(bits, *spec.distractors_per_image)
+    size = _sampler(bits, *spec.box_size)
+    xs, ys = _Offsets(bits, spec.image_size[0]), _Offsets(bits, spec.image_size[1])
     boxes = truth.boxes.tolist()
     bounds = truth.offsets.tolist()
     counts: list[int] = []
     rows: list[tuple] = []  # score, x, y, w, h
     for lo, hi in zip(bounds, bounds[1:]):
         dets = [(rng.uniform(*spec.aligned_score_range), *b) for b in boxes[lo:hi]]
-        for _ in range(draw(*spec.distractors_per_image)):
-            box = _random_box(draw, spec)  # drawn before its score
+        for _ in range(distractors()):
+            w = size()  # the box is drawn before its score
+            h = size()
+            box = xs[w](), ys[h](), w, h
             dets.append((rng.uniform(*spec.distractor_score_range), *box))
         dets.sort(key=operator.itemgetter(0), reverse=True)
         rows += dets

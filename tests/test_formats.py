@@ -1,4 +1,5 @@
 import decimal
+import gc
 import io
 import logging
 import math
@@ -1404,6 +1405,25 @@ def test_row_views_are_built_once():
         view = _view_name(table)
         assert getattr(table, view) is getattr(table, view)
         assert getattr(table, view) == _reference_view(table)
+
+
+def test_a_row_view_leaves_the_collector_as_it_found_it():
+    # built with the collector paused; on or off, it is as before after a
+    # build, one that raises on an invalid box too
+    def table(w):
+        return AnnotationSet(paths=["a.jpg"], offsets=[0, 1], boxes=[[0, 0, w, 1]],
+                             flags=[[0] * 6])
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            assert table(1).images[0].faces[0].box == BBox(0, 0, 1, 1)
+            assert gc.isenabled() is state
+            with pytest.raises(ValueError):
+                table(-1).images
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_row_classes_have_no_check_to_skip():

@@ -16,7 +16,7 @@ from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, write_wider_gt)
 from boxcal.geometry import BBox, iou
-from boxcal.synth import (PerturbEntry, PerturbLedger, SynthSpec, _draw, emit_detections,
+from boxcal.synth import (PerturbEntry, PerturbLedger, SynthSpec, _sampler, emit_detections,
                           generate_dataset, oracle_calibrate, perturb, write_perturb_ledger)
 
 MIXED = SynthSpec(seed=11, n_images=40, faces_per_image=(0, 8), box_size=(16, 64),
@@ -278,12 +278,12 @@ def test_perturb_ledger_is_a_read_only_table():
 
 @pytest.mark.parametrize("lo", [-3, -1, 0, 2, 3])
 def test_draw_reads_the_bits_randint_reads(lo):
-    # widths 1, 2**k and 2**k + 1: the rejection loop's edges; equal states
-    # after the draws mean the same bits were read
-    for n in (1, 3, *(2**k + d for k in range(1, 70) for d in (0, 1))):
+    # widths 1, 2**k and 2**k + 1 up to 2**70: the rejection loop's edges;
+    # equal states after the draws mean the same bits were read
+    for n in (1, 3, *(2**k + d for k in range(1, 71) for d in (0, 1))):
         ours, theirs = random.Random(f"{lo}:{n}"), random.Random(f"{lo}:{n}")
-        draw = _draw(ours)
-        assert ([draw(lo, lo + n - 1) for _ in range(16)]
+        draw = _sampler(ours.getrandbits, lo, lo + n - 1)
+        assert ([draw() for _ in range(16)]
                 == [theirs.randint(lo, lo + n - 1) for _ in range(16)]), n
         assert ours.getstate() == theirs.getstate(), n
 
@@ -374,6 +374,9 @@ def _specs(draw):
 # a fractional gap
 @example(spec=SynthSpec(seed=7, n_images=3, faces_per_image=(4, 6), image_size=(80, 80),
                         box_size=(10, 20), min_gap=2.5, distractors_per_image=(0, 3)))
+# 10**9 box sizes: offset samplers are made per size drawn, not per size possible
+@example(spec=SynthSpec(seed=5, n_images=3, faces_per_image=(2, 4), image_size=(10**9, 10**9),
+                        box_size=(1, 10**9), min_gap=1.0, distractors_per_image=(1, 3)))
 def test_generator_equals_the_per_face_reference(spec):
     try:
         want = _reference_generate(spec)
