@@ -43,7 +43,10 @@ record carries the line span of its rows in those bytes, not a list of
 lines.  Rows are read on one of two paths.  The fast path
 fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
 correctly rounded like `float`), in blocks of at most `_ROW_BLOCK` rows
-whose texts are cut from the spans and dropped after the call.  Where
+whose texts are cut from the spans and dropped after the call.  A GT
+block is read first with its six flags as int64 (`_FACE_ROW`), which
+nearly every flag token is and which the reader reads faster than a
+float, and as floats only where that read refuses a token or warns.  Where
 that reader refuses a row of a block or misses one, the row walker
 (`_walk`) reads that block's spans again with Python's `float`, which
 also reads `1_0` and `١٢`, into the same array, and the C reader goes on
@@ -64,12 +67,14 @@ their allocation would set off find nothing to free.  The collector's
 state is restored after the build, also when the build raises.
 
 The writers work from the columns: small non-negative whole numbers take
-cached texts, every other value goes through `format_coord` or `repr`, the
-one copy of each rule.  Every record file streams the one record emitter,
-`_record_text`; both TSV ledgers, the claims' and the perturbations', are
-written by the one TSV emitter, `_ledger_text`.  Both build the texts of
-one block of records or rows at a time, so a write holds no per-row text
-for the whole table.
+cached texts, and a face row whose six flags are all whole and in their
+documented ranges takes one text of the 144 such tuples (`_flag_table`);
+every other value goes through `format_coord` or `repr`, the one copy of
+each rule.  Both tables are built on first use.  Every record file
+streams the one record emitter, `_record_text`; both TSV ledgers, the
+claims' and the perturbations', are written by the one TSV emitter,
+`_ledger_text`.  Both build the texts of one block of records or rows at
+a time, so a write holds no per-row text for the whole table.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -103,6 +108,8 @@ _FLAG_RANGES = (
     ("occlusion", 0, 2),
     ("pose", 0, 1),
 )
+_FLAG_LO = np.array([lo for _, lo, _ in _FLAG_RANGES], np.float64)
+_FLAG_HI = np.array([hi for _, _, hi in _FLAG_RANGES], np.float64)
 
 
 class ParseError(ValueError):
@@ -628,12 +635,26 @@ def _record_blocks(records: list[_Record]) -> Iterator[list[_Record]]:
         yield block
 
 
-def _bulk(block: list[_Record], fields: int) -> np.ndarray | None:
-    """The fast path: one block's rows as an (n, fields) float64 array read
-    by numpy's C text reader, whose texts are cut from the spans and
-    dropped after the call, or None when the reader refuses a token or a
-    row has another number of fields (the reader skips blank rows, so the
-    shape shows those too).
+# A face row as the C reader first reads it: the box cells as floats, the
+# six flags as int64, which nearly every flag token is.
+_FACE_ROW = np.dtype([("boxes", np.float64, 4), ("flags", np.int64, 6)])
+
+
+def _bulk(block: list[_Record], out: np.ndarray, typed: np.dtype | None = None) -> bool:
+    """The fast path: fill out, an (n, fields) float64 array, with one
+    block's rows as numpy's C text reader reads them, whose texts are cut
+    from the spans and dropped after the call.  False, with out left as it
+    was, when the reader refuses a token or a row has another number of
+    fields (the reader skips blank rows, so the row count shows those too).
+
+    With typed, a structured dtype whose subarray fields, side by side,
+    are out's columns, the reader first reads the block as that, and as
+    floats only if it refuses: an int64 token converts to the double
+    `float` gives it, past 2**53 too, and a token no int64 field reads
+    (`1.0`, `1e300`, `nan`, `99999999999999999999`) is read as a float.
+    Any warning of the typed read refuses the block: a numpy that warns
+    and truncates `1.5` into an int field must not hide the flag's range
+    warning.
 
     Where the reader and `float` both read a token, both give the same
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
@@ -641,11 +662,24 @@ def _bulk(block: list[_Record], fields: int) -> np.ndarray | None:
     rows: list[str] = []
     for _, text, base, _, lineno, count in block:
         rows += text.rows(base + lineno - 1, count)
+    if typed is not None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cells = np.loadtxt(rows, typed, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            cells = None
+        if cells is not None and cells.shape == (len(rows),):
+            np.concatenate([cells[name] for name in typed.names], axis=1, out=out)
+            return True
     try:
         values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
     except ValueError:
-        return None
-    return values if values.shape == (len(rows), fields) else None
+        return False
+    if values.shape != out.shape:
+        return False
+    out[:] = values
+    return True
 
 
 def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, ParseError | None]:
@@ -672,12 +706,12 @@ def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, P
 
 
 def _parse(records: Iterator[_Record], noun: str, fields: int,
-           check: Callable[[list[_Record], np.ndarray, Exception | None], None]
-           ) -> tuple[list[_Record], np.ndarray]:
+           check: Callable[[list[_Record], np.ndarray, Exception | None], None],
+           typed: np.dtype | None = None) -> tuple[list[_Record], np.ndarray]:
     """The records and their checked rows, in one preallocated (N, fields)
     array filled block by block (`_record_blocks`): by the C reader
-    (`_bulk`), or by the row walker where that reader refuses the block,
-    and then on with the C reader.
+    (`_bulk`, reading typed first where given), or by the row walker where
+    that reader refuses the block, and then on with the C reader.
 
     records is walked once.  Where the walk raises (a grammar fault, a file
     with extra lines, an OSError), the rows of the records before the fault
@@ -697,9 +731,11 @@ def _parse(records: Iterator[_Record], noun: str, fields: int,
         # every row of a block blank: `_bulk`'s shape check rejects the result
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for block in _record_blocks(recs):
-            rows, row_fault = _bulk(block, fields), None
-            if rows is None:
-                rows, row_fault = _walk(block, noun, fields)
+            out = values[done:done + _ROW_BLOCK]  # every block but the last is full
+            if _bulk(block, out, typed):
+                done += len(out)
+                continue
+            rows, row_fault = _walk(block, noun, fields)
             values[done:done + len(rows)] = rows
             done += len(rows)
             if row_fault is not None:
@@ -747,13 +783,21 @@ def _box_error(box: list[float]) -> str:
 
 def _check_faces(records: list[_Record], values: np.ndarray, fault: Exception | None) -> None:
     """A face row's rules: a valid box, then each flag in turn finite (a
-    fault) and a whole number in its documented range (a warning)."""
+    fault) and a whole number in its documented range (a warning).  The
+    flags' masks are columns of two (N, 6) masks, one of each kind, filled
+    a block of _ROW_BLOCK rows at a time: a float temporary of all the
+    flags would raise the parse's peak memory by 48 bytes a row."""
+    flags = values[:, 4:]
+    non_finite, off_range = np.empty(flags.shape, bool), np.empty(flags.shape, bool)
+    for lo in range(0, len(flags), _ROW_BLOCK):
+        part = flags[lo:lo + _ROW_BLOCK]
+        whole = np.trunc(part)
+        np.logical_not(np.isfinite(part), out=non_finite[lo:lo + _ROW_BLOCK])
+        off_range[lo:lo + _ROW_BLOCK] = (whole != part) | (whole < _FLAG_LO) | (whole > _FLAG_HI)
     rules = [(~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)]
-    for k, (name, lo, hi) in enumerate(_FLAG_RANGES, 4):
-        flag = values[:, k]
-        whole = np.trunc(flag)
-        rules += [(~np.isfinite(flag), k, f"non-finite {name} flag {{!r}}".format, True),
-                  ((whole != flag) | (whole < lo) | (whole > hi), k,
+    for k, (name, lo, hi) in enumerate(_FLAG_RANGES):
+        rules += [(non_finite[:, k], 4 + k, f"non-finite {name} flag {{!r}}".format, True),
+                  (off_range[:, k], 4 + k,
                    f"{name} flag {{!r}} outside documented range [{lo}, {hi}]".format, False)]
     _check(records, values, fault, rules)
 
@@ -817,7 +861,7 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
 
 def _parse_gt(text: _Text, name: str) -> AnnotationSet:
     records = _records(text, [name], [0, text.n], "face", zero_dummy=True)
-    return _annotations(*_parse(records, "face", 10, _check_faces))
+    return _annotations(*_parse(records, "face", 10, _check_faces, _FACE_ROW))
 
 
 def format_coord(v: float, policy: str = "decimal") -> str:
@@ -871,6 +915,38 @@ def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) 
     return out
 
 
+_FLAG_SHAPE = tuple(hi - lo + 1 for _, lo, hi in _FLAG_RANGES)
+
+
+@functools.cache
+def _flag_table() -> np.ndarray:
+    """The texts of the documented flag tuples, "0 0 0 0 0 0" to "2 1 1 1
+    2 1", as an object array indexed by each tuple's offsets from the
+    ranges' lows, raveled over _FLAG_SHAPE; built on first use, and
+    read-only, like `_text_table`."""
+    table = np.array([" ".join(map(str, flags)) for flags in
+                      product(*(range(lo, hi + 1) for _, lo, hi in _FLAG_RANGES))], object)
+    table.flags.writeable = False
+    return table
+
+
+def _flag_texts(flags: np.ndarray) -> list[str]:
+    """The text of each row of an (n, 6) flag block, its six cells as
+    format_coord writes them.  A row whose flags are all whole numbers in
+    their documented ranges, as nearly all are, takes its tuple's text from
+    `_flag_table`; any other row is written cell by cell.  The masks are
+    taken of a (6, n) copy: reducing them over the flags is some four
+    times faster there than over the rows of the (n, 6) block."""
+    cols, lo, hi = np.ascontiguousarray(flags.T), _FLAG_LO[:, None], _FLAG_HI[:, None]
+    hit = ((cols >= lo) & (cols <= hi) & (cols == np.trunc(cols))).all(axis=0)
+    offsets = np.where(hit, cols - lo, 0).astype(np.intp)
+    out = _flag_table()[np.ravel_multi_index(offsets, _FLAG_SHAPE)].tolist()
+    miss = np.flatnonzero(~hit)
+    for i, row in zip(miss.tolist(), flags[miss].tolist()):
+        out[i] = " ".join(map(format_coord, row))
+    return out
+
+
 def _record_text(names: list[str], offsets: np.ndarray, rows: Callable[[int, int], list[str]],
                  empty: tuple[str, ...] = ()) -> Iterator[str]:
     """The one emitter of records: per record, the text of its name line,
@@ -917,7 +993,7 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
 
     def rows(lo: int, hi: int) -> list[str]:
         cols = [_texts(c, _text_table(""), coord) for c in boxes[lo:hi].T]
-        cols += [_texts(c, _text_table(""), format_coord) for c in flags[lo:hi].T]
+        cols.append(_flag_texts(flags[lo:hi]))
         return list(map(" ".join, zip(*cols)))
 
     stream.writelines(_record_text(annset.paths, annset.offsets, rows,

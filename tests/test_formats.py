@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import suppress
 from decimal import Decimal
 from pathlib import Path
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 import boxcal
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
-                            ImageAnnotations, ImageDetections, ParseError, _offsets,
-                            _segment_rows, align, format_coord, load_detections, load_wider_gt,
-                            parse_detections_dir, parse_detections_file, parse_wider_gt,
+                            ImageAnnotations, ImageDetections, ParseError, _FLAG_RANGES,
+                            _offsets, _segment_rows, align, format_coord, load_detections,
+                            load_wider_gt, parse_detections_dir, parse_detections_file, parse_wider_gt,
                             save_wider_gt,
                             write_detections_dir, write_detections_file,
                             write_wider_gt)
@@ -245,27 +246,43 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+# flags a hand-built table may hold besides the documented ones: signed
+# zero, a fraction, 2.0 (out of range on a 0-1 flag), negatives, a huge
+# value, nan and the infinities
+_WRITER_FLAG_ODDS = [-0.0, 0.5, 2.0, -1.0, -3.0, 1e300, math.nan, math.inf, -math.inf]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_table_rows(10), st.sampled_from(["decimal", "integer"]), st.data())
-def test_write_wider_gt_equals_the_per_row_reference(table, policy, data):
+@given(_table_rows(10), st.sampled_from(["decimal", "integer"]), st.booleans(), st.data())
+def test_write_wider_gt_equals_the_per_row_reference(table, policy, documented, data):
+    import boxcal.formats as formats
     counts, values = table
     for _ in range(data.draw(st.integers(0, 2)) if len(values) else 0):  # non-finite box cells
         cell = data.draw(st.integers(0, len(values) - 1)), data.draw(st.integers(0, 3))
         values[cell] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
     paths = [f"d/{i}.jpg" for i in range(len(counts))]
     boxes, flags = values[:, :4], np.trunc(values[:, 4:])  # flags are integer parts
+    if documented:  # flags in their documented ranges, one odd cell in about a row in four
+        for row in flags:
+            row[:] = [data.draw(st.integers(lo, hi)) for _, lo, hi in _FLAG_RANGES]
+            if data.draw(st.integers(0, 3)) == 0:
+                row[data.draw(st.integers(0, 5))] = data.draw(st.sampled_from(_WRITER_FLAG_ODDS))
     annset = AnnotationSet(paths=paths, offsets=np.cumsum([0, *counts]), boxes=boxes, flags=flags)
     cells = [_outcome(format_coord, v, policy) for v in boxes.ravel().tolist()]
     errors = {cell for cell in cells if cell[0] != "ok"}
-    if errors:  # the writer raises what format_coord raises on one of the cells
-        assert _outcome(_write, annset, policy) in errors
-        return
     texts = iter(text for _, text in cells)
-    rows = [" ".join([*(next(texts) for _ in range(4)), *(str(int(f)) for f in fl)])
+    rows = [" ".join([*(next(texts) for _ in range(4)), *map(format_coord, fl)])
             for fl in flags.tolist()]
     expected = "".join(line + "\n" for line in _record_lines(
         paths, counts, rows, empty=["0 0 0 0 0 0 0 0 0 0"]))
-    assert _write(annset, policy) == expected
+    # rows per block: at 1 and 3, records straddle blocks
+    for block in (formats._ROW_BLOCK, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_ROW_BLOCK", block)
+            if errors:  # the writer raises what format_coord raises on one of the cells
+                assert _outcome(_write, annset, policy) in errors
+            else:
+                assert _write(annset, policy) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,11 +317,20 @@ def test_detection_writers_equal_the_per_row_reference(table, data):
                 assert sorted(parse_detections_dir(tmp, image_ext="").paths) == sorted(keys)
 
 
-def test_writers_build_their_cached_texts_on_first_use():
-    # a run that writes nothing (`boxcal stats`) must not hold the tables
-    code = ("import boxcal.cli, boxcal.formats as f; "
-            "assert f._text_table.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], check=True,
+def test_writers_build_their_cached_texts_on_first_use(tmp_path):
+    # a run that writes nothing (`boxcal stats`) must not hold the tables;
+    # the GT writer builds both
+    gt, dets = tmp_path / "gt.txt", tmp_path / "dets.txt"
+    gt.write_text(GT_SAMPLE, encoding="utf-8")
+    dets.write_text("a/img1.jpg\n1\n10 20 30 40 0.9\n", encoding="utf-8")
+    code = ("import io, sys, boxcal.cli, boxcal.formats as f\n"
+            "assert boxcal.cli.main(['stats', '--gt', sys.argv[1], '--dets', sys.argv[2]]) == 0\n"
+            "tables = (f._text_table, f._flag_table)\n"
+            "assert [t.cache_info().currsize for t in tables] == [0, 0]\n"
+            "f.write_wider_gt(f.load_wider_gt(sys.argv[1]), io.StringIO())\n"
+            "assert [t.cache_info().currsize for t in tables] == [1, 1]\n")
+    subprocess.run([sys.executable, "-c", code, str(gt), str(dets)], check=True,
+                   stdout=subprocess.DEVNULL,
                    env={**os.environ, "PYTHONPATH": str(Path(boxcal.__file__).parents[1])})
 
 
@@ -1093,25 +1119,44 @@ _CLEAN_TOKENS = st.one_of(
 _BAD_TOKENS = st.sampled_from(["1e308", "1e400", "-1e400", "nan", "-inf", "0x1", "x",
                                "infinity", "#", '"1"', "1d5"])
 _SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", "\x0c", "\x1c", "\u2028", "\u3000"])
+# GT rows shaped like real ones: box cells the C reader reads, flags that
+# are in-range integers, which it reads as int64, and in about one row in
+# four one of the flag tokens an int64 field reads as `float` does (`-0`,
+# `01`, past 2**53) or refuses (`1.0`, `1e300`, `nan`, past int64, `1_0`,
+# `١`), sending its block to the float read or the walker
+_READ_TOKENS = _CLEAN_TOKENS.filter(lambda tok: tok not in ("1_0", "١٢"))
+_FLAG_TOKENS = st.integers(0, 2).map(str)
+_ODD_FLAG_TOKENS = st.sampled_from(["1.0", "-0", "+1", "01", "9007199254740993",
+                                    "99999999999999999999", "1e300", "nan", "1_0", "١"])
 
 
 @st.composite
 def _record_files(draw, fields):
-    """(line ending, records): records are lists of lines, one record each."""
+    """(line ending, records): records are lists of lines, one record each.
+    About half the GT files hold only rows shaped like real ones."""
     records = []
+    real_rows = fields == 10 and draw(st.booleans())
     for i in range(draw(st.integers(min_value=0, max_value=4))):
         rows = []
-        for n in draw(st.lists(st.sampled_from([fields] * 12 + [fields - 1, fields + 1]),
-                               max_size=3)):
-            tokens = draw(st.lists(_CLEAN_TOKENS, min_size=n, max_size=n))
-            if tokens and draw(st.integers(0, 5)) == 0:  # one bad token in a row
-                tokens[draw(st.integers(0, n - 1))] = draw(_BAD_TOKENS)
-            row = tokens[0] + "".join(draw(_SEPARATORS) + tok for tok in tokens[1:])
-            if draw(st.integers(0, 3)) == 0:
-                row = draw(_SEPARATORS) + row + draw(_SEPARATORS)
-            rows.append(row)
-            if draw(st.integers(0, 15)) == 0:  # a blank row, counted in the record
-                rows.append(draw(st.sampled_from(["", " ", "\t"])))
+        if real_rows:
+            for _ in range(draw(st.integers(0, 3))):
+                tokens = (draw(st.lists(_READ_TOKENS, min_size=4, max_size=4))
+                          + draw(st.lists(_FLAG_TOKENS, min_size=6, max_size=6)))
+                if draw(st.integers(0, 3)) == 0:
+                    tokens[draw(st.integers(4, 9))] = draw(_ODD_FLAG_TOKENS)
+                rows.append(" ".join(tokens))
+        else:
+            for n in draw(st.lists(st.sampled_from([fields] * 12 + [fields - 1, fields + 1]),
+                                   max_size=3)):
+                tokens = draw(st.lists(_CLEAN_TOKENS, min_size=n, max_size=n))
+                if tokens and draw(st.integers(0, 5)) == 0:  # one bad token in a row
+                    tokens[draw(st.integers(0, n - 1))] = draw(_BAD_TOKENS)
+                row = tokens[0] + "".join(draw(_SEPARATORS) + tok for tok in tokens[1:])
+                if draw(st.integers(0, 3)) == 0:
+                    row = draw(_SEPARATORS) + row + draw(_SEPARATORS)
+                rows.append(row)
+                if draw(st.integers(0, 15)) == 0:  # a blank row, counted in the record
+                    rows.append(draw(st.sampled_from(["", " ", "\t"])))
         name = "r0.jpg" if i and draw(st.integers(0, 9)) == 0 else f"r{i}.jpg"
         count = draw(st.sampled_from([str(len(rows))] * 12 + [str(len(rows) + 1), "x", "-1"]))
         lines = [name, count] + rows
@@ -1126,7 +1171,8 @@ def _record_files(draw, fields):
 def _parse_outcome(parse, arg, caplog, walk_only):
     """(table columns or None, ParseError text or None, warnings, whether
     the row walker ran, and what each call of numpy's C text reader gave:
-    (rows passed, None where it raised, else the shape returned))."""
+    (whether it read a structured dtype, rows passed, None where it raised,
+    else the shape returned))."""
     import boxcal.formats as formats
     walked, loaded = [], []
     real_walk, real_loadtxt = formats._walk, np.loadtxt
@@ -1135,13 +1181,14 @@ def _parse_outcome(parse, arg, caplog, walk_only):
         walked.append(True)
         return real_walk(*args)
 
-    def loadtxt(rows, *args, **kwargs):
+    def loadtxt(rows, dtype, *args, **kwargs):
+        typed = np.dtype(dtype).names is not None
         try:
-            values = real_loadtxt(rows, *args, **kwargs)
-        except ValueError:
-            loaded.append((len(rows), None))
+            values = real_loadtxt(rows, dtype, *args, **kwargs)
+        except (ValueError, Warning):
+            loaded.append((typed, len(rows), None))
             raise
-        loaded.append((len(rows), values.shape))
+        loaded.append((typed, len(rows), values.shape))
         return values
 
     caplog.clear()
@@ -1149,7 +1196,7 @@ def _parse_outcome(parse, arg, caplog, walk_only):
         mp.setattr(formats, "_walk", walk)
         mp.setattr(np, "loadtxt", loadtxt)
         if walk_only:
-            mp.setattr(formats, "_bulk", lambda records, fields: None)
+            mp.setattr(formats, "_bulk", lambda *args: False)
         try:
             table = parse(arg)
             cols = (table.paths, table.offsets.tobytes(),
@@ -1159,6 +1206,24 @@ def _parse_outcome(parse, arg, caplog, walk_only):
             cols, error = None, str(exc)
     return (cols, error, [(r.levelname, r.getMessage()) for r in caplog.records],
             bool(walked), loaded)
+
+
+def _block_reads(loaded, fields):
+    """The C reader's calls of `_parse_outcome`, one entry per block: (rows,
+    whether the typed call read the block or None where none was made,
+    whether the float call read it or None where none was made).  A call
+    reads a block when it returns one row per row passed, each of fields
+    cells.  A float call right after a typed call that refused the same
+    rows belongs to that call's block; any other call starts a block."""
+    blocks = []
+    for typed, n, shape in loaded:
+        if typed:
+            blocks.append([n, shape == (n,), None])
+        elif blocks and blocks[-1][1] is False and blocks[-1][2] is None and blocks[-1][0] == n:
+            blocks[-1][2] = shape == (n, fields)
+        else:
+            blocks.append([n, None, shape == (n, fields)])
+    return [tuple(block) for block in blocks]
 
 
 # block: the C reader's rows per call; at 1 and 3 records straddle blocks
@@ -1190,11 +1255,18 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
-            # the walker runs if and only if loadtxt raised or returned a
-            # shape other than (rows, fields)
-            assert bulk[3] == any(shape != (n, fields) for n, shape in bulk[4])
-            # one call per block: full blocks, then the last one
-            sizes = [n for n, _ in bulk[4]]
+            reads = _block_reads(bulk[4], fields)
+            # a GT block is read typed first, and as floats only where the
+            # typed call refused it; a detection block is read as floats
+            if fields == 10:
+                assert all(typed is not None and (floats is None) == typed
+                           for _, typed, floats in reads)
+            else:
+                assert all(typed is None and floats is not None for _, typed, floats in reads)
+            # the walker runs if and only if both C reads refused a block
+            assert bulk[3] == any(floats is False for _, _, floats in reads)
+            # one block per C read: full blocks, then the last one
+            sizes = [n for n, _, _ in reads]
             assert all(n == block for n in sizes[:-1]) and all(0 < n <= block for n in sizes)
             if bulk[0] is not None and not bulk[3]:  # the C reader read every row
                 rows = int(np.frombuffer(bulk[0][1], np.int64)[-1])
@@ -1241,11 +1313,16 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
             assert bulk[:3] == _parse_outcome(parse, arg, caplog, walk_only=True)[:3]
             assert (bulk[0] is None) == (fault is not None)
-            shapes = [shape for _, shape in bulk[4]]
-            refused = [k for k, shape in enumerate(shapes) if shape is None]
-            assert len(shapes) == (n_rows + block - 1) // block  # every block went to the reader
-            assert refused == [odd // block] + ([len(shapes) - 1] if fault == "later" else [])
-            assert all(shape == (n, fields) for (n, shape) in bulk[4] if shape is not None)
+            reads = _block_reads(bulk[4], fields)
+            walked = [k for k, (_, _, floats) in enumerate(reads) if floats is False]
+            assert len(reads) == (n_rows + block - 1) // block  # every block went to the reader
+            assert walked == [odd // block] + ([len(reads) - 1] if fault == "later" else [])
+            # every flag but `0_1` is an integer: a GT block is read as
+            # floats only where it is walked, a detection block always
+            float_reads = [k for k, (_, _, floats) in enumerate(reads) if floats is not None]
+            assert float_reads == (walked if fields == 10 else list(range(len(reads))))
+            assert all(typed is (None if fields == 5 else k not in walked)
+                       for k, (_, typed, _) in enumerate(reads))
 
 
 # Which path runs: numpy's C text reader on every row, the row walker only
@@ -1282,6 +1359,50 @@ def test_tokens_the_c_reader_refuses_fall_back_to_the_row_walker(monkeypatch):
                               + "\u3000".join(tokens[4:]) + "\x1c0.5\n")
     assert walked == [True]
     assert s.boxes.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
+def test_integer_flag_tokens_are_read_typed_as_float_reads_them(caplog):
+    # one typed read of the block, giving the doubles `float` gives: -0 is
+    # read as 0, which the table keeps as `float` would after truncation
+    tokens = ["-0", "+1", "01", "9007199254740993", "9223372036854775807", "2"]
+    text = "a.jpg\n1\n0 0 1 1 " + " ".join(tokens) + "\n"
+    parse = lambda t: parse_wider_gt(t, name="gt.txt")
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        bulk = _parse_outcome(parse, text, caplog, walk_only=False)
+        assert bulk[:3] == _parse_outcome(parse, text, caplog, walk_only=True)[:3]
+    assert bulk[3:] == (False, [(True, 1, (1,))])
+    assert parse(text).flags.tolist() == [[float(t) for t in tokens]]
+
+
+# numpy 1.23 to 1.x read a float token into an int field with a
+# DeprecationWarning and truncate it, where numpy 2 raises ValueError.  A
+# typed read that warns must be refused whatever the warning filters say,
+# or `1.5` would be read as 1 and its range warning lost.
+def test_a_typed_read_that_warns_is_refused(caplog, monkeypatch):
+    real_loadtxt = np.loadtxt
+
+    def old_loadtxt(rows, dtype, *args, **kwargs):
+        try:
+            return real_loadtxt(rows, dtype, *args, **kwargs)
+        except ValueError:
+            if np.dtype(dtype).names is None:
+                raise
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        cells = [row.split() for row in rows]
+        return np.array([(list(map(float, c[:4])), [int(float(t)) for t in c[4:]])
+                         for c in cells], dtype)
+
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    text = "a.jpg\n2\n0 0 1 1 1.5 0 0 0 0 0\n0 0 1 1 2 1 1 1 2 1\n"
+    parse = lambda t: parse_wider_gt(t, name="gt.txt")
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # as where DeprecationWarning is not shown
+        bulk = _parse_outcome(parse, text, caplog, walk_only=False)
+        walker = _parse_outcome(parse, text, caplog, walk_only=True)
+    assert bulk[:3] == walker[:3]
+    assert bulk[2] == [("WARNING", "gt.txt:3: blur flag 1.5 outside documented range [0, 2]")]
+    assert bulk[3:] == (False, [(True, 2, None), (False, 2, (2, 10))])
 
 
 @pytest.mark.filterwarnings("error")  # numpy warns when every row it reads is blank
