@@ -42,19 +42,20 @@ record, never per line: it decodes each record's name and count, and a
 record carries the line span of its rows in those bytes, not a list of
 lines.  Rows are read on one of two paths.  The fast path
 fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
-correctly rounded like `float`), in blocks of at most `_ROW_BLOCK` rows
-whose texts are cut from the spans and dropped after the call.  A GT
-block is read first with its six flags as int64 (`_FACE_ROW`), which
+correctly rounded like `float`), in runs of whole records holding at most
+`_ROW_BLOCK` (4,096) rows, or one record (`_blocks`, the package's one
+run rule), whose texts are cut from the spans and dropped after the call.
+A GT run is read first with its six flags as int64 (`_FACE_ROW`), which
 nearly every flag token is and which the reader reads faster than a
 float, and as floats only where that read refuses a token or warns.  Where
-that reader refuses a row of a block or misses one, the row walker
-(`_walk`) reads that block's spans again with Python's `float`, which
-also reads `1_0` and `١٢`, into the same array, and the C reader goes on
-with the next block; the walker is the reference the fast path is tested
-against.  The array goes through the one check of the row rules
-(`_check`), which logs the range warnings and raises the first fault in
-file order, naming its file and line.  The columns are a table's only
-state.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
+that reader refuses a row of a run or misses one, the row walker
+(`_walk`) reads that run's spans again with Python's `float`, which also
+reads `1_0` and `١٢`, into the same array, and the C reader goes on with
+the next run; the walker is the reference the fast path is tested
+against.  The record offsets are computed once per parse.  The array goes
+through the one check of the row rules (`_check`), which logs the range
+warnings and raises the first fault in file order, naming its file and
+line.  The columns are a table's only state.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
 `ImageDetections`, `Detection`) are its row view, built on first use of
 `.images`; a table built from such objects converts them to columns at
 once and keeps them as that view.  All four tables' row views come from
@@ -608,31 +609,12 @@ def _is_zero_dummy_line(line: str) -> bool:
 # line of its first row in the source, row count.
 _Record = tuple[str, _Text, int, str, int, int]
 
-# Rows per call of numpy's C text reader or walk of the row walker, and per
-# block of the writers: the texts and walked values of one block are all
-# that is held of them at a time.
+# The parsers and the record writers work in runs of whole records holding
+# at most this many rows, or one record (`_blocks`): one call of numpy's C
+# text reader, walk of the row walker or text of the writers per run.  The
+# TSV ledgers are written this many rows at a time.  The texts and walked
+# values of one run are all that is held of them at a time.
 _ROW_BLOCK = 1 << 12
-
-
-def _record_blocks(records: list[_Record]) -> Iterator[list[_Record]]:
-    """The records' rows in file order, in blocks of _ROW_BLOCK rows but
-    the last, each block the records or parts of records it holds: a
-    record straddling blocks is cut, each part keeping its own first line
-    and row count."""
-    block: list[_Record] = []
-    size = 0
-    for source, text, base, name, lineno, count in records:
-        k = 0
-        while k < count:
-            take = min(count - k, _ROW_BLOCK - size)
-            block.append((source, text, base, name, lineno + k, take))
-            size += take
-            k += take
-            if size == _ROW_BLOCK:
-                yield block
-                block, size = [], 0
-    if block:
-        yield block
 
 
 # A face row as the C reader first reads it: the box cells as floats, the
@@ -640,19 +622,19 @@ def _record_blocks(records: list[_Record]) -> Iterator[list[_Record]]:
 _FACE_ROW = np.dtype([("boxes", np.float64, 4), ("flags", np.int64, 6)])
 
 
-def _bulk(block: list[_Record], out: np.ndarray, typed: np.dtype | None = None) -> bool:
+def _bulk(run: list[_Record], out: np.ndarray, typed: np.dtype | None = None) -> bool:
     """The fast path: fill out, an (n, fields) float64 array, with one
-    block's rows as numpy's C text reader reads them, whose texts are cut
+    run's rows as numpy's C text reader reads them, whose texts are cut
     from the spans and dropped after the call.  False, with out left as it
     was, when the reader refuses a token or a row has another number of
     fields (the reader skips blank rows, so the row count shows those too).
 
     With typed, a structured dtype whose subarray fields, side by side,
-    are out's columns, the reader first reads the block as that, and as
+    are out's columns, the reader first reads the run as that, and as
     floats only if it refuses: an int64 token converts to the double
     `float` gives it, past 2**53 too, and a token no int64 field reads
     (`1.0`, `1e300`, `nan`, `99999999999999999999`) is read as a float.
-    Any warning of the typed read refuses the block: a numpy that warns
+    Any warning of the typed read refuses the run: a numpy that warns
     and truncates `1.5` into an int field must not hide the flag's range
     warning.
 
@@ -660,7 +642,7 @@ def _bulk(block: list[_Record], out: np.ndarray, typed: np.dtype | None = None) 
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
     and left to the row walker."""
     rows: list[str] = []
-    for _, text, base, _, lineno, count in block:
+    for _, text, base, _, lineno, count in run:
         rows += text.rows(base + lineno - 1, count)
     if typed is not None:
         try:
@@ -706,18 +688,21 @@ def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, P
 
 
 def _parse(records: Iterator[_Record], noun: str, fields: int,
-           check: Callable[[list[_Record], np.ndarray, Exception | None], None],
-           typed: np.dtype | None = None) -> tuple[list[_Record], np.ndarray]:
-    """The records and their checked rows, in one preallocated (N, fields)
-    array filled block by block (`_record_blocks`): by the C reader
+           check: Callable[[list[_Record], np.ndarray, np.ndarray, Exception | None], None],
+           typed: np.dtype | None = None) -> tuple[list[_Record], np.ndarray, np.ndarray]:
+    """The records, their row offsets (record i holds rows starts[i] to
+    starts[i + 1] - 1) and their checked rows, in one preallocated (N,
+    fields) array filled run by run, each run the whole records holding at
+    most _ROW_BLOCK rows, or one record (`_blocks`): by the C reader
     (`_bulk`, reading typed first where given), or by the row walker where
-    that reader refuses the block, and then on with the C reader.
+    that reader refuses the run, and then on with the C reader.  A run
+    with no rows is skipped.
 
     records is walked once.  Where the walk raises (a grammar fault, a file
     with extra lines, an OSError), the rows of the records before the fault
-    are read and checked all the same: check(records, values, fault) raises
-    the first fault in file order, a rule's, else the walker's, whose row
-    comes first and ends the read, else the walk's.
+    are read and checked all the same: check(records, starts, values,
+    fault) raises the first fault in file order, a rule's, else the
+    walker's, whose row comes first and ends the read, else the walk's.
     """
     recs: list[_Record] = []
     fault: Exception | None = None
@@ -725,41 +710,39 @@ def _parse(records: Iterator[_Record], noun: str, fields: int,
         recs.extend(records)  # keeps the records before a fault
     except (ParseError, OSError) as exc:
         fault = exc
-    values = np.empty((sum(n for *_, n in recs), fields))
-    done = 0
+    starts = _offsets([n for *_, n in recs])
+    values = np.empty((int(starts[-1]), fields))
     with warnings.catch_warnings():
-        # every row of a block blank: `_bulk`'s shape check rejects the result
+        # every row of a run blank: `_bulk`'s shape check rejects the result
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for block in _record_blocks(recs):
-            out = values[done:done + _ROW_BLOCK]  # every block but the last is full
-            if _bulk(block, out, typed):
-                done += len(out)
+        for i, j in _blocks(starts, _ROW_BLOCK):
+            lo, hi = int(starts[i]), int(starts[j])
+            if lo == hi or _bulk(recs[i:j], values[lo:hi], typed):
                 continue
-            rows, row_fault = _walk(block, noun, fields)
-            values[done:done + len(rows)] = rows
-            done += len(rows)
+            rows, row_fault = _walk(recs[i:j], noun, fields)
+            values[lo:lo + len(rows)] = rows
             if row_fault is not None:
-                values, fault = values[:done], row_fault
+                values, fault = values[:lo + len(rows)], row_fault
                 break
-    check(recs, values, fault)
-    return recs, values
+    check(recs, starts, values, fault)
+    return recs, starts, values
 
 
-def _check(records: list[_Record], values: np.ndarray, fault: Exception | None,
+def _check(records: list[_Record], starts: np.ndarray, values: np.ndarray,
+           fault: Exception | None,
            rules: list[tuple[np.ndarray, int | slice, Callable[..., str], bool]]) -> None:
     """The one check of the row rules, on the array of either parse path.
 
     values holds the rows read from records before fault, the error that
-    ended the input, or None.  rules lists each row's rules in its check
-    order, each as (mask of the rows it fires on, the column of its value,
-    its message on that value, whether it is a fault or a warning).  Logs
-    every warning before the first fault in file order, then raises that
-    fault: a rule's, else the given one.  Only the rows a rule fires on are
-    put in that order, by row and then by rule, so a clean file costs one
-    mask per rule."""
+    ended the input, or None; record i's rows are starts[i] onwards.  rules
+    lists each row's rules in its check order, each as (mask of the rows
+    it fires on, the column of its value, its message on that value,
+    whether it is a fault or a warning).  Logs every warning before the
+    first fault in file order, then raises that fault: a rule's, else the
+    given one.  Only the rows a rule fires on are put in that order, by row
+    and then by rule, so a clean file costs one mask per rule."""
     rows = np.flatnonzero(functools.reduce(np.logical_or, [mask for mask, *_ in rules]))
     at, rule = np.nonzero(np.column_stack([mask[rows] for mask, *_ in rules]))
-    starts = _offsets([n for *_, n in records])
     rec = np.searchsorted(starts, rows[at], side="right") - 1
     for i, row, r in zip(rec.tolist(), rows[at].tolist(), rule.tolist()):
         source, lineno = records[i][0], records[i][4] + row - int(starts[i])
@@ -781,7 +764,8 @@ def _box_error(box: list[float]) -> str:
         return str(exc)
 
 
-def _check_faces(records: list[_Record], values: np.ndarray, fault: Exception | None) -> None:
+def _check_faces(records: list[_Record], starts: np.ndarray, values: np.ndarray,
+                 fault: Exception | None) -> None:
     """A face row's rules: a valid box, then each flag in turn finite (a
     fault) and a whole number in its documented range (a warning).  The
     flags' masks are columns of two (N, 6) masks, one of each kind, filled
@@ -799,21 +783,21 @@ def _check_faces(records: list[_Record], values: np.ndarray, fault: Exception | 
         rules += [(non_finite[:, k], 4 + k, f"non-finite {name} flag {{!r}}".format, True),
                   (off_range[:, k], 4 + k,
                    f"{name} flag {{!r}} outside documented range [{lo}, {hi}]".format, False)]
-    _check(records, values, fault, rules)
+    _check(records, starts, values, fault, rules)
 
 
-def _check_detections(records: list[_Record], values: np.ndarray,
+def _check_detections(records: list[_Record], starts: np.ndarray, values: np.ndarray,
                       fault: Exception | None) -> None:
     """A detection row's rules: a finite score, a score in [0, 1] (a
     warning), then a valid box."""
     scores = values[:, 4]
-    _check(records, values, fault, [
+    _check(records, starts, values, fault, [
         (~np.isfinite(scores), 4, "non-finite score {!r}".format, True),
         (~((0.0 <= scores) & (scores <= 1.0)), 4, "score {!r} outside [0, 1]".format, False),
         (~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)])
 
 
-def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
+def _annotations(records: list[_Record], offsets: np.ndarray, values: np.ndarray) -> AnnotationSet:
     """The annotation table, its boxes and flags views of values: the flags
     are truncated in place, and + 0.0 turns the -0.0 that trunc gives for
     -0 and -0.5 into 0."""
@@ -821,8 +805,7 @@ def _annotations(records: list[_Record], values: np.ndarray) -> AnnotationSet:
     np.trunc(flags, out=flags)
     flags += 0.0
     return AnnotationSet(paths=[name for _, _, _, name, _, _ in records],
-                         offsets=_offsets([n for *_, n in records]),
-                         boxes=values[:, :4], flags=flags)
+                         offsets=offsets, boxes=values[:, :4], flags=flags)
 
 
 def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
@@ -835,11 +818,10 @@ def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
     return int(np.searchsorted(offsets, first[0], side="right")) - 1 if first.size else None
 
 
-def _detections(records: list[_Record], values: np.ndarray) -> DetectionSet:
+def _detections(records: list[_Record], offsets: np.ndarray, values: np.ndarray) -> DetectionSet:
     """The detection table, each image's rows sorted by descending score;
     the sort is stable, so equal scores keep file order.  Files already in
     that order, as boxcal writes them, are not sorted again."""
-    offsets = _offsets([n for *_, n in records])
     if _first_unsorted(offsets, values[:, 4]) is not None:
         image = np.repeat(np.arange(len(records)), np.diff(offsets))
         values = values[np.lexsort((-values[:, 4], image))]

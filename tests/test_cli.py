@@ -6,6 +6,7 @@ stdout/stderr split are asserted directly; subprocess tests cover the
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import importlib
 import io
@@ -181,7 +182,7 @@ def test_missing_input_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["gt is a directory", "a .txt directory", "unreadable file"])
-def test_every_io_error_exits_2_naming_its_path(tmp_path, capsys, case):
+def test_every_io_error_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     gt = Path(_write(tmp_path, "gt.txt", GT_TWO))
     root = tmp_path / "dets"
     (root / "a").mkdir(parents=True)
@@ -195,9 +196,16 @@ def test_every_io_error_exits_2_naming_its_path(tmp_path, capsys, case):
     else:
         shown = root / "a" / "x.txt"
         shown.chmod(0)
+        if os.access(shown, os.R_OK):  # a user who reads any file, as root does: refuse its open
+            real_open = os.open
+
+            def refuse(path, *args, **kwargs):
+                if os.fspath(path) == str(shown):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
     try:
-        if case == "unreadable file" and os.access(shown, os.R_OK):
-            pytest.skip("this user reads a file whatever its mode, as root does")
         rc = main(["calibrate", "--gt", str(gt), "--dets", str(root),
                    "--out", str(tmp_path / "out.txt")])
     finally:
