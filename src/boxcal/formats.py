@@ -52,10 +52,10 @@ that reader refuses a row of a run or misses one, the row walker
 (`_walk`) reads that run's spans again with Python's `float`, which also
 reads `1_0` and `١٢`, into the same array, and the C reader goes on with
 the next run; the walker is the reference the fast path is tested
-against.  The record offsets are computed once per parse.  The array goes
-through the one check of the row rules (`_check`), which logs the range
-warnings and raises the first fault in file order, naming its file and
-line.  The columns are a table's only state.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
+against.  The record offsets are computed once per parse.  Each run is
+checked as it is read; the first fault stops the read: the one check of
+the row rules (`_check`) logs the range warnings and raises the first
+fault in file order, naming its file and line.  The columns are a table's only state.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
 `ImageDetections`, `Detection`) are its row view, built on first use of
 `.images`; a table built from such objects converts them to columns at
 once and keeps them as that view.  All four tables' row views come from
@@ -612,8 +612,8 @@ _Record = tuple[str, _Text, int, str, int, int]
 # The parsers and the record writers work in runs of whole records holding
 # at most this many rows, or one record (`_blocks`): one call of numpy's C
 # text reader, walk of the row walker or text of the writers per run.  The
-# TSV ledgers are written this many rows at a time.  The texts and walked
-# values of one run are all that is held of them at a time.
+# TSV ledgers are written this many rows at a time.  The texts, walked
+# values and rule masks of one run are all that is held of them at a time.
 _ROW_BLOCK = 1 << 12
 
 
@@ -688,21 +688,21 @@ def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, P
 
 
 def _parse(records: Iterator[_Record], noun: str, fields: int,
-           check: Callable[[list[_Record], np.ndarray, np.ndarray, Exception | None], None],
+           rules: Callable[[np.ndarray], list[tuple]],
            typed: np.dtype | None = None) -> tuple[list[_Record], np.ndarray, np.ndarray]:
     """The records, their row offsets (record i holds rows starts[i] to
-    starts[i + 1] - 1) and their checked rows, in one preallocated (N,
-    fields) array filled run by run, each run the whole records holding at
-    most _ROW_BLOCK rows, or one record (`_blocks`): by the C reader
-    (`_bulk`, reading typed first where given), or by the row walker where
-    that reader refuses the run, and then on with the C reader.  A run
-    with no rows is skipped.
+    starts[i + 1] - 1) and their checked rows, in one (N, fields) array
+    filled run by run, each run the whole records holding at most
+    _ROW_BLOCK rows, or one record (`_blocks`): by the C reader (`_bulk`,
+    reading typed first where given), or by the row walker where that
+    reader refuses the run.  A run with no rows is skipped.
 
-    records is walked once.  Where the walk raises (a grammar fault, a file
-    with extra lines, an OSError), the rows of the records before the fault
-    are read and checked all the same: check(records, starts, values,
-    fault) raises the first fault in file order, a rule's, else the
-    walker's, whose row comes first and ends the read, else the walk's.
+    Each run is checked as it is read; the first fault stops the read:
+    `_check` of rules(run) raises a rule's fault, else the walker's fault,
+    whose row ends the run, is raised.  records is walked once, first;
+    where that walk raises (a grammar fault, a file with extra lines, an
+    OSError), the records before the fault are read and checked, and then
+    its fault is raised.
     """
     recs: list[_Record] = []
     fault: Exception | None = None
@@ -717,31 +717,35 @@ def _parse(records: Iterator[_Record], noun: str, fields: int,
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for i, j in _blocks(starts, _ROW_BLOCK):
             lo, hi = int(starts[i]), int(starts[j])
-            if lo == hi or _bulk(recs[i:j], values[lo:hi], typed):
+            if lo == hi:
                 continue
-            rows, row_fault = _walk(recs[i:j], noun, fields)
-            values[lo:lo + len(rows)] = rows
+            run, row_fault = values[lo:hi], None
+            if not _bulk(recs[i:j], run, typed):
+                rows, row_fault = _walk(recs[i:j], noun, fields)
+                run = run[:len(rows)]
+                run[:] = rows
+            _check(recs[i:j], starts[i:j + 1] - lo, run, rules(run))
             if row_fault is not None:
-                values, fault = values[:lo + len(rows)], row_fault
-                break
-    check(recs, starts, values, fault)
+                raise row_fault
+    if fault is not None:
+        raise fault
     return recs, starts, values
 
 
 def _check(records: list[_Record], starts: np.ndarray, values: np.ndarray,
-           fault: Exception | None,
            rules: list[tuple[np.ndarray, int | slice, Callable[..., str], bool]]) -> None:
-    """The one check of the row rules, on the array of either parse path.
-
-    values holds the rows read from records before fault, the error that
-    ended the input, or None; record i's rows are starts[i] onwards.  rules
-    lists each row's rules in its check order, each as (mask of the rows
-    it fires on, the column of its value, its message on that value,
-    whether it is a fault or a warning).  Logs every warning before the
-    first fault in file order, then raises that fault: a rule's, else the
-    given one.  Only the rows a rule fires on are put in that order, by row
-    and then by rule, so a clean file costs one mask per rule."""
+    """The one check of the row rules, on each run of either parse path as
+    it is read; the first fault stops the read.  values holds the run's
+    rows, record i's rows starts[i] onwards; rules lists each row's rules
+    in its check order, each as (mask of the rows it fires on, the column
+    of its value, its message on that value, whether it is a fault or a
+    warning).  Logs every warning before the first fault in file order,
+    then raises that fault.  Only the rows a rule fires on are put in that
+    order, by row and then by rule, so a clean run costs one mask per rule
+    and their one reduction."""
     rows = np.flatnonzero(functools.reduce(np.logical_or, [mask for mask, *_ in rules]))
+    if not rows.size:
+        return
     at, rule = np.nonzero(np.column_stack([mask[rows] for mask, *_ in rules]))
     rec = np.searchsorted(starts, rows[at], side="right") - 1
     for i, row, r in zip(rec.tolist(), rows[at].tolist(), rule.tolist()):
@@ -749,11 +753,8 @@ def _check(records: list[_Record], starts: np.ndarray, values: np.ndarray,
         _, column, message, is_fault = rules[r]
         text = message(values[row, column].tolist())
         if is_fault:
-            fault = ParseError(source, lineno, text)
-            break
+            raise ParseError(source, lineno, text)
         log.warning("%s:%d: %s", source, lineno, text)
-    if fault is not None:
-        raise fault
 
 
 def _box_error(box: list[float]) -> str:
@@ -764,37 +765,29 @@ def _box_error(box: list[float]) -> str:
         return str(exc)
 
 
-def _check_faces(records: list[_Record], starts: np.ndarray, values: np.ndarray,
-                 fault: Exception | None) -> None:
-    """A face row's rules: a valid box, then each flag in turn finite (a
-    fault) and a whole number in its documented range (a warning).  The
-    flags' masks are columns of two (N, 6) masks, one of each kind, filled
-    a block of _ROW_BLOCK rows at a time: a float temporary of all the
-    flags would raise the parse's peak memory by 48 bytes a row."""
+def _face_rules(values: np.ndarray) -> list[tuple]:
+    """The rules of a run of face rows: a valid box, then each flag in turn
+    finite (a fault) and a whole number in its documented range (a
+    warning)."""
     flags = values[:, 4:]
-    non_finite, off_range = np.empty(flags.shape, bool), np.empty(flags.shape, bool)
-    for lo in range(0, len(flags), _ROW_BLOCK):
-        part = flags[lo:lo + _ROW_BLOCK]
-        whole = np.trunc(part)
-        np.logical_not(np.isfinite(part), out=non_finite[lo:lo + _ROW_BLOCK])
-        off_range[lo:lo + _ROW_BLOCK] = (whole != part) | (whole < _FLAG_LO) | (whole > _FLAG_HI)
+    whole = np.trunc(flags)
+    non_finite = ~np.isfinite(flags)
+    off_range = (whole != flags) | (whole < _FLAG_LO) | (whole > _FLAG_HI)
     rules = [(~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)]
     for k, (name, lo, hi) in enumerate(_FLAG_RANGES):
         rules += [(non_finite[:, k], 4 + k, f"non-finite {name} flag {{!r}}".format, True),
                   (off_range[:, k], 4 + k,
                    f"{name} flag {{!r}} outside documented range [{lo}, {hi}]".format, False)]
-    _check(records, starts, values, fault, rules)
+    return rules
 
 
-def _check_detections(records: list[_Record], starts: np.ndarray, values: np.ndarray,
-                      fault: Exception | None) -> None:
-    """A detection row's rules: a finite score, a score in [0, 1] (a
-    warning), then a valid box."""
+def _detection_rules(values: np.ndarray) -> list[tuple]:
+    """The rules of a run of detection rows: a finite score, a score in
+    [0, 1] (a warning), then a valid box."""
     scores = values[:, 4]
-    _check(records, starts, values, fault, [
-        (~np.isfinite(scores), 4, "non-finite score {!r}".format, True),
-        (~((0.0 <= scores) & (scores <= 1.0)), 4, "score {!r} outside [0, 1]".format, False),
-        (~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)])
+    return [(~np.isfinite(scores), 4, "non-finite score {!r}".format, True),
+            (~((0.0 <= scores) & (scores <= 1.0)), 4, "score {!r} outside [0, 1]".format, False),
+            (~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)]
 
 
 def _annotations(records: list[_Record], offsets: np.ndarray, values: np.ndarray) -> AnnotationSet:
@@ -843,7 +836,7 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
 
 def _parse_gt(text: _Text, name: str) -> AnnotationSet:
     records = _records(text, [name], [0, text.n], "face", zero_dummy=True)
-    return _annotations(*_parse(records, "face", 10, _check_faces, _FACE_ROW))
+    return _annotations(*_parse(records, "face", 10, _face_rules, _FACE_ROW))
 
 
 def format_coord(v: float, policy: str = "decimal") -> str:
@@ -951,7 +944,13 @@ def _ledger_text(header: tuple[str, ...], names: list[str], image: np.ndarray,
     """A TSV ledger: the header, then per row its path, names[image[r]],
     its index, its box cells and its ratios, every float as `repr` writes
     it, in blocks of _ROW_BLOCK rows.  Box cells are mostly small whole
-    numbers, which take cached texts; ratios rarely are."""
+    numbers, which take cached texts; ratios rarely are.  A row whose path
+    holds a tab, CR or LF raises ValueError before anything is written."""
+    breaking = np.array(["\t" in name or "\n" in name or "\r" in name for name in names], bool)
+    first = np.flatnonzero(breaking[image])[:1].tolist()
+    if first:
+        raise ValueError(f"image path {names[image[first[0]]]!r} holds a tab or line end, "
+                         "which a TSV ledger cannot hold; export the ledger as .json")
     yield "\t".join(header) + "\n"
     for lo in range(0, len(index), _ROW_BLOCK):
         part = slice(lo, lo + _ROW_BLOCK)
@@ -1038,7 +1037,7 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
         if fault is not None:
             raise fault  # after the records of the files read before it
 
-    return _detections(*_parse(records(), "detection", 5, _check_detections))
+    return _detections(*_parse(records(), "detection", 5, _detection_rules))
 
 
 def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> DetectionSet:
@@ -1052,7 +1051,7 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
 
 def _parse_detections(text: _Text, name: str) -> DetectionSet:
     records = _records(text, [name], [0, text.n], "detection")
-    return _detections(*_parse(records, "detection", 5, _check_detections))
+    return _detections(*_parse(records, "detection", 5, _detection_rules))
 
 
 def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".jpg") -> DetectionSet:

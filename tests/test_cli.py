@@ -225,6 +225,26 @@ def test_malformed_gt_exits_1_with_location(tmp_path, capsys):
     assert "bad.txt:2:" in err
 
 
+# a tab in an image path is legal in the GT, but would break its TSV ledger
+# row: that export exits 1 naming the path, the JSON one writes it
+@pytest.mark.parametrize("ledger", ["mbp.tsv", "mbp.json"])
+def test_a_tab_in_a_claimed_path_refuses_only_the_tsv_ledger(tmp_path, capsys, ledger):
+    gt = _write(tmp_path, "gt.txt", "a\tb.jpg\n1\n0 0 10 10 0 0 0 0 0 0\n")
+    dets = _write(tmp_path, "dets.txt", "a\tb.jpg\n1\n0 0 10 7 0.9\n")
+    rc = main(["calibrate", "--gt", gt, "--dets", dets, "--out", str(tmp_path / "out.txt"),
+               "--adc", "0.5", "--mbp-export", str(tmp_path / ledger)])
+    err = capsys.readouterr().err
+    if ledger == "mbp.json":
+        assert rc == 0 and err == "", err
+        rows = json.loads((tmp_path / ledger).read_text(encoding="utf-8"))
+        assert [row["path"] for row in rows] == ["a\tb.jpg"]
+        return
+    assert rc == 1
+    assert err == ("boxcal: error: image path 'a\\tb.jpg' holds a tab or line end, which a TSV "
+                   "ledger cannot hold; export the ledger as .json\n")
+    assert (tmp_path / ledger).read_text(encoding="utf-8") == ""
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_flag_exits_1_without_traceback(tmp_path, capsys, value):
     gt = _write(tmp_path, "bad.txt", f"x.jpg\n1\n0 0 8 8 {value} 0 0 0 0 0\n")

@@ -375,16 +375,13 @@ def test_writers_give_the_same_bytes_at_every_block_size(tmp_path, monkeypatch, 
     assert written("blocked") == default
 
 
-def test_gt_parse_memory_is_bounded_by_the_table_and_the_file(tmp_path):
-    # no Python object per line: the parse holds the file's bytes, its line
-    # index, the table's one array and one run of rows at a time.  The
-    # excess over the table and the file is bounded per row, so that no
-    # temporary of the whole table's size fits: a float copy of all the
-    # flags alone is 48 bytes a row (on numpy 2.4 the parse holds about 61
-    # bytes a row, and about 103 with such a copy in the check)
+def _gt_parse_excess(tmp_path, n_images):
+    """The tracemalloc peak of load_wider_gt on a synthetic GT of n_images
+    images of 5 to 20 faces, less the table's arrays and the file's size,
+    and the row count."""
     from boxcal.synth import SynthSpec, generate_dataset
-    truth = generate_dataset(SynthSpec(seed=11, n_images=1600, faces_per_image=(5, 20)))
-    path = tmp_path / "gt.txt"
+    truth = generate_dataset(SynthSpec(seed=11, n_images=n_images, faces_per_image=(5, 20)))
+    path = tmp_path / f"gt{n_images}.txt"
     save_wider_gt(truth, path)
     tracemalloc.start()
     try:
@@ -392,9 +389,32 @@ def test_gt_parse_memory_is_bounded_by_the_table_and_the_file(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert parsed == truth and len(parsed) > 19_000
+    assert parsed == truth
     table = sum(a.nbytes for a in (parsed.offsets, parsed.boxes, parsed.flags))
-    assert peak - (table + path.stat().st_size) < 80 * len(parsed)
+    return peak - (table + path.stat().st_size), len(parsed)
+
+
+def test_gt_parse_memory_is_bounded_by_the_table_and_the_file(tmp_path):
+    # no Python object per line: the parse holds the file's bytes, its line
+    # index, the table's one array and one run of rows at a time.  The
+    # excess over the table and the file is bounded per row, so that no
+    # temporary of the whole table's size fits: a float copy of all the
+    # flags alone is 48 bytes a row (on numpy 2.4 the parse holds about 61
+    # bytes a row, and about 103 with such a copy in the check)
+    excess, rows = _gt_parse_excess(tmp_path, 1600)
+    assert rows > 19_000
+    assert excess < 80 * rows
+
+
+def test_gt_parse_memory_grows_by_less_than_a_whole_table_check(tmp_path):
+    # what the parse holds beyond the table and the file grows per added row
+    # by the line index and the records, not by any check temporary, which
+    # covers one run: from 1,600 to 6,400 images, on numpy 2.4, it grows by
+    # about 22.5 bytes a row, and by about 41.5 where the rules' masks span
+    # the whole table
+    (small, small_rows), (large, large_rows) = (_gt_parse_excess(tmp_path, n)
+                                                for n in (1600, 6400))
+    assert large - small < 30 * (large_rows - small_rows)
 
 
 def test_a_token_the_c_reader_refuses_costs_one_block_of_memory(tmp_path):
@@ -1273,18 +1293,18 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
     with caplog.at_level(logging.WARNING, logger="boxcal.formats"), \
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_ROW_BLOCK", block)
-        counts = []  # the row count of each record the grammar walk yields
+        spans = []  # (source, first row's line, row count) of each record the grammar walk yields
 
         def records(*args, real=formats._records, **kwargs):
             for record in real(*args, **kwargs):
-                counts.append(record[-1])
+                spans.append((record[0], record[4], record[5]))
                 yield record
 
         mp.setattr(formats, "_records", records)
         for parse, arg, fields in cases:
-            counts.clear()
+            spans.clear()
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
-            runs = _record_runs(counts, block)
+            runs = _record_runs([n for _, _, n in spans], block)
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
             reads = _run_reads(bulk[4], fields)
@@ -1298,12 +1318,14 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
             # the walker runs if and only if both C reads refused a run
             assert bulk[3] == any(floats is False for _, _, floats in reads)
             # one C read per run of whole records with rows, in order, up to
-            # the run whose walk ended the read, or every run
-            sizes = [n for n, _, _ in reads]
-            assert sizes == runs[:len(sizes)]
-            assert sizes == runs or reads[-1][2] is False
-            if bulk[0] is not None:
-                assert sizes == runs
+            # and including the run holding the faulty row, whose walk or
+            # check ended the read, or every run where no row is at fault
+            error, firsts = bulk[1] or "", np.cumsum([0, *(n for _, _, n in spans)]).tolist()
+            faulty = [first + k for (source, lineno, n), first in zip(spans, firsts)
+                      for k in range(n) if error.startswith(f"{source}:{lineno + k}: ")]
+            ends = np.cumsum(runs).tolist()
+            read = runs[:int(np.searchsorted(ends, faulty[0], side="right")) + 1] if faulty else runs
+            assert [n for n, _, _ in reads] == read
 
 
 # A token only `float` reads (`0_1`) sends only the run of records holding
@@ -1312,7 +1334,7 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
 # 2.5 runs, the token in the middle one; at 1 and 3 three runs, each an
 # 8-row record, the token in the middle record.  fault adds a non-numeric
 # token in the last row or a negative width in the first, whose rule fault
-# comes first in the file.
+# comes first in the file and ends the read after run 0.
 @pytest.mark.parametrize("block", [None, 1, 3])
 @pytest.mark.parametrize("fault", [None, "later", "earlier"])
 def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
@@ -1353,10 +1375,15 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
             assert (bulk[0] is None) == (fault is not None)
             reads = _run_reads(bulk[4], fields)
             walked = [k for k, (_, _, floats) in enumerate(reads) if floats is False]
-            assert [n for n, _, _ in reads] == runs  # every run went to the reader
             holding = int(np.searchsorted(np.cumsum(runs), odd, side="right"))
-            assert walked == [holding] + ([len(reads) - 1] if fault == "later" else [])
-            if block < 8:  # the walked run is the token's record alone
+            if fault == "earlier":  # run 0's negative width ends the read
+                assert [n for n, _, _ in reads] == runs[:1] and holding > 0
+                holding = None
+            else:
+                assert [n for n, _, _ in reads] == runs  # every run went to the reader
+            assert walked == ([] if holding is None else [holding]) + (
+                [len(reads) - 1] if fault == "later" else [])
+            if block < 8 and holding is not None:  # the walked run is the token's record alone
                 assert reads[holding][0] == 8 and len(runs) == 3
             # every flag but `0_1` is an integer: a GT run is read as
             # floats only where it is walked, a detection run always
@@ -1401,6 +1428,42 @@ def test_a_record_longer_than_a_block_is_read_in_one_call(tmp_path, caplog, monk
             assert [n for n, _, _ in reads] == counts
             assert [floats is False for _, _, floats in reads] == [False, odd, False]
             assert bulk[3] == odd
+
+
+# Each run is checked as it is read: a fault ends the read at its run.  Runs
+# of one 3-row record each; a negative width in the first row is read with
+# run 0 alone, and an out-of-range value in run 0 is warned about before the
+# fault in run 1 is raised, run 2, which holds a non-numeric token, unread.
+@pytest.mark.parametrize("walk_only", [False, True])
+def test_the_first_fault_ends_the_read_at_its_run(caplog, monkeypatch, walk_only):
+    import boxcal.formats as formats
+    monkeypatch.setattr(formats, "_ROW_BLOCK", 3)
+    walks = []  # the rows of each walk of the row walker
+
+    def walk(records, *args, real=formats._walk):
+        walks.append(sum(record[-1] for record in records))
+        return real(records, *args)
+
+    monkeypatch.setattr(formats, "_walk", walk)
+    box_error = "box width/height must be >= 0, got BBox(x=0.0, y=0.0, w=-1.0, h=1.0)"
+    for fields, parse, name, off_range, warning in [
+            (10, parse_wider_gt, "gt.txt", "0 0 1 1 3 0 0 0 0 0",
+             "blur flag 3.0 outside documented range [0, 2]"),
+            (5, parse_detections_file, "d.txt", "0 0 1 1 1.5", "score 1.5 outside [0, 1]")]:
+        clean, negative = "0 0 1 1" + " 1" * (fields - 4), "0 0 -1 1" + " 1" * (fields - 4)
+        first = [negative, *[clean] * 8]
+        later = [clean, off_range, clean, negative, clean, clean, "x" + clean[1:], clean, clean]
+        for rows, line, warned, n_runs in [(first, 3, [], 1),
+                                           (later, 8, [("WARNING", f"{name}:4: {warning}")], 2)]:
+            text = "".join(f"r{i}.jpg\n3\n" + "".join(f"{row}\n" for row in rows[3 * i:3 * i + 3])
+                           for i in range(3))
+            walks.clear()
+            with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+                outcome = _parse_outcome(lambda t: parse(t, name=name), text, caplog, walk_only)
+            assert outcome[1:3] == (f"{name}:{line}: {box_error}", warned)
+            reads = _run_reads(outcome[4], fields)
+            assert [n for n, _, _ in reads] == ([] if walk_only else [3] * n_runs)
+            assert walks == ([3] * n_runs if walk_only else [])
 
 
 # Which path runs: numpy's C text reader on every row, the row walker only

@@ -252,6 +252,30 @@ def test_mbp_export_json():
         mbp_export(_claims(), io.StringIO(), fmt="xml")
 
 
+# A tab, CR or LF in a path would break its TSV row; the JSON form escapes it.
+@pytest.mark.parametrize("path", ["a\tb.jpg", "a\nb.jpg", "a\rb.jpg"])
+def test_mbp_export_tsv_refuses_a_path_that_breaks_its_row(path):
+    b, a = _mbps()
+    claims = claim_table([b, MbpRecord(path, a.det_index, a.ann_index, a.iou, a.score,
+                                       a.old_box, a.new_box)])
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as exc:
+        mbp_export(claims, buf)
+    assert str(exc.value) == (f"image path {path!r} holds a tab or line end, which a TSV "
+                              "ledger cannot hold; export the ledger as .json")
+    assert buf.getvalue() == ""
+    mbp_export(claims, buf, fmt="json")
+    assert [row["path"] for row in json.loads(buf.getvalue())] == [path, "b.jpg"]
+    # a path no row names is not written, and no bar
+    clean = _claims()
+    unused = ClaimTable(paths=[*clean.paths, path],
+                        **{name: getattr(clean, name) for name, *_ in ClaimTable._COLUMNS})
+    expected, buf = io.StringIO(), io.StringIO()
+    mbp_export(clean, expected)
+    mbp_export(unused, buf)
+    assert buf.getvalue() == expected.getvalue()
+
+
 _LEDGER_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 0.1, 1e16, 1e300, 5e-324, float("inf"), float("nan")]))

@@ -436,6 +436,16 @@ def test_write_perturb_ledger_format():
     assert all(len(line.split("\t")) == 11 for line in lines)
 
 
+def test_write_perturb_ledger_refuses_a_path_that_breaks_its_row():
+    ledger = PerturbLedger(paths=["a.jpg", "b\tc.jpg"], image=[0, 1], ann_index=[0, 0],
+                           true_boxes=[[0, 0, 8, 8]] * 2, perturbed_boxes=[[1, 0, 8, 8]] * 2,
+                           achieved_iou=[0.75, 0.75])
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"image path 'b\\tc.jpg' holds a tab or line end"):
+        write_perturb_ledger(ledger, buf)
+    assert buf.getvalue() == ""
+
+
 def test_oracle_empty_inputs():
     res = oracle_calibrate(AnnotationSet(images=[]), DetectionSet(images=[]))
     assert res.calibrated.images == [] and res.mbps == []
