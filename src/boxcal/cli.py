@@ -11,20 +11,35 @@ OpenBLAS workers costs CPU time on every run.  The default is set only when
 this module is the first to load numpy (``python -m boxcal.cli`` and the
 ``boxcal`` script); the package itself is lazy (see ``boxcal/__init__``),
 and importing its library modules never touches the environment.
+
+Both entry points, ``python -m boxcal.cli`` and the ``boxcal`` script, call
+`run`: it runs `main`, flushes the standard streams and ends the process
+with ``os._exit`` as soon as the last output is out.  Interpreter
+finalization (module teardown and a last garbage collection) frees
+nothing the operating system does not free at exit, and costs about 11 ms
+a run: ``python -c "import boxcal.cli"`` takes 92 ms, and 81 ms ended by
+``os._exit(0)`` (medians of 15, 2-vCPU Linux host, Python 3.11, numpy
+2.4).  A stdout that fails only at that last flush is an I/O error, exit
+2, where the interpreter's own flush at exit would print ``Exception
+ignored`` and exit 120.  `main(argv)` returns its exit code instead, for
+tests and library callers that run the CLI in their own process.  Every
+write to stdout goes through `_out`, so a closed stdout (``sys.stdout``
+is None) is an I/O error too, not a silent loss of the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 if "numpy" not in sys.modules:  # this process is the CLI's, not a host's that loaded numpy
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -35,8 +50,8 @@ from .adc import compute_adc
 from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
 from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
                       load_wider_gt, save_wider_gt, write_detections_dir, write_detections_file)
-from .report import (DEFAULT_EDGES, check_edges, format_histogram_table, localization_histogram,
-                     mbp_export, summary_line, write_report)
+from .report import (DEFAULT_EDGES, check_edges, check_mbp_export, format_histogram_table,
+                     localization_histogram, mbp_export, summary_line, write_report)
 
 log = logging.getLogger("boxcal.cli")  # not __main__ under python -m
 
@@ -158,6 +173,14 @@ def _stage(name: str) -> Iterator[None]:
     log.info("stage %s: %.3f s", name, perf_counter() - t0)
 
 
+def _out(text: str) -> None:
+    """Write text to stdout; a closed stdout raises OSError (EBADF), where
+    print would drop the text without a word."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    sys.stdout.write(text)
+
+
 def _load(args) -> tuple[AnnotationSet, DetectionSet]:
     with _stage("parse GT"):
         anns = load_wider_gt(args.gt)
@@ -175,6 +198,10 @@ def run_calibrate(args) -> int:
     anns, dets = _load(args)
     with _stage("calibrate"):
         result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
+    del anns, dets  # the detections are freed before the outputs are written
+    if args.mbp_export:
+        fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
+        check_mbp_export(result.claims, fmt)  # a refused path leaves no partial outputs
     with _stage("write GT"):
         save_wider_gt(result.calibrated, args.out,
                       policy="integer" if args.round_int else "decimal")
@@ -182,10 +209,9 @@ def run_calibrate(args) -> int:
         with _stage("report"), open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             write_report(result, fh, predictor=args.predictor)
     if args.mbp_export:
-        fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
         with _stage("ledger"), open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
             mbp_export(result.claims, fh, fmt=fmt)
-    print(summary_line(result, predictor=args.predictor))
+    _out(summary_line(result, predictor=args.predictor) + "\n")
     return 0
 
 
@@ -200,16 +226,15 @@ def run_stats(args) -> int:
         if args.out:
             Path(args.out).write_text(table, encoding="utf-8", newline="\n")
         else:
-            sys.stdout.write(table)
+            _out(table)
     return 0
 
 
 def run_adc(args) -> int:
     anns, dets = _load(args)
     res = compute_adc(anns, align(anns, dets))
-    print(f"{res.value:.6f}")
-    print(f"numerator={res.numerator!r} denominator={res.denominator} "
-          f"images_used={res.images_used} shortfall_images={res.shortfall_images}")
+    _out(f"{res.value:.6f}\nnumerator={res.numerator!r} denominator={res.denominator} "
+         f"images_used={res.images_used} shortfall_images={res.shortfall_images}\n")
     return 0
 
 
@@ -241,8 +266,8 @@ def run_synth(args) -> int:
             write_detections_dir(dets, out / "detections")
         with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
             write_perturb_ledger(ledger, fh)
-    print(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
-          f"{len(ledger)} perturbed, {dets.total_detections()} detections to {out}")
+    _out(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
+         f"{len(ledger)} perturbed, {dets.total_detections()} detections to {out}\n")
     return 0
 
 
@@ -273,7 +298,7 @@ def run_diff(args) -> int:
                for i in np.flatnonzero(match < 0).tolist()]
     events.sort(key=itemgetter(0, 1))  # stable: a face's box line, then its flags line
     lines = [line for *_, line in events] + [f"+ {p}: image only in {args.new}" for p in only_new]
-    print("".join(line + "\n" for line in lines) + f"{len(lines)} changes")
+    _out("".join(line + "\n" for line in lines) + f"{len(lines)} changes\n")
     return 0
 
 
@@ -306,5 +331,29 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The command-line entry point: `main`, then a hard exit with its code.
+
+    Logging is shut down and stdout and stderr are flushed, and the process
+    ends with ``os._exit``, skipping interpreter finalization; a stdout
+    flush that fails (a broken pipe) is an I/O error, exit code 2.  This is
+    safe only while two things stay true, which every change to the CLI
+    must keep: each output file is closed by its ``with`` block before
+    `main` returns, and the CLI starts no thread."""
+    code = main()
+    logging.shutdown()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = 2
+        with suppress(OSError):  # a broken stderr leaves only the code
+            print(f"boxcal: i/o error: {exc}", file=sys.stderr)
+    with suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

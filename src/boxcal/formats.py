@@ -43,11 +43,12 @@ record carries the line span of its rows in those bytes, not a list of
 lines.  Rows are read on one of two paths.  The fast path
 fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
 correctly rounded like `float`), in runs of whole records holding at most
-`_ROW_BLOCK` (4,096) rows, or one record (`_blocks`, the package's one
-run rule), whose texts are cut from the spans and dropped after the call.
-A GT run is read first with its six flags as int64 (`_FACE_ROW`), which
-nearly every flag token is and which the reader reads faster than a
-float, and as floats only where that read refuses a token or warns.  Where
+`_ROW_BLOCK` (4,096) rows (`_blocks`, the package's one run rule), a
+longer record cut into parts of 4,096 rows, whose texts are cut from the
+spans and dropped after the call.  A GT run is read first with its six
+flags as int64 (`_FACE_ROW`), which nearly every flag token is and which
+the reader reads faster than a float, and as floats only where that read
+refuses a token or warns.  Where
 that reader refuses a row of a run or misses one, the row walker
 (`_walk`) reads that run's spans again with Python's `float`, which also
 reads `1_0` and `١٢`, into the same array, and the C reader goes on with
@@ -71,11 +72,14 @@ The writers work from the columns: small non-negative whole numbers take
 cached texts, and a face row whose six flags are all whole and in their
 documented ranges takes one text of the 144 such tuples (`_flag_table`);
 every other value goes through `format_coord` or `repr`, the one copy of
-each rule.  Both tables are built on first use.  Every record file
-streams the one record emitter, `_record_text`; both TSV ledgers, the
-claims' and the perturbations', are written by the one TSV emitter,
-`_ledger_text`.  Both build the texts of one block of records or rows at
-a time, so a write holds no per-row text for the whole table.
+each rule.  The flag table is built on first use; the table of whole
+numbers is built per suffix on first use too, only up to the power of two
+above the largest whole number written (at least 2**8, at most 2**14
+entries), and built again, larger, when a later block needs more.  Every
+record file streams the one record emitter, `_record_text`; both TSV
+ledgers, the claims' and the perturbations', are written by the one TSV
+emitter, `_ledger_text`.  Both build the texts of one block of records or
+rows at a time, so a write holds no per-row text for the whole table.
 """
 
 from __future__ import annotations
@@ -610,10 +614,12 @@ def _is_zero_dummy_line(line: str) -> bool:
 _Record = tuple[str, _Text, int, str, int, int]
 
 # The parsers and the record writers work in runs of whole records holding
-# at most this many rows, or one record (`_blocks`): one call of numpy's C
-# text reader, walk of the row walker or text of the writers per run.  The
-# TSV ledgers are written this many rows at a time.  The texts, walked
-# values and rule masks of one run are all that is held of them at a time.
+# at most this many rows (`_blocks`): one call of numpy's C text reader,
+# walk of the row walker or text of the writers per run.  A longer record
+# is a run of its own for the writers, and cut into parts of this many rows
+# for the parsers (`_parse`).  The TSV ledgers are written this many rows
+# at a time.  The texts, walked values and rule masks of one run are all
+# that is held of them at a time.
 _ROW_BLOCK = 1 << 12
 
 
@@ -693,9 +699,11 @@ def _parse(records: Iterator[_Record], noun: str, fields: int,
     """The records, their row offsets (record i holds rows starts[i] to
     starts[i + 1] - 1) and their checked rows, in one (N, fields) array
     filled run by run, each run the whole records holding at most
-    _ROW_BLOCK rows, or one record (`_blocks`): by the C reader (`_bulk`,
-    reading typed first where given), or by the row walker where that
-    reader refuses the run.  A run with no rows is skipped.
+    _ROW_BLOCK rows (`_blocks`), a record of more rows cut into parts of
+    _ROW_BLOCK rows, the last one shorter, each part a _Record whose lineno
+    and count are its own: by the C reader (`_bulk`, reading typed first
+    where given), or by the row walker where that reader refuses the run.
+    A run with no rows is skipped.
 
     Each run is checked as it is read; the first fault stops the read:
     `_check` of rules(run) raises a rule's fault, else the walker's fault,
@@ -710,21 +718,28 @@ def _parse(records: Iterator[_Record], noun: str, fields: int,
         recs.extend(records)  # keeps the records before a fault
     except (ParseError, OSError) as exc:
         fault = exc
-    starts = _offsets([n for *_, n in recs])
+    counts = [n for *_, n in recs]
+    starts = _offsets(counts)
     values = np.empty((int(starts[-1]), fields))
+    parts, part_starts = recs, starts  # a record of more than _ROW_BLOCK rows cut in parts
+    if max(counts, default=0) > _ROW_BLOCK:
+        parts = [(source, text, base, name, lineno + a, min(_ROW_BLOCK, count - a))
+                 for source, text, base, name, lineno, count in recs
+                 for a in range(0, max(count, 1), _ROW_BLOCK)]
+        part_starts = _offsets([n for *_, n in parts])
     with warnings.catch_warnings():
         # every row of a run blank: `_bulk`'s shape check rejects the result
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for i, j in _blocks(starts, _ROW_BLOCK):
-            lo, hi = int(starts[i]), int(starts[j])
+        for i, j in _blocks(part_starts, _ROW_BLOCK):
+            lo, hi = int(part_starts[i]), int(part_starts[j])
             if lo == hi:
                 continue
             run, row_fault = values[lo:hi], None
-            if not _bulk(recs[i:j], run, typed):
-                rows, row_fault = _walk(recs[i:j], noun, fields)
+            if not _bulk(parts[i:j], run, typed):
+                rows, row_fault = _walk(parts[i:j], noun, fields)
                 run = run[:len(rows)]
                 run[:] = rows
-            _check(recs[i:j], starts[i:j + 1] - lo, run, rules(run))
+            _check(parts[i:j], part_starts[i:j + 1] - lo, run, rules(run))
             if row_fault is not None:
                 raise row_fault
     if fault is not None:
@@ -862,28 +877,40 @@ def format_coord(v: float, policy: str = "decimal") -> str:
     return f"{fv:.2f}"
 
 
-@functools.cache
-def _text_table(suffix: str) -> np.ndarray:
-    """The texts of 0 .. 2**14 - 1, each followed by suffix, as an object
-    array; built on first use, so a run that writes nothing never holds it.
-    Read-only, since every caller shares it."""
-    table = np.array([f"{i}{suffix}" for i in range(1 << 14)], object)
-    table.flags.writeable = False
+_TEXT_LIMIT = 1 << 14  # whole numbers below this take cached texts
+_text_tables: dict[str, np.ndarray] = {}
+
+
+def _text_table(suffix: str, top: int) -> np.ndarray:
+    """The texts of 0 .. n - 1, each followed by suffix, as a read-only
+    object array every caller shares: n is the power of two above top, a
+    whole number below _TEXT_LIMIT, and at least 2**8.  The table is kept
+    per suffix, and built again, larger, only when a later call's top is
+    past it; so a run holds the texts of the values it writes, rounded up,
+    and a run that writes nothing holds none."""
+    table = _text_tables.get(suffix)
+    if table is None or top >= len(table):
+        table = np.array([f"{i}{suffix}" for i in range(max(1 << 8, 1 << top.bit_length()))],
+                         object)
+        table.flags.writeable = False
+        _text_tables[suffix] = table
     return table
 
 
-def _texts(column: np.ndarray, table: np.ndarray, rest: Callable[[float], str]) -> list[str]:
-    """The text of each value of a float column: table[v] where v is a hit,
-    rest(v) for every other value.
+def _texts(column: np.ndarray, suffix: str, rest: Callable[[float], str]) -> list[str]:
+    """The text of each value of a float column: the cached text
+    (`_text_table`) of the value and suffix where v is a hit, rest(v) for
+    every other value.
 
-    A hit is a whole number from 0 to len(table) - 1 whose sign bit is
+    A hit is a whole number from 0 to _TEXT_LIMIT - 1 whose sign bit is
     clear; most cells of the files boxcal writes are.  -0.0 is no hit,
     though it equals 0: `repr` writes it "-0.0", and only rest knows how it
-    is written.  Fractions, negatives, values at or past the table, inf and
+    is written.  Fractions, negatives, values at or past the limit, inf and
     nan go to rest as well.
     """
-    hit = ~np.signbit(column) & (column < len(table)) & (column == np.trunc(column))
-    out = table[np.where(hit, column, 0).astype(np.intp)].tolist()
+    hit = ~np.signbit(column) & (column < _TEXT_LIMIT) & (column == np.trunc(column))
+    index = np.where(hit, column, 0).astype(np.intp)
+    out = _text_table(suffix, int(index.max(initial=0)))[index].tolist()
     miss = np.flatnonzero(~hit)
     for i, v in zip(miss.tolist(), column[miss].tolist()):
         out[i] = rest(v)
@@ -898,7 +925,7 @@ def _flag_table() -> np.ndarray:
     """The texts of the documented flag tuples, "0 0 0 0 0 0" to "2 1 1 1
     2 1", as an object array indexed by each tuple's offsets from the
     ranges' lows, raveled over _FLAG_SHAPE; built on first use, and
-    read-only, like `_text_table`."""
+    read-only, like the `_text_table` tables."""
     table = np.array([" ".join(map(str, flags)) for flags in
                       product(*(range(lo, hi + 1) for _, lo, hi in _FLAG_RANGES))], object)
     table.flags.writeable = False
@@ -938,6 +965,21 @@ def _record_text(names: list[str], offsets: np.ndarray, rows: Callable[[int, int
             yield "\n".join([name, str(b - a), *(texts[a:b] if a < b else empty), ""])
 
 
+def _check_tsv_paths(names: list[str], image: np.ndarray) -> None:
+    """Raise ValueError on the first row r whose path, names[image[r]],
+    holds a tab, CR or LF, which a TSV ledger cannot hold: the one copy of
+    that rule, which `_ledger_text` applies before it writes anything, and
+    which a caller can apply before it writes any other output."""
+    joined = "".join(names)
+    if "\t" not in joined and "\n" not in joined and "\r" not in joined:
+        return
+    breaking = np.array(["\t" in name or "\n" in name or "\r" in name for name in names], bool)
+    first = np.flatnonzero(breaking[image])[:1].tolist()
+    if first:
+        raise ValueError(f"image path {names[image[first[0]]]!r} holds a tab or line end, "
+                         "which a TSV ledger cannot hold; export the ledger as .json")
+
+
 def _ledger_text(header: tuple[str, ...], names: list[str], image: np.ndarray,
                  index: np.ndarray, boxes: list[np.ndarray], ratios: list[np.ndarray]
                  ) -> Iterator[str]:
@@ -945,17 +987,14 @@ def _ledger_text(header: tuple[str, ...], names: list[str], image: np.ndarray,
     its index, its box cells and its ratios, every float as `repr` writes
     it, in blocks of _ROW_BLOCK rows.  Box cells are mostly small whole
     numbers, which take cached texts; ratios rarely are.  A row whose path
-    holds a tab, CR or LF raises ValueError before anything is written."""
-    breaking = np.array(["\t" in name or "\n" in name or "\r" in name for name in names], bool)
-    first = np.flatnonzero(breaking[image])[:1].tolist()
-    if first:
-        raise ValueError(f"image path {names[image[first[0]]]!r} holds a tab or line end, "
-                         "which a TSV ledger cannot hold; export the ledger as .json")
+    holds a tab, CR or LF raises ValueError before anything is written
+    (`_check_tsv_paths`)."""
+    _check_tsv_paths(names, image)
     yield "\t".join(header) + "\n"
     for lo in range(0, len(index), _ROW_BLOCK):
         part = slice(lo, lo + _ROW_BLOCK)
         cols = [[names[i] for i in image[part].tolist()], map(str, index[part].tolist()),
-                *(_texts(c[part], _text_table(".0"), repr) for c in boxes),
+                *(_texts(c[part], ".0", repr) for c in boxes),
                 *(map(repr, c[part].tolist()) for c in ratios)]
         yield "\n".join(map("\t".join, zip(*cols))) + "\n"
 
@@ -973,7 +1012,7 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
     boxes, flags = annset.boxes, annset.flags
 
     def rows(lo: int, hi: int) -> list[str]:
-        cols = [_texts(c, _text_table(""), coord) for c in boxes[lo:hi].T]
+        cols = [_texts(c, "", coord) for c in boxes[lo:hi].T]
         cols.append(_flag_texts(flags[lo:hi]))
         return list(map(" ".join, zip(*cols)))
 
@@ -1069,7 +1108,7 @@ def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".j
 def _detection_rows(detset: DetectionSet, lo: int, hi: int) -> list[str]:
     """Rows lo:hi of the detections: each one's box as format_coord writes
     it, its score as repr does."""
-    cols = [_texts(c, _text_table(""), format_coord) for c in detset.boxes[lo:hi].T]
+    cols = [_texts(c, "", format_coord) for c in detset.boxes[lo:hi].T]
     cols.append(list(map(repr, detset.scores[lo:hi].tolist())))
     return list(map(" ".join, zip(*cols)))
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .calibrate import CalibrationResult, ClaimTable
-from .formats import _ledger_text
+from .formats import _check_tsv_paths, _ledger_text
 from .geometry import BBox, iou, iou_cells
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -186,12 +186,22 @@ def _json_floats(column: np.ndarray) -> list:
     return out
 
 
+def check_mbp_export(claims: ClaimTable, fmt: str) -> None:
+    """Raise the ValueError mbp_export(claims, ..., fmt) would raise, before
+    anything is written: an unknown format, or a TSV ledger of a path it
+    cannot hold."""
+    if fmt not in ("tsv", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
+    if fmt == "tsv":
+        _check_tsv_paths(claims.paths, claims.image)
+
+
 def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
     """Write the replacement ledger, worst misalignments (lowest IoU) first;
     claims with equal IoUs keep their order.  The JSON form is the bytes
-    json.dump(rows, indent=2) writes, one object per claim, and a newline."""
-    if fmt not in ("tsv", "json"):
-        raise ValueError(f"unknown export format {fmt!r}")
+    json.dump(rows, indent=2) writes, one object per claim, and a newline.
+    Raises what check_mbp_export raises before it writes anything."""
+    check_mbp_export(claims, fmt)
     order = np.argsort(claims.iou, kind="stable")
     names = claims.paths  # read once: each read of the column is a call
     image, ann_index = claims.image[order], claims.ann_index[order]

@@ -11,6 +11,7 @@ import hashlib
 import importlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -225,24 +226,45 @@ def test_malformed_gt_exits_1_with_location(tmp_path, capsys):
     assert "bad.txt:2:" in err
 
 
+# a closed stdout (sys.stdout is None, as after `>&-`) is an I/O error for a
+# command that writes to it, never a silent loss; `stats --out` does not
+@pytest.mark.parametrize("command", ["stats", "adc", "stats --out"])
+def test_a_closed_stdout_exits_2(tmp_path, capsys, monkeypatch, command):
+    gt = _write(tmp_path, "gt.txt", GT_TWO)
+    dets = _write(tmp_path, "dets.txt", DETS_TWO)
+    name, *out = command.split()
+    table = tmp_path / "table.txt"
+    monkeypatch.setattr(sys, "stdout", None)
+    rc = main([name, "--gt", gt, "--dets", dets, *out, *([str(table)] if out else [])])
+    err = capsys.readouterr().err
+    if out:
+        assert rc == 0 and err == "" and table.read_text(encoding="utf-8").startswith("index\t")
+    else:
+        assert (rc, err) == (2, "boxcal: i/o error: [Errno 9] Bad file descriptor: '<stdout>'\n")
+
+
 # a tab in an image path is legal in the GT, but would break its TSV ledger
-# row: that export exits 1 naming the path, the JSON one writes it
+# row: that export exits 1 naming the path before any output is written, so
+# the directory gains no file; the JSON one writes it
 @pytest.mark.parametrize("ledger", ["mbp.tsv", "mbp.json"])
 def test_a_tab_in_a_claimed_path_refuses_only_the_tsv_ledger(tmp_path, capsys, ledger):
     gt = _write(tmp_path, "gt.txt", "a\tb.jpg\n1\n0 0 10 10 0 0 0 0 0 0\n")
     dets = _write(tmp_path, "dets.txt", "a\tb.jpg\n1\n0 0 10 7 0.9\n")
+    inputs = sorted(tmp_path.iterdir())
     rc = main(["calibrate", "--gt", gt, "--dets", dets, "--out", str(tmp_path / "out.txt"),
-               "--adc", "0.5", "--mbp-export", str(tmp_path / ledger)])
+               "--adc", "0.5", "--report", str(tmp_path / "r.json"),
+               "--mbp-export", str(tmp_path / ledger)])
     err = capsys.readouterr().err
     if ledger == "mbp.json":
         assert rc == 0 and err == "", err
         rows = json.loads((tmp_path / ledger).read_text(encoding="utf-8"))
         assert [row["path"] for row in rows] == ["a\tb.jpg"]
+        assert {"out.txt", "r.json"} <= {p.name for p in tmp_path.iterdir()}
         return
     assert rc == 1
     assert err == ("boxcal: error: image path 'a\\tb.jpg' holds a tab or line end, which a TSV "
                    "ledger cannot hold; export the ledger as .json\n")
-    assert (tmp_path / ledger).read_text(encoding="utf-8") == ""
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -789,6 +811,67 @@ def test_module_entry_point(tmp_path):
     assert bare.returncode == 1
 
 
+def test_a_broken_stdout_pipe_exits_2_without_a_traceback(tmp_path):
+    # stdout is a buffered pipe (PYTHONUNBUFFERED unset) whose reader is gone
+    # before the child starts: the table fits the buffer, so the write
+    # fails only at `run`'s flush, with EPIPE
+    gt = _write(tmp_path, "gt.txt", GT_TWO)
+    dets = _write(tmp_path, "dets.txt", DETS_TWO)
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "boxcal.cli", "stats", "--gt", gt,
+                               "--dets", dets], stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=60, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("boxcal: i/o error: [Errno 32] Broken pipe"), proc.stderr
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+class _Stdout(io.StringIO):
+    """A stdout that logs each flush, with the text written by then, to
+    events, and raises exc from it where given."""
+
+    def __init__(self, events: list, exc: OSError | None = None) -> None:
+        super().__init__()
+        self.events, self.exc = events, exc
+
+    def flush(self) -> None:
+        self.events.append(("flush", self.getvalue()))
+        if self.exc is not None:
+            raise self.exc
+
+
+# `run` runs main, shuts logging down, flushes stdout and ends the process
+# with main's code, or with 2 where that flush fails
+@pytest.mark.parametrize("case,code", [("diff", 0), ("usage", 1), ("broken pipe", 2)])
+def test_run_flushes_stdout_then_exits_with_mains_code(tmp_path, capsys, monkeypatch, case,
+                                                       code):
+    old = _write(tmp_path, "old.txt", GT_TWO)
+    events = []
+    exc = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)) if case == "broken pipe" else None
+    monkeypatch.setattr(sys, "stdout", _Stdout(events, exc))
+    monkeypatch.setattr(sys, "argv", ["boxcal", "diff", old, old] if case != "usage" else
+                        ["boxcal", "nope"])
+    monkeypatch.setattr(logging, "shutdown", lambda: events.append(("logging",)))
+
+    def hard_exit(status):
+        events.append(("exit", status))
+        raise SystemExit(status)  # os._exit never returns
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    with pytest.raises(SystemExit):
+        boxcal.cli.run()
+    out = "" if case == "usage" else "0 changes\n"
+    assert events == [("logging",), ("flush", out), ("exit", code)]
+    err = capsys.readouterr().err
+    assert (err == "boxcal: i/o error: [Errno 32] Broken pipe\n") == (case == "broken pipe"), err
+
+
 def test_the_package_imports_only_what_is_used():
     # `import boxcal` is a lazy facade, and `boxcal synth` imports synth
     # itself, so no other command pays for it
@@ -816,7 +899,10 @@ def test_every_public_name_is_its_home_modules():
         boxcal.no_such_name
 
 
-_RUN_AS_MAIN = """import runpy
+# the module's top level as `python -m` runs it; its entry point's hard
+# exit raises SystemExit here instead, so that this child goes on
+_RUN_AS_MAIN = """import os, runpy, sys
+os._exit = sys.exit
 try:
     runpy.run_module("boxcal.cli", run_name="__main__")
 except SystemExit:

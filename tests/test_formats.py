@@ -317,18 +317,34 @@ def test_detection_writers_equal_the_per_row_reference(table, data):
                 assert sorted(parse_detections_dir(tmp, image_ext="").paths) == sorted(keys)
 
 
+# each suffix's table of whole numbers grows to the power of two above the
+# largest whole number a block holds, at least 2**8 and at most 2**14, and
+# never shrinks; every cell's text is still what its formatter writes
+def test_cached_texts_equal_the_formatters_as_their_table_grows(monkeypatch):
+    import boxcal.formats as formats
+    monkeypatch.setattr(formats, "_text_tables", {})
+    odd = [-0.0, -1.0, -2048.0, 0.5, 255.5, 2.0**14 + 0.5, math.inf, -math.inf, math.nan, 1e300]
+    for top, size in [(3, 256), (255, 256), (256, 512), (100, 512), (2047, 2048),
+                      (2048, 4096), (2**14 - 1, 2**14), (2**14, 2**14)]:
+        column = np.array([*odd, 0.0, 1.0, float(top // 2), float(top)])
+        for suffix, rest in (("", format_coord), (".0", repr)):
+            assert formats._texts(column, suffix, rest) == [rest(v) for v in column.tolist()]
+            assert len(formats._text_tables[suffix]) == size
+
+
 def test_writers_build_their_cached_texts_on_first_use(tmp_path):
     # a run that writes nothing (`boxcal stats`) must not hold the tables;
-    # the GT writer builds both
+    # the GT writer builds both, the whole numbers' only as large as its
+    # values need
     gt, dets = tmp_path / "gt.txt", tmp_path / "dets.txt"
     gt.write_text(GT_SAMPLE, encoding="utf-8")
     dets.write_text("a/img1.jpg\n1\n10 20 30 40 0.9\n", encoding="utf-8")
     code = ("import io, sys, boxcal.cli, boxcal.formats as f\n"
             "assert boxcal.cli.main(['stats', '--gt', sys.argv[1], '--dets', sys.argv[2]]) == 0\n"
-            "tables = (f._text_table, f._flag_table)\n"
-            "assert [t.cache_info().currsize for t in tables] == [0, 0]\n"
+            "assert f._text_tables == {} and f._flag_table.cache_info().currsize == 0\n"
             "f.write_wider_gt(f.load_wider_gt(sys.argv[1]), io.StringIO())\n"
-            "assert [t.cache_info().currsize for t in tables] == [1, 1]\n")
+            "assert {k: len(t) for k, t in f._text_tables.items()} == {'': 256}\n"
+            "assert f._flag_table.cache_info().currsize == 1\n")
     subprocess.run([sys.executable, "-c", code, str(gt), str(dets)], check=True,
                    stdout=subprocess.DEVNULL,
                    env={**os.environ, "PYTHONPATH": str(Path(boxcal.__file__).parents[1])})
@@ -1253,11 +1269,12 @@ def _run_reads(loaded, fields):
 
 
 def _record_runs(counts, block):
-    """The row counts of the greedy runs of whole records with rows: each
-    run the most records, in order, whose rows fit in block, or one record
-    that does not fit alone."""
+    """The row counts of the greedy runs of whole records with rows, a
+    record of more than block rows cut into parts of block rows, the last
+    one shorter: each run the most records or parts, in order, whose rows
+    fit in block."""
     runs, size = [], None
-    for n in counts:
+    for n in [min(block, n - a) for n in counts for a in range(0, max(n, 1), block)]:
         if size is not None and size + n <= block:
             size += n
             continue
@@ -1268,7 +1285,7 @@ def _record_runs(counts, block):
 
 
 # block: the most rows per C read; at 1 and 3 most runs are one record,
-# and a record of more rows is read alone
+# and a record of more rows is read in parts
 @pytest.mark.parametrize("block", [None, 1, 3])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
@@ -1331,8 +1348,9 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
 # A token only `float` reads (`0_1`) sends only the run of records holding
 # it to the row walker; the C reader reads every other run, the runs after
 # it too.  Records of 8 rows and an empty one: at the default block about
-# 2.5 runs, the token in the middle one; at 1 and 3 three runs, each an
-# 8-row record, the token in the middle record.  fault adds a non-numeric
+# 2.5 runs, the token in the middle one; at 1 and 3 each 8-row record is
+# cut into parts of block rows, and the walked run is the token's part of
+# the middle record.  fault adds a non-numeric
 # token in the last row or a negative width in the first, whose rule fault
 # comes first in the file and ends the read after run 0.
 @pytest.mark.parametrize("block", [None, 1, 3])
@@ -1383,8 +1401,8 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
                 assert [n for n, _, _ in reads] == runs  # every run went to the reader
             assert walked == ([] if holding is None else [holding]) + (
                 [len(reads) - 1] if fault == "later" else [])
-            if block < 8 and holding is not None:  # the walked run is the token's record alone
-                assert reads[holding][0] == 8 and len(runs) == 3
+            if block < 8 and holding is not None:  # the walked run is block rows of its record
+                assert reads[holding][0] == block and len(runs) == 3 * -(-8 // block)
             # every flag but `0_1` is an integer: a GT run is read as
             # floats only where it is walked, a detection run always
             float_reads = [k for k, (_, _, floats) in enumerate(reads) if floats is not None]
@@ -1393,41 +1411,50 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
                        for k, (_, typed, _) in enumerate(reads))
 
 
-# A record of more rows than _ROW_BLOCK is a run of its own: one C read
-# takes all its rows, and a token only `float` reads (`0_1`) in it sends
-# that record alone to the row walker.
-@pytest.mark.parametrize("odd", [False, True])
-def test_a_record_longer_than_a_block_is_read_in_one_call(tmp_path, caplog, monkeypatch, odd):
+# A record of more rows than _ROW_BLOCK is cut into parts of _ROW_BLOCK
+# rows, the last one shorter, which shares a run with the next record where
+# both fit: a token only `float` reads (`0_1`) in it sends its part alone to
+# the row walker, and a fault in a later part names its own line.
+@pytest.mark.parametrize("odd", [None, "token", "fault"])
+def test_a_record_longer_than_a_block_is_read_in_parts(tmp_path, caplog, monkeypatch, odd):
     import boxcal.formats as formats
     monkeypatch.setattr(formats, "_ROW_BLOCK", 3)
-    counts = [2, 7, 1]  # three runs: the 7-row record cannot join either neighbour
+    counts = [2, 10, 1]  # runs of 2, 3, 3, 3 and 1 + 1 rows
     cases = []
-    for fields, parse in [(10, lambda t: parse_wider_gt(t, name="gt.txt")),
-                          (5, lambda t: parse_detections_file(t, name="d.txt"))]:
+    for fields, parse, name in [(10, lambda t: parse_wider_gt(t, name="gt.txt"), "gt.txt"),
+                                (5, lambda t: parse_detections_file(t, name="d.txt"), "d.txt")]:
         rows = [" ".join([str(k), "2", "3", "4", *(["1"] * (fields - 4))])
                 for k in range(sum(counts))]
-        if odd:
-            rows[5] = rows[5].replace(" 1", " 0_1", 1)  # a flag or the score of the long record
+        if odd == "token":  # a flag or the score of the long record's row 5, in its second part
+            rows[6] = rows[6].replace(" 1", " 0_1", 1)
+        elif odd == "fault":  # a negative width in the long record's row 7, in its third part
+            rows[9] = rows[9].replace(" 3 ", " -3 ", 1)
         bounds = np.cumsum([0, *counts]).tolist()
         records = [[f"r{i}.jpg", str(n), *rows[a:a + n]]
                    for i, (a, n) in enumerate(zip(bounds, counts))]
+        # that row's line in the file, past 4 lines of record 0 and 2 of its own
         cases.append((parse, "".join(line + "\n" for lines in records for line in lines),
-                      fields))
+                      fields, f"{name}:14: "))
         if fields == 5:  # the same records, one file each
             root = tmp_path / "dets"
             root.mkdir()
             for i, lines in enumerate(records):
                 (root / f"{i}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            cases.append((parse_detections_dir, root, fields))
+            cases.append((parse_detections_dir, root, fields, f"{root / '1.txt'}:10: "))
     with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
-        for parse, arg, fields in cases:
+        for parse, arg, fields, where in cases:
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
-            assert bulk[0] is not None
             assert bulk[:3] == _parse_outcome(parse, arg, caplog, walk_only=True)[:3]
             reads = _run_reads(bulk[4], fields)
-            assert [n for n, _, _ in reads] == counts
-            assert [floats is False for _, _, floats in reads] == [False, odd, False]
-            assert bulk[3] == odd
+            if odd == "fault":  # the read ends at the third part, naming the row's line
+                assert bulk[0] is None and bulk[1].startswith(where)
+                assert [n for n, _, _ in reads] == [2, 3, 3, 3]
+                continue
+            assert bulk[0] is not None
+            assert [n for n, _, _ in reads] == [2, 3, 3, 3, 2]
+            assert [floats is False for _, _, floats in reads] == [
+                False, False, odd == "token", False, False]
+            assert bulk[3] == (odd == "token")
 
 
 # Each run is checked as it is read: a fault ends the read at its run.  Runs
