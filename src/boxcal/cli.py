@@ -1,9 +1,9 @@
 """Command-line front end: calibrate, stats, adc, synth, diff.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage or
-validation or parse error, 2 I/O error.  Diagnostics go to stderr; data
-(tables, summaries, file payloads) goes to stdout or the named output
-files, never interleaved.
+validation or parse error, 2 I/O error.  Diagnostics go to stderr or
+nowhere (`_err`); data (tables, summaries, file payloads) goes to stdout
+or the named output files, never interleaved.
 
 The CLI starts numpy's OpenBLAS single-threaded unless the caller set
 ``OPENBLAS_NUM_THREADS``: boxcal makes no BLAS call, and an idle pool of
@@ -311,6 +311,14 @@ _RUNNERS = {
 }
 
 
+def _err(text: str) -> None:
+    """A diagnostic line to stderr, or nowhere where there is none or its
+    write fails (``2>&-``): never to stdout, the data stream."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(text, file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -324,10 +332,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _RUNNERS[args.command](args)
     except ValueError as exc:  # includes ParseError and config validation
-        print(f"boxcal: error: {exc}", file=sys.stderr)
+        _err(f"boxcal: error: {exc}")
         return 1
     except OSError as exc:
-        print(f"boxcal: i/o error: {exc}", file=sys.stderr)
+        _err(f"boxcal: i/o error: {exc}")
         return 2
 
 
@@ -347,8 +355,7 @@ def run() -> NoReturn:
             sys.stdout.flush()
     except OSError as exc:
         code = 2
-        with suppress(OSError):  # a broken stderr leaves only the code
-            print(f"boxcal: i/o error: {exc}", file=sys.stderr)
+        _err(f"boxcal: i/o error: {exc}")  # a broken stderr leaves only the code
     with suppress(OSError):
         if sys.stderr is not None:
             sys.stderr.flush()

@@ -38,35 +38,34 @@ and each file's line bounds (`_read_tree`); a buffer of ASCII bytes is
 checked as UTF-8 at once.  `_records` is the one walk of the record
 grammar, for all three parsers: it walks the files' line ranges of that
 index, a directory's files in one pass, and does its Python work per
-record, never per line: it decodes each record's name and count, and a
-record carries the line span of its rows in those bytes, not a list of
-lines.  Rows are read on one of two paths.  The fast path
-fills one (N, fields) array with numpy's C text reader (`np.loadtxt`,
-correctly rounded like `float`), in runs of whole records holding at most
-`_ROW_BLOCK` (4,096) rows (`_blocks`, the package's one run rule), a
-longer record cut into parts of 4,096 rows, whose texts are cut from the
-spans and dropped after the call.  A GT run is read first with its six
-flags as int64 (`_FACE_ROW`), which nearly every flag token is and which
-the reader reads faster than a float, and as floats only where that read
-refuses a token or warns.  Where
-that reader refuses a row of a run or misses one, the row walker
-(`_walk`) reads that run's spans again with Python's `float`, which also
-reads `1_0` and `١٢`, into the same array, and the C reader goes on with
-the next run; the walker is the reference the fast path is tested
-against.  The record offsets are computed once per parse.  Each run is
-checked as it is read; the first fault stops the read: the one check of
-the row rules (`_check`) logs the range warnings and raises the first
-fault in file order, naming its file and line.  The columns are a table's only state.  The per-face objects (`ImageAnnotations`, `FaceAnnotation`,
-`ImageDetections`, `Detection`) are its row view, built on first use of
-`.images`; a table built from such objects converts them to columns at
-once and keeps them as that view.  All four tables' row views come from
-one builder, `_row_objects`: it checks the columns once with the array
-rules, raising what the per-row construction raises first, then sets
-each field of all rows from its column, with no constructor call per row.
-A view is built with the cyclic garbage collector paused
-(`_Columns._cached_view`): its objects form no cycle, and the passes
-their allocation would set off find nothing to free.  The collector's
-state is restored after the build, also when the build raises.
+record, never per line, yielding each record's key, the text line of its
+first row and its row count.  Rows are read and written in runs, each the
+next `_ROW_BLOCK` (4,096) table rows, wherever the record bounds fall.
+The fast path fills one (N, fields) array with numpy's C text reader
+(`np.loadtxt`, correctly rounded like `float`), one call per run; a GT
+run is read first with its six flags as int64 (`_FACE_ROW`), which nearly
+every flag token is and which the reader reads faster than a float, and
+as floats only where that read refuses a token or warns.  Where that
+reader refuses a row of a run or misses one, the row walker (`_walk`)
+reads that run's texts again with Python's `float`, which also reads
+`1_0` and `١٢`, and the C reader goes on with the next run; the walker is
+the reference the fast path is tested against.  Each run is checked as it
+is read, and the first fault stops the read: the one check of the row
+rules (`_check`) logs the range warnings and raises the first fault in
+file order, naming the file and line that one locator finds for its row.
+
+The columns are a table's only state.  The per-face objects
+(`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`)
+are its row view, built on first use of `.images`; a table built from
+such objects converts them to columns at once and keeps them as that
+view.  All four tables' row views come from one builder, `_row_objects`:
+it checks the columns once with the array rules, raising what the
+per-row construction raises first, then sets each field of all rows from
+its column, with no constructor call per row.  A view is built with the
+cyclic garbage collector paused (`_Columns._cached_view`): its objects
+form no cycle, and the passes their allocation would set off find
+nothing to free.  The collector's state is restored after the build,
+also when the build raises.
 
 The writers work from the columns: small non-negative whole numbers take
 cached texts, and a face row whose six flags are all whole and in their
@@ -78,8 +77,9 @@ above the largest whole number written (at least 2**8, at most 2**14
 entries), and built again, larger, when a later block needs more.  Every
 record file streams the one record emitter, `_record_text`; both TSV
 ledgers, the claims' and the perturbations', are written by the one TSV
-emitter, `_ledger_text`.  Both build the texts of one block of records or
-rows at a time, so a write holds no per-row text for the whole table.
+emitter, `_ledger_text`.  Both build the texts of one run of rows at a
+time, so a write holds no per-row text for the whole table, nor for the
+whole of a long record.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ import logging
 import math
 import os
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -345,7 +346,8 @@ _ROW_BUDGET = 1 << 14
 def _blocks(offsets: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
     """Consecutive runs [i, j) of the segments offsets bounds, segment i
     holding rows offsets[i]:offsets[i+1]: each run the most segments whose
-    rows fit in budget, and at least one."""
+    rows fit in budget, and at least one: the kernel's rule for blocks of
+    whole images, not the row I/O's (`_ROW_BLOCK`)."""
     i, n = 0, len(offsets) - 1
     while i < n:
         j = max(int(np.searchsorted(offsets, offsets[i] + budget, side="right")) - 1, i + 1)
@@ -481,9 +483,6 @@ class _Text:
         text = self.data[start:self.ends[i + count - 1]].decode("utf-8", "surrogatepass")
         return text.split("\n")
 
-    def line(self, i: int) -> str:
-        return self.rows(i, 1)[0]
-
 
 def _read_tree(sources: list[str], first: int = _CHUNK
                ) -> tuple[_Text, list[int], Exception | None]:
@@ -538,17 +537,16 @@ def _read_file(path: str | Path) -> _Text:
 
 
 def _records(text: _Text, sources: list[str], bounds: list[int], noun: str,
-             zero_dummy: bool = False, keys: list[str] | None = None) -> Iterator[_Record]:
+             zero_dummy: bool = False, keys: list[str] | None = None
+             ) -> Iterator[tuple[str, int, int]]:
     """Walk the records of annotation or detection files: the one copy of
     their grammar.
 
     The files are ranges of one text: source k holds lines bounds[k] to
     bounds[k + 1] - 1, its line 1 the text's line bounds[k].  Yields one
-    _Record (source, text, base, name, lineno, count) per record: its count
-    rows sit on the source's 1-based lines lineno to lineno + count - 1,
-    the text's lines base + lineno - 1 onwards.  Only a record's name and
-    count lines are decoded; its rows are not read, and the walk resumes
-    past them.  Blank lines between records are skipped.  With zero_dummy,
+    (image key, text line of its first row, row count) per record.  Only
+    a record's name and count lines are decoded; its rows are not read,
+    and the walk resumes past them.  Blank lines between records are skipped.  With zero_dummy,
     an all-zero row after a zero-count record is consumed and dropped.
     With keys, each source is a per-image file: it holds one record, named
     keys[k] whatever its name line says, then only blank lines.  Raises
@@ -582,7 +580,7 @@ def _records(text: _Text, sources: list[str], bounds: list[int], noun: str,
             if i + count > n:
                 raise ParseError(source, n - base + 1,
                                  f"record {name!r} ends before its {count} {noun}s")
-            yield source, text, base, name if keys is None else keys[k], i - base + 1, count
+            yield name if keys is None else keys[k], i, count
             i += count
             if keys is not None:
                 if i < n:
@@ -591,7 +589,7 @@ def _records(text: _Text, sources: list[str], bounds: list[int], noun: str,
                             raise ParseError(source, j,
                                              f"file lists more than the declared {count} {noun}s")
                 break
-            if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(text.line(i)):
+            if zero_dummy and count == 0 and i < n and _is_zero_dummy_line(text.rows(i, 1)[0]):
                 i += 1  # the WIDER zero-face placeholder row
         else:
             if keys is not None:
@@ -608,18 +606,10 @@ def _is_zero_dummy_line(line: str) -> bool:
         return False
 
 
-# One record as `_records` yields it: source name, the `_Text` holding it,
-# the text's 0-based line number of the source's line 1, image key, 1-based
-# line of its first row in the source, row count.
-_Record = tuple[str, _Text, int, str, int, int]
-
-# The parsers and the record writers work in runs of whole records holding
-# at most this many rows (`_blocks`): one call of numpy's C text reader,
-# walk of the row walker or text of the writers per run.  A longer record
-# is a run of its own for the writers, and cut into parts of this many rows
-# for the parsers (`_parse`).  The TSV ledgers are written this many rows
-# at a time.  The texts, walked values and rule masks of one run are all
-# that is held of them at a time.
+# The one run rule of the row I/O: the parsers, the record writers and the
+# TSV ledgers take a table's rows this many at a time, the last run fewer,
+# wherever the record bounds fall.  The texts, walked values and rule masks
+# of one run are all that is held of them at a time.
 _ROW_BLOCK = 1 << 12
 
 
@@ -628,12 +618,12 @@ _ROW_BLOCK = 1 << 12
 _FACE_ROW = np.dtype([("boxes", np.float64, 4), ("flags", np.int64, 6)])
 
 
-def _bulk(run: list[_Record], out: np.ndarray, typed: np.dtype | None = None) -> bool:
-    """The fast path: fill out, an (n, fields) float64 array, with one
-    run's rows as numpy's C text reader reads them, whose texts are cut
-    from the spans and dropped after the call.  False, with out left as it
-    was, when the reader refuses a token or a row has another number of
-    fields (the reader skips blank rows, so the row count shows those too).
+def _bulk(rows: list[str], out: np.ndarray, typed: np.dtype | None = None) -> bool:
+    """The fast path: fill out, an (n, fields) float64 array, with the
+    texts of one run's rows as numpy's C text reader reads them.  False,
+    with out left as it was, when the reader refuses a token or a row has
+    another number of fields (the reader skips blank rows, so the row
+    count shows those too).
 
     With typed, a structured dtype whose subarray fields, side by side,
     are out's columns, the reader first reads the run as that, and as
@@ -647,9 +637,6 @@ def _bulk(run: list[_Record], out: np.ndarray, typed: np.dtype | None = None) ->
     Where the reader and `float` both read a token, both give the same
     double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
     and left to the row walker."""
-    rows: list[str] = []
-    for _, text, base, _, lineno, count in run:
-        rows += text.rows(base + lineno - 1, count)
     if typed is not None:
         try:
             with warnings.catch_warnings():
@@ -670,106 +657,109 @@ def _bulk(run: list[_Record], out: np.ndarray, typed: np.dtype | None = None) ->
     return True
 
 
-def _walk(records: list[_Record], noun: str, fields: int) -> tuple[np.ndarray, ParseError | None]:
-    """The row walker: the records' rows read one at a time with Python's
-    `float` up to the first row with the wrong number of fields or a
-    non-numeric one, as an (N, fields) array, with that row's ParseError or
-    None.  It checks no value and never raises."""
+def _walk(rows: list[str], noun: str, fields: int) -> tuple[np.ndarray, str | None]:
+    """The row walker: the rows read one at a time with Python's `float` up
+    to the first row with the wrong number of fields or a non-numeric one,
+    as an (n, fields) array, with that row's fault text or None.  It checks
+    no value and never raises."""
     vals: list[float] = []
-    try:
-        for source, text, base, _, lineno, count in records:
-            for k, line in enumerate(text.rows(base + lineno - 1, count), lineno):
-                tokens = line.split()
-                if len(tokens) != fields:
-                    raise ParseError(source, k,
-                                     f"expected {fields} fields on {noun} line, got {len(tokens)}")
-                try:
-                    vals.extend(list(map(float, tokens)))
-                except ValueError:
-                    raise ParseError(source, k, f"non-numeric field in {tokens!r}") from None
-        fault = None
-    except ParseError as exc:
-        fault = exc
+    fault = None
+    for line in rows:
+        tokens = line.split()
+        if len(tokens) != fields:
+            fault = f"expected {fields} fields on {noun} line, got {len(tokens)}"
+            break
+        try:
+            vals.extend(list(map(float, tokens)))
+        except ValueError:
+            fault = f"non-numeric field in {tokens!r}"
+            break
     return np.array(vals, np.float64).reshape(-1, fields), fault
 
 
-def _parse(records: Iterator[_Record], noun: str, fields: int,
-           rules: Callable[[np.ndarray], list[tuple]],
-           typed: np.dtype | None = None) -> tuple[list[_Record], np.ndarray, np.ndarray]:
-    """The records, their row offsets (record i holds rows starts[i] to
+def _parse(text: _Text, sources: list[str], bounds: list[int], noun: str, fields: int,
+           rules: Callable[[np.ndarray], list[tuple]], typed: np.dtype | None = None, *,
+           fault: Exception | None = None, **grammar) -> tuple[list, np.ndarray, np.ndarray]:
+    """The image keys of the files' records (`_records`, given grammar's
+    keywords), their row offsets (record i holds rows starts[i] to
     starts[i + 1] - 1) and their checked rows, in one (N, fields) array
-    filled run by run, each run the whole records holding at most
-    _ROW_BLOCK rows (`_blocks`), a record of more rows cut into parts of
-    _ROW_BLOCK rows, the last one shorter, each part a _Record whose lineno
-    and count are its own: by the C reader (`_bulk`, reading typed first
-    where given), or by the row walker where that reader refuses the run.
-    A run with no rows is skipped.
+    filled run by run, each run the next _ROW_BLOCK rows, whose texts are
+    cut from the records' spans: by the C reader (`_bulk`, reading typed
+    first where given), or by the row walker where that reader refuses.
 
     Each run is checked as it is read; the first fault stops the read:
     `_check` of rules(run) raises a rule's fault, else the walker's fault,
-    whose row ends the run, is raised.  records is walked once, first;
-    where that walk raises (a grammar fault, a file with extra lines, an
-    OSError), the records before the fault are read and checked, and then
-    its fault is raised.
-    """
-    recs: list[_Record] = []
-    fault: Exception | None = None
+    whose row ends the run, is raised.  The records are walked first; where
+    that walk raises a grammar fault, or fault is given (the error of the
+    file a tree's read stopped at), the records before it are read and
+    checked, and then that fault is raised."""
+    names, lines, counts = [], [], []  # each record's key, first row's line and row count
     try:
-        recs.extend(records)  # keeps the records before a fault
-    except (ParseError, OSError) as exc:
-        fault = exc
-    counts = [n for *_, n in recs]
+        for name, line, count in _records(text, sources, bounds, noun, **grammar):
+            names.append(name)
+            lines.append(line)
+            counts.append(count)
+    except ParseError as exc:
+        fault = exc  # in a file before the one the read stopped at
     starts = _offsets(counts)
-    values = np.empty((int(starts[-1]), fields))
-    parts, part_starts = recs, starts  # a record of more than _ROW_BLOCK rows cut in parts
-    if max(counts, default=0) > _ROW_BLOCK:
-        parts = [(source, text, base, name, lineno + a, min(_ROW_BLOCK, count - a))
-                 for source, text, base, name, lineno, count in recs
-                 for a in range(0, max(count, 1), _ROW_BLOCK)]
-        part_starts = _offsets([n for *_, n in parts])
+    first = memoryview(starts)  # Python ints, read only where a run or a fault needs them
+
+    def where(row: int) -> tuple[str, int]:
+        """The source and 1-based line of a table row: the one locator."""
+        r = bisect_right(first, row) - 1
+        line = lines[r] + row - first[r]
+        k = bisect_right(bounds, line) - 1
+        return sources[k], line - bounds[k] + 1
+
+    total = first[-1]
+    values = np.empty((total, fields))
     with warnings.catch_warnings():
         # every row of a run blank: `_bulk`'s shape check rejects the result
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for i, j in _blocks(part_starts, _ROW_BLOCK):
-            lo, hi = int(part_starts[i]), int(part_starts[j])
-            if lo == hi:
-                continue
+        for lo in range(0, total, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, total)
+            i = bisect_right(first, lo) - 1  # the records from i to j - 1 hold rows lo:hi
+            j = bisect_left(first, hi, i)
+            rows = text.rows(lines[i] + lo - first[i], min(first[i + 1], hi) - lo)
+            for line, count in zip(lines[i + 1:j - 1], counts[i + 1:j - 1]):
+                rows += text.rows(line, count)
+            if j > i + 1:
+                rows += text.rows(lines[j - 1], hi - first[j - 1])
             run, row_fault = values[lo:hi], None
-            if not _bulk(parts[i:j], run, typed):
-                rows, row_fault = _walk(parts[i:j], noun, fields)
-                run = run[:len(rows)]
-                run[:] = rows
-            _check(parts[i:j], part_starts[i:j + 1] - lo, run, rules(run))
+            if not _bulk(rows, run, typed):
+                walked, row_fault = _walk(rows, noun, fields)
+                run = run[:len(walked)]
+                run[:] = walked
+            del rows
+            _check(run, rules(run), lo, where)
             if row_fault is not None:
-                raise row_fault
+                raise ParseError(*where(lo + len(run)), row_fault)
     if fault is not None:
         raise fault
-    return recs, starts, values
+    return names, starts, values
 
 
-def _check(records: list[_Record], starts: np.ndarray, values: np.ndarray,
-           rules: list[tuple[np.ndarray, int | slice, Callable[..., str], bool]]) -> None:
+def _check(values: np.ndarray, rules: list[tuple], lo: int,
+           where: Callable[[int], tuple[str, int]]) -> None:
     """The one check of the row rules, on each run of either parse path as
     it is read; the first fault stops the read.  values holds the run's
-    rows, record i's rows starts[i] onwards; rules lists each row's rules
-    in its check order, each as (mask of the rows it fires on, the column
-    of its value, its message on that value, whether it is a fault or a
-    warning).  Logs every warning before the first fault in file order,
-    then raises that fault.  Only the rows a rule fires on are put in that
-    order, by row and then by rule, so a clean run costs one mask per rule
-    and their one reduction."""
+    rows, table rows lo onwards, where(row) the source and line of a table
+    row; rules lists each row's rules in its check order, each as (mask of
+    the rows it fires on, the column of its value, its message on that
+    value, whether it is a fault or a warning).  Logs every warning before
+    the first fault in file order, then raises that fault.  Only the rows a
+    rule fires on are put in that order, by row and then by rule, so a
+    clean run costs one mask per rule and their one reduction."""
     rows = np.flatnonzero(functools.reduce(np.logical_or, [mask for mask, *_ in rules]))
     if not rows.size:
         return
     at, rule = np.nonzero(np.column_stack([mask[rows] for mask, *_ in rules]))
-    rec = np.searchsorted(starts, rows[at], side="right") - 1
-    for i, row, r in zip(rec.tolist(), rows[at].tolist(), rule.tolist()):
-        source, lineno = records[i][0], records[i][4] + row - int(starts[i])
+    for row, r in zip(rows[at].tolist(), rule.tolist()):
         _, column, message, is_fault = rules[r]
         text = message(values[row, column].tolist())
         if is_fault:
-            raise ParseError(source, lineno, text)
-        log.warning("%s:%d: %s", source, lineno, text)
+            raise ParseError(*where(lo + row), text)
+        log.warning("%s:%d: %s", *where(lo + row), text)
 
 
 def _box_error(box: list[float]) -> str:
@@ -805,15 +795,14 @@ def _detection_rules(values: np.ndarray) -> list[tuple]:
             (~valid_boxes(values[:, :4]), slice(0, 4), _box_error, True)]
 
 
-def _annotations(records: list[_Record], offsets: np.ndarray, values: np.ndarray) -> AnnotationSet:
+def _annotations(names: list[str], offsets: np.ndarray, values: np.ndarray) -> AnnotationSet:
     """The annotation table, its boxes and flags views of values: the flags
     are truncated in place, and + 0.0 turns the -0.0 that trunc gives for
     -0 and -0.5 into 0."""
     flags = values[:, 4:]
     np.trunc(flags, out=flags)
     flags += 0.0
-    return AnnotationSet(paths=[name for _, _, _, name, _, _ in records],
-                         offsets=offsets, boxes=values[:, :4], flags=flags)
+    return AnnotationSet(paths=names, offsets=offsets, boxes=values[:, :4], flags=flags)
 
 
 def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
@@ -826,15 +815,14 @@ def _first_unsorted(offsets: np.ndarray, scores: np.ndarray) -> int | None:
     return int(np.searchsorted(offsets, first[0], side="right")) - 1 if first.size else None
 
 
-def _detections(records: list[_Record], offsets: np.ndarray, values: np.ndarray) -> DetectionSet:
+def _detections(names: list[str], offsets: np.ndarray, values: np.ndarray) -> DetectionSet:
     """The detection table, each image's rows sorted by descending score;
     the sort is stable, so equal scores keep file order.  Files already in
     that order, as boxcal writes them, are not sorted again."""
     if _first_unsorted(offsets, values[:, 4]) is not None:
-        image = np.repeat(np.arange(len(records)), np.diff(offsets))
+        image = np.repeat(np.arange(len(names)), np.diff(offsets))
         values = values[np.lexsort((-values[:, 4], image))]
-    return DetectionSet(paths=[name for _, _, _, name, _, _ in records], offsets=offsets,
-                        boxes=values[:, :4], scores=values[:, 4])
+    return DetectionSet(paths=names, offsets=offsets, boxes=values[:, :4], scores=values[:, 4])
 
 
 def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
@@ -850,8 +838,8 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
 
 
 def _parse_gt(text: _Text, name: str) -> AnnotationSet:
-    records = _records(text, [name], [0, text.n], "face", zero_dummy=True)
-    return _annotations(*_parse(records, "face", 10, _face_rules, _FACE_ROW))
+    return _annotations(*_parse(text, [name], [0, text.n], "face", 10, _face_rules, _FACE_ROW,
+                                zero_dummy=True))
 
 
 def format_coord(v: float, policy: str = "decimal") -> str:
@@ -954,15 +942,22 @@ def _record_text(names: list[str], offsets: np.ndarray, rows: Callable[[int, int
     """The one emitter of records: per record, the text of its name line,
     its row count and its rows, offsets[i]:offsets[i+1] of the table, or
     the lines of empty where it has none; every line ends in LF.  rows(lo,
-    hi) gives the texts of rows lo:hi; it is called once per block of
-    records holding at most _ROW_BLOCK rows, or one record, so only one
-    block's texts are held at a time."""
-    for i, j in _blocks(offsets, _ROW_BLOCK):
-        lo = int(offsets[i])
-        texts = rows(lo, int(offsets[j]))
-        bounds = (offsets[i:j + 1] - lo).tolist()
-        for name, a, b in zip(names[i:j], bounds, bounds[1:]):
+    hi) gives the texts of rows lo:hi; it is called once per run of
+    _ROW_BLOCK rows, so only one run's texts are held at a time, and a
+    record whose rows span runs comes as one text per run."""
+    bounds = memoryview(offsets)  # Python ints, read only where a run needs them
+    total, i = bounds[-1], 0
+    for lo in range(0, max(total, 1), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, total)
+        texts = rows(lo, hi)
+        if bounds[i] < lo:  # record i began in an earlier run
+            yield "\n".join([*texts[:bounds[i + 1] - lo], ""])
+            i += 1
+        j = len(names) if hi == total else bisect_left(bounds, hi, i)  # records i:j start here
+        starts = (offsets[i:j + 1] - lo).tolist()
+        for name, a, b in zip(names[i:j], starts, starts[1:]):
             yield "\n".join([name, str(b - a), *(texts[a:b] if a < b else empty), ""])
+        i = j - 1 if bounds[j] > hi else j
 
 
 def _check_tsv_paths(names: list[str], image: np.ndarray) -> None:
@@ -1070,13 +1065,8 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
     sources, keys = [prefix + rel for rel in rels], [rel[:-4] + image_ext for rel in rels]
     del rels  # a string per file, not needed while the tree is read
     text, bounds, fault = _read_tree(sources)
-
-    def records() -> Iterator[_Record]:
-        yield from _records(text, sources, bounds, "detection", keys=keys)
-        if fault is not None:
-            raise fault  # after the records of the files read before it
-
-    return _detections(*_parse(records(), "detection", 5, _detection_rules))
+    return _detections(*_parse(text, sources, bounds, "detection", 5, _detection_rules,
+                               fault=fault, keys=keys))
 
 
 def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> DetectionSet:
@@ -1089,8 +1079,7 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
 
 
 def _parse_detections(text: _Text, name: str) -> DetectionSet:
-    records = _records(text, [name], [0, text.n], "detection")
-    return _detections(*_parse(records, "detection", 5, _detection_rules))
+    return _detections(*_parse(text, [name], [0, text.n], "detection", 5, _detection_rules))
 
 
 def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".jpg") -> DetectionSet:
@@ -1139,11 +1128,14 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
                          f"{os.path.join(root, clash)}, a directory of {folders[clash]!r}")
     for folder in {".", *folders}:
         os.makedirs(os.path.join(root, folder), exist_ok=True)
-    records = _record_text([Path(key).stem for key in files.values()], detset.offsets,
-                           functools.partial(_detection_rows, detset))
-    for rel, text in zip(files, records):
+    offsets = detset.offsets
+    texts = _record_text([Path(key).stem for key in files.values()], offsets,
+                         functools.partial(_detection_rows, detset))
+    # a record comes in one text per run of _ROW_BLOCK rows it spans, at least one
+    spans = (offsets[1:] - 1) // _ROW_BLOCK - offsets[:-1] // _ROW_BLOCK + 1
+    for rel, parts in zip(files, np.maximum(spans, 1).tolist()):
         with open(os.path.join(root, rel), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write("".join(islice(texts, parts)))
 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:

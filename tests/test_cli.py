@@ -243,6 +243,27 @@ def test_a_closed_stdout_exits_2(tmp_path, capsys, monkeypatch, command):
         assert (rc, err) == (2, "boxcal: i/o error: [Errno 9] Bad file descriptor: '<stdout>'\n")
 
 
+# a diagnostic goes to stderr or nowhere, never to stdout, the data stream:
+# with no stderr (sys.stderr is None) an I/O error still exits 2
+def test_no_stderr_leaves_stdout_empty_and_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)
+    rc = main(["calibrate", "--gt", str(tmp_path / "missing.txt"),
+               "--dets", str(tmp_path / "missing"), "--out", str(tmp_path / "out.txt")])
+    assert (rc, capsys.readouterr().out) == (2, "")
+
+
+# the same with the child's stderr descriptor closed (`2>&-`), where each
+# write to sys.stderr raises EBADF
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_a_closed_stderr_descriptor_exits_2_with_stdout_empty(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "boxcal.cli", "calibrate",
+                           "--gt", str(tmp_path / "missing.txt"),
+                           "--dets", str(tmp_path / "missing"), "--out", str(tmp_path / "out.txt")],
+                          stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2), timeout=60,
+                          env=_child_env())
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 # a tab in an image path is legal in the GT, but would break its TSV ledger
 # row: that export exits 1 naming the path before any output is written, so
 # the directory gains no file; the JSON one writes it

@@ -391,6 +391,84 @@ def test_writers_give_the_same_bytes_at_every_block_size(tmp_path, monkeypatch, 
     assert written("blocked") == default
 
 
+def _long_record_tables(counts):
+    """An annotation and a detection table whose records hold counts rows:
+    whole-number boxes, a fraction in every seventh row, no flags set and
+    descending scores."""
+    n = sum(counts)
+    rng = np.random.default_rng(5)
+    boxes = rng.integers(1, 1000, (n, 4)).astype(float)
+    boxes[::7, 0] += 0.25
+    paths, offsets = [f"r{i}.jpg" for i in range(len(counts))], np.cumsum([0, *counts])
+    return (AnnotationSet(paths=paths, offsets=offsets, boxes=boxes, flags=np.zeros((n, 6))),
+            DetectionSet(paths=paths, offsets=offsets, boxes=boxes,
+                         scores=np.repeat(0.5, n) - np.arange(n) * 1e-6))
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps only the count of characters written."""
+
+    def __init__(self):
+        super().__init__()
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+# a record of 100,000 rows is written a run of _ROW_BLOCK rows at a time:
+# the writer holds one run's texts, never the record's.  Holding every row
+# text of the record peaks near 7 times the bytes written, and even one
+# joined text of the whole record at the bytes written; one run's texts
+# peak near 0.4 times them here (numpy 2.4)
+def test_a_long_record_is_written_in_runs_of_rows():
+    anns, dets = _long_record_tables([100_000])
+    for write, table in [(write_wider_gt, anns), (write_detections_file, dets)]:
+        write(table, _Discard())  # the cached texts are built here, not below
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            write(table, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 2_500_000 and peak < sink.chars, (write.__name__, peak, sink.chars)
+
+
+# records longer than a run, an empty one between them and one at the end:
+# every writer gives the same bytes whichever rows the runs cut; a
+# per-image file gets its whole record however many runs it spans
+@pytest.mark.parametrize("block", [1, 3])
+def test_records_longer_than_a_run_give_the_same_bytes(tmp_path, monkeypatch, block):
+    import boxcal.formats as formats
+    anns, dets = _long_record_tables([2, 4100, 0, 5, 4097, 0])
+    assert max(np.diff(anns.offsets)) > formats._ROW_BLOCK
+
+    def written(tag):
+        bufs = [io.StringIO() for _ in range(3)]
+        write_wider_gt(anns, bufs[0])
+        write_wider_gt(anns, bufs[1], "integer")
+        write_detections_file(dets, bufs[2])
+        write_detections_dir(dets, tmp_path / tag)
+        files = sorted((p.relative_to(tmp_path / tag).as_posix(), p.read_bytes())
+                       for p in (tmp_path / tag).rglob("*.txt"))
+        return [buf.getvalue() for buf in bufs], files
+
+    default = written("default")
+    records = iter(default[0][2].split("\n"))  # each file holds its whole record
+    expected = []
+    for key, n in zip(dets.paths, np.diff(dets.offsets).tolist()):
+        lines = [next(records) for _ in range(n + 2)]
+        expected.append((key[:-4] + ".txt", "\n".join([key[:-4], *lines[1:], ""]).encode()))
+    assert default[1] == sorted(expected)
+    monkeypatch.setattr(formats, "_ROW_BLOCK", block)
+    assert written("blocked") == default
+
+
 def _gt_parse_excess(tmp_path, n_images):
     """The tracemalloc peak of load_wider_gt on a synthetic GT of n_images
     images of 5 to 20 faces, less the table's arrays and the file's size,
@@ -1268,24 +1346,16 @@ def _run_reads(loaded, fields):
     return [tuple(run) for run in runs]
 
 
-def _record_runs(counts, block):
-    """The row counts of the greedy runs of whole records with rows, a
-    record of more than block rows cut into parts of block rows, the last
-    one shorter: each run the most records or parts, in order, whose rows
-    fit in block."""
-    runs, size = [], None
-    for n in [min(block, n - a) for n in counts for a in range(0, max(n, 1), block)]:
-        if size is not None and size + n <= block:
-            size += n
-            continue
-        if size:
-            runs.append(size)
-        size = n
-    return runs + [size] if size else runs
+def _row_runs(counts, block):
+    """The row counts of the runs of a table whose records hold counts
+    rows: block rows each, the last one fewer, wherever the record bounds
+    fall."""
+    total = sum(counts)
+    return [min(block, total - lo) for lo in range(0, total, block)]
 
 
-# block: the most rows per C read; at 1 and 3 most runs are one record,
-# and a record of more rows is read in parts
+# block: the rows per C read, the last read fewer; at 1 and 3 a run cuts
+# most records, at the default most records are whole within a run
 @pytest.mark.parametrize("block", [None, 1, 3])
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
@@ -1312,16 +1382,18 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
         mp.setattr(formats, "_ROW_BLOCK", block)
         spans = []  # (source, first row's line, row count) of each record the grammar walk yields
 
-        def records(*args, real=formats._records, **kwargs):
-            for record in real(*args, **kwargs):
-                spans.append((record[0], record[4], record[5]))
+        def records(text, sources, bounds, *args, real=formats._records, **kwargs):
+            for record in real(text, sources, bounds, *args, **kwargs):
+                _, line, count = record  # line: the record's first row's line in text
+                k = np.searchsorted(bounds, line - 1, side="right") - 1  # its count line's file
+                spans.append((sources[k], line - bounds[k] + 1, count))
                 yield record
 
         mp.setattr(formats, "_records", records)
         for parse, arg, fields in cases:
             spans.clear()
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
-            runs = _record_runs([n for _, _, n in spans], block)
+            runs = _row_runs([n for _, _, n in spans], block)
             walker = _parse_outcome(parse, arg, caplog, walk_only=True)
             assert bulk[:3] == walker[:3]          # same arrays, error text and warnings
             reads = _run_reads(bulk[4], fields)
@@ -1334,9 +1406,9 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
                 assert all(typed is None and floats is not None for _, typed, floats in reads)
             # the walker runs if and only if both C reads refused a run
             assert bulk[3] == any(floats is False for _, _, floats in reads)
-            # one C read per run of whole records with rows, in order, up to
-            # and including the run holding the faulty row, whose walk or
-            # check ended the read, or every run where no row is at fault
+            # one C read per run of block rows, in order, up to and
+            # including the run holding the faulty row, whose walk or check
+            # ended the read, or every run where no row is at fault
             error, firsts = bulk[1] or "", np.cumsum([0, *(n for _, _, n in spans)]).tolist()
             faulty = [first + k for (source, lineno, n), first in zip(spans, firsts)
                       for k in range(n) if error.startswith(f"{source}:{lineno + k}: ")]
@@ -1345,14 +1417,14 @@ def test_bulk_parse_equals_the_row_walker(tmp_path, caplog, block, gt, dets):
             assert [n for n, _, _ in reads] == read
 
 
-# A token only `float` reads (`0_1`) sends only the run of records holding
-# it to the row walker; the C reader reads every other run, the runs after
-# it too.  Records of 8 rows and an empty one: at the default block about
-# 2.5 runs, the token in the middle one; at 1 and 3 each 8-row record is
-# cut into parts of block rows, and the walked run is the token's part of
-# the middle record.  fault adds a non-numeric
-# token in the last row or a negative width in the first, whose rule fault
-# comes first in the file and ends the read after run 0.
+# A token only `float` reads (`0_1`) sends only the run of rows holding it
+# to the row walker; the C reader reads every other run, the runs after it
+# too.  Records of 8 rows and an empty one: at the default block 2.5 runs,
+# the token in the middle one; at 1 and 3 runs of block rows cut the 8-row
+# records, and the walked run is the block rows holding the token.  fault
+# adds a non-numeric token in the last row or a negative width in the
+# first, whose rule fault comes first in the file and ends the read after
+# run 0.
 @pytest.mark.parametrize("block", [None, 1, 3])
 @pytest.mark.parametrize("fault", [None, "later", "earlier"])
 def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
@@ -1362,7 +1434,7 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
     odd = n_rows // 2
     counts = [min(8, n_rows - a) for a in range(0, n_rows, 8)]
     counts.insert(len(counts) // 3, 0)
-    runs = _record_runs(counts, block)
+    runs = _row_runs(counts, block)
     cases = []
     for fields, parse in [(10, lambda t: parse_wider_gt(t, name="gt.txt")),
                           (5, lambda t: parse_detections_file(t, name="d.txt"))]:
@@ -1401,8 +1473,8 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
                 assert [n for n, _, _ in reads] == runs  # every run went to the reader
             assert walked == ([] if holding is None else [holding]) + (
                 [len(reads) - 1] if fault == "later" else [])
-            if block < 8 and holding is not None:  # the walked run is block rows of its record
-                assert reads[holding][0] == block and len(runs) == 3 * -(-8 // block)
+            if holding is not None:  # the walked run is block rows, wherever records end
+                assert reads[holding][0] == block and len(runs) == -(-n_rows // block)
             # every flag but `0_1` is an integer: a GT run is read as
             # floats only where it is walked, a detection run always
             float_reads = [k for k, (_, _, floats) in enumerate(reads) if floats is not None]
@@ -1411,23 +1483,22 @@ def test_a_refused_token_walks_only_its_block(tmp_path, caplog, block, fault):
                        for k, (_, typed, _) in enumerate(reads))
 
 
-# A record of more rows than _ROW_BLOCK is cut into parts of _ROW_BLOCK
-# rows, the last one shorter, which shares a run with the next record where
-# both fit: a token only `float` reads (`0_1`) in it sends its part alone to
-# the row walker, and a fault in a later part names its own line.
+# A record of more rows than _ROW_BLOCK spans runs of _ROW_BLOCK rows, the
+# way any record may: a token only `float` reads (`0_1`) in it sends only
+# its run to the row walker, and a fault in a later run names its own line.
 @pytest.mark.parametrize("odd", [None, "token", "fault"])
 def test_a_record_longer_than_a_block_is_read_in_parts(tmp_path, caplog, monkeypatch, odd):
     import boxcal.formats as formats
     monkeypatch.setattr(formats, "_ROW_BLOCK", 3)
-    counts = [2, 10, 1]  # runs of 2, 3, 3, 3 and 1 + 1 rows
+    counts = [2, 10, 1]  # runs of 2 + 1, 3, 3, 3 and 1 rows
     cases = []
     for fields, parse, name in [(10, lambda t: parse_wider_gt(t, name="gt.txt"), "gt.txt"),
                                 (5, lambda t: parse_detections_file(t, name="d.txt"), "d.txt")]:
         rows = [" ".join([str(k), "2", "3", "4", *(["1"] * (fields - 4))])
                 for k in range(sum(counts))]
-        if odd == "token":  # a flag or the score of the long record's row 5, in its second part
+        if odd == "token":  # a flag or the score of the long record's row 5, in run 2
             rows[6] = rows[6].replace(" 1", " 0_1", 1)
-        elif odd == "fault":  # a negative width in the long record's row 7, in its third part
+        elif odd == "fault":  # a negative width in the long record's row 7, in run 3
             rows[9] = rows[9].replace(" 3 ", " -3 ", 1)
         bounds = np.cumsum([0, *counts]).tolist()
         records = [[f"r{i}.jpg", str(n), *rows[a:a + n]]
@@ -1446,12 +1517,12 @@ def test_a_record_longer_than_a_block_is_read_in_parts(tmp_path, caplog, monkeyp
             bulk = _parse_outcome(parse, arg, caplog, walk_only=False)
             assert bulk[:3] == _parse_outcome(parse, arg, caplog, walk_only=True)[:3]
             reads = _run_reads(bulk[4], fields)
-            if odd == "fault":  # the read ends at the third part, naming the row's line
+            if odd == "fault":  # the read ends at run 3, naming the row's line
                 assert bulk[0] is None and bulk[1].startswith(where)
-                assert [n for n, _, _ in reads] == [2, 3, 3, 3]
+                assert [n for n, _, _ in reads] == [3, 3, 3, 3]
                 continue
             assert bulk[0] is not None
-            assert [n for n, _, _ in reads] == [2, 3, 3, 3, 2]
+            assert [n for n, _, _ in reads] == [3, 3, 3, 3, 1]
             assert [floats is False for _, _, floats in reads] == [
                 False, False, odd == "token", False, False]
             assert bulk[3] == (odd == "token")
@@ -1467,9 +1538,9 @@ def test_the_first_fault_ends_the_read_at_its_run(caplog, monkeypatch, walk_only
     monkeypatch.setattr(formats, "_ROW_BLOCK", 3)
     walks = []  # the rows of each walk of the row walker
 
-    def walk(records, *args, real=formats._walk):
-        walks.append(sum(record[-1] for record in records))
-        return real(records, *args)
+    def walk(rows, *args, real=formats._walk):
+        walks.append(len(rows))
+        return real(rows, *args)
 
     monkeypatch.setattr(formats, "_walk", walk)
     box_error = "box width/height must be >= 0, got BBox(x=0.0, y=0.0, w=-1.0, h=1.0)"
