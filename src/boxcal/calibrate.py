@@ -26,14 +26,15 @@ annotation images (a table already in their order is kept as it is),
 step 1 (`_hcdr_counts`) is a per-image count of scores above the
 threshold, step 2 (`_match`) runs over blocks of consecutive images
 holding at most `_ROW_BUDGET` annotation and HCDR rows, scores candidate
-pairs in runs of HCDRs under a fixed pair budget and never reads the
-interval, step 3 (`_resolve`) applies it and is a single `np.unique` over
-annotation rows for the whole dataset, since claims never cross images,
-and step 4 is one indexed assignment into a copy of the box column.  Only
-the per-HCDR outputs of step 2 grow with the dataset; its temporaries are
-bounded by the two budgets.  The claims come out as columns too, a
-`ClaimTable`, the tables' type built only from columns; their `MbpRecord`
-objects are a read-only row view, built only when something reads them.
+pairs in runs of HCDRs holding at most `_ROW_BUDGET` pairs and never reads
+the interval, step 3 (`_resolve`) applies it and is a single `np.unique`
+over annotation rows for the whole dataset, since claims never cross
+images, and step 4 is one indexed assignment into a copy of the box
+column.  Only the per-HCDR outputs of step 2 grow with the dataset; its
+temporaries are bounded by that one budget.  The claims come out as
+columns too, a `ClaimTable`, the tables' type built only from columns;
+their `MbpRecord` objects are a read-only row view, built only when
+something reads them.
 
 Every matching decision uses the original geometry; replacements never feed
 back into the same pass.  The procedure is single-pass: a second application
@@ -138,12 +139,6 @@ class CalibrationResult:
         return self.claims.records
 
 
-# Candidate pairs are scored in runs of consecutive HCDRs holding at most
-# this many pairs, which bounds the kernel's temporaries (about 150 bytes a
-# pair) however crowded a single image is.
-_PAIR_BUDGET = 1 << 14
-
-
 def _keys(img: np.ndarray, coord: np.ndarray) -> np.ndarray:
     """(image, coordinate) pairs as complex numbers, which numpy sorts,
     searches and takes maxima of lexicographically; `align` keeps coord finite."""
@@ -189,70 +184,52 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     dets is aligned to anns, and image i's HCDRs are the first n_rows[i] of
     its detections.  Returns, per HCDR in (image, score) order: the max over
     all annotations; the max over eligible ones (valid ones only unless
-    include_invalid) and the table row of its lowest annotation, or of the
-    image's first eligible one when that max is 0; and whether the image
-    has an eligible annotation at all.  The images are matched in runs
-    holding at most _ROW_BUDGET annotation and HCDR rows (`_match_images`),
-    so only the outputs grow with the dataset.
+    include_invalid; the same array when every annotation is eligible) and
+    the table row of its lowest annotation, or of the image's first
+    eligible one when that max is 0; and whether the image has an eligible
+    annotation at all.  Images are matched in runs of at most _ROW_BUDGET
+    annotation and HCDR rows; in each, IoU is computed only on each HCDR's
+    candidate run (every other cell is exactly 0), in runs of HCDRs holding
+    at most _ROW_BUDGET pairs.  Only the outputs grow with the dataset.
     """
     hcdr_off = _offsets(n_rows)
     n = int(hcdr_off[-1])
-    max_all, best = np.zeros(n), np.zeros(n)
-    arg, has_eligible = np.zeros(n, np.int64), np.zeros(n, bool)
+    max_all, arg, has_eligible = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, bool)
+    best = max_all if include_invalid else np.zeros(n)
     for i, j in _blocks(anns.offsets + hcdr_off, _ROW_BUDGET):
-        a, b = int(anns.offsets[i]), int(anns.offsets[j])
-        out = slice(int(hcdr_off[i]), int(hcdr_off[j]))
-        hcdr = _segment_rows(dets.offsets[i:j], n_rows[i:j])
-        max_all[out], best[out], arg[out], has_eligible[out] = _match_images(
-            anns.offsets[i:j + 1] - a, anns.boxes[a:b], anns.flags[a:b], n_rows[i:j],
-            dets.boxes[hcdr], include_invalid)
-        arg[out] += a
-    return max_all, best, arg, has_eligible
+        ann_off, rows = anns.offsets[i:j + 1], n_rows[i:j]
+        a, b, h = int(ann_off[0]), int(ann_off[-1]), int(hcdr_off[i])
+        eligible = include_invalid | (anns.flags[a:b, _INVALID] == 0)
+        eligible_at = np.append(np.flatnonzero(eligible) + a, b)
+        first_col = eligible_at[np.searchsorted(eligible_at, ann_off[:-1])]
+        out = slice(h, int(hcdr_off[j]))
+        has_eligible[out] = np.repeat(first_col < ann_off[1:], rows)
+        arg[out] = np.repeat(first_col, rows)
 
-
-def _match_images(ann_off: np.ndarray, boxes: np.ndarray, flags: np.ndarray,
-                  n_rows: np.ndarray, hcdr_boxes: np.ndarray, include_invalid: bool
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_match` on a run of images: the annotation rows ann_off bounds and
-    their boxes and flags, and the images' HCDR counts and boxes; rows are
-    numbered within the run.  IoU is computed only on each HCDR's candidate
-    run, in runs of HCDRs holding at most _PAIR_BUDGET pairs; every other
-    cell is exactly 0."""
-    n_ann = len(boxes)
-    eligible = include_invalid | (flags[:, _INVALID] == 0)
-    ax, ay, aw, ah = boxes.T
-    px, py, pw, ph = hcdr_boxes.T
-    order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, n_rows, px, pw)
-
-    eligible_at = np.append(np.flatnonzero(eligible), n_ann)
-    first_col = eligible_at[np.searchsorted(eligible_at, ann_off[:-1])]
-    has_eligible = np.repeat(first_col < ann_off[1:], n_rows)
-
-    counts = hi - lo
-    pair_off = _offsets(counts)
-    max_all = np.zeros(len(px))
-    best = np.zeros(len(px))
-    arg = np.repeat(first_col, n_rows)
-    for r0, r1 in _blocks(pair_off, _PAIR_BUDGET):
-        hit = np.flatnonzero(counts[r0:r1]) + r0     # rows with candidates
-        if hit.size:
-            c = counts[hit]
-            seg = pair_off[hit] - pair_off[r0]
-            row = np.repeat(hit, c)
-            col = order[_segment_rows(lo[hit], c)]
-            ious = iou_cells(px[row], py[row], pw[row], ph[row],
-                             ax[col], ay[col], aw[col], ah[col])
-            max_all[hit] = np.maximum.reduceat(ious, seg)
-            if include_invalid:  # every cell is eligible
-                best[hit] = max_all[hit]
-            else:
-                ious[~eligible[col]] = -1.0
-                best[hit] = np.maximum(np.maximum.reduceat(ious, seg), 0.0)
-            # ties go to the lowest column among the cells equal to a positive max
-            top = (ious == np.repeat(best[hit], c)) & (ious > 0)
-            low = np.minimum.reduceat(np.where(top, col, n_ann), seg)
-            found = low < n_ann
-            arg[hit[found]] = low[found]
+        ax, ay, aw, ah = anns.boxes[a:b].T
+        px, py, pw, ph = dets.boxes[_segment_rows(dets.offsets[i:j], rows)].T
+        order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, rows, px, pw)
+        counts = hi - lo
+        pair_off = _offsets(counts)
+        for r0, r1 in _blocks(pair_off, _ROW_BUDGET):
+            hit = np.flatnonzero(counts[r0:r1]) + r0     # rows with candidates
+            if hit.size:
+                c = counts[hit]
+                seg = pair_off[hit] - pair_off[r0]
+                row = np.repeat(hit, c)
+                col = order[_segment_rows(lo[hit], c)]   # numbered within the run
+                ious = iou_cells(px[row], py[row], pw[row], ph[row],
+                                 ax[col], ay[col], aw[col], ah[col])
+                hit += h
+                max_all[hit] = np.maximum.reduceat(ious, seg)
+                if not include_invalid:
+                    ious[~eligible[col]] = -1.0
+                    best[hit] = np.maximum(np.maximum.reduceat(ious, seg), 0.0)
+                # ties go to the lowest column among the cells equal to a positive max
+                top = (ious == np.repeat(best[hit], c)) & (ious > 0)
+                low = np.minimum.reduceat(np.where(top, col, len(ax)), seg)
+                found = low < len(ax)
+                arg[hit[found]] = low[found] + a
     return max_all, best, arg, has_eligible
 
 

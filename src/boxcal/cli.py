@@ -25,6 +25,12 @@ ignored`` and exit 120.  `main(argv)` returns its exit code instead, for
 tests and library callers that run the CLI in their own process.  Every
 write to stdout goes through `_out`, so a closed stdout (``sys.stdout``
 is None) is an I/O error too, not a silent loss of the output.
+
+An interrupt (Ctrl-C) prints no traceback: `run` resets SIGINT to its
+default action and sends it to the process again, so the process dies by
+SIGINT, as an uncaught interrupt would end it, and a calling shell loop
+stops rather than going on as it would after an exit code.  A run started
+with SIGINT ignored, as a shell's background job is, keeps ignoring it.
 """
 
 from __future__ import annotations
@@ -347,15 +353,23 @@ def run() -> NoReturn:
     flush that fails (a broken pipe) is an I/O error, exit code 2.  This is
     safe only while two things stay true, which every change to the CLI
     must keep: each output file is closed by its ``with`` block before
-    `main` returns, and the CLI starts no thread."""
-    code = main()
-    logging.shutdown()
+    `main` returns, and the CLI starts no thread.  An interrupt (Ctrl-C)
+    ends the process by SIGINT, as an uncaught one would, without its
+    traceback."""
     try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as exc:
-        code = 2
-        _err(f"boxcal: i/o error: {exc}")  # a broken stderr leaves only the code
+        code = main()
+        logging.shutdown()
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:
+            code = 2
+            _err(f"boxcal: i/o error: {exc}")  # a broken stderr leaves only the code
+    except KeyboardInterrupt:
+        import signal  # here only: importing it costs every run about 1.2 ms
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        code = 130  # only where the signal did not end the process
     with suppress(OSError):
         if sys.stderr is not None:
             sys.stderr.flush()

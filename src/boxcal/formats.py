@@ -337,9 +337,11 @@ def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # Images are matched, and their scores averaged, in runs of consecutive
-# images holding at most this many rows, or one image, which bounds the
-# temporaries of the kernel's candidate search (about 100 bytes a row) and
-# of the confidence average however large the dataset.
+# images holding at most this many rows, or one image, and a run's candidate
+# pairs are scored in runs of HCDRs holding at most this many pairs, or one
+# HCDR.  This bounds the temporaries of the kernel (about 100 bytes a row and
+# 150 a pair) and of the confidence average, however large the dataset and
+# however crowded an image.
 _ROW_BUDGET = 1 << 14
 
 

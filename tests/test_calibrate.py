@@ -368,6 +368,19 @@ def test_claimed_box_that_is_not_a_bbox_is_rejected(side):
         calibrate_dataset(anns, dets, CalibrationConfig(t_m=0.0, adc_override=0.5))
 
 
+def _kernel_transient(anns, dets, cfg=None):
+    """calibrate_dataset's traced peak, less the result's own arrays."""
+    tracemalloc.start()
+    try:
+        result = calibrate_dataset(anns, dets, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = [result.calibrated.boxes, result.hcdr_ious,
+           *(getattr(result.claims, name) for name, *_ in result.claims._COLUMNS)]
+    return peak - sum(a.nbytes for a in own)
+
+
 def test_kernel_memory_does_not_grow_with_the_dataset():
     # the kernel matches runs of images holding a bounded number of rows, so
     # with 4x the images its traced peak, less the result's own arrays, does
@@ -377,16 +390,24 @@ def test_kernel_memory_does_not_grow_with_the_dataset():
                          distractors_per_image=(0, 10))
         truth = generate_dataset(spec)
         pert, _ = perturb(truth, 5, 0.3, (0.55, 0.75), image_size=spec.image_size)
-        dets = emit_detections(truth, spec)
-        tracemalloc.start()
-        try:
-            result = calibrate_dataset(pert, dets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        own = [result.calibrated.boxes, result.hcdr_ious,
-               *(getattr(result.claims, name) for name, *_ in result.claims._COLUMNS)]
-        return peak - sum(a.nbytes for a in own)
+        return _kernel_transient(pert, emit_detections(truth, spec))
 
     small, large = transient(1000), transient(4000)  # 19k and 75k annotation and HCDR rows
+    assert large - small < 512 * 1024
+
+
+def test_kernel_memory_does_not_grow_with_one_crowded_image():
+    # every HCDR of the image overlaps every annotation horizontally, so each
+    # has all n annotations as candidates: n * n pairs, which the kernel
+    # scores in runs of HCDRs holding a bounded number of pairs
+    def transient(n):
+        rng = np.random.default_rng(7)
+        boxes = np.column_stack([rng.uniform(0, 20, n), rng.uniform(0, 4000, n),
+                                 np.full(n, 30.0), np.full(n, 30.0)])
+        anns = AnnotationSet(paths=["x.jpg"], offsets=[0, n], boxes=boxes, flags=np.zeros((n, 6)))
+        dets = DetectionSet(paths=["x.jpg"], offsets=[0, n], boxes=boxes + [1.0, 0, 0, 0],
+                            scores=np.full(n, 0.9))
+        return _kernel_transient(anns, dets, CFG)
+
+    small, large = transient(500), transient(1000)  # 250k and 1M candidate pairs
     assert large - small < 512 * 1024

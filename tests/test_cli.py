@@ -14,9 +14,11 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from operator import attrgetter
 from pathlib import Path
@@ -851,6 +853,46 @@ def test_a_broken_stdout_pipe_exits_2_without_a_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("boxcal: i/o error: [Errno 32] Broken pipe"), proc.stderr
     assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+# Ctrl-C: the child blocks reading its GT from a FIFO, which the parent's
+# non-blocking open of the write end finds (it fails with ENXIO until the
+# child has opened the read end), and gets SIGINT there.  It dies by SIGINT,
+# as an uncaught interrupt ends Python, with no traceback.  A child started
+# with SIGINT ignored, as a shell's background job is, ignores it and reads
+# the GT written after it.
+@pytest.mark.skipif(os.name != "posix", reason="FIFOs and POSIX signals")
+@pytest.mark.parametrize("ignored", [False, True])
+def test_an_interrupt_ends_the_cli_by_sigint_without_a_traceback(tmp_path, ignored):
+    fifo = tmp_path / "gt.fifo"
+    os.mkfifo(fifo)
+    dets = _write(tmp_path, "dets.txt", DETS_TWO)
+    ignore = (lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)) if ignored else None
+    with subprocess.Popen([sys.executable, "-m", "boxcal.cli", "adc", "--gt", str(fifo),
+                           "--dets", dets], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, preexec_fn=ignore, env=_child_env()) as proc:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError as exc:
+                if exc.errno != errno.ENXIO or time.monotonic() > deadline:
+                    proc.kill()
+                    raise
+                time.sleep(0.01)
+        try:
+            proc.send_signal(signal.SIGINT)
+            if ignored:
+                os.write(fd, GT_TWO.encode())
+        finally:
+            os.close(fd)
+        out, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err
+    if ignored:
+        assert (proc.returncode, out.splitlines()[0]) == (0, "0.850000"), err
+    else:
+        assert (proc.returncode, out) == (-signal.SIGINT, ""), err
 
 
 class _Stdout(io.StringIO):

@@ -597,9 +597,9 @@ def test_fast_path_and_oracle_reject_the_same_inputs():
 
 @pytest.mark.parametrize("budget", [1, 7, 100])
 def test_pair_budget_does_not_change_the_result(monkeypatch, budget):
-    # small budgets split rows across many runs, and a single row's
-    # candidates can exceed the budget on their own
-    monkeypatch.setattr(boxcal.calibrate, "_PAIR_BUDGET", budget)
+    # small budgets split rows across many runs of HCDRs (and images across
+    # many runs), and a single row's candidates can exceed the budget on their own
+    monkeypatch.setattr(boxcal.calibrate, "_ROW_BUDGET", budget)
     spec = dataclasses.replace(MIXED, seed=99, faces_per_image=(0, 12), box_size=(16, 200))
     truth = generate_dataset(spec)
     pert, _ = perturb(truth, 99, 0.5, (0.1, 0.9), image_size=spec.image_size)
