@@ -26,38 +26,55 @@ tests and library callers that run the CLI in their own process.  Every
 write to stdout goes through `_out`, so a closed stdout (``sys.stdout``
 is None) is an I/O error too, not a silent loss of the output.
 
-An interrupt (Ctrl-C) prints no traceback: `run` resets SIGINT to its
-default action and sends it to the process again, so the process dies by
-SIGINT, as an uncaught interrupt would end it, and a calling shell loop
-stops rather than going on as it would after an exit code.  A run started
-with SIGINT ignored, as a shell's background job is, keeps ignoring it.
+An interrupt (Ctrl-C) in `run`, or in this module's imports where the
+process is the CLI's (as for the OpenBLAS default; a host gets the
+KeyboardInterrupt), prints no traceback: `_die_by_sigint` sends SIGINT
+again at its default action, so the process dies by it, as an uncaught
+interrupt would end it, and a calling shell loop stops rather than going
+on as after an exit code.  A run started with SIGINT ignored, as a
+shell's background job is, keeps ignoring it.
 """
 
 from __future__ import annotations
 
-import argparse
-import errno
-import logging
 import os
 import sys
-from contextlib import contextmanager, suppress
-from dataclasses import fields
-from operator import itemgetter
-from pathlib import Path
-from time import perf_counter
-from typing import Iterator, NoReturn
 
-if "numpy" not in sys.modules:  # this process is the CLI's, not a host's that loaded numpy
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # after the default: OpenBLAS reads it when numpy loads
+def _die_by_sigint() -> NoReturn:
+    """Die by SIGINT, with no traceback; exit 130 where the signal does not kill."""
+    import signal  # here only: importing it costs every run about 1.2 ms
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    os.kill(os.getpid(), signal.SIGINT)
+    os._exit(130)
 
-from .adc import compute_adc
-from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
-from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
-                      load_wider_gt, save_wider_gt, write_detections_dir, write_detections_file)
-from .report import (DEFAULT_EDGES, check_edges, check_mbp_export, format_histogram_table,
-                     localization_histogram, mbp_export, summary_line, write_report)
+
+_OWN = "numpy" not in sys.modules  # this process is the CLI's, not a host's that loaded numpy
+try:
+    import argparse
+    import errno
+    import logging
+    from contextlib import contextmanager, suppress
+    from dataclasses import fields
+    from operator import itemgetter
+    from pathlib import Path
+    from time import perf_counter
+    from typing import Iterator, NoReturn
+    if _OWN:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy as np  # after the default: OpenBLAS reads it when numpy loads
+
+    from .adc import compute_adc
+    from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
+    from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
+                          load_wider_gt, save_wider_gt, write_detections_dir,
+                          write_detections_file)
+    from .report import (DEFAULT_EDGES, check_edges, check_mbp_export, format_histogram_table,
+                         localization_histogram, mbp_export, summary_line, write_report)
+except KeyboardInterrupt:  # Ctrl-C while the CLI starts
+    if not _OWN:
+        raise
+    _die_by_sigint()
 
 log = logging.getLogger("boxcal.cli")  # not __main__ under python -m
 
@@ -366,10 +383,7 @@ def run() -> NoReturn:
             code = 2
             _err(f"boxcal: i/o error: {exc}")  # a broken stderr leaves only the code
     except KeyboardInterrupt:
-        import signal  # here only: importing it costs every run about 1.2 ms
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGINT)
-        code = 130  # only where the signal did not end the process
+        _die_by_sigint()
     with suppress(OSError):
         if sys.stderr is not None:
             sys.stderr.flush()

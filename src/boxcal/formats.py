@@ -42,17 +42,16 @@ record, never per line, yielding each record's key, the text line of its
 first row and its row count.  Rows are read and written in runs, each the
 next `_ROW_BLOCK` (4,096) table rows, wherever the record bounds fall.
 The fast path fills one (N, fields) array with numpy's C text reader
-(`np.loadtxt`, correctly rounded like `float`), one call per run; a GT
-run is read first with its six flags as int64 (`_FACE_ROW`), which nearly
-every flag token is and which the reader reads faster than a float, and
-as floats only where that read refuses a token or warns.  Where that
-reader refuses a row of a run or misses one, the row walker (`_walk`)
-reads that run's texts again with Python's `float`, which also reads
-`1_0` and `١٢`, and the C reader goes on with the next run; the walker is
-the reference the fast path is tested against.  Each run is checked as it
-is read, and the first fault stops the read: the one check of the row
-rules (`_check`) logs the range warnings and raises the first fault in
-file order, naming the file and line that one locator finds for its row.
+(`np.loadtxt`, correctly rounded like `float`), one call per run, as
+`_FACE_ROW` (int64 flags, which nearly every flag token is) or
+`_DETECTION_ROW`.  Where that call refuses a token (a flag spelled
+`1.0`, say), warns or misses a row, the row walker (`_walk`) reads that
+run's texts again with Python's `float`, which also reads `1_0` and
+`١٢`, and the C reader goes on with the next run; the walker is the
+reference the fast path is tested against.  Each run is checked as it is
+read, and the first fault stops the read: the one check of the row rules
+(`_check`) logs the range warnings and raises the first fault in file
+order, naming the file and line that one locator finds for its row.
 
 The columns are a table's only state.  The per-face objects
 (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`)
@@ -615,47 +614,34 @@ def _is_zero_dummy_line(line: str) -> bool:
 _ROW_BLOCK = 1 << 12
 
 
-# A face row as the C reader first reads it: the box cells as floats, the
-# six flags as int64, which nearly every flag token is.
+# The row dtypes the C reader reads a run as, their subarray fields side by
+# side the table's columns: a face row's flags as int64, which nearly every
+# flag token is and which the reader reads faster than a float.
 _FACE_ROW = np.dtype([("boxes", np.float64, 4), ("flags", np.int64, 6)])
+_DETECTION_ROW = np.dtype([("cells", np.float64, 5)])
 
 
-def _bulk(rows: list[str], out: np.ndarray, typed: np.dtype | None = None) -> bool:
+def _bulk(rows: list[str], out: np.ndarray, row: np.dtype) -> bool:
     """The fast path: fill out, an (n, fields) float64 array, with the
-    texts of one run's rows as numpy's C text reader reads them.  False,
-    with out left as it was, when the reader refuses a token or a row has
-    another number of fields (the reader skips blank rows, so the row
-    count shows those too).
-
-    With typed, a structured dtype whose subarray fields, side by side,
-    are out's columns, the reader first reads the run as that, and as
-    floats only if it refuses: an int64 token converts to the double
-    `float` gives it, past 2**53 too, and a token no int64 field reads
-    (`1.0`, `1e300`, `nan`, `99999999999999999999`) is read as a float.
-    Any warning of the typed read refuses the run: a numpy that warns
-    and truncates `1.5` into an int field must not hide the flag's range
-    warning.
+    texts of one run's rows as one call of numpy's C text reader reads
+    them as row.  False, with out left as it was, where the reader refuses
+    a token or a row's field count, warns, or skips a (blank) row.
 
     Where the reader and `float` both read a token, both give the same
-    double; the tokens only `float` reads (`1_0`, `١٢`) are refused here
-    and left to the row walker."""
-    if typed is not None:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                cells = np.loadtxt(rows, typed, comments=None, ndmin=1)
-        except (ValueError, Warning):
-            cells = None
-        if cells is not None and cells.shape == (len(rows),):
-            np.concatenate([cells[name] for name in typed.names], axis=1, out=out)
-            return True
+    double, an int64 token past 2**53 too.  Any other token of an int64
+    field (`1.0`, `1e300`, `nan`, `99999999999999999999`) refuses the run,
+    as the tokens only `float` reads (`1_0`, `١٢`) do.  So does a warning:
+    a numpy that warns and truncates `1.5` into an int field must not hide
+    the flag's range warning."""
     try:
-        values = np.loadtxt(rows, np.float64, comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = np.loadtxt(rows, row, comments=None, ndmin=1)
+    except (ValueError, Warning):
         return False
-    if values.shape != out.shape:
+    if cells.shape != (len(rows),):
         return False
-    out[:] = values
+    np.concatenate([cells[name] for name in row.names], axis=1, out=out)
     return True
 
 
@@ -679,15 +665,15 @@ def _walk(rows: list[str], noun: str, fields: int) -> tuple[np.ndarray, str | No
     return np.array(vals, np.float64).reshape(-1, fields), fault
 
 
-def _parse(text: _Text, sources: list[str], bounds: list[int], noun: str, fields: int,
-           rules: Callable[[np.ndarray], list[tuple]], typed: np.dtype | None = None, *,
-           fault: Exception | None = None, **grammar) -> tuple[list, np.ndarray, np.ndarray]:
+def _parse(text: _Text, sources: list[str], bounds: list[int], noun: str, row: np.dtype,
+           rules: Callable[[np.ndarray], list[tuple]], *, fault: Exception | None = None,
+           **grammar) -> tuple[list, np.ndarray, np.ndarray]:
     """The image keys of the files' records (`_records`, given grammar's
     keywords), their row offsets (record i holds rows starts[i] to
     starts[i + 1] - 1) and their checked rows, in one (N, fields) array
-    filled run by run, each run the next _ROW_BLOCK rows, whose texts are
-    cut from the records' spans: by the C reader (`_bulk`, reading typed
-    first where given), or by the row walker where that reader refuses.
+    of row's fields side by side, filled run by run, each run the next
+    _ROW_BLOCK rows, whose texts are cut from the records' spans: by one
+    call of the C reader (`_bulk`), or by the row walker where it refuses.
 
     Each run is checked as it is read; the first fault stops the read:
     `_check` of rules(run) raises a rule's fault, else the walker's fault,
@@ -713,29 +699,26 @@ def _parse(text: _Text, sources: list[str], bounds: list[int], noun: str, fields
         k = bisect_right(bounds, line) - 1
         return sources[k], line - bounds[k] + 1
 
-    total = first[-1]
+    total, fields = first[-1], sum(row[name].shape[0] for name in row.names)
     values = np.empty((total, fields))
-    with warnings.catch_warnings():
-        # every row of a run blank: `_bulk`'s shape check rejects the result
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for lo in range(0, total, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, total)
-            i = bisect_right(first, lo) - 1  # the records from i to j - 1 hold rows lo:hi
-            j = bisect_left(first, hi, i)
-            rows = text.rows(lines[i] + lo - first[i], min(first[i + 1], hi) - lo)
-            for line, count in zip(lines[i + 1:j - 1], counts[i + 1:j - 1]):
-                rows += text.rows(line, count)
-            if j > i + 1:
-                rows += text.rows(lines[j - 1], hi - first[j - 1])
-            run, row_fault = values[lo:hi], None
-            if not _bulk(rows, run, typed):
-                walked, row_fault = _walk(rows, noun, fields)
-                run = run[:len(walked)]
-                run[:] = walked
-            del rows
-            _check(run, rules(run), lo, where)
-            if row_fault is not None:
-                raise ParseError(*where(lo + len(run)), row_fault)
+    for lo in range(0, total, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, total)
+        i = bisect_right(first, lo) - 1  # the records from i to j - 1 hold rows lo:hi
+        j = bisect_left(first, hi, i)
+        rows = text.rows(lines[i] + lo - first[i], min(first[i + 1], hi) - lo)
+        for line, count in zip(lines[i + 1:j - 1], counts[i + 1:j - 1]):
+            rows += text.rows(line, count)
+        if j > i + 1:
+            rows += text.rows(lines[j - 1], hi - first[j - 1])
+        run, row_fault = values[lo:hi], None
+        if not _bulk(rows, run, row):
+            walked, row_fault = _walk(rows, noun, fields)
+            run = run[:len(walked)]
+            run[:] = walked
+        del rows
+        _check(run, rules(run), lo, where)
+        if row_fault is not None:
+            raise ParseError(*where(lo + len(run)), row_fault)
     if fault is not None:
         raise fault
     return names, starts, values
@@ -840,7 +823,7 @@ def parse_wider_gt(source: str | TextIO, name: str = "<gt>") -> AnnotationSet:
 
 
 def _parse_gt(text: _Text, name: str) -> AnnotationSet:
-    return _annotations(*_parse(text, [name], [0, text.n], "face", 10, _face_rules, _FACE_ROW,
+    return _annotations(*_parse(text, [name], [0, text.n], "face", _FACE_ROW, _face_rules,
                                 zero_dummy=True))
 
 
@@ -1067,8 +1050,8 @@ def parse_detections_dir(root: str | Path, image_ext: str = ".jpg") -> Detection
     sources, keys = [prefix + rel for rel in rels], [rel[:-4] + image_ext for rel in rels]
     del rels  # a string per file, not needed while the tree is read
     text, bounds, fault = _read_tree(sources)
-    return _detections(*_parse(text, sources, bounds, "detection", 5, _detection_rules,
-                               fault=fault, keys=keys))
+    return _detections(*_parse(text, sources, bounds, "detection", _DETECTION_ROW,
+                               _detection_rules, fault=fault, keys=keys))
 
 
 def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> DetectionSet:
@@ -1081,7 +1064,8 @@ def parse_detections_file(source: str | TextIO, name: str = "<dets>") -> Detecti
 
 
 def _parse_detections(text: _Text, name: str) -> DetectionSet:
-    return _detections(*_parse(text, [name], [0, text.n], "detection", 5, _detection_rules))
+    return _detections(*_parse(text, [name], [0, text.n], "detection", _DETECTION_ROW,
+                               _detection_rules))
 
 
 def load_detections(path: str | Path, layout: str = "auto", image_ext: str = ".jpg") -> DetectionSet:

@@ -190,10 +190,10 @@ def check_mbp_export(claims: ClaimTable, fmt: str) -> None:
     """Raise the ValueError mbp_export(claims, ..., fmt) would raise, before
     anything is written: an unknown format, or a TSV ledger of a path it
     cannot hold."""
-    if fmt not in ("tsv", "json"):
-        raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "tsv":
         _check_tsv_paths(claims.paths, claims.image)
+    elif fmt != "json":
+        raise ValueError(f"unknown export format {fmt!r}")
 
 
 def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
@@ -201,7 +201,8 @@ def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
     claims with equal IoUs keep their order.  The JSON form is the bytes
     json.dump(rows, indent=2) writes, one object per claim, and a newline.
     Raises what check_mbp_export raises before it writes anything."""
-    check_mbp_export(claims, fmt)
+    if fmt != "tsv":  # a TSV ledger's paths are checked by `_ledger_text`
+        check_mbp_export(claims, fmt)
     order = np.argsort(claims.iou, kind="stable")
     names = claims.paths  # read once: each read of the column is a call
     image, ann_index = claims.image[order], claims.ann_index[order]

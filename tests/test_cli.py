@@ -895,6 +895,50 @@ def test_an_interrupt_ends_the_cli_by_sigint_without_a_traceback(tmp_path, ignor
         assert (proc.returncode, out) == (-signal.SIGINT, ""), err
 
 
+# Ctrl-C while the CLI is still importing: a `sitecustomize` on the
+# child's path sends the process SIGINT as the module INTERRUPT_ON_IMPORT
+# names is first imported.  Both CLI forms, ``python -m boxcal.cli`` and
+# the console script's ``run()``, die by SIGINT with no traceback.  A host
+# that loaded numpy before it imports `boxcal.cli` gets the interrupt.
+_INTERRUPT_ON_IMPORT = """\
+import os, signal, sys
+
+class _Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == os.environ["INTERRUPT_ON_IMPORT"]:
+            sys.meta_path.remove(self)
+            os.kill(os.getpid(), signal.SIGINT)
+        return None
+
+sys.meta_path.insert(0, _Interrupt())
+"""
+_HOST = """\
+import numpy
+try:
+    import boxcal.cli
+except KeyboardInterrupt:
+    print("the host got the interrupt")
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX signals")
+@pytest.mark.parametrize("argv,target,code,out", [
+    (["-m", "boxcal.cli"], "numpy", -signal.SIGINT, ""),
+    (["-c", "from boxcal.cli import run; run()"], "numpy", -signal.SIGINT, ""),
+    (["-c", _HOST], "boxcal.adc", 0, "the host got the interrupt\n")],
+    ids=["module", "script", "host"])
+def test_an_interrupt_while_the_cli_imports_prints_no_traceback(tmp_path, argv, target, code, out):
+    (tmp_path / "hook").mkdir()
+    (tmp_path / "hook" / "sitecustomize.py").write_text(_INTERRUPT_ON_IMPORT, encoding="utf-8")
+    env = _child_env(INTERRUPT_ON_IMPORT=target)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path / "hook"), env["PYTHONPATH"]])
+    gt, dets = _write(tmp_path, "gt.txt", GT_TWO), _write(tmp_path, "dets.txt", DETS_TWO)
+    proc = subprocess.run([sys.executable, *argv, "adc", "--gt", gt, "--dets", dets],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
 class _Stdout(io.StringIO):
     """A stdout that logs each flush, with the text written by then, to
     events, and raises exc from it where given."""
