@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import (_ROW_BUDGET, AnnotationSet, DetectionSet, _blocks, _offsets, _segment_rows,
-                      check_aligned)
+from .formats import AnnotationSet, DetectionSet, _blocks, _offsets, _segment_rows, check_aligned
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +56,7 @@ def compute_adc(anns: AnnotationSet, dets: DetectionSet) -> AdcResult:
         log.warning("no detection scores usable for the confidence average; value defaults to 0")
         return AdcResult(0.0, 0.0, 0, 0, shortfall)
     numerator = 0.0
-    for i, j in _blocks(_offsets(used), _ROW_BUDGET):
+    for i, j in _blocks(_offsets(used)):
         rows = _segment_rows(dets.offsets[i:j], used[i:j])
         numerator = float(np.cumsum(np.append(numerator, dets.scores[rows]))[-1])
     return AdcResult(numerator / denominator, numerator, denominator,

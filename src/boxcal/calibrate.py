@@ -50,8 +50,8 @@ from time import perf_counter
 import numpy as np
 
 from .adc import AdcResult, compute_adc
-from .formats import (_FLAG_RANGES, _ROW_BUDGET, AnnotationSet, DetectionSet, _blocks, _Columns,
-                      _offsets, _segment_rows, align)
+from .formats import (_FLAG_RANGES, AnnotationSet, DetectionSet, _blocks, _Columns, _offsets,
+                      _segment_rows, align)
 from .geometry import BBox, iou_cells
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
     n = int(hcdr_off[-1])
     max_all, arg, has_eligible = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, bool)
     best = max_all if include_invalid else np.zeros(n)
-    for i, j in _blocks(anns.offsets + hcdr_off, _ROW_BUDGET):
+    for i, j in _blocks(anns.offsets + hcdr_off):
         ann_off, rows = anns.offsets[i:j + 1], n_rows[i:j]
         a, b, h = int(ann_off[0]), int(ann_off[-1]), int(hcdr_off[i])
         eligible = include_invalid | (anns.flags[a:b, _INVALID] == 0)
@@ -211,7 +211,7 @@ def _match(anns: AnnotationSet, dets: DetectionSet, n_rows: np.ndarray, include_
         order, lo, hi = _candidate_runs(np.diff(ann_off), ax, aw, rows, px, pw)
         counts = hi - lo
         pair_off = _offsets(counts)
-        for r0, r1 in _blocks(pair_off, _ROW_BUDGET):
+        for r0, r1 in _blocks(pair_off):
             hit = np.flatnonzero(counts[r0:r1]) + r0     # rows with candidates
             if hit.size:
                 c = counts[hit]

@@ -26,12 +26,11 @@ tests and library callers that run the CLI in their own process.  Every
 write to stdout goes through `_out`, so a closed stdout (``sys.stdout``
 is None) is an I/O error too, not a silent loss of the output.
 
-An interrupt (Ctrl-C) in `run`, or in this module's imports where the
-process is the CLI's (as for the OpenBLAS default; a host gets the
-KeyboardInterrupt), prints no traceback: `_die_by_sigint` sends SIGINT
-again at its default action, so the process dies by it, as an uncaught
-interrupt would end it, and a calling shell loop stops rather than going
-on as after an exit code.  A run started with SIGINT ignored, as a
+An interrupt (Ctrl-C) prints no traceback: `_quiet_interrupt`, the
+``sys.excepthook`` that `run` installs (so do this module's imports, until
+they return, where the process is the CLI's), prints nothing for it.  The
+interpreter then finalizes, flushing what was written, and dies by SIGINT,
+so a calling shell loop stops.  A run started with SIGINT ignored, as a
 shell's background job is, keeps ignoring it.
 """
 
@@ -41,40 +40,37 @@ import os
 import sys
 
 
-def _die_by_sigint() -> NoReturn:
-    """Die by SIGINT, with no traceback; exit 130 where the signal does not kill."""
-    import signal  # here only: importing it costs every run about 1.2 ms
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    os.kill(os.getpid(), signal.SIGINT)
-    os._exit(130)
+def _quiet_interrupt(kind, value, tb) -> None:
+    """A ``sys.excepthook``: nothing for a KeyboardInterrupt, Python's traceback otherwise."""
+    if not issubclass(kind, KeyboardInterrupt):
+        sys.__excepthook__(kind, value, tb)
 
 
 _OWN = "numpy" not in sys.modules  # this process is the CLI's, not a host's that loaded numpy
-try:
-    import argparse
-    import errno
-    import logging
-    from contextlib import contextmanager, suppress
-    from dataclasses import fields
-    from operator import itemgetter
-    from pathlib import Path
-    from time import perf_counter
-    from typing import Iterator, NoReturn
-    if _OWN:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy as np  # after the default: OpenBLAS reads it when numpy loads
+if _OWN:  # before numpy loads, which reads the default; Ctrl-C while the CLI starts is quiet
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _hook, sys.excepthook = sys.excepthook, _quiet_interrupt
+import argparse
+import errno
+import logging
+from contextlib import contextmanager, suppress
+from dataclasses import fields
+from operator import itemgetter
+from pathlib import Path
+from time import perf_counter
+from typing import Iterator, NoReturn
 
-    from .adc import compute_adc
-    from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
-    from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
-                          load_wider_gt, save_wider_gt, write_detections_dir,
-                          write_detections_file)
-    from .report import (DEFAULT_EDGES, check_edges, check_mbp_export, format_histogram_table,
-                         localization_histogram, mbp_export, summary_line, write_report)
-except KeyboardInterrupt:  # Ctrl-C while the CLI starts
-    if not _OWN:
-        raise
-    _die_by_sigint()
+import numpy as np
+
+from .adc import compute_adc
+from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
+from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
+                      load_wider_gt, save_wider_gt, write_detections_dir, write_detections_file)
+from .report import (DEFAULT_EDGES, check_edges, check_mbp_export, format_histogram_table,
+                     localization_histogram, mbp_export, summary_line, write_report)
+
+if _OWN:
+    sys.excepthook = _hook  # a host that imported this module keeps its own hook
 
 log = logging.getLogger("boxcal.cli")  # not __main__ under python -m
 
@@ -347,11 +343,12 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits for usage errors and --help
         return int(exc.code or 0)
-    # force=True rebinds the handler to the CURRENT stderr, so embedding
-    # main() (tests, notebooks) does not leave logging on a stale stream.
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
-                        force=True)
+    handler = logging.StreamHandler(sys.stderr)  # the current stderr, which a caller may swap
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package = logging.getLogger("boxcal")  # not the root: a host's logging stays as it was
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return _RUNNERS[args.command](args)
     except ValueError as exc:  # includes ParseError and config validation
@@ -360,30 +357,30 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _err(f"boxcal: i/o error: {exc}")
         return 2
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 def run() -> NoReturn:
     """The command-line entry point: `main`, then a hard exit with its code.
 
-    Logging is shut down and stdout and stderr are flushed, and the process
-    ends with ``os._exit``, skipping interpreter finalization; a stdout
+    It installs `_quiet_interrupt`, flushes stdout and stderr and ends the
+    process with ``os._exit``, skipping interpreter finalization; a stdout
     flush that fails (a broken pipe) is an I/O error, exit code 2.  This is
     safe only while two things stay true, which every change to the CLI
     must keep: each output file is closed by its ``with`` block before
     `main` returns, and the CLI starts no thread.  An interrupt (Ctrl-C)
-    ends the process by SIGINT, as an uncaught one would, without its
-    traceback."""
+    ends the process by SIGINT, after finalization, with no traceback; any
+    other uncaught exception prints its traceback and exits 1."""
+    sys.excepthook = _quiet_interrupt
+    code = main()
     try:
-        code = main()
-        logging.shutdown()
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError as exc:
-            code = 2
-            _err(f"boxcal: i/o error: {exc}")  # a broken stderr leaves only the code
-    except KeyboardInterrupt:
-        _die_by_sigint()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = 2
+        _err(f"boxcal: i/o error: {exc}")  # a broken stderr leaves only the code
     with suppress(OSError):
         if sys.stderr is not None:
             sys.stderr.flush()

@@ -344,14 +344,14 @@ def _segment_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 _ROW_BUDGET = 1 << 14
 
 
-def _blocks(offsets: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+def _blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive runs [i, j) of the segments offsets bounds, segment i
     holding rows offsets[i]:offsets[i+1]: each run the most segments whose
-    rows fit in budget, and at least one: the kernel's rule for blocks of
-    whole images, not the row I/O's (`_ROW_BLOCK`)."""
+    rows fit in _ROW_BUDGET, and at least one: the kernel's rule for blocks
+    of whole images, not the row I/O's (`_ROW_BLOCK`)."""
     i, n = 0, len(offsets) - 1
     while i < n:
-        j = max(int(np.searchsorted(offsets, offsets[i] + budget, side="right")) - 1, i + 1)
+        j = max(int(np.searchsorted(offsets, offsets[i] + _ROW_BUDGET, side="right")) - 1, i + 1)
         yield i, j
         i = j
 

@@ -140,7 +140,7 @@ def test_hcdr_prefix_equals_filter_on_sorted(score_lists, threshold):
                 max_size=12),
        st.booleans())
 def test_numerator_is_bit_identical_to_a_plain_loop(budget, cases, negative_zeros):
-    import boxcal.adc
+    import boxcal.formats
     if negative_zeros:  # every score used is -0.0: the loop's sum is 0.0
         cases = [(n_faces, [-0.0] * len(scores)) for n_faces, scores in cases]
     ordered = [(n_faces, sorted(scores, reverse=True)) for n_faces, scores in cases]
@@ -149,6 +149,6 @@ def test_numerator_is_bit_identical_to_a_plain_loop(budget, cases, negative_zero
         for s in scores[:n_faces]:
             total += s
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boxcal.adc, "_ROW_BUDGET", budget or boxcal.adc._ROW_BUDGET)
+        mp.setattr(boxcal.formats, "_ROW_BUDGET", budget or boxcal.formats._ROW_BUDGET)
         res = compute_adc([(_img(n_faces), _dets(scores)) for n_faces, scores in ordered])
     assert res.numerator.hex() == total.hex()

@@ -803,6 +803,35 @@ def test_verbose_logs_each_stage_once_and_quiet_runs_do_not(tmp_path, capsys, ar
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
 
 
+# main logs to the current stderr through a handler on the `boxcal` logger
+# for the call alone: a host's root handler and level survive it, and a
+# later parse's warning still reaches the host's handlers, caplog's among them
+def test_main_leaves_a_hosts_logging_as_it_found_it(tmp_path, capsys, caplog):
+    gt = _write(tmp_path, "gt.txt", GT_TWO.replace("0 0 8 8 0 0", "0 0 8 8 9 0"))  # a blur of 9
+    dets = _write(tmp_path, "d.txt", DETS_TWO)
+    warning = f"{gt}:3: blur flag 9.0 outside documented range [0, 2]"
+    root, host = logging.getLogger(), logging.NullHandler()
+    level = root.level
+    root.addHandler(host)
+    root.setLevel(logging.DEBUG)
+    try:
+        assert main(["-v", "adc", "--gt", gt, "--dets", dets]) == 0
+        assert host in root.handlers and root.level == logging.DEBUG
+    finally:
+        root.removeHandler(host)
+        root.setLevel(level)
+    package = logging.getLogger("boxcal")
+    assert (package.handlers, package.level) == ([], logging.NOTSET)
+    lines = [re.sub(r"\d+\.\d{3} s$", "T", line) for line in capsys.readouterr().err.splitlines()]
+    assert lines == [f"WARNING boxcal.formats: {warning}", "INFO boxcal.cli: stage parse GT: T",
+                     "INFO boxcal.cli: stage parse detections: T"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="boxcal.formats"):
+        load_wider_gt(gt)
+    assert [r.getMessage() for r in caplog.records] == [warning]
+    assert capsys.readouterr().err == ""
+
+
 def _child_env(**overrides: str) -> dict:
     """The environment of a child Python that imports the same boxcal as this
     process, installed or not, with OPENBLAS_NUM_THREADS unset unless given:
@@ -925,8 +954,9 @@ except KeyboardInterrupt:
 @pytest.mark.parametrize("argv,target,code,out", [
     (["-m", "boxcal.cli"], "numpy", -signal.SIGINT, ""),
     (["-c", "from boxcal.cli import run; run()"], "numpy", -signal.SIGINT, ""),
+    (["-c", "from boxcal.cli import run; run()"], "boxcal.report", -signal.SIGINT, ""),
     (["-c", _HOST], "boxcal.adc", 0, "the host got the interrupt\n")],
-    ids=["module", "script", "host"])
+    ids=["module", "script", "script-last-import", "host"])
 def test_an_interrupt_while_the_cli_imports_prints_no_traceback(tmp_path, argv, target, code, out):
     (tmp_path / "hook").mkdir()
     (tmp_path / "hook" / "sitecustomize.py").write_text(_INTERRUPT_ON_IMPORT, encoding="utf-8")
@@ -937,6 +967,33 @@ def test_an_interrupt_while_the_cli_imports_prints_no_traceback(tmp_path, argv, 
                           capture_output=True, text=True, timeout=60, env=env)
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+
+# `_quiet_interrupt` hides only the interrupt's traceback: any other
+# exception under `run` prints Python's and exits 1
+def test_an_unexpected_error_under_run_prints_its_traceback(tmp_path):
+    code = """import boxcal.cli
+def boom(args):
+    raise ZeroDivisionError("boom")
+boxcal.cli._RUNNERS["adc"] = boom
+boxcal.cli.run()"""
+    gt, dets = _write(tmp_path, "gt.txt", GT_TWO), _write(tmp_path, "dets.txt", DETS_TWO)
+    proc = subprocess.run([sys.executable, "-c", code, "adc", "--gt", gt, "--dets", dets],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback") and "ZeroDivisionError: boom" in proc.stderr
+
+
+# a host that imports `boxcal.cli` before numpy has its own hook back once
+# the import returns
+def test_importing_the_cli_keeps_the_hosts_excepthook():
+    code = """import sys
+def hook(kind, value, tb):
+    pass
+sys.excepthook = hook
+import boxcal.cli
+assert boxcal.cli._OWN and sys.excepthook is hook"""
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=_child_env())
 
 
 class _Stdout(io.StringIO):
@@ -953,8 +1010,8 @@ class _Stdout(io.StringIO):
             raise self.exc
 
 
-# `run` runs main, shuts logging down, flushes stdout and ends the process
-# with main's code, or with 2 where that flush fails
+# `run` runs main, flushes stdout and ends the process with main's code, or
+# with 2 where that flush fails
 @pytest.mark.parametrize("case,code", [("diff", 0), ("usage", 1), ("broken pipe", 2)])
 def test_run_flushes_stdout_then_exits_with_mains_code(tmp_path, capsys, monkeypatch, case,
                                                        code):
@@ -964,7 +1021,7 @@ def test_run_flushes_stdout_then_exits_with_mains_code(tmp_path, capsys, monkeyp
     monkeypatch.setattr(sys, "stdout", _Stdout(events, exc))
     monkeypatch.setattr(sys, "argv", ["boxcal", "diff", old, old] if case != "usage" else
                         ["boxcal", "nope"])
-    monkeypatch.setattr(logging, "shutdown", lambda: events.append(("logging",)))
+    monkeypatch.setattr(sys, "excepthook", sys.excepthook)  # run installs its own
 
     def hard_exit(status):
         events.append(("exit", status))
@@ -974,7 +1031,7 @@ def test_run_flushes_stdout_then_exits_with_mains_code(tmp_path, capsys, monkeyp
     with pytest.raises(SystemExit):
         boxcal.cli.run()
     out = "" if case == "usage" else "0 changes\n"
-    assert events == [("logging",), ("flush", out), ("exit", code)]
+    assert events == [("flush", out), ("exit", code)]
     err = capsys.readouterr().err
     assert (err == "boxcal: i/o error: [Errno 32] Broken pipe\n") == (case == "broken pipe"), err
 

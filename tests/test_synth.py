@@ -10,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import boxcal.adc
-import boxcal.calibrate
+import boxcal.formats
 from boxcal.calibrate import CalibrationConfig, calibrate_dataset
 from boxcal.formats import (AnnotationSet, Detection, DetectionSet, FaceAnnotation,
                             ImageAnnotations, ImageDetections, write_wider_gt)
@@ -599,7 +598,7 @@ def test_fast_path_and_oracle_reject_the_same_inputs():
 def test_pair_budget_does_not_change_the_result(monkeypatch, budget):
     # small budgets split rows across many runs of HCDRs (and images across
     # many runs), and a single row's candidates can exceed the budget on their own
-    monkeypatch.setattr(boxcal.calibrate, "_ROW_BUDGET", budget)
+    monkeypatch.setattr(boxcal.formats, "_ROW_BUDGET", budget)
     spec = dataclasses.replace(MIXED, seed=99, faces_per_image=(0, 12), box_size=(16, 200))
     truth = generate_dataset(spec)
     pert, _ = perturb(truth, 99, 0.5, (0.1, 0.9), image_size=spec.image_size)
@@ -700,6 +699,5 @@ _CONFIGS = st.builds(CalibrationConfig,
 @given(_datasets(), _CONFIGS)
 def test_fast_path_equals_oracle_on_random_datasets(budget, dataset, cfg):
     with pytest.MonkeyPatch.context() as mp:
-        for module in (boxcal.calibrate, boxcal.adc):
-            mp.setattr(module, "_ROW_BUDGET", budget or module._ROW_BUDGET)
+        mp.setattr(boxcal.formats, "_ROW_BUDGET", budget or boxcal.formats._ROW_BUDGET)
         _assert_equivalent(*dataset, cfg)
