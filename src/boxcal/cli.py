@@ -58,7 +58,7 @@ from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -192,6 +192,20 @@ def _stage(name: str) -> Iterator[None]:
     log.info("stage %s: %.3f s", name, perf_counter() - t0)
 
 
+@contextmanager
+def _output(path: str | Path) -> Iterator[TextIO]:
+    """path opened for writing text with LF line ends; an OSError that
+    names no file (a failed write, or the flush at close) gets path, so a
+    write error names its output."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
 def _out(text: str) -> None:
     """Write text to stdout; a closed stdout raises OSError (EBADF), where
     print would drop the text without a word."""
@@ -225,10 +239,10 @@ def run_calibrate(args) -> int:
         save_wider_gt(result.calibrated, args.out,
                       policy="integer" if args.round_int else "decimal")
     if args.report:
-        with _stage("report"), open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+        with _stage("report"), _output(args.report) as fh:
             write_report(result, fh, predictor=args.predictor)
     if args.mbp_export:
-        with _stage("ledger"), open(args.mbp_export, "w", encoding="utf-8", newline="\n") as fh:
+        with _stage("ledger"), _output(args.mbp_export) as fh:
             mbp_export(result.claims, fh, fmt=fmt)
     _out(summary_line(result, predictor=args.predictor) + "\n")
     return 0
@@ -243,7 +257,8 @@ def run_stats(args) -> int:
     with _stage("table"):
         table = format_histogram_table(localization_histogram(ious, edges=args.edges))
         if args.out:
-            Path(args.out).write_text(table, encoding="utf-8", newline="\n")
+            with _output(args.out) as fh:
+                fh.write(table)
         else:
             _out(table)
     return 0
@@ -279,11 +294,11 @@ def run_synth(args) -> int:
         save_wider_gt(perturbed, out / "gt.txt")
         save_wider_gt(truth, out / "truth.txt")
         if args.single_file:
-            with open(out / "detections.txt", "w", encoding="utf-8", newline="\n") as fh:
+            with _output(out / "detections.txt") as fh:
                 write_detections_file(dets, fh)
         else:
             write_detections_dir(dets, out / "detections")
-        with open(out / "ledger.tsv", "w", encoding="utf-8", newline="\n") as fh:
+        with _output(out / "ledger.tsv") as fh:
             write_perturb_ledger(ledger, fh)
     _out(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
          f"{len(ledger)} perturbed, {dets.total_detections()} detections to {out}\n")

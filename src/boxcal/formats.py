@@ -32,53 +32,40 @@ paths, per-image row offsets and one array per column.  With the claims
 and the perturbation ledger they are the four tables of the one table
 type, `_Columns`, and its one construction path.  Every input file is
 read by one helper, `_read_bytes`, with plain OS calls (`os.open`,
-`os.read` until a read comes back empty, `os.close`), and a directory's
+`os.read` until a read comes back empty, `os.close`); a directory's
 files go into one buffer with one int64 index of its line ends (`_Text`)
-and each file's line bounds (`_read_tree`); a buffer of ASCII bytes is
-checked as UTF-8 at once.  `_records` is the one walk of the record
-grammar, for all three parsers: it walks the files' line ranges of that
-index, a directory's files in one pass, and does its Python work per
-record, never per line, yielding each record's key, the text line of its
-first row and its row count.  Rows are read and written in runs, each the
-next `_ROW_BLOCK` (4,096) table rows, wherever the record bounds fall.
-The fast path fills one (N, fields) array with numpy's C text reader
-(`np.loadtxt`, correctly rounded like `float`), one call per run, as
-`_FACE_ROW` (int64 flags, which nearly every flag token is) or
-`_DETECTION_ROW`.  Where that call refuses a token (a flag spelled
-`1.0`, say), warns or misses a row, the row walker (`_walk`) reads that
-run's texts again with Python's `float`, which also reads `1_0` and
-`١٢`, and the C reader goes on with the next run; the walker is the
-reference the fast path is tested against.  Each run is checked as it is
-read, and the first fault stops the read: the one check of the row rules
-(`_check`) logs the range warnings and raises the first fault in file
-order, naming the file and line that one locator finds for its row.
+and each file's line bounds (`_read_tree`).  `_records` is the one walk
+of the record grammar, for all three parsers: it walks the files' line
+ranges of that index, a directory's files in one pass, and does its
+Python work per record, never per line, yielding each record's key, the
+text line of its first row and its row count.  Rows are read and written
+in runs, each the next `_ROW_BLOCK` (4,096) table rows, wherever the
+record bounds fall.  The fast path reads a run with one call of numpy's
+C text reader (`np.loadtxt`, correctly rounded like `float`); where that
+call refuses a token, warns or misses a row, the row walker (`_walk`),
+the reference the fast path is tested against, reads the run with
+Python's `float`.  Each run is checked as it is read (`_check`), and the
+first fault stops the read, naming its file and line.
 
 The columns are a table's only state.  The per-face objects
 (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`)
-are its row view, built on first use of `.images`; a table built from
-such objects converts them to columns at once and keeps them as that
-view.  All four tables' row views come from one builder, `_row_objects`:
-it checks the columns once with the array rules, raising what the
-per-row construction raises first, then sets each field of all rows from
-its column, with no constructor call per row.  A view is built with the
-cyclic garbage collector paused (`_Columns._cached_view`): its objects
-form no cycle, and the passes their allocation would set off find
-nothing to free.  The collector's state is restored after the build,
-also when the build raises.
+are its row view, built on first use of `.images` by one builder,
+`_row_objects`, with no constructor call per row and the cyclic garbage
+collector paused (`_Columns._cached_view`); a table built from such
+objects converts them to columns at once and keeps them as that view.
 
-The writers work from the columns: small non-negative whole numbers take
-cached texts, and a face row whose six flags are all whole and in their
-documented ranges takes one text of the 144 such tuples (`_flag_table`);
-every other value goes through `format_coord` or `repr`, the one copy of
-each rule.  The flag table is built on first use; the table of whole
-numbers is built per suffix on first use too, only up to the power of two
-above the largest whole number written (at least 2**8, at most 2**14
-entries), and built again, larger, when a later block needs more.  Every
-record file streams the one record emitter, `_record_text`; both TSV
-ledgers, the claims' and the perturbations', are written by the one TSV
-emitter, `_ledger_text`.  Both build the texts of one run of rows at a
-time, so a write holds no per-row text for the whole table, nor for the
-whole of a long record.
+The writers work from the columns: small non-negative whole numbers and
+documented flag tuples take texts cached on first use (`_text_table`,
+`_flag_table`); every other value goes through `format_coord` or `repr`,
+the one copy of each rule.  Every record file streams the one record
+emitter, `_record_text`, and both TSV ledgers the one TSV emitter,
+`_ledger_text`, one run of rows at a time, so a write never holds every
+row's text.  The GT file and a tree's files are written by the mirror of
+`_read_bytes`, `_write_file`, with plain OS calls: `os.open` without
+O_TRUNC, `os.write`, then `os.ftruncate` of a regular file to the bytes
+written, a failed write's too, so no old bytes follow the new ones.  A
+file is rewritten in place and then cut, because freeing a file's data
+first (O_TRUNC) is the costly step of rewriting a tree (ext4).
 """
 
 from __future__ import annotations
@@ -88,6 +75,7 @@ import gc
 import logging
 import math
 import os
+import stat
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -95,6 +83,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, product, repeat
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -420,6 +409,7 @@ def _lf(data: bytes) -> bytes:
 # tree's file: a per-image detection file fits in one.
 _CHUNK = 1 << 16
 _O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no newline translation on Windows
+_O_WRITE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # no O_TRUNC: see _write_file
 
 
 def _read_bytes(path: str | Path, first: int = 0) -> bytes:
@@ -440,6 +430,26 @@ def _read_bytes(path: str | Path, first: int = 0) -> bytes:
     finally:
         os.close(fd)
     return chunks[0] if len(chunks) <= 2 else b"".join(chunks)
+
+
+def _write_file(path: str | Path, texts: Iterable[str]) -> None:
+    """The texts, UTF-8-encoded, written over the file at path, which a
+    failed write cuts too; every OSError names path.  See the module doc."""
+    fd, size = os.open(path, _O_WRITE, 0o666), 0
+    try:
+        try:
+            for data in map(memoryview, map(str.encode, texts)):
+                while data:
+                    n = os.write(fd, data)
+                    data, size = data[n:], size + n
+        finally:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size != size:
+                os.ftruncate(fd, size)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
 
 
 def _source_bytes(source: str | TextIO, name: str) -> bytes:
@@ -923,25 +933,25 @@ def _flag_texts(flags: np.ndarray) -> list[str]:
 
 
 def _record_text(names: list[str], offsets: np.ndarray, rows: Callable[[int, int], list[str]],
-                 empty: tuple[str, ...] = ()) -> Iterator[str]:
+                 empty: tuple[str, ...] = ()) -> Iterator[list[str]]:
     """The one emitter of records: per record, the text of its name line,
     its row count and its rows, offsets[i]:offsets[i+1] of the table, or
     the lines of empty where it has none; every line ends in LF.  rows(lo,
     hi) gives the texts of rows lo:hi; it is called once per run of
-    _ROW_BLOCK rows, so only one run's texts are held at a time, and a
-    record whose rows span runs comes as one text per run."""
+    _ROW_BLOCK rows, whose texts come as one list, so only one run's are
+    held at a time, and a record spanning runs comes as one text per run."""
     bounds = memoryview(offsets)  # Python ints, read only where a run needs them
     total, i = bounds[-1], 0
     for lo in range(0, max(total, 1), _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, total)
-        texts = rows(lo, hi)
+        texts, run = rows(lo, hi), []
         if bounds[i] < lo:  # record i began in an earlier run
-            yield "\n".join([*texts[:bounds[i + 1] - lo], ""])
+            run.append("\n".join([*texts[:bounds[i + 1] - lo], ""]))
             i += 1
         j = len(names) if hi == total else bisect_left(bounds, hi, i)  # records i:j start here
         starts = (offsets[i:j + 1] - lo).tolist()
-        for name, a, b in zip(names[i:j], starts, starts[1:]):
-            yield "\n".join([name, str(b - a), *(texts[a:b] if a < b else empty), ""])
+        yield run + ["\n".join([name, str(b - a), *(texts[a:b] if a < b else empty), ""])
+                     for name, a, b in zip(names[i:j], starts, starts[1:])]
         i = j - 1 if bounds[j] > hi else j
 
 
@@ -996,8 +1006,8 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
         cols.append(_flag_texts(flags[lo:hi]))
         return list(map(" ".join, zip(*cols)))
 
-    stream.writelines(_record_text(annset.paths, annset.offsets, rows,
-                                   empty=("0 0 0 0 0 0 0 0 0 0",)))
+    stream.writelines(map("".join, _record_text(annset.paths, annset.offsets, rows,
+                                                empty=("0 0 0 0 0 0 0 0 0 0",))))
 
 
 def load_wider_gt(path: str | Path) -> AnnotationSet:
@@ -1006,8 +1016,8 @@ def load_wider_gt(path: str | Path) -> AnnotationSet:
 
 
 def save_wider_gt(annset: AnnotationSet, path: str | Path, policy: str = "decimal") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_wider_gt(annset, fh, policy)
+    """write_wider_gt over the file at path, opened once the policy is checked."""
+    write_wider_gt(annset, SimpleNamespace(writelines=functools.partial(_write_file, path)), policy)
 
 
 def _txt_entries(root: str) -> Iterator[str]:
@@ -1088,6 +1098,14 @@ def _detection_rows(detset: DetectionSet, lo: int, hi: int) -> list[str]:
     return list(map(" ".join, zip(*cols)))
 
 
+def _stem(key: str) -> str:
+    """Path(key).stem, by string operations where its last name has no dot at either end."""
+    name = os.path.basename(key)
+    if name[:1] in ("", ".") or name[-1] == ".":
+        return Path(key).stem
+    return name.rpartition(".")[0] or name
+
+
 def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str = ".jpg") -> None:
     """Write one detection file per image under root, its name line the
     key's stem.  The file is the key, its image_ext suffix (if any) swapped
@@ -1107,7 +1125,8 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
             raise ValueError(f"detection images {files[rel]!r} and {key!r} "
                              f"would both be written to {os.path.join(root, rel)}")
         files[rel] = key
-    folders = {str(folder): key for rel, key in files.items() for folder in Path(rel).parents}
+    folders = {os.sep.join(parts[:k]) or ".": key for rel, key in files.items()  # Path.parents
+               for parts in [rel.split(os.sep)] for k in range(len(parts) - 1, -1, -1)}
     clash = next((rel for rel in files if rel in folders), None)
     if clash is not None:
         raise ValueError(f"detection image {files[clash]!r} would be written to "
@@ -1115,19 +1134,19 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
     for folder in {".", *folders}:
         os.makedirs(os.path.join(root, folder), exist_ok=True)
     offsets = detset.offsets
-    texts = _record_text([Path(key).stem for key in files.values()], offsets,
-                         functools.partial(_detection_rows, detset))
+    texts = chain.from_iterable(_record_text(list(map(_stem, files.values())), offsets,
+                                             functools.partial(_detection_rows, detset)))
     # a record comes in one text per run of _ROW_BLOCK rows it spans, at least one
     spans = (offsets[1:] - 1) // _ROW_BLOCK - offsets[:-1] // _ROW_BLOCK + 1
+    prefix = os.path.join(root, "")
     for rel, parts in zip(files, np.maximum(spans, 1).tolist()):
-        with open(os.path.join(root, rel), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(islice(texts, parts)))
+        _write_file(prefix + rel, islice(texts, parts))
 
 
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:
     """Write the consolidated single-file layout; name lines are the keys."""
-    stream.writelines(_record_text(detset.paths, detset.offsets,
-                                   functools.partial(_detection_rows, detset)))
+    stream.writelines(map("".join, _record_text(detset.paths, detset.offsets,
+                                                functools.partial(_detection_rows, detset))))
 
 
 def check_aligned(anns: AnnotationSet, dets: DetectionSet) -> None:

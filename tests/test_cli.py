@@ -218,6 +218,57 @@ def test_every_io_error_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, c
     assert err.startswith("boxcal: i/o error: ") and f"'{shown}'" in err, err
 
 
+# outputs that are not regular files: the writers cut only a regular file
+# to the bytes written, so a device takes every output as it is
+@pytest.mark.skipif(os.name != "posix", reason="no /dev/null")
+def test_outputs_to_dev_null_exit_0(tmp_path, capsys):
+    gt = _write(tmp_path, "gt.txt", GT_TWO)
+    dets = _write(tmp_path, "dets.txt", DETS_TWO)
+    assert main(["calibrate", "--gt", gt, "--dets", dets, "--out", os.devnull,
+                 "--report", os.devnull, "--mbp-export", os.devnull]) == 0
+    assert main(["stats", "--gt", gt, "--dets", dets, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_OUTPUTS = ["calibrate --out", "calibrate --report", "calibrate --mbp-export", "stats --out",
+            "synth gt.txt", "synth truth.txt", "synth ledger.tsv", "synth detections.txt",
+            "synth detections/"]
+
+
+# a write error names the output it failed on: each output in turn is a full
+# device (ENOSPC on every write), the others ordinary files; a synth output
+# is a link to the device in the directory synth writes again
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_a_write_error_exits_2_naming_its_output(tmp_path, capsys, output):
+    command, target = output.split()
+    if command == "synth":
+        out = tmp_path / "synth"
+        argv = ["synth", "--out", str(out), "--images", "3"]
+        argv += ["--single-file"] if target == "detections.txt" else []
+        assert main(argv) == 0
+        full = out / target
+        if target == "detections/":
+            full = sorted(full.rglob("*.txt"))[0]
+        full.unlink()
+        full.symlink_to("/dev/full")
+    else:
+        gt = _write(tmp_path, "gt.txt", GT_TWO)
+        dets = _write(tmp_path, "dets.txt", DETS_TWO)
+        paths = {flag: str(tmp_path / name) for flag, name in
+                 [("--out", "out.txt"), ("--report", "r.json"), ("--mbp-export", "m.tsv")]}
+        full = paths[target] = "/dev/full"
+        if command == "stats":
+            paths = {"--out": full}
+        argv = [command, "--gt", gt, "--dets", dets, *(x for kv in paths.items() for x in kv)]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"boxcal: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: " \
+                  f"'{full}'\n", err
+
+
 def test_malformed_gt_exits_1_with_location(tmp_path, capsys):
     gt = _write(tmp_path, "bad.txt", "x.jpg\nnotanumber\n")
     dets = _write(tmp_path, "dets.txt", DETS_TWO)

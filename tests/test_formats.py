@@ -1,4 +1,5 @@
 import decimal
+import errno
 import gc
 import io
 import logging
@@ -592,18 +593,74 @@ def test_detection_dir_writes_an_empty_set_as_an_empty_root(tmp_path):
     assert len(parse_detections_dir(tmp_path / "d").paths) == 0
 
 
-def test_every_write_mode_open_ends_lines_in_lf(tmp_path, monkeypatch):
-    opened = []
-
-    def spy(file, mode="r", *args, **kwargs):
-        if "r" not in mode:
-            opened.append((mode, kwargs.get("encoding"), kwargs.get("newline")))
-        return open(file, mode, *args, **kwargs)
-
-    monkeypatch.setattr(boxcal.formats, "open", spy, raising=False)
+def test_every_write_mode_open_ends_lines_in_lf(tmp_path):
+    # the file writers write bytes with plain OS calls: no newline
+    # translation on any platform, so no CR, and every file ends in LF
     save_wider_gt(parse_wider_gt(GT_SAMPLE), tmp_path / "gt.txt")
     write_detections_dir(parse_detections_file(DETS_TWO_IMAGES), tmp_path / "d")
-    assert opened == [("w", "utf-8", "\n")] * 3
+    files = [tmp_path / "gt.txt", *sorted((tmp_path / "d").rglob("*.txt"))]
+    assert len(files) == 3
+    for path in files:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), (path, data)
+
+
+# the file writers rewrite a file in place and cut it to the bytes written:
+# over an older tree whose files are longer, shorter or the same length,
+# and over a longer GT, they leave the bytes of a fresh write
+def test_a_rewrite_over_other_files_equals_a_fresh_write(tmp_path):
+    def tree(sizes):
+        return DetectionSet(paths=[f"{d}/img{i}.jpg" for i, d in enumerate("aab")],
+                            offsets=_offsets(sizes), boxes=[[1, 2, 3, 4]] * sum(sizes),
+                            scores=np.linspace(0.9, 0.1, sum(sizes)))
+
+    old, new = tree([5, 1, 2]), tree([1, 4, 2])  # img0 shrinks, img1 grows, img2 stays
+    write_detections_dir(old, tmp_path / "over")
+    write_detections_dir(new, tmp_path / "over")
+    write_detections_dir(new, tmp_path / "fresh")
+    for rel in ("a/img0.txt", "a/img1.txt", "b/img2.txt"):
+        assert (tmp_path / "over" / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes()
+    assert parse_detections_dir(tmp_path / "over") == new
+    gt = parse_wider_gt(GT_SAMPLE)
+    (tmp_path / "gt.txt").write_text(GT_SAMPLE * 3, encoding="utf-8")
+    save_wider_gt(gt, tmp_path / "gt.txt")
+    assert (tmp_path / "gt.txt").read_bytes() == _write(gt).encode()
+
+
+def test_a_short_write_is_written_on(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+    boxcal.formats._write_file(tmp_path / "f.txt", ["abcdefgh\n", "", "é\n"])
+    assert (tmp_path / "f.txt").read_bytes() == "abcdefgh\né\n".encode()
+
+
+def test_a_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"0123456789" * 10)  # older and longer than the new bytes
+    real_write, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    with pytest.raises(OSError) as exc:
+        boxcal.formats._write_file(path, ["new\n", "more\n"])
+    assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, str(path))
+    assert path.read_bytes() == b"new\n"
+
+
+def test_an_unknown_policy_leaves_the_gt_file_as_it_was(tmp_path):
+    gt, path = parse_wider_gt(GT_SAMPLE), tmp_path / "gt.txt"
+    with pytest.raises(ValueError, match="unknown rounding policy 'bogus'"):
+        save_wider_gt(gt, path, policy="bogus")
+    assert not path.exists()
+    path.write_text(GT_SAMPLE, encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown rounding policy 'bogus'"):
+        save_wider_gt(gt, path, policy="bogus")
+    assert path.read_text(encoding="utf-8") == GT_SAMPLE
 
 
 def test_detection_dir_key_mapping(tmp_path):
