@@ -32,40 +32,61 @@ paths, per-image row offsets and one array per column.  With the claims
 and the perturbation ledger they are the four tables of the one table
 type, `_Columns`, and its one construction path.  Every input file is
 read by one helper, `_read_bytes`, with plain OS calls (`os.open`,
-`os.read` until a read comes back empty, `os.close`); a directory's
+`os.read` until a read comes back empty, `os.close`), and a directory's
 files go into one buffer with one int64 index of its line ends (`_Text`)
-and each file's line bounds (`_read_tree`).  `_records` is the one walk
-of the record grammar, for all three parsers: it walks the files' line
-ranges of that index, a directory's files in one pass, and does its
-Python work per record, never per line, yielding each record's key, the
-text line of its first row and its row count.  Rows are read and written
-in runs, each the next `_ROW_BLOCK` (4,096) table rows, wherever the
-record bounds fall.  The fast path reads a run with one call of numpy's
-C text reader (`np.loadtxt`, correctly rounded like `float`); where that
-call refuses a token, warns or misses a row, the row walker (`_walk`),
-the reference the fast path is tested against, reads the run with
-Python's `float`.  Each run is checked as it is read (`_check`), and the
-first fault stops the read, naming its file and line.
+and each file's line bounds (`_read_tree`); a buffer of ASCII bytes is
+checked as UTF-8 at once.  `_records` is the one walk of the record
+grammar, for all three parsers: it walks the files' line ranges of that
+index, a directory's files in one pass, and does its Python work per
+record, never per line, yielding each record's key, the text line of its
+first row and its row count.  Rows are read and written in runs, each the
+next `_ROW_BLOCK` (4,096) table rows, wherever the record bounds fall.
+The fast path fills one (N, fields) array with numpy's C text reader
+(`np.loadtxt`, correctly rounded like `float`), one call per run, as
+`_FACE_ROW` (int64 flags, which nearly every flag token is) or
+`_DETECTION_ROW`.  Where that call refuses a token (a flag spelled
+`1.0`, say), warns or misses a row, the row walker (`_walk`) reads that
+run's texts again with Python's `float`, which also reads `1_0` and
+`١٢`, and the C reader goes on with the next run; the walker is the
+reference the fast path is tested against.  Each run is checked as it is
+read, and the first fault stops the read: the one check of the row rules
+(`_check`) logs the range warnings and raises the first fault in file
+order, naming the file and line that one locator finds for its row.
 
 The columns are a table's only state.  The per-face objects
 (`ImageAnnotations`, `FaceAnnotation`, `ImageDetections`, `Detection`)
-are its row view, built on first use of `.images` by one builder,
-`_row_objects`, with no constructor call per row and the cyclic garbage
-collector paused (`_Columns._cached_view`); a table built from such
-objects converts them to columns at once and keeps them as that view.
+are its row view, built on first use of `.images`; a table built from
+such objects converts them to columns at once and keeps them as that
+view.  All four tables' row views come from one builder, `_row_objects`:
+it checks the columns once with the array rules, raising what the
+per-row construction raises first, then sets each field of all rows from
+its column, with no constructor call per row.  A view is built with the
+cyclic garbage collector paused (`_Columns._cached_view`): its objects
+form no cycle, and the passes their allocation would set off find
+nothing to free.  The collector's state is restored after the build,
+also when the build raises.
 
-The writers work from the columns: small non-negative whole numbers and
-documented flag tuples take texts cached on first use (`_text_table`,
-`_flag_table`); every other value goes through `format_coord` or `repr`,
-the one copy of each rule.  Every record file streams the one record
-emitter, `_record_text`, and both TSV ledgers the one TSV emitter,
-`_ledger_text`, one run of rows at a time, so a write never holds every
-row's text.  The GT file and a tree's files are written by the mirror of
-`_read_bytes`, `_write_file`, with plain OS calls: `os.open` without
-O_TRUNC, `os.write`, then `os.ftruncate` of a regular file to the bytes
-written, a failed write's too, so no old bytes follow the new ones.  A
-file is rewritten in place and then cut, because freeing a file's data
-first (O_TRUNC) is the costly step of rewriting a tree (ext4).
+The writers work from the columns: small non-negative whole numbers take
+cached texts, and a face row whose six flags are all whole and in their
+documented ranges takes one text of the 144 such tuples (`_flag_table`);
+every other value goes through `format_coord` or `repr`, the one copy of
+each rule.  The flag table is built on first use; the table of whole
+numbers is built per suffix on first use too, only up to the power of two
+above the largest whole number written (at least 2**8, at most 2**14
+entries), and built again, larger, when a later block needs more.  Every
+record file streams the one record emitter, `_record_text`; both TSV
+ledgers, the claims' and the perturbations', are written by the one TSV
+emitter, `_ledger_text`.  Both build the texts of one run of rows at a
+time, so a write holds no per-row text for the whole table, nor for the
+whole of a long record.  The GT file and a tree's files are written by
+one helper, `_write_file`, the mirror of `_read_bytes`, with plain OS
+calls: `os.open` without O_TRUNC, `os.write`, and `os.ftruncate` of a
+regular file to the bytes written as soon as its first text is written
+(or a write fails).  A file is so rewritten in place and then cut, its
+old data not freed first, the costly step of rewriting a tree (ext4).
+Later texts only append, so an error or interrupt leaves no old byte
+after the new ones; a process killed by a signal while a file's first
+text is written can leave the old file's tail after it.
 """
 
 from __future__ import annotations
@@ -83,7 +104,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, product, repeat
 from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -432,20 +452,30 @@ def _read_bytes(path: str | Path, first: int = 0) -> bytes:
     return chunks[0] if len(chunks) <= 2 else b"".join(chunks)
 
 
+def _cut(fd: int, size: int) -> bool:
+    """Cut the file at fd to size where it is a regular file longer than that."""
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode) and st.st_size > size:
+        os.ftruncate(fd, size)
+    return True
+
+
 def _write_file(path: str | Path, texts: Iterable[str]) -> None:
-    """The texts, UTF-8-encoded, written over the file at path, which a
-    failed write cuts too; every OSError names path.  See the module doc."""
-    fd, size = os.open(path, _O_WRITE, 0o666), 0
+    """The texts, UTF-8-encoded, written over the file at path, which is
+    cut to the bytes written once the first text is written or a write
+    fails; every OSError names path.  See the module doc."""
+    fd, size, cut = os.open(path, _O_WRITE, 0o666), 0, False
     try:
         try:
             for data in map(memoryview, map(str.encode, texts)):
                 while data:
                     n = os.write(fd, data)
                     data, size = data[n:], size + n
+                if not cut:  # later texts only append: no old byte follows them
+                    cut = _cut(fd, size)
         finally:
-            st = os.fstat(fd)
-            if stat.S_ISREG(st.st_mode) and st.st_size != size:
-                os.ftruncate(fd, size)
+            if not cut:  # the first text failed, or there was none
+                _cut(fd, size)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
@@ -989,13 +1019,8 @@ def _ledger_text(header: tuple[str, ...], names: list[str], image: np.ndarray,
         yield "\n".join(map("\t".join, zip(*cols))) + "\n"
 
 
-def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
-    """Write records in input order; see format_coord for the number policy.
-
-    Zero-face images emit the all-zero dummy line so that parse -> write is
-    byte-identical on canonical files.  An unknown policy raises ValueError
-    before anything is written, whether or not the set has rows.
-    """
+def _gt_texts(annset: AnnotationSet, policy: str) -> Iterator[str]:
+    """The GT file's texts, one per run; a bad policy raises here, at once."""
     format_coord(0.0, policy)  # raises on an unknown policy
     # a table hit is a whole number, which every policy writes bare
     coord = functools.partial(format_coord, policy=policy)
@@ -1006,8 +1031,18 @@ def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal
         cols.append(_flag_texts(flags[lo:hi]))
         return list(map(" ".join, zip(*cols)))
 
-    stream.writelines(map("".join, _record_text(annset.paths, annset.offsets, rows,
-                                                empty=("0 0 0 0 0 0 0 0 0 0",))))
+    return map("".join, _record_text(annset.paths, annset.offsets, rows,
+                                     empty=("0 0 0 0 0 0 0 0 0 0",)))
+
+
+def write_wider_gt(annset: AnnotationSet, stream: TextIO, policy: str = "decimal") -> None:
+    """Write records in input order; see format_coord for the number policy.
+
+    Zero-face images emit the all-zero dummy line so that parse -> write is
+    byte-identical on canonical files.  An unknown policy raises ValueError
+    before anything is written, whether or not the set has rows.
+    """
+    stream.writelines(_gt_texts(annset, policy))
 
 
 def load_wider_gt(path: str | Path) -> AnnotationSet:
@@ -1017,7 +1052,7 @@ def load_wider_gt(path: str | Path) -> AnnotationSet:
 
 def save_wider_gt(annset: AnnotationSet, path: str | Path, policy: str = "decimal") -> None:
     """write_wider_gt over the file at path, opened once the policy is checked."""
-    write_wider_gt(annset, SimpleNamespace(writelines=functools.partial(_write_file, path)), policy)
+    _write_file(path, _gt_texts(annset, policy))
 
 
 def _txt_entries(root: str) -> Iterator[str]:
@@ -1098,14 +1133,6 @@ def _detection_rows(detset: DetectionSet, lo: int, hi: int) -> list[str]:
     return list(map(" ".join, zip(*cols)))
 
 
-def _stem(key: str) -> str:
-    """Path(key).stem, by string operations where its last name has no dot at either end."""
-    name = os.path.basename(key)
-    if name[:1] in ("", ".") or name[-1] == ".":
-        return Path(key).stem
-    return name.rpartition(".")[0] or name
-
-
 def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str = ".jpg") -> None:
     """Write one detection file per image under root, its name line the
     key's stem.  The file is the key, its image_ext suffix (if any) swapped
@@ -1134,7 +1161,7 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
     for folder in {".", *folders}:
         os.makedirs(os.path.join(root, folder), exist_ok=True)
     offsets = detset.offsets
-    texts = chain.from_iterable(_record_text(list(map(_stem, files.values())), offsets,
+    texts = chain.from_iterable(_record_text([Path(key).stem for key in files.values()], offsets,
                                              functools.partial(_detection_rows, detset)))
     # a record comes in one text per run of _ROW_BLOCK rows it spans, at least one
     spans = (offsets[1:] - 1) // _ROW_BLOCK - offsets[:-1] // _ROW_BLOCK + 1

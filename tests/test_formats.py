@@ -634,7 +634,10 @@ def test_a_short_write_is_written_on(tmp_path, monkeypatch):
     assert (tmp_path / "f.txt").read_bytes() == "abcdefgh\né\n".encode()
 
 
-def test_a_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
+# a write that fails in the first text (after a short write of 4 bytes) or
+# in a later one leaves only the bytes written, no old byte after them
+@pytest.mark.parametrize("texts", [["new\nmore\n"], ["new\n", "more\n"]])
+def test_a_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch, texts):
     path = tmp_path / "f.txt"
     path.write_bytes(b"0123456789" * 10)  # older and longer than the new bytes
     real_write, calls = os.write, []
@@ -643,13 +646,28 @@ def test_a_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch):
         calls.append(len(data))
         if len(calls) == 2:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return real_write(fd, data)
+        return real_write(fd, data[:4])
 
     monkeypatch.setattr(os, "write", write)
     with pytest.raises(OSError) as exc:
-        boxcal.formats._write_file(path, ["new\n", "more\n"])
+        boxcal.formats._write_file(path, texts)
     assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, str(path))
     assert path.read_bytes() == b"new\n"
+
+
+def test_a_file_is_cut_once_its_first_text_is_written(tmp_path):
+    # later texts only append, so a process killed while it writes them
+    # leaves a prefix of the new file and none of the old one
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"0123456789" * 10)
+
+    def texts():
+        yield "new\n"
+        assert path.read_bytes() == b"new\n"
+        yield "more\n"
+
+    boxcal.formats._write_file(path, texts())
+    assert path.read_bytes() == b"new\nmore\n"
 
 
 def test_an_unknown_policy_leaves_the_gt_file_as_it_was(tmp_path):
