@@ -24,7 +24,8 @@ a run: ``python -c "import boxcal.cli"`` takes 92 ms, and 81 ms ended by
 ignored`` and exit 120.  `main(argv)` returns its exit code instead, for
 tests and library callers that run the CLI in their own process.  Every
 write to stdout goes through `_out`, so a closed stdout (``sys.stdout``
-is None) is an I/O error too, not a silent loss of the output.
+is None) is an I/O error too, not a silent loss of the output; every
+output file is written, and closed, by one helper, `formats._write_file`.
 
 An interrupt (Ctrl-C) prints no traceback: `_quiet_interrupt`, the
 ``sys.excepthook`` that `run` installs (so do this module's imports, until
@@ -58,16 +59,17 @@ from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
-from typing import Iterator, NoReturn, TextIO
+from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .adc import compute_adc
 from .calibrate import DEFAULT_T_C, DEFAULT_T_M, CalibrationConfig, calibrate_dataset
-from .formats import (AnnotationSet, DetectionSet, _segment_rows, align, load_detections,
-                      load_wider_gt, save_wider_gt, write_detections_dir, write_detections_file)
-from .report import (DEFAULT_EDGES, check_edges, check_mbp_export, format_histogram_table,
-                     localization_histogram, mbp_export, summary_line, write_report)
+from .formats import (AnnotationSet, DetectionSet, _detection_file_texts, _segment_rows,
+                      _write_file, align, load_detections, load_wider_gt, save_wider_gt,
+                      write_detections_dir)
+from .report import (DEFAULT_EDGES, _mbp_texts, _report_texts, check_edges,
+                     format_histogram_table, localization_histogram, summary_line)
 
 if _OWN:
     sys.excepthook = _hook  # a host that imported this module keeps its own hook
@@ -192,20 +194,6 @@ def _stage(name: str) -> Iterator[None]:
     log.info("stage %s: %.3f s", name, perf_counter() - t0)
 
 
-@contextmanager
-def _output(path: str | Path) -> Iterator[TextIO]:
-    """path opened for writing text with LF line ends; an OSError that
-    names no file (a failed write, or the flush at close) gets path, so a
-    write error names its output."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    except OSError as exc:
-        if exc.filename is not None:
-            raise
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
-
-
 def _out(text: str) -> None:
     """Write text to stdout; a closed stdout raises OSError (EBADF), where
     print would drop the text without a word."""
@@ -232,18 +220,17 @@ def run_calibrate(args) -> int:
     with _stage("calibrate"):
         result = calibrate_dataset(anns, dets, cfg, threads=args.threads)
     del anns, dets  # the detections are freed before the outputs are written
-    if args.mbp_export:
-        fmt = "json" if args.mbp_export.endswith(".json") else "tsv"
-        check_mbp_export(result.claims, fmt)  # a refused path leaves no partial outputs
+    if args.mbp_export:  # its texts check their inputs: a refused path leaves no output
+        ledger = _mbp_texts(result.claims, "json" if args.mbp_export.endswith(".json") else "tsv")
     with _stage("write GT"):
         save_wider_gt(result.calibrated, args.out,
                       policy="integer" if args.round_int else "decimal")
     if args.report:
-        with _stage("report"), _output(args.report) as fh:
-            write_report(result, fh, predictor=args.predictor)
+        with _stage("report"):
+            _write_file(args.report, _report_texts(result, args.predictor))
     if args.mbp_export:
-        with _stage("ledger"), _output(args.mbp_export) as fh:
-            mbp_export(result.claims, fh, fmt=fmt)
+        with _stage("ledger"):
+            _write_file(args.mbp_export, ledger)
     _out(summary_line(result, predictor=args.predictor) + "\n")
     return 0
 
@@ -257,8 +244,7 @@ def run_stats(args) -> int:
     with _stage("table"):
         table = format_histogram_table(localization_histogram(ious, edges=args.edges))
         if args.out:
-            with _output(args.out) as fh:
-                fh.write(table)
+            _write_file(args.out, [table])
         else:
             _out(table)
     return 0
@@ -272,10 +258,30 @@ def run_adc(args) -> int:
     return 0
 
 
+def _prune(root: Path, keys: list[str] | None) -> int:
+    """Delete each .txt file under root whose image, as the detection
+    reader names it (its path below root, .txt swapped for .jpg), is not
+    one of keys, then each directory that leaves empty: root too where keys
+    is None, which deletes every .txt file.  Returns the count deleted."""
+    keep, removed, emptied = set(keys or ()), 0, set()
+    for folder, _, files in os.walk(root, topdown=False):  # a directory after its subdirectories
+        rel = os.path.relpath(folder, root).replace(os.sep, "/")
+        prefix = "" if rel == "." else rel + "/"
+        for name in files:
+            if name.endswith(".txt") and prefix + name[:-4] + ".jpg" not in keep:
+                os.unlink(os.path.join(folder, name))
+                removed += 1
+                emptied.add(folder)
+        if folder in emptied and not os.listdir(folder) and (keys is None or rel != "."):
+            os.rmdir(folder)
+            emptied.add(os.path.dirname(folder))
+    return removed
+
+
 def run_synth(args) -> int:
     # imported here, so that the other commands never load synth
-    from .synth import (SynthSpec, check_perturbation, emit_detections, generate_dataset,
-                        perturb, write_perturb_ledger)
+    from .synth import (SynthSpec, _perturb_ledger_texts, check_perturbation, emit_detections,
+                        generate_dataset, perturb)
 
     spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)
                         if hasattr(args, f.name)})
@@ -294,14 +300,19 @@ def run_synth(args) -> int:
         save_wider_gt(perturbed, out / "gt.txt")
         save_wider_gt(truth, out / "truth.txt")
         if args.single_file:
-            with _output(out / "detections.txt") as fh:
-                write_detections_file(dets, fh)
+            _write_file(out / "detections.txt", _detection_file_texts(dets))
         else:
             write_detections_dir(dets, out / "detections")
-        with _output(out / "ledger.tsv") as fh:
-            write_perturb_ledger(ledger, fh)
+        _write_file(out / "ledger.tsv", _perturb_ledger_texts(ledger))
+        # an earlier run's detection files that this run did not write, of either layout
+        removed = _prune(out / "detections", None if args.single_file else dets.paths)
+        if not args.single_file and (out / "detections.txt").is_file():
+            (out / "detections.txt").unlink()
+            removed += 1
     _out(f"wrote {len(truth.paths)} images, {truth.total_faces()} faces, "
          f"{len(ledger)} perturbed, {dets.total_detections()} detections to {out}\n")
+    if removed:
+        _out(f"removed {removed} detection file(s) of an earlier run\n")
     return 0
 
 
@@ -384,8 +395,8 @@ def run() -> NoReturn:
     process with ``os._exit``, skipping interpreter finalization; a stdout
     flush that fails (a broken pipe) is an I/O error, exit code 2.  This is
     safe only while two things stay true, which every change to the CLI
-    must keep: each output file is closed by its ``with`` block before
-    `main` returns, and the CLI starts no thread.  An interrupt (Ctrl-C)
+    must keep: every output file is written and closed by `_write_file`
+    before `main` returns, and the CLI starts no thread.  An interrupt (Ctrl-C)
     ends the process by SIGINT, after finalization, with no traceback; any
     other uncaught exception prints its traceback and exits 1."""
     sys.excepthook = _quiet_interrupt

@@ -78,15 +78,17 @@ record file streams the one record emitter, `_record_text`; both TSV
 ledgers, the claims' and the perturbations', are written by the one TSV
 emitter, `_ledger_text`.  Both build the texts of one run of rows at a
 time, so a write holds no per-row text for the whole table, nor for the
-whole of a long record.  The GT file and a tree's files are written by
-one helper, `_write_file`, the mirror of `_read_bytes`, with plain OS
-calls: `os.open` without O_TRUNC, `os.write`, and `os.ftruncate` of a
-regular file to the bytes written as soon as its first text is written
-(or a write fails).  A file is so rewritten in place and then cut, its
-old data not freed first, the costly step of rewriting a tree (ext4).
-Later texts only append, so an error or interrupt leaves no old byte
-after the new ones; a process killed by a signal while a file's first
-text is written can leave the old file's tail after it.
+whole of a long record.  Each format has one producer of its texts
+(`_gt_texts`, say), which raises every error of its inputs when called.
+Every output file is written from them by one helper, `_write_file`, the
+mirror of `_read_bytes`, with plain OS calls: `os.open` without O_TRUNC,
+`os.write`, and `os.ftruncate` of a regular file to the bytes written as
+soon as its first text is written (or a write fails).  A file is so
+rewritten in place and then cut, its old data not freed first, the
+costly step of rewriting a tree (ext4).  Later texts only append, so an
+error or interrupt leaves no old byte after the new ones; a process
+killed by a signal while a file's first text is written can leave the
+old file's tail after it.
 """
 
 from __future__ import annotations
@@ -985,38 +987,35 @@ def _record_text(names: list[str], offsets: np.ndarray, rows: Callable[[int, int
         i = j - 1 if bounds[j] > hi else j
 
 
-def _check_tsv_paths(names: list[str], image: np.ndarray) -> None:
-    """Raise ValueError on the first row r whose path, names[image[r]],
-    holds a tab, CR or LF, which a TSV ledger cannot hold: the one copy of
-    that rule, which `_ledger_text` applies before it writes anything, and
-    which a caller can apply before it writes any other output."""
-    joined = "".join(names)
-    if "\t" not in joined and "\n" not in joined and "\r" not in joined:
-        return
-    breaking = np.array(["\t" in name or "\n" in name or "\r" in name for name in names], bool)
-    first = np.flatnonzero(breaking[image])[:1].tolist()
-    if first:
-        raise ValueError(f"image path {names[image[first[0]]]!r} holds a tab or line end, "
-                         "which a TSV ledger cannot hold; export the ledger as .json")
-
-
 def _ledger_text(header: tuple[str, ...], names: list[str], image: np.ndarray,
-                 index: np.ndarray, boxes: list[np.ndarray], ratios: list[np.ndarray]
-                 ) -> Iterator[str]:
-    """A TSV ledger: the header, then per row its path, names[image[r]],
-    its index, its box cells and its ratios, every float as `repr` writes
-    it, in blocks of _ROW_BLOCK rows.  Box cells are mostly small whole
-    numbers, which take cached texts; ratios rarely are.  A row whose path
-    holds a tab, CR or LF raises ValueError before anything is written
-    (`_check_tsv_paths`)."""
-    _check_tsv_paths(names, image)
-    yield "\t".join(header) + "\n"
-    for lo in range(0, len(index), _ROW_BLOCK):
-        part = slice(lo, lo + _ROW_BLOCK)
-        cols = [[names[i] for i in image[part].tolist()], map(str, index[part].tolist()),
-                *(_texts(c[part], ".0", repr) for c in boxes),
-                *(map(repr, c[part].tolist()) for c in ratios)]
-        yield "\n".join(map("\t".join, zip(*cols))) + "\n"
+                 index: np.ndarray, boxes: list[np.ndarray], ratios: list[np.ndarray],
+                 by: np.ndarray | None = None) -> Iterator[str]:
+    """A TSV ledger's texts: the header, then per row r its path,
+    names[image[r]], its index, its box cells (mostly small whole numbers,
+    which take cached texts) and its ratios, every float as `repr` writes
+    it, in the stable ascending order of by (table order where None), in
+    blocks of _ROW_BLOCK rows gathered one at a time.  A path holding a tab,
+    CR or LF raises ValueError here, at once, naming the first in order."""
+    joined = "".join(names)
+    if "\t" in joined or "\n" in joined or "\r" in joined:
+        breaking = np.array(["\t" in name or "\n" in name or "\r" in name for name in names], bool)
+        rows = image if by is None else image[np.argsort(by, kind="stable")]
+        first = np.flatnonzero(breaking[rows])[:1].tolist()
+        if first:
+            raise ValueError(f"image path {names[rows[first[0]]]!r} holds a tab or line end, "
+                             "which a TSV ledger cannot hold; export the ledger as .json")
+
+    def texts() -> Iterator[str]:
+        order = None if by is None else np.argsort(by, kind="stable")
+        yield "\t".join(header) + "\n"
+        for lo in range(0, len(index), _ROW_BLOCK):
+            part = slice(lo, lo + _ROW_BLOCK) if order is None else order[lo:lo + _ROW_BLOCK]
+            cols = [[names[i] for i in image[part].tolist()], map(str, index[part].tolist()),
+                    *(_texts(c[part], ".0", repr) for c in boxes),
+                    *(map(repr, c[part].tolist()) for c in ratios)]
+            yield "\n".join(map("\t".join, zip(*cols))) + "\n"
+
+    return texts()
 
 
 def _gt_texts(annset: AnnotationSet, policy: str) -> Iterator[str]:
@@ -1170,10 +1169,15 @@ def write_detections_dir(detset: DetectionSet, root: str | Path, image_ext: str 
         _write_file(prefix + rel, islice(texts, parts))
 
 
+def _detection_file_texts(detset: DetectionSet) -> Iterator[str]:
+    """The single-file layout's texts, one per run; name lines are the keys."""
+    return map("".join, _record_text(detset.paths, detset.offsets,
+                                     functools.partial(_detection_rows, detset)))
+
+
 def write_detections_file(detset: DetectionSet, stream: TextIO) -> None:
     """Write the consolidated single-file layout; name lines are the keys."""
-    stream.writelines(map("".join, _record_text(detset.paths, detset.offsets,
-                                                functools.partial(_detection_rows, detset))))
+    stream.writelines(_detection_file_texts(detset))
 
 
 def check_aligned(anns: AnnotationSet, dets: DetectionSet) -> None:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .calibrate import CalibrationResult, ClaimTable
-from .formats import _check_tsv_paths, _ledger_text
+from .formats import _ledger_text
 from .geometry import BBox, iou, iou_cells
 
 DEFAULT_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -186,40 +186,36 @@ def _json_floats(column: np.ndarray) -> list:
     return out
 
 
-def check_mbp_export(claims: ClaimTable, fmt: str) -> None:
-    """Raise the ValueError mbp_export(claims, ..., fmt) would raise, before
-    anything is written: an unknown format, or a TSV ledger of a path it
-    cannot hold."""
-    if fmt == "tsv":
-        _check_tsv_paths(claims.paths, claims.image)
-    elif fmt != "json":
+def _mbp_texts(claims: ClaimTable, fmt: str) -> Iterator[str]:
+    """`mbp_export`'s texts, built as they are asked for; it raises here, at once."""
+    if fmt not in ("tsv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
+    names = claims.paths  # read once: each read of the column is a call
+    boxes, ratios = [*claims.old_boxes.T, *claims.new_boxes.T], [claims.iou, claims.score]
+    if fmt == "tsv":
+        return _ledger_text(MBP_EXPORT_HEADER, names, claims.image, claims.ann_index,
+                            boxes, ratios, by=claims.iou)
+
+    def json_text() -> Iterator[str]:
+        order = np.argsort(claims.iou, kind="stable")
+        rows = [_MBP_JSON_ROW % row for row in zip(
+            (json.dumps(names[i]) for i in claims.image[order].tolist()),
+            claims.ann_index[order].tolist(), *(_json_floats(c[order]) for c in boxes + ratios))]
+        yield "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+    return json_text()
 
 
 def mbp_export(claims: ClaimTable, stream: TextIO, fmt: str = "tsv") -> None:
     """Write the replacement ledger, worst misalignments (lowest IoU) first;
     claims with equal IoUs keep their order.  The JSON form is the bytes
     json.dump(rows, indent=2) writes, one object per claim, and a newline.
-    Raises what check_mbp_export raises before it writes anything."""
-    if fmt != "tsv":  # a TSV ledger's paths are checked by `_ledger_text`
-        check_mbp_export(claims, fmt)
-    order = np.argsort(claims.iou, kind="stable")
-    names = claims.paths  # read once: each read of the column is a call
-    image, ann_index = claims.image[order], claims.ann_index[order]
-    boxes = [*claims.old_boxes[order].T, *claims.new_boxes[order].T]
-    ratios = [claims.iou[order], claims.score[order]]
-    if fmt == "tsv":
-        stream.writelines(_ledger_text(MBP_EXPORT_HEADER, names, image, ann_index, boxes, ratios))
-    else:
-        paths = [names[i] for i in image.tolist()]
-        rows = [_MBP_JSON_ROW % row for row in zip(
-            map(json.dumps, paths), ann_index.tolist(), *map(_json_floats, boxes + ratios))]
-        stream.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
+    A bad format, or a TSV path it cannot hold, raises before any write."""
+    stream.writelines(_mbp_texts(claims, fmt))
 
 
-def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "external") -> None:
-    """Serialize a finished run as a key-value tree (JSON); the histogram
-    bins the run's own HCDR max IoUs."""
+def _report_texts(result: CalibrationResult, predictor: str) -> Iterator[str]:
+    """`write_report`'s one text, built when it is asked for."""
     t_c = result.config.t_c
     hist = localization_histogram(result.hcdr_ious, DEFAULT_EDGES, t_c)
     deltas = loss_delta_report(result.claims).delta
@@ -246,8 +242,13 @@ def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "ex
             "max_delta": float(deltas.max()) if n else 0.0,
         },
     }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    yield json.dumps(doc, indent=2) + "\n"
+
+
+def write_report(result: CalibrationResult, stream: TextIO, predictor: str = "external") -> None:
+    """Serialize a finished run as a key-value tree (JSON); the histogram
+    bins the run's own HCDR max IoUs."""
+    stream.writelines(_report_texts(result, predictor))
 
 
 def summary_line(result: CalibrationResult, predictor: str = "external") -> str:

@@ -30,7 +30,7 @@ import operator
 import random
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -267,12 +267,16 @@ def emit_detections(truth: AnnotationSet, spec: SynthSpec) -> DetectionSet:
                         boxes=values[:, 1:], scores=values[:, 0])
 
 
+def _perturb_ledger_texts(ledger: PerturbLedger) -> Iterator[str]:
+    """`ledger.tsv`'s texts; a path that would break its row raises here, at once."""
+    return _ledger_text(("path", "ann_index", "true_x", "true_y", "true_w", "true_h",
+                         "pert_x", "pert_y", "pert_w", "pert_h", "achieved_iou"),
+                        ledger.paths, ledger.image, ledger.ann_index,
+                        [*ledger.true_boxes.T, *ledger.perturbed_boxes.T], [ledger.achieved_iou])
+
+
 def write_perturb_ledger(ledger: PerturbLedger, stream: TextIO) -> None:
-    stream.writelines(_ledger_text(
-        ("path", "ann_index", "true_x", "true_y", "true_w", "true_h",
-         "pert_x", "pert_y", "pert_w", "pert_h", "achieved_iou"),
-        ledger.paths, ledger.image, ledger.ann_index,
-        [*ledger.true_boxes.T, *ledger.perturbed_boxes.T], [ledger.achieved_iou]))
+    stream.writelines(_perturb_ledger_texts(ledger))
 
 
 def _plain_iou(a: BBox, b: BBox) -> float:

@@ -341,6 +341,55 @@ def test_a_tab_in_a_claimed_path_refuses_only_the_tsv_ledger(tmp_path, capsys, l
     assert sorted(tmp_path.iterdir()) == inputs
 
 
+# two claimed paths that break a TSV row, a\t1.jpg at IoU 0.7 and b\t2.jpg
+# at 0.6: the CLI and mbp_export both name b\t2.jpg, the ledger's first row
+# (lowest IoU first), and the CLI writes no output
+def test_the_cli_and_mbp_export_refuse_the_same_path(tmp_path, capsys):
+    gt = _write(tmp_path, "gt.txt", "a\t1.jpg\n1\n0 0 10 10 0 0 0 0 0 0\n"
+                                    "b\t2.jpg\n1\n0 0 10 10 0 0 0 0 0 0\n")
+    dets = _write(tmp_path, "dets.txt", "a\t1.jpg\n1\n0 0 10 7 0.9\nb\t2.jpg\n1\n0 0 10 6 0.9\n")
+    message = ("image path 'b\\t2.jpg' holds a tab or line end, which a TSV ledger cannot "
+               "hold; export the ledger as .json")
+    result = boxcal.calibrate_dataset(boxcal.load_wider_gt(gt), boxcal.load_detections(dets),
+                                      boxcal.CalibrationConfig(adc_override=0.5))
+    assert result.claims.iou.tolist() == pytest.approx([0.7, 0.6])
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as exc:
+        boxcal.mbp_export(result.claims, buf)
+    assert (str(exc.value), buf.getvalue()) == (message, "")
+    inputs = sorted(tmp_path.iterdir())
+    rc = main(["calibrate", "--gt", gt, "--dets", dets, "--out", str(tmp_path / "out.txt"),
+               "--adc", "0.5", "--report", str(tmp_path / "r.json"),
+               "--mbp-export", str(tmp_path / "m.tsv")])
+    assert (rc, capsys.readouterr().err) == (1, f"boxcal: error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+# every output file, written over a longer file, holds a fresh write's bytes
+# (the report's run time aside): the one writer cuts each to what it wrote
+def test_every_output_over_a_longer_file_equals_a_fresh_write(tmp_path, capsys):
+    data = tmp_path / "data"
+    _synth(data)
+    inputs = ["--gt", str(data / "gt.txt"), "--dets", str(data / "detections"), "--adc", "0.5"]
+    written = {}
+    for side in ("fresh", "over"):
+        out = tmp_path / side
+        out.mkdir()
+        names = ["out.txt", "r.json", "m.tsv", "m.json", "t.txt",
+                 "gt.txt", "truth.txt", "detections.txt", "ledger.tsv"]
+        for name in names if side == "over" else []:
+            (out / name).write_text("x" * 100_000, encoding="utf-8")
+        for ledger in ("m.tsv", "m.json"):
+            assert main(["calibrate", *inputs, "--out", str(out / "out.txt"),
+                         "--report", str(out / "r.json"), "--mbp-export", str(out / ledger)]) == 0
+        assert main(["stats", *inputs, "--out", str(out / "t.txt")]) == 0
+        _synth(out, "--single-file")
+        written[side] = {name: (out / name).read_text(encoding="utf-8") for name in names}
+        written[side]["r.json"] = re.sub(r'"wall_time_s": [^,]*', "", written[side]["r.json"])
+    assert written["over"] == written["fresh"]
+    assert written["over"]["m.tsv"].count("\n") == 4  # the header and 3 claims
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_flag_exits_1_without_traceback(tmp_path, capsys, value):
     gt = _write(tmp_path, "bad.txt", f"x.jpg\n1\n0 0 8 8 {value} 0 0 0 0 0\n")
@@ -567,6 +616,46 @@ def test_synth_writes_a_header_only_ledger_when_nothing_is_perturbed(tmp_path, c
     assert (tmp_path / "ledger.tsv").read_text(encoding="utf-8") == (
         "path\tann_index\ttrue_x\ttrue_y\ttrue_w\ttrue_h"
         "\tpert_x\tpert_y\tpert_w\tpert_h\tachieved_iou\n")
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# a smaller run into an earlier run's directory: the earlier run's extra
+# detection files go, so the directory holds a fresh run's files, and the
+# detections read back without a warning; an identical rerun removes nothing
+def test_synth_over_a_larger_run_removes_its_extra_detection_files(tmp_path, capsys):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    for folder, images in [(out, "30"), (out, "20"), (fresh, "20"), (out, "20")]:
+        assert main(["synth", "--out", str(folder), "--images", images]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == ["removed 10 detection file(s) of an earlier run",
+                         lines[1].replace(str(out), str(fresh)), lines[1]]
+    assert _tree(out) == _tree(fresh) and len(list((out / "detections").rglob("*.txt"))) == 20
+    assert main(["stats", "--gt", str(out / "gt.txt"), "--dets", str(out / "detections")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# a run in the other layout removes the earlier run's detections: a tree's
+# .txt files and the directories that leaves empty (d001/ here; detections/
+# too, unless a file of another kind keeps it), or detections.txt
+@pytest.mark.parametrize("first, second, note", [
+    ([], ["--single-file"], True), ([], ["--single-file"], False), (["--single-file"], [], False)])
+def test_synth_in_the_other_layout_removes_the_earlier_detections(tmp_path, capsys,
+                                                                  first, second, note):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["synth", "--out", str(out), "--images", "1001", "--faces", "1,1", *first]) == 0
+    if note:
+        (out / "detections" / "d000" / "notes.md").write_text("kept", encoding="utf-8")
+    for folder in (out, fresh):
+        assert main(["synth", "--out", str(folder), "--images", "20", *second]) == 0
+    removed = capsys.readouterr().out.splitlines()[2]
+    assert removed == f"removed {1 if first else 1001} detection file(s) of an earlier run"
+    kept = {"detections/d000/notes.md": b"kept"} if note else {}
+    assert _tree(out) == {**_tree(fresh), **kept}
+    assert (out / "detections").exists() == (not second or note)
+    assert not (out / "detections" / "d001").exists()
 
 
 SYNTH_HELP = """\
